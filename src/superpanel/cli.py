@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,21 @@ def _load_inputs(config):
     return sch, records, dropped
 
 
+def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
+    """Load a model file, relative paths falling back to the output directory.
+
+    The model must have been trained on the config's schema: sampling with
+    one schema and tabulating with another would mix up categories.
+    """
+    model_path = Path(path)
+    if not model_path.is_absolute() and not model_path.exists():
+        model_path = out / model_path
+    model = cvae.load_model(model_path)
+    if model.schema.content_hash() != sch.content_hash():
+        raise CliError(f"{model_path} was trained on a different schema than {config['schema']}")
+    return model, model_path
+
+
 def _eval_subsets(config, sch) -> list[tuple[str, ...]]:
     subsets = config.get("eval_subsets")
     if subsets:
@@ -295,17 +311,7 @@ def cmd_train(args) -> int:
 
     # winner refit on the whole data set; the held-out loss still guides
     # the checkpoint epoch
-    full_cfg = cvae.CvaeConfig(
-        hidden_layers=split_cfg.hidden_layers,
-        latent_dim=split_cfg.latent_dim,
-        beta=split_cfg.beta,
-        learning_rate=split_cfg.learning_rate,
-        rho=split_cfg.rho,
-        epsilon=split_cfg.epsilon,
-        batch_size=split_cfg.batch_size,
-        epochs=split_cfg.epochs,
-        seed=derive_seed(config["seed"], "train-full"),
-    )
+    full_cfg = replace(split_cfg, seed=derive_seed(config["seed"], "train-full"))
     try:
         model_full = cvae.train(encoded, full_cfg, val_set)
     except cvae.TrainingDiverged as exc:
@@ -338,10 +344,7 @@ def cmd_generate(args) -> int:
     out = _out_dir(args, config)
     sch, records, _ = _load_inputs(config)
     gen_cfg = config["generate"]
-    model_path = Path(gen_cfg["model"])
-    if not model_path.is_absolute() and not model_path.exists():
-        model_path = out / model_path
-    model = cvae.load_model(model_path)
+    model, model_path = _load_model(config, out, sch, gen_cfg["model"])
     profiles = sampling.profiles_from_records(records, sch)
     population = sampling.generate_population(
         model,
@@ -385,8 +388,8 @@ def cmd_evaluate(args) -> int:
     subsets = _eval_subsets(config, sch)
     draws = int(config["evaluate"].get("draws_per_profile", 1))
 
-    split_model = cvae.load_model(out / "model_split.json")
-    full_model = cvae.load_model(out / "model_full.json")
+    split_model, _ = _load_model(config, out, sch, out / "model_split.json")
+    full_model, _ = _load_model(config, out, sch, out / "model_full.json")
 
     def synth_records(model, source_records, key):
         profiles = sampling.profiles_from_records(source_records, sch)
@@ -482,10 +485,7 @@ def _load_external_table(path, sch, profiles):
 
 def _build_cube(config, args, sch, records):
     panel_cfg = config["panel"]
-    model_path = Path(panel_cfg["model"])
-    if not model_path.is_absolute() and not model_path.exists():
-        model_path = _out_dir(args, config) / model_path
-    model = cvae.load_model(model_path)
+    model, _ = _load_model(config, _out_dir(args, config), sch, panel_cfg["model"])
     time_attr = sch.time_attribute
     if time_attr is None:
         raise CliError("panel construction needs a time attribute")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import metrics, nn
-from .schema import EncodedDataset, Schema, schema_from_dict, build_layout
+from .schema import EncodedDataset, Schema, build_layout, discretize_array, schema_from_dict
 from .seeding import derive_rng, derive_seed
 
 LOG_FLOOR = 1e-12  # clamp inside log() so saturated softmax cannot emit -inf
@@ -362,7 +362,7 @@ def _pref_histogram(ds: EncodedDataset, subset) -> metrics.JointHistogram:
                 cols[block.name] = np.argmax(seg, axis=1).astype(np.int64)
             else:
                 edges = ds.schema.attribute(block.name).bin_edges
-                cols[block.name] = metrics.discretize_array(seg[:, 0], edges)
+                cols[block.name] = discretize_array(seg[:, 0], edges)
     return metrics.cross_tabulate_columns(cols, subset, ds.schema)
 
 
@@ -390,13 +390,7 @@ def evaluate_srmse(model: TrainedModel, val_set: EncodedDataset, eval_subsets, s
 def _run_grid_cell(args):
     (cell_idx, nl, nnrn, dz, beta, train_set, val_set, eval_subsets, base, master_seed) = args
     cfg = CvaeConfig.from_grid_cell(
-        nl, nnrn, dz, beta,
-        learning_rate=base.get("learning_rate", 0.001),
-        rho=base.get("rho", 0.9),
-        epsilon=base.get("epsilon", 1e-8),
-        batch_size=base.get("batch_size", 64),
-        epochs=base.get("epochs", 50),
-        seed=derive_seed(master_seed, "grid-cell", cell_idx),
+        nl, nnrn, dz, beta, **base, seed=derive_seed(master_seed, "grid-cell", cell_idx)
     )
     try:
         model = train(train_set, cfg, val_set)
@@ -424,7 +418,6 @@ def grid_search(
     seed: int,
     base: dict | None = None,
     jobs: int = 1,
-    selection_metric: str = "srmse",
 ) -> tuple[CvaeConfig, list[GridResult]]:
     """Train one model per grid cell and rank by mean validation SRMSE.
 
@@ -432,16 +425,16 @@ def grid_search(
     ranking across cells uses the distribution distance. Cells run
     independently with seeds derived from (seed, cell index), so the
     leaderboard is identical for any jobs count. Diverged cells stay on
-    the leaderboard, flagged, and are excluded from ranking.
+    the leaderboard, flagged, and are excluded from ranking. ``base`` holds
+    the CvaeConfig fields shared by every cell (learning rate, epochs, ...).
     """
-    if selection_metric != "srmse":
-        raise ValueError(f"unsupported selection metric {selection_metric!r}")
+    base = dict(base or {})
     cells = grid.cells()
     if not cells:
         raise ValueError("empty grid")
     args = [
         (i, nl, nnrn, dz, beta, train_set, val_set, [tuple(s) for s in eval_subsets],
-         dict(base or {}), seed)
+         base, seed)
         for i, (nl, nnrn, dz, beta) in enumerate(cells)
     ]
     if jobs > 1:
@@ -454,12 +447,7 @@ def grid_search(
         raise TrainingDiverged(-1, "every grid cell diverged")
     best = min(survivors, key=lambda r: (r.mean_srmse, r.cell))
     best_cfg = CvaeConfig.from_grid_cell(
-        best.n_layers, best.n_neurons, best.latent_dim, best.beta,
-        learning_rate=(base or {}).get("learning_rate", 0.001),
-        rho=(base or {}).get("rho", 0.9),
-        epsilon=(base or {}).get("epsilon", 1e-8),
-        batch_size=(base or {}).get("batch_size", 64),
-        epochs=(base or {}).get("epochs", 50),
+        best.n_layers, best.n_neurons, best.latent_dim, best.beta, **base,
         seed=derive_seed(seed, "grid-winner"),
     )
     return best_cfg, results

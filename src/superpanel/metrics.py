@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import Schema, discretize_array
+from .schema import Schema, category_columns
 
 #: guard against accidentally materializing astronomically large joints
 DEFAULT_BIN_CAP = 1_000_000
@@ -58,20 +58,6 @@ def _check_pair(a: JointHistogram, b: JointHistogram) -> None:
 
 def subset_dims(schema: Schema, subset) -> tuple[int, ...]:
     return tuple(schema.attribute(name).n_categories for name in subset)
-
-
-def category_columns(records, subset, schema: Schema) -> dict[str, np.ndarray]:
-    """Column arrays of category indices; numericals go through their bins."""
-    cols = {}
-    for name in subset:
-        attr = schema.attribute(name)
-        pos = schema.index_of(name)
-        raw = [rec.values[pos] for rec in records]
-        if attr.kind == "categorical":
-            cols[name] = np.asarray(raw, dtype=np.int64)
-        else:
-            cols[name] = discretize_array(raw, attr.bin_edges)
-    return cols
 
 
 def cross_tabulate_columns(
@@ -175,25 +161,3 @@ def overlap(sample_a, sample_b, schema: Schema) -> float:
 def overlap_pair(sample_a, sample_b, schema: Schema) -> tuple[float, float]:
     """Overlap measured in both directions (a-in-b, b-in-a)."""
     return overlap(sample_a, sample_b, schema), overlap(sample_b, sample_a, schema)
-
-
-def dispersion(values, kind: str = "entropy") -> float:
-    """Spread statistic.
-
-    kind "entropy": Shannon entropy in nats of a frequency vector;
-    kind "sum_squares": sum of squared frequencies;
-    kind "sem": standard deviation of the mean of raw numeric values.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise MetricError("empty input")
-    if kind == "entropy":
-        p = arr[arr > 0]
-        return float(-np.sum(p * np.log(p)))
-    if kind == "sum_squares":
-        return float(np.sum(arr * arr))
-    if kind == "sem":
-        if arr.size == 1:
-            return 0.0
-        return float(np.std(arr, ddof=1) / math.sqrt(arr.size))
-    raise ValueError(f"unknown dispersion kind {kind!r}")

@@ -19,8 +19,8 @@ from itertools import product
 
 import numpy as np
 
-from .metrics import JointHistogram, cross_tabulate_columns, category_columns
-from .schema import AttributeSpec, Record, Schema, schema_from_dict
+from .metrics import JointHistogram, cross_tabulate_columns
+from .schema import AttributeSpec, Record, Schema, category_columns, schema_from_dict
 from .seeding import derive_rng
 
 

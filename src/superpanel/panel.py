@@ -12,13 +12,14 @@ and quantify model uncertainty by refitting on bootstrap resamples.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cvae, metrics
 from .metrics import JointHistogram
 from .sampling import (
+    CHUNK_ROWS,
     ConditionProfile,
     encode_profile,
     profiles_from_records,
@@ -26,7 +27,7 @@ from .sampling import (
     _decode_with_noise,
     _n_onehot_blocks,
 )
-from .schema import Schema, encode
+from .schema import Schema, discretize_array, encode, record_columns
 from .seeding import derive_rng, derive_seed
 
 
@@ -100,8 +101,7 @@ def _profile_for_year(profile: ConditionProfile, schema: Schema, year: int,
 
 def _panel_year_block(args):
     """All cells of one year: per-individual subset and marginal frequencies."""
-    (t_idx, year, model, base_population, external_by_year, subsets, draws_per_cell,
-     seed, chunk_rows) = args
+    t_idx, year, model, base_population, external_by_year, subsets, draws_per_cell, seed = args
     schema = model.schema
     pref_names = tuple(a.name for a in schema.preference_attributes)
     n, r = len(base_population), draws_per_cell
@@ -120,7 +120,7 @@ def _panel_year_block(args):
             for p in base_population
         ]
     )
-    cells_per_chunk = max(1, chunk_rows // r)
+    cells_per_chunk = max(1, CHUNK_ROWS // r)
     for chunk_start in range(0, n, cells_per_chunk):
         chunk = range(chunk_start, min(chunk_start + cells_per_chunk, n))
         eps = np.empty((len(chunk) * r, d_z))
@@ -147,8 +147,7 @@ def _panel_year_block(args):
 
 
 def build_panel(model: cvae.TrainedModel, base_population, years, external_by_year,
-                draws_per_cell: int, seed: int, subsets=None,
-                chunk_rows: int = 65536, jobs: int = 1) -> PanelCube:
+                draws_per_cell: int, seed: int, subsets=None, jobs: int = 1) -> PanelCube:
     """Sample every (individual, year) cell and tabulate the draws.
 
     Each cell owns an rng derived from (seed, individual id, year), so the
@@ -184,7 +183,7 @@ def build_panel(model: cvae.TrainedModel, base_population, years, external_by_ye
         name: np.zeros((n, t_count, schema.attribute(name).n_categories)) for name in pref_names
     }
     args = [
-        (t_idx, year, model, base_population, external_by_year, subsets, r, seed, chunk_rows)
+        (t_idx, year, model, base_population, external_by_year, subsets, r, seed)
         for t_idx, year in enumerate(years)
     ]
     if jobs > 1:
@@ -405,38 +404,35 @@ class BootstrapSummary:
 
 def _statistic_values(records, schema: Schema, stat: StatisticSpec) -> dict:
     """Statistic per year (or {None: value} when not split by year)."""
-    cond = dict(stat.condition)
     time_attr = schema.time_attribute
-    selected = []
-    for rec in records:
-        if all(rec.values[schema.index_of(k)] == v for k, v in cond.items()):
-            selected.append(rec)
-    groups: dict = {}
-    if stat.per_year and time_attr is not None:
-        for rec in selected:
-            groups.setdefault(int(rec.values[schema.index_of(time_attr.name)]), []).append(rec)
+    by_year = stat.per_year and time_attr is not None
+    names = {stat.attribute, *(k for k, _ in stat.condition)}
+    if by_year:
+        names.add(time_attr.name)
+    cols = record_columns(records, names, schema)
+    selected = np.ones(len(records), dtype=bool)
+    for k, v in stat.condition:
+        selected &= cols[k] == v
+    if by_year:
+        years = cols[time_attr.name].astype(np.int64)
+        groups = {y: selected & (years == y) for y in sorted(set(years[selected].tolist()))}
     else:
-        groups[None] = selected
+        groups = {None: selected}
     attr = schema.attribute(stat.attribute)
-    pos = schema.index_of(stat.attribute)
+    values = cols[stat.attribute]
     out = {}
-    for year, recs in groups.items():
-        if not recs:
+    for year, mask in groups.items():
+        if not mask.any():
             out[year] = math.nan
-            continue
-        vals = [rec.values[pos] for rec in recs]
-        if stat.category is not None:
+        elif stat.category is not None:
+            cats = values[mask]
             if attr.kind == "numerical":
-                from .schema import discretize_array
-
-                cats = discretize_array(vals, attr.bin_edges)
-            else:
-                cats = np.asarray(vals)
+                cats = discretize_array(cats, attr.bin_edges)
             out[year] = float(np.mean(cats == stat.category))
+        elif attr.kind != "numerical":
+            raise PanelError(f"{stat.attribute}: mean statistic needs a numerical attribute")
         else:
-            if attr.kind != "numerical":
-                raise PanelError(f"{stat.attribute}: mean statistic needs a numerical attribute")
-            out[year] = float(np.mean([float(v) for v in vals]))
+            out[year] = float(np.mean(values[mask]))
     return out
 
 
@@ -450,17 +446,7 @@ def _bootstrap_replicate(args):
     data_stats = {s.name: _statistic_values(resample, schema, s) for s in stats}
 
     encoded = encode(resample, schema, numeric_mode=numeric_mode)
-    rep_cfg = cvae.CvaeConfig(
-        hidden_layers=config.hidden_layers,
-        latent_dim=config.latent_dim,
-        beta=config.beta,
-        learning_rate=config.learning_rate,
-        rho=config.rho,
-        epsilon=config.epsilon,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        seed=derive_seed(seed, "bootstrap-train", rep_idx),
-    )
+    rep_cfg = replace(config, seed=derive_seed(seed, "bootstrap-train", rep_idx))
     split_at = max(1, int(round(n * 0.9)))
     if split_at >= n:
         split_at = n - 1

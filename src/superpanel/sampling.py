@@ -15,11 +15,13 @@ import numpy as np
 
 from . import nn
 from .cvae import TrainedModel
-from .metrics import JointHistogram, cross_tabulate_columns
 from .schema import Record, Schema, discretize_array
 from .seeding import derive_rng
 
 DECODE_MODES = ("sample", "argmax")
+
+#: decoder rows pushed through one batched forward pass
+CHUNK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,10 @@ def _n_onehot_blocks(model: TrainedModel) -> int:
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, eps: np.ndarray,
                        uniforms, decode_mode: str):
-    z_and_c = np.concatenate([eps_to_z_prior(eps), c_rows], axis=1)
+    # latent draws from the unit prior are the eps themselves
+    z_and_c = np.concatenate([eps, c_rows], axis=1)
     dec_out, _ = nn.forward(model.decoder, z_and_c)
     return _resolve_samples(model, dec_out, uniforms, decode_mode)
-
-
-def eps_to_z_prior(eps: np.ndarray) -> np.ndarray:
-    """Latent draws from the prior are the unit-Gaussian eps themselves."""
-    return np.asarray(eps, dtype=float)
 
 
 def sample(model: TrainedModel, profile: ConditionProfile, n_draws: int, seed: int,
@@ -159,8 +157,7 @@ def sample(model: TrainedModel, profile: ConditionProfile, n_draws: int, seed: i
 
 
 def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draws_per_row: int,
-                              seed: int, decode_mode: str = "sample",
-                              chunk_rows: int = 65536) -> dict[str, np.ndarray]:
+                              seed: int, decode_mode: str = "sample") -> dict[str, np.ndarray]:
     """Vectorized draws for many conditional rows at once.
 
     Returns one column per preference attribute with draws_per_row
@@ -176,8 +173,8 @@ def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draw
     uniforms = rng.random((n, _n_onehot_blocks(model))) if decode_mode == "sample" else None
     expanded = np.repeat(cond_matrix, draws_per_row, axis=0)
     pieces = []
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
         pieces.append(
             _decode_with_noise(
                 model,
@@ -204,27 +201,6 @@ def sampled_category_columns(model: TrainedModel, cols: dict[str, np.ndarray]) -
             attr = model.schema.attribute(block.name)
             out[block.name] = discretize_array(col, attr.bin_edges)
     return out
-
-
-def estimate_distribution(model: TrainedModel, profile: ConditionProfile, subset, n_draws: int,
-                          seed: int) -> JointHistogram:
-    """Cross tabulation of n_draws sampled preferences over a subset."""
-    subset = tuple(subset)
-    if not subset:
-        raise ValueError("empty subset")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    pref_names = {a.name for a in model.schema.preference_attributes}
-    bad = [s for s in subset if s not in pref_names]
-    if bad:
-        raise ValueError(f"subset contains non-preference attributes {bad}")
-    c_row = encode_profile(profile, model.schema, model.cond_layout)
-    rng = derive_rng(seed, "profile", profile.id)
-    eps = rng.standard_normal((n_draws, model.config.latent_dim))
-    uniforms = rng.random((n_draws, _n_onehot_blocks(model)))
-    cols = _decode_with_noise(model, np.tile(c_row, (n_draws, 1)), eps, uniforms, "sample")
-    cat_cols = sampled_category_columns(model, cols)
-    return cross_tabulate_columns({k: cat_cols[k] for k in subset}, subset, model.schema)
 
 
 @dataclass

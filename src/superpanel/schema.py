@@ -12,7 +12,7 @@ over their bins (default) or a single raw column.
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class AttributeSpec:
     bin_edges: tuple[float, ...] | None = None
     unit: str = ""
     labels: tuple[str, ...] | None = None
-    bucket_min_count: int | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -142,8 +141,6 @@ class Schema:
                 d["unit"] = a.unit
             if a.labels is not None:
                 d["labels"] = list(a.labels)
-            if a.bucket_min_count is not None:
-                d["bucket_min_count"] = a.bucket_min_count
             attrs.append(d)
         return {"version": self.version, "attributes": attrs}
 
@@ -158,6 +155,9 @@ def schema_from_dict(data: dict) -> Schema:
         raise SchemaError("schema file missing 'attributes'")
     attrs = []
     for entry in data["attributes"]:
+        unknown = sorted(set(entry) - {f.name for f in fields(AttributeSpec)})
+        if unknown:
+            raise SchemaError(f"{entry.get('name', '?')}: unknown attribute keys {unknown}")
         attrs.append(
             AttributeSpec(
                 name=entry.get("name", ""),
@@ -167,7 +167,6 @@ def schema_from_dict(data: dict) -> Schema:
                 bin_edges=tuple(entry["bin_edges"]) if "bin_edges" in entry else None,
                 unit=entry.get("unit", ""),
                 labels=tuple(entry["labels"]) if "labels" in entry else None,
-                bucket_min_count=entry.get("bucket_min_count"),
             )
         )
     return Schema(attributes=tuple(attrs), version=str(data.get("version", "1")))
@@ -198,9 +197,6 @@ class Record:
     """
 
     values: tuple
-
-    def value(self, schema: Schema, name: str):
-        return self.values[schema.index_of(name)]
 
 
 def validate_record(record: Record, schema: Schema) -> None:
@@ -319,34 +315,28 @@ def discretize_array(values, edges) -> np.ndarray:
     return np.clip(idx, 0, len(edges) - 2).astype(np.int64)
 
 
-def quantile_edges(values, n_bins: int) -> list[float]:
-    """Empirical quantile edges at i/n_bins; duplicates merged.
-
-    Merging can yield fewer bins than requested (heavily tied data);
-    callers see that through the returned length.
-    """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("values must be nonempty")
-    qs = np.linspace(0.0, 1.0, n_bins + 1)
-    edges = np.quantile(arr, qs)
-    out = [float(edges[0])]
-    for e in edges[1:]:
-        if float(e) > out[-1]:
-            out.append(float(e))
-    if len(out) == 1:  # constant input: single degenerate bin
-        out.append(out[0] + 1.0)
-    return out
+# ---------------------------------------------------------------------------
+# Columns
 
 
-def one_hot(index: int, cardinality: int) -> np.ndarray:
-    if not 0 <= index < cardinality:
-        raise ValueError(f"index {index} out of range for cardinality {cardinality}")
-    v = np.zeros(cardinality)
-    v[index] = 1.0
-    return v
+def record_columns(records, names, schema: Schema) -> dict[str, np.ndarray]:
+    """One array per named attribute: int64 categories or float64 raw values."""
+    cols = {}
+    for name in names:
+        pos = schema.index_of(name)
+        dtype = np.int64 if schema.attribute(name).kind == "categorical" else np.float64
+        cols[name] = np.fromiter((rec.values[pos] for rec in records), dtype, len(records))
+    return cols
+
+
+def category_columns(records, subset, schema: Schema) -> dict[str, np.ndarray]:
+    """Column arrays of category indices; numericals go through their bins."""
+    cols = record_columns(records, subset, schema)
+    for name in subset:
+        attr = schema.attribute(name)
+        if attr.kind == "numerical":
+            cols[name] = discretize_array(cols[name], attr.bin_edges)
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +407,32 @@ class EncodedDataset:
         )
 
 
-def _encode_value(v, attr: AttributeSpec, onehot: bool) -> np.ndarray:
-    if attr.kind == "categorical":
-        return one_hot(int(v), attr.cardinality)
-    if onehot:
-        return one_hot(discretize(float(v), attr.bin_edges), attr.n_categories)
-    return np.array([float(v)])
+def _encode_block(records, layout, schema: Schema, width: int) -> np.ndarray:
+    """One-hot (or raw) matrix of one block: per attribute, one column read and one write."""
+    n = len(records)
+    out = np.zeros((n, width))
+    rows = np.arange(n)
+    for block in layout:
+        if not block.onehot:
+            out[:, block.start] = record_columns(records, (block.name,), schema)[block.name]
+            continue
+        col = category_columns(records, (block.name,), schema)[block.name]
+        bad = (col < 0) | (col >= block.width)
+        if bad.any():
+            raise ValueError(f"{block.name}: category {col[bad][0]} out of range "
+                             f"for cardinality {block.width}")
+        out[rows, block.start + col] = 1.0
+    return out
 
 
 def encode(records, schema: Schema, numeric_mode: str = "discretize") -> EncodedDataset:
     """Encode records into conditional and preference matrices."""
     cond_layout, dim_c = build_layout(schema, preference=False, numeric_mode=numeric_mode)
     pref_layout, dim_v = build_layout(schema, preference=True, numeric_mode=numeric_mode)
-    n = len(records)
-    C = np.zeros((n, dim_c))
-    V = np.zeros((n, dim_v))
-    cond_attrs = schema.conditional_attributes
-    pref_attrs = schema.preference_attributes
-    for r, rec in enumerate(records):
-        for attr, block in zip(cond_attrs, cond_layout):
-            v = rec.values[schema.index_of(attr.name)]
-            C[r, block.start : block.start + block.width] = _encode_value(v, attr, block.onehot)
-        for attr, block in zip(pref_attrs, pref_layout):
-            v = rec.values[schema.index_of(attr.name)]
-            V[r, block.start : block.start + block.width] = _encode_value(v, attr, block.onehot)
     return EncodedDataset(
-        conditional=C,
-        preference=V,
-        row_ids=tuple(range(n)),
+        conditional=_encode_block(records, cond_layout, schema, dim_c),
+        preference=_encode_block(records, pref_layout, schema, dim_v),
+        row_ids=tuple(range(len(records))),
         schema=schema,
         cond_layout=cond_layout,
         pref_layout=pref_layout,
@@ -492,7 +480,7 @@ def decode(cond_row, pref_row, dataset: EncodedDataset, mode: str = "exact", rng
 
 
 # ---------------------------------------------------------------------------
-# Splitting and bucketing
+# Splitting
 
 
 def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -505,47 +493,3 @@ def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
         raise ValueError(f"fraction {fraction} yields an empty side for n={n}")
     perm = derive_rng(seed, "split").permutation(n)
     return np.sort(perm[:k]), np.sort(perm[k:])
-
-
-def split_train_val(records, fraction: float, seed: int):
-    """Deterministic shuffled split into (train, validation) record lists."""
-    idx_train, idx_val = split_indices(len(records), fraction, seed)
-    return [records[i] for i in idx_train], [records[i] for i in idx_val]
-
-
-def bucket_rare_categories(records, schema: Schema):
-    """Collapse rare categories of flagged attributes into one "other" bin.
-
-    Attributes with ``bucket_min_count`` set have every category observed
-    fewer times than the threshold remapped to a trailing "other" category.
-    Returns (records, schema, mapping) where mapping gives old->new index
-    per rewritten attribute.
-    """
-    mapping = {}
-    new_attrs = list(schema.attributes)
-    new_values = [list(r.values) for r in records]
-    for pos, attr in enumerate(schema.attributes):
-        if attr.bucket_min_count is None or attr.kind != "categorical":
-            continue
-        counts = np.zeros(attr.cardinality, dtype=np.int64)
-        for r in records:
-            counts[int(r.values[pos])] += 1
-        keep = [i for i in range(attr.cardinality) if counts[i] >= attr.bucket_min_count]
-        if len(keep) == attr.cardinality:
-            continue
-        remap = {}
-        for new_idx, old_idx in enumerate(keep):
-            remap[old_idx] = new_idx
-        other = len(keep)
-        for old_idx in range(attr.cardinality):
-            remap.setdefault(old_idx, other)
-        mapping[attr.name] = remap
-        new_attrs[pos] = replace(
-            attr, cardinality=other + 1, labels=None, bucket_min_count=None
-        )
-        for row in new_values:
-            row[pos] = remap[int(row[pos])]
-    if not mapping:
-        return list(records), schema, mapping
-    new_schema = Schema(attributes=tuple(new_attrs), version=schema.version)
-    return [Record(tuple(v)) for v in new_values], new_schema, mapping

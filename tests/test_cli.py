@@ -172,6 +172,18 @@ class TestGenerate:
         manifest = json.loads((out / "generate_manifest.json").read_text())
         assert manifest["decode_mode"] == "sample"
 
+    def test_model_schema_mismatch_fails(self, pipeline, tmp_path, capsys):
+        tmp, out, _ = pipeline
+        changed = json.loads((out / "schema.json").read_text())
+        segment = next(a for a in changed["attributes"] if a["name"] == "segment")
+        segment["cardinality"] += 1
+        schema_path = tmp_path / "changed_schema.json"
+        schema_path.write_text(json.dumps(changed))
+        cfg = base_config(tmp_path, out, schema=str(schema_path),
+                          generate={"model": str(out / "model_full.json")})
+        assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
+        assert str(schema_path) in capsys.readouterr().err
+
 
 class TestSetOverrides:
     def test_set_deep_override(self, tmp_path):

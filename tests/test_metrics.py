@@ -270,24 +270,3 @@ class TestOverlap:
         a = [sm.Record((0, 5.0))]  # midpoint of [0, 10)
         b = [sm.Record((0, 7.3))]  # same bin, different raw value
         assert mx.overlap(a, b, schema) == 100.0
-
-
-class TestDispersion:
-    def test_single_category_entropy_zero(self):
-        assert mx.dispersion([1.0], "entropy") == 0.0
-
-    def test_uniform_entropy_ln_d(self):
-        for d in (2, 5, 10):
-            assert mx.dispersion([1 / d] * d, "entropy") == pytest.approx(math.log(d), abs=1e-12)
-
-    def test_hand_case(self):
-        got = mx.dispersion([0.5, 0.25, 0.25], "entropy")
-        assert got == pytest.approx(1.5 * math.log(2), abs=1e-12)
-
-    def test_sum_squares_mode(self):
-        assert mx.dispersion([0.5, 0.5], "sum_squares") == pytest.approx(0.5)
-
-    def test_sem_mode(self):
-        vals = [1.0, 2.0, 3.0, 4.0]
-        expected = np.std(vals, ddof=1) / 2.0
-        assert mx.dispersion(vals, "sem") == pytest.approx(expected)

@@ -226,3 +226,71 @@ class TestBootstrap:
             panel.bootstrap(records[:100], spec.schema, config, n_replicates=1,
                             statistics=[panel.StatisticSpec(attribute="p_mode", category=0)],
                             seed=73)
+
+
+def statistic_records():
+    schema = sm.Schema(attributes=(
+        sm.AttributeSpec("t", "time", "categorical", cardinality=3),
+        sm.AttributeSpec("seg", "socio", "categorical", cardinality=2),
+        sm.AttributeSpec("mode", "preference", "categorical", cardinality=3),
+        sm.AttributeSpec("dist", "preference", "numerical", bin_edges=(0.0, 5.0, 10.0, 20.0)),
+    ))
+    records = [sm.Record(v) for v in [
+        (0, 0, 0, 1.0),
+        (0, 1, 2, 7.0),
+        (1, 0, 1, 12.0),
+        (1, 0, 0, 3.0),
+        (2, 1, 0, 15.0),
+        (0, 0, 0, 8.0),
+    ]]
+    return schema, records
+
+
+class TestStatisticValues:
+    def test_condition_and_per_year_groups(self):
+        schema, records = statistic_records()
+        stat = panel.StatisticSpec(attribute="mode", category=0, condition=(("seg", 0),))
+        assert panel._statistic_values(records, schema, stat) == {0: 1.0, 1: 0.5}
+
+    def test_numerical_bin_category_per_year(self):
+        schema, records = statistic_records()
+        stat = panel.StatisticSpec(attribute="dist", category=1)  # bin [5, 10)
+        got = panel._statistic_values(records, schema, stat)
+        assert got == {0: pytest.approx(2 / 3), 1: 0.0, 2: 0.0}
+
+    def test_numerical_mean_pooled(self):
+        schema, records = statistic_records()
+        stat = panel.StatisticSpec(attribute="dist", condition=(("seg", 1),), per_year=False)
+        assert panel._statistic_values(records, schema, stat) == {None: 11.0}
+
+    def test_mean_of_categorical_rejected(self):
+        schema, records = statistic_records()
+        stat = panel.StatisticSpec(attribute="mode", per_year=False)
+        with pytest.raises(panel.PanelError, match="numerical"):
+            panel._statistic_values(records, schema, stat)
+
+    def test_empty_selection(self):
+        schema, records = statistic_records()
+        cond = (("t", 2), ("seg", 0))
+        pooled = panel.StatisticSpec(attribute="mode", category=0, condition=cond,
+                                     per_year=False)
+        got = panel._statistic_values(records, schema, pooled)
+        assert list(got) == [None] and np.isnan(got[None])
+        per_year = panel.StatisticSpec(attribute="mode", category=0, condition=cond)
+        assert panel._statistic_values(records, schema, per_year) == {}
+
+    def test_matches_record_loop(self, drift_setup):
+        spec, records, _, _ = drift_setup
+        schema = spec.schema
+        pos = {a.name: i for i, a in enumerate(schema.attributes)}
+        for stat in (panel.StatisticSpec("p_mode", 0),
+                     panel.StatisticSpec("p_trips", 2, (("group", 1),), per_year=False),
+                     panel.StatisticSpec("p_mode", 1, (("segment", 2), ("group", 0)))):
+            picked = [r.values for r in records
+                      if all(r.values[pos[k]] == v for k, v in stat.condition)]
+            groups = {}
+            for v in picked:
+                groups.setdefault(v[pos["year"]] if stat.per_year else None, []).append(v)
+            want = {y: float(np.mean([v[pos[stat.attribute]] == stat.category for v in vs]))
+                    for y, vs in groups.items()}
+            assert panel._statistic_values(records, schema, stat) == want

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from superpanel import cvae, metrics, oracle, sampling
+from superpanel import cvae, oracle, sampling
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
@@ -76,41 +76,6 @@ class TestSample:
             expected = dec[:, block.start : block.start + block.width].mean(axis=0)
             got = np.bincount(cols[block.name], minlength=block.width) / n
             assert np.max(np.abs(got - expected)) < 0.01
-
-
-class TestEstimateDistribution:
-    def test_single_draw_degenerate(self, small_model):
-        h = sampling.estimate_distribution(
-            small_model, profile_for(small_model), ("p_bike", "p_ticket"), 1, seed=8
-        )
-        assert np.count_nonzero(h.frequencies) == 1
-        assert h.frequencies.sum() == 1.0
-
-    def test_frequencies_sum_to_one(self, small_model):
-        h = sampling.estimate_distribution(
-            small_model, profile_for(small_model), ("p_bike", "p_cars"), 997, seed=9
-        )
-        assert abs(h.frequencies.sum() - 1.0) < 1e-12
-
-    def test_non_preference_subset_rejected(self, small_model):
-        with pytest.raises(ValueError, match="non-preference"):
-            sampling.estimate_distribution(
-                small_model, profile_for(small_model), ("segment",), 10, seed=10
-            )
-
-    def test_more_draws_converge(self, small_model):
-        """Two independent estimates agree better at large R than small R."""
-        p = profile_for(small_model)
-        subset = ("p_bike", "p_ticket", "p_cars")
-
-        def pair_srmse(r, seed_a, seed_b):
-            a = sampling.estimate_distribution(small_model, p, subset, r, seed=seed_a)
-            b = sampling.estimate_distribution(small_model, p, subset, r, seed=seed_b)
-            return metrics.srmse(a, b)
-
-        coarse = pair_srmse(1_000, 11, 12)
-        fine = pair_srmse(100_000, 13, 14)
-        assert fine < coarse
 
 
 class TestGeneratePopulation:

@@ -82,6 +82,13 @@ class TestSchemaValidation:
         with pytest.raises(sm.SchemaError, match="cannot parse"):
             sm.load_schema(path)
 
+    @pytest.mark.parametrize("key", ["bucket_min_count", "bin_edge"])
+    def test_unknown_attribute_key_rejected(self, key):
+        data = minimal_schema().to_dict()
+        data["attributes"][0][key] = 3
+        with pytest.raises(sm.SchemaError, match=key):
+            sm.schema_from_dict(data)
+
     def test_content_hash_stable(self):
         assert minimal_schema().content_hash() == minimal_schema().content_hash()
 
@@ -177,29 +184,28 @@ class TestDiscretize:
         assert bins == sorted(bins)
 
 
-class TestQuantileEdges:
-    def test_quartiles_of_1_to_100(self):
-        edges = sm.quantile_edges(list(range(1, 101)), 4)
-        assert np.allclose(edges, [1.0, 25.75, 50.5, 75.25, 100.0])
-
-    def test_constant_values_single_bin(self):
-        edges = sm.quantile_edges([7.0] * 20, 5)
-        assert len(edges) == 2  # one bin survives the merge
-
-    def test_single_bin(self):
-        assert sm.quantile_edges([3.0, 9.0, 5.0], 1) == [3.0, 9.0]
-
-
 class TestOneHot:
     def test_basic(self):
-        assert sm.one_hot(0, 3).tolist() == [1.0, 0.0, 0.0]
+        ds = sm.encode([sm.Record((1, 0))], minimal_schema())
+        assert ds.conditional.tolist() == [[0.0, 1.0]]
+        assert ds.preference.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_identity_case(self):
-        assert sm.one_hot(0, 1).tolist() == [1.0]
+        schema = make_schema([
+            sm.AttributeSpec("s", "socio", "categorical", cardinality=1),
+            sm.AttributeSpec("p", "preference", "categorical", cardinality=1),
+        ])
+        assert sm.encode([sm.Record((0, 0))], schema).preference.tolist() == [[1.0]]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            sm.one_hot(3, 3)
+        # a stray index must not set a bit in the neighbouring block
+        with pytest.raises(ValueError, match="out of range"):
+            sm.encode([sm.Record((0, 1)), sm.Record((2, 0))], minimal_schema())
+
+    def test_negative_out_of_range(self):
+        # a negative index must not wrap around to the end of the block
+        with pytest.raises(ValueError, match="out of range"):
+            sm.encode([sm.Record((0, -1))], minimal_schema())
 
 
 def mixed_schema():
@@ -253,6 +259,18 @@ class TestEncodeDecode:
         back = sm.decode(ds.conditional[0], ds.preference[0], ds)
         assert back.values[1] == 13.0 and back.values[3] == 3.25
 
+    @pytest.mark.parametrize("numeric_mode", sm.NUMERIC_MODES)
+    def test_conditional_rows_match_per_profile_encoding(self, numeric_mode):
+        from superpanel.sampling import encode_profile, profiles_from_records
+
+        schema = mixed_schema()
+        records = [sm.Record((t, inc, p, d)) for t, inc, p, d in
+                   [(0, -3.0, 1, 3.0), (2, 10.0, 0, 44.0), (1, 39.9, 1, 50.0), (0, 99.0, 0, 0.0)]]
+        ds = sm.encode(records, schema, numeric_mode=numeric_mode)
+        expected = [encode_profile(p, schema, ds.cond_layout)
+                    for p in profiles_from_records(records, schema)]
+        assert np.array_equal(ds.conditional, np.stack(expected))
+
     def test_sampling_mode_decode_reproducible(self):
         schema = minimal_schema()
         layout, _ = sm.build_layout(schema, preference=True)
@@ -291,9 +309,8 @@ class TestEncodeDecode:
 
 class TestSplit:
     def test_80_20(self):
-        records = [sm.Record((0, i % 3)) for i in range(100)]
-        train, val = sm.split_train_val(records, 0.8, seed=7)
-        assert len(train) == 80 and len(val) == 20
+        idx_train, idx_val = sm.split_indices(100, 0.8, seed=7)
+        assert len(idx_train) == 80 and len(idx_val) == 20
 
     def test_partition_exhaustive_disjoint(self):
         idx_train, idx_val = sm.split_indices(57, 0.8, seed=3)
@@ -308,23 +325,3 @@ class TestSplit:
     def test_degenerate_split_errors(self):
         with pytest.raises(ValueError, match="empty side"):
             sm.split_indices(1, 0.8, seed=0)
-
-
-class TestBucketing:
-    def test_rare_categories_collapse(self):
-        schema = make_schema([
-            sm.AttributeSpec("zone", "geography", "categorical", cardinality=5,
-                             bucket_min_count=3),
-            sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
-        ])
-        records = [sm.Record((z, 0)) for z in [0, 0, 0, 1, 1, 1, 2, 3, 4]]
-        new_records, new_schema, mapping = sm.bucket_rare_categories(records, schema)
-        zone = new_schema.attribute("zone")
-        assert zone.cardinality == 3  # categories 0, 1 plus "other"
-        assert {r.values[0] for r in new_records[-3:]} == {2}
-
-    def test_no_flag_no_change(self):
-        schema = minimal_schema()
-        records = [sm.Record((0, 1))]
-        same_records, same_schema, mapping = sm.bucket_rare_categories(records, schema)
-        assert mapping == {} and same_schema is schema
