@@ -24,6 +24,7 @@ from .seeding import derive_seed
 
 DEFAULT_CONFIG = {
     "seed": None,
+    "out_dir": None,
     "schema": None,
     "data": None,
     "numeric_mode": "discretize",
@@ -98,6 +99,14 @@ def _apply_set(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
+def _check_keys(config: dict, known: dict, prefix: str = "") -> None:
+    for key, value in config.items():
+        if key not in known:
+            raise CliError(f"unknown config key {prefix + key!r}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _check_keys(value, known[key], f"{prefix}{key}.")
+
+
 def load_config(args) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
@@ -105,6 +114,9 @@ def load_config(args) -> dict:
             _deep_update(config, json.load(fh))
     for assignment in args.set or []:
         _apply_set(config, assignment)
+    _check_keys(config, DEFAULT_CONFIG)
+    if isinstance(config["bootstrap"].get("model"), dict):
+        _check_keys(config["bootstrap"]["model"], DEFAULT_CONFIG["model"], "bootstrap.model.")
     if args.seed is not None:
         config["seed"] = args.seed
     if config.get("seed") is None:

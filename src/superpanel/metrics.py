@@ -137,11 +137,21 @@ def marginals(records, attribute: str, schema: Schema) -> np.ndarray:
     return counts.astype(float) / len(records)
 
 
-def _tuple_set(records, schema: Schema):
+def _category_tuples(sample_a, sample_b, schema: Schema) -> tuple[list, list]:
+    """Each sample's records as full category tuples."""
+    if not sample_a or not sample_b:
+        raise MetricError("overlap needs nonempty samples")
     names = tuple(a.name for a in schema.attributes)
-    cols = category_columns(records, names, schema)
-    mat = np.stack([cols[n] for n in names], axis=1)
-    return {tuple(row) for row in mat.tolist()}, mat
+    tuples = []
+    for records in (sample_a, sample_b):
+        cols = category_columns(records, names, schema)
+        tuples.append(list(zip(*(cols[n].tolist() for n in names))))
+    return tuples[0], tuples[1]
+
+
+def _share_in(rows, other_rows) -> float:
+    other = set(other_rows)
+    return 100.0 * sum(1 for row in rows if row in other) / len(rows)
 
 
 def overlap(sample_a, sample_b, schema: Schema) -> float:
@@ -150,14 +160,10 @@ def overlap(sample_a, sample_b, schema: Schema) -> float:
     Numerical attributes are compared in bin space so that generated bin
     midpoints match the raw survey values that fall in the same bin.
     """
-    if not sample_a or not sample_b:
-        raise MetricError("overlap needs nonempty samples")
-    b_set, _ = _tuple_set(sample_b, schema)
-    _, a_mat = _tuple_set(sample_a, schema)
-    hits = sum(1 for row in a_mat.tolist() if tuple(row) in b_set)
-    return 100.0 * hits / len(sample_a)
+    return _share_in(*_category_tuples(sample_a, sample_b, schema))
 
 
 def overlap_pair(sample_a, sample_b, schema: Schema) -> tuple[float, float]:
     """Overlap measured in both directions (a-in-b, b-in-a)."""
-    return overlap(sample_a, sample_b, schema), overlap(sample_b, sample_a, schema)
+    rows_a, rows_b = _category_tuples(sample_a, sample_b, schema)
+    return _share_in(rows_a, rows_b), _share_in(rows_b, rows_a)

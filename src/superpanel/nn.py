@@ -84,18 +84,6 @@ class Network:
             out.append(layer.biases)
         return out
 
-    def copy_parameters(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def load_parameters(self, params) -> None:
-        own = self.parameters()
-        if len(own) != len(params):
-            raise DimensionError("parameter count mismatch")
-        for dst, src in zip(own, params):
-            if dst.shape != src.shape:
-                raise DimensionError("parameter shape mismatch")
-            dst[...] = src
-
 
 @dataclass
 class ForwardTape:

@@ -122,15 +122,6 @@ class DgpSpec:
                 return t
         raise DgpError(f"no table for {attribute}")
 
-    @property
-    def drifting_filter(self) -> dict:
-        """Union of the parent filters that receive drift (ground truth
-        for which individuals move)."""
-        out = {}
-        for d in self.drifts:
-            out.update(dict(d.when))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "schema": self.schema.to_dict(),

@@ -19,13 +19,11 @@ import numpy as np
 from . import cvae, metrics
 from .metrics import JointHistogram
 from .sampling import (
-    CHUNK_ROWS,
     ConditionProfile,
     encode_profile,
     profiles_from_records,
     sampled_category_columns,
     _decode_with_noise,
-    _n_onehot_blocks,
 )
 from .schema import Schema, discretize_array, encode, record_columns
 from .seeding import derive_rng, derive_seed
@@ -103,16 +101,7 @@ def _panel_year_block(args):
     """All cells of one year: per-individual subset and marginal frequencies."""
     t_idx, year, model, base_population, external_by_year, subsets, draws_per_cell, seed = args
     schema = model.schema
-    pref_names = tuple(a.name for a in schema.preference_attributes)
     n, r = len(base_population), draws_per_cell
-    d_z = model.config.latent_dim
-    n_blocks = _n_onehot_blocks(model)
-    subset_out = {
-        s: np.zeros((n, int(np.prod(metrics.subset_dims(schema, s))))) for s in subsets
-    }
-    attr_out = {
-        name: np.zeros((n, schema.attribute(name).n_categories)) for name in pref_names
-    }
     cond_rows = np.stack(
         [
             encode_profile(_profile_for_year(p, schema, year, external_by_year),
@@ -120,29 +109,23 @@ def _panel_year_block(args):
             for p in base_population
         ]
     )
-    cells_per_chunk = max(1, CHUNK_ROWS // r)
-    for chunk_start in range(0, n, cells_per_chunk):
-        chunk = range(chunk_start, min(chunk_start + cells_per_chunk, n))
-        eps = np.empty((len(chunk) * r, d_z))
-        uniforms = np.empty((len(chunk) * r, n_blocks))
-        for k, i in enumerate(chunk):
-            cell_rng = derive_rng(seed, "panel-cell", base_population[i].id, int(year))
-            eps[k * r : (k + 1) * r] = cell_rng.standard_normal((r, d_z))
-            uniforms[k * r : (k + 1) * r] = cell_rng.random((r, n_blocks))
-        expanded = np.repeat(cond_rows[list(chunk)], r, axis=0)
-        cols = _decode_with_noise(model, expanded, eps, uniforms, "sample")
-        cat_cols = sampled_category_columns(model, cols)
-        for k, i in enumerate(chunk):
-            sel = slice(k * r, (k + 1) * r)
-            for name in pref_names:
-                counts = np.bincount(
-                    cat_cols[name][sel], minlength=schema.attribute(name).n_categories
-                )
-                attr_out[name][i] = counts / r
-            for s in subsets:
-                dims = metrics.subset_dims(schema, s)
-                flat = np.ravel_multi_index([cat_cols[a][sel] for a in s], dims)
-                subset_out[s][i] = np.bincount(flat, minlength=int(np.prod(dims))) / r
+    rngs = [derive_rng(seed, "panel-cell", p.id, int(year)) for p in base_population]
+    cat_cols = sampled_category_columns(
+        model, _decode_with_noise(model, cond_rows, r, rngs, "sample"))
+    cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
+
+    def tabulate(flat, n_bins):
+        keys = (cell * n_bins + flat.reshape(n, r)).ravel()
+        return np.bincount(keys, minlength=n * n_bins).reshape(n, n_bins) / r
+
+    attr_out = {
+        a.name: tabulate(cat_cols[a.name], a.n_categories) for a in schema.preference_attributes
+    }
+    subset_out = {}
+    for s in subsets:
+        dims = metrics.subset_dims(schema, s)
+        subset_out[s] = tabulate(np.ravel_multi_index([cat_cols[a] for a in s], dims),
+                                 int(np.prod(dims)))
     return t_idx, subset_out, attr_out
 
 

@@ -114,16 +114,37 @@ def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms, decode_
     return cols
 
 
-def _n_onehot_blocks(model: TrainedModel) -> int:
-    return sum(1 for b in model.pref_layout if b.onehot)
+def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int, rngs,
+                       decode_mode: str) -> dict[str, np.ndarray]:
+    """The sampling kernel: draws_per_row decoder draws for every conditional row.
 
-
-def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, eps: np.ndarray,
-                       uniforms, decode_mode: str):
-    # latent draws from the unit prior are the eps themselves
-    z_and_c = np.concatenate([eps, c_rows], axis=1)
-    dec_out, _ = nn.forward(model.decoder, z_and_c)
-    return _resolve_samples(model, dec_out, uniforms, decode_mode)
+    rngs[i] is row i's generator (rows may share one); each row draws its
+    latent noise, then its category uniforms. Rows are decoded in chunks of
+    about CHUNK_ROWS draws. Returns one column per preference attribute
+    with draws_per_row consecutive entries per row.
+    """
+    r, d_z = draws_per_row, model.config.latent_dim
+    n_blocks = sum(b.onehot for b in model.pref_layout) if decode_mode == "sample" else 0
+    pieces = []
+    rows_per_chunk = max(1, CHUNK_ROWS // r)
+    for lo in range(0, len(c_rows), rows_per_chunk):
+        hi = min(lo + rows_per_chunk, len(c_rows))
+        eps = np.empty(((hi - lo) * r, d_z))
+        uniforms = np.empty(((hi - lo) * r, n_blocks))
+        for k, rng in enumerate(rngs[lo:hi]):
+            eps[k * r : (k + 1) * r] = rng.standard_normal((r, d_z))
+            uniforms[k * r : (k + 1) * r] = rng.random((r, n_blocks))
+        expanded = np.repeat(c_rows[lo:hi], r, axis=0)
+        # latent draws from the unit prior are the eps themselves
+        dec_out, tape = nn.forward(model.decoder, np.concatenate([eps, expanded], axis=1))
+        pieces.append(_resolve_samples(model, dec_out, uniforms, decode_mode))
+        # Drop the decoder's buffers before the next chunk allocates its own, but
+        # keep this chunk's inputs until then: freed heap memory is then reused
+        # rather than handed back to the system and faulted in again.
+        del dec_out, tape
+    if len(pieces) == 1:
+        return pieces[0]
+    return {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
 
 
 def sample(model: TrainedModel, profile: ConditionProfile, n_draws: int, seed: int,
@@ -134,26 +155,21 @@ def sample(model: TrainedModel, profile: ConditionProfile, n_draws: int, seed: i
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
     c_row = encode_profile(profile, model.schema, model.cond_layout)
+    extrapolated = _is_extrapolated(profile, model.schema)
     if n_draws == 0:
-        return PreferenceDraws(profile, [], seed, decode_mode, _is_extrapolated(profile, model.schema))
-    rng = derive_rng(seed, "profile", profile.id)
-    eps = rng.standard_normal((n_draws, model.config.latent_dim))
-    uniforms = rng.random((n_draws, _n_onehot_blocks(model))) if decode_mode == "sample" else None
-    cols = _decode_with_noise(model, np.tile(c_row, (n_draws, 1)), eps, uniforms, decode_mode)
-    draws = []
-    for r in range(n_draws):
-        d = {}
-        for block in model.pref_layout:
-            attr = model.schema.attribute(block.name)
-            v = cols[block.name][r]
-            if block.onehot and attr.kind == "numerical":
-                d[block.name] = attr.bin_representative(int(v))
-            elif block.onehot:
-                d[block.name] = int(v)
-            else:
-                d[block.name] = float(v)
-        draws.append(d)
-    return PreferenceDraws(profile, draws, seed, decode_mode, _is_extrapolated(profile, model.schema))
+        return PreferenceDraws(profile, [], seed, decode_mode, extrapolated)
+    cols = _decode_with_noise(model, c_row[None, :], n_draws,
+                              [derive_rng(seed, "profile", profile.id)], decode_mode)
+    values = []
+    for block in model.pref_layout:
+        attr = model.schema.attribute(block.name)
+        if block.onehot and attr.kind == "numerical":
+            values.append([attr.bin_representative(v) for v in cols[block.name].tolist()])
+        else:
+            values.append(cols[block.name].tolist())
+    names = [block.name for block in model.pref_layout]
+    draws = [dict(zip(names, row)) for row in zip(*values)]
+    return PreferenceDraws(profile, draws, seed, decode_mode, extrapolated)
 
 
 def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draws_per_row: int,
@@ -162,32 +178,14 @@ def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draw
 
     Returns one column per preference attribute with draws_per_row
     consecutive entries per conditional row (row-major). One-hot segments
-    come back as category indices, raw numeric segments as reals.
+    come back as category indices, raw numeric segments as reals. All rows
+    share one generator and take their draws from it in row order.
     """
     if decode_mode not in DECODE_MODES:
         raise ValueError(f"unknown decode_mode {decode_mode!r}")
     cond_matrix = np.atleast_2d(np.asarray(cond_matrix, dtype=float))
-    n = cond_matrix.shape[0] * draws_per_row
-    rng = derive_rng(seed, "bulk-sample")
-    eps = rng.standard_normal((n, model.config.latent_dim))
-    uniforms = rng.random((n, _n_onehot_blocks(model))) if decode_mode == "sample" else None
-    expanded = np.repeat(cond_matrix, draws_per_row, axis=0)
-    pieces = []
-    for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        pieces.append(
-            _decode_with_noise(
-                model,
-                expanded[start:stop],
-                eps[start:stop],
-                uniforms[start:stop] if uniforms is not None else None,
-                decode_mode,
-            )
-        )
-    return {
-        block.name: np.concatenate([p[block.name] for p in pieces])
-        for block in model.pref_layout
-    }
+    rngs = [derive_rng(seed, "bulk-sample")] * len(cond_matrix)
+    return _decode_with_noise(model, cond_matrix, draws_per_row, rngs, decode_mode)
 
 
 def sampled_category_columns(model: TrainedModel, cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -201,6 +201,15 @@ class TestSetOverrides:
                     "--set", "oops"])
         assert code == 1
 
+    @pytest.mark.parametrize("key", ["model.latnt_dim", "panel.draws_per_cel",
+                                     "bootstrap.model.epoch", "out_dirr"])
+    def test_unknown_key_fails(self, tmp_path, capsys, key):
+        cfg = base_config(tmp_path, tmp_path)
+        code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--set", f"{key}=3"])
+        assert code == 1
+        assert f"'{key}'" in capsys.readouterr().err
+
 
 class TestManifestReRun:
     def test_manifest_config_reproduces_outputs(self, pipeline, tmp_path):

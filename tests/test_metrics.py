@@ -252,8 +252,11 @@ class TestOverlap:
                       for _ in range(na)]
             rows_b = [(int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(3)))
                       for _ in range(nb)]
-            got = mx.overlap([sm.Record(r) for r in rows_a], [sm.Record(r) for r in rows_b], schema)
+            rec_a, rec_b = [sm.Record(r) for r in rows_a], [sm.Record(r) for r in rows_b]
+            got = mx.overlap(rec_a, rec_b, schema)
             assert got == pytest.approx(brute_overlap(rows_a, rows_b), abs=1e-12)
+            assert mx.overlap_pair(rec_a, rec_b, schema) == (
+                brute_overlap(rows_a, rows_b), brute_overlap(rows_b, rows_a))
 
     def test_pair_reports_both_directions(self):
         schema = two_attr_schema()

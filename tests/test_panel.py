@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from superpanel import cvae, metrics, oracle, panel, sampling
+from superpanel import cvae, metrics, nn, oracle, panel, sampling
 from superpanel import schema as sm
+from superpanel.seeding import derive_rng
 
 @pytest.fixture(scope="module")
 def drift_setup():
@@ -79,6 +80,56 @@ class TestBuildPanel:
         cube = panel.build_panel(model, profiles[:1], years=[0], external_by_year=None,
                                  draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67)
         assert cube.subset_freqs[cube.subsets[0]].shape[0] == 1
+
+
+class TestCellDraws:
+    def test_cell_recomputed_by_hand(self, drift_setup, small_cube):
+        """A cell's generator yields the latent noise, then the category
+        uniforms; its decoded draws go through the cumulative-sum rule."""
+        spec, records, model, profiles = drift_setup
+        i, t = 7, 1
+        year, r = small_cube.years[t], small_cube.draws_per_cell
+        rng = derive_rng(small_cube.seed, "panel-cell", profiles[i].id, year)
+        eps = rng.standard_normal((r, model.config.latent_dim))
+        blocks = [b for b in model.pref_layout if b.onehot]
+        uniforms = rng.random((r, len(blocks)))
+        profile = profiles[i].with_values(**{spec.schema.time_attribute.name: year})
+        c_row = sampling.encode_profile(profile, spec.schema, model.cond_layout)
+        dec = cvae.decode(model, eps, np.tile(c_row, (r, 1)))
+        cats = {}
+        for j, block in enumerate(blocks):
+            cum = np.cumsum(dec[:, block.start : block.start + block.width], axis=1)
+            u = uniforms[:, j] * cum[:, -1]
+            cats[block.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1), block.width - 1)
+            expected = np.bincount(cats[block.name], minlength=block.width) / r
+            assert np.array_equal(small_cube.attr_freqs[block.name][i, t], expected)
+        for s in small_cube.subsets:
+            dims = metrics.subset_dims(spec.schema, s)
+            flat = np.ravel_multi_index([cats[a] for a in s], dims)
+            expected = np.bincount(flat, minlength=int(np.prod(dims))) / r
+            assert np.array_equal(small_cube.subset_freqs[s][i, t], expected)
+
+    def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
+        """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
+        spec, records, model, profiles = drift_setup
+        build = lambda: panel.build_panel(model, profiles[:45], years=[0, 3],  # noqa: E731
+                                          external_by_year=None, draws_per_cell=30, seed=68)
+        whole = build()
+        rows = []
+        forward = nn.forward
+
+        def spy(network, x):
+            rows.append(len(x))
+            return forward(network, x)
+
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 70)
+        monkeypatch.setattr(nn, "forward", spy)
+        chunked = build()
+        assert len(rows) == 2 * 23 and max(rows) <= 70
+        for s in whole.subsets:
+            assert np.array_equal(whole.subset_freqs[s], chunked.subset_freqs[s])
+        for name in whole.attr_freqs:
+            assert np.array_equal(whole.attr_freqs[name], chunked.attr_freqs[name])
 
 
 class TestAggregateTrend:
