@@ -95,7 +95,11 @@ def _apply_set(config: dict, assignment: str) -> None:
     node = config
     parts = key.split(".")
     for p in parts[:-1]:
-        node = node.setdefault(p, {})
+        if node.get(p) is None:  # a section that defaults to null, or a new key
+            node[p] = {}
+        elif not isinstance(node[p], dict):
+            raise CliError(f"--set {key!r}: {p!r} holds a value, not a section")
+        node = node[p]
     node[parts[-1]] = value
 
 
@@ -121,7 +125,10 @@ def load_config(args) -> dict:
         config["seed"] = args.seed
     if config.get("seed") is None:
         raise CliError("a seed is required (config 'seed' or --seed); wall-clock seeding is not supported")
-    config["seed"] = int(config["seed"])
+    try:
+        config["seed"] = int(config["seed"])
+    except TypeError:  # e.g. a null seed that --set seed.x=1 turned into a section
+        raise CliError(f"seed must be an integer, got {config['seed']!r}") from None
     return config
 
 

@@ -183,12 +183,15 @@ def loss_and_grads(
     beta: float,
     numeric_mask: np.ndarray,
     want_grads: bool = True,
+    out: tuple = (None, None),
 ):
     """Batch loss and, optionally, exact gradients for every parameter.
 
     One eps draw per record. Returns (LossBreakdown, encoder_grads,
     decoder_grads) where the gradient lists align with
-    Network.parameters(); both are None when want_grads is false.
+    Network.parameters(); both are None when want_grads is false. ``out``
+    holds the encoder's and the decoder's nn.Gradients to write into
+    (see nn.gradient_views); None allocates new arrays.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -208,30 +211,29 @@ def loss_and_grads(
 
         num = numeric_mask
         cat = ~numeric_mask
-        diff_num = (V[:, num] - dec_out[:, num]) if num.any() else np.zeros((V.shape[0], 0))
+        diff_num = V[:, num] - dec_out[:, num]
         mse_num = 0.5 * float(np.sum(diff_num ** 2))
+        v_cat = V[:, cat]
         probs = dec_out[:, cat]
         clamped = np.maximum(probs, LOG_FLOOR)
-        xent_cat = -float(np.sum(V[:, cat] * np.log(clamped)))
+        xent_cat = -float(np.sum(v_cat * np.log(clamped)))
         kl = kl_divergence(mu, log_var)
         breakdown = LossBreakdown(mse_num=mse_num, xent_cat=xent_cat, kl=kl, beta=beta)
         if not want_grads:
             return breakdown, None, None
 
-        grad_dec_out = np.zeros_like(dec_out)
-        if num.any():
-            grad_dec_out[:, num] = -diff_num
-        grad_probs = np.zeros_like(probs)
-        active = probs >= LOG_FLOOR  # clamped entries sit on a flat segment of log
-        grad_probs[active] = -(V[:, cat][active]) / clamped[active]
-        grad_dec_out[:, cat] = grad_probs
+        grad_dec_out = np.empty_like(dec_out)
+        grad_dec_out[:, num] = -diff_num
+        # clamped entries sit on a flat segment of log
+        grad_dec_out[:, cat] = np.where(probs >= LOG_FLOOR, -v_cat / clamped, 0.0)
 
-        dec_grads = nn.backward(decoder, dec_tape, grad_dec_out)
+        dec_grads = nn.backward(decoder, dec_tape, grad_dec_out, out=out[1])
         grad_z = dec_grads.input_grad[:, :d_z]
 
         grad_mu = grad_z + beta * mu
         grad_log_var = grad_z * (0.5 * std * eps) + beta * (-0.5) * (1.0 - np.exp(log_var))
-        enc_grads = nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=1))
+        enc_grads = nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=1),
+                                out=out[0], input_grad=False)
     return breakdown, enc_grads.flat(), dec_grads.flat()
 
 
@@ -255,15 +257,19 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
     history holds per-record train and validation losses; the returned
     parameters are the snapshot from the epoch with the lowest validation
     loss. Validation eps draws are fixed once per run so the checkpoint
-    comparison is apples to apples across epochs.
+    comparison is apples to apples across epochs. All parameters live in
+    one packed buffer and the gradients in one matching buffer, so a step
+    is one RMSprop pass and the checkpoint one copy.
     """
     if dataset.n_rows == 0:
         raise ValueError("empty training set")
     dim_v, dim_c = dataset.dim_v, dataset.dim_c
     encoder, decoder = build_networks(dim_v, dim_c, config, dataset.pref_layout)
     mask = _numeric_mask(dataset.pref_layout, dim_v)
-    params = encoder.parameters() + decoder.parameters()
-    state = nn.rmsprop_init(params, config.learning_rate, config.rho, config.epsilon)
+    params = nn.pack([encoder, decoder])
+    grads = np.empty_like(params)
+    grad_views = nn.gradient_views([encoder, decoder], grads)
+    state = nn.rmsprop_init([params], config.learning_rate, config.rho, config.epsilon)
 
     rng = derive_rng(config.seed, "train-loop")
     val_eps = derive_rng(config.seed, "val-eps").standard_normal(
@@ -281,7 +287,7 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             eps = rng.standard_normal((len(idx), config.latent_dim))
-            breakdown, enc_g, dec_g = loss_and_grads(
+            breakdown, _, _ = loss_and_grads(
                 encoder,
                 decoder,
                 dataset.preference[idx],
@@ -289,11 +295,12 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
                 eps,
                 config.beta,
                 mask,
+                out=grad_views,
             )
             if not np.isfinite(breakdown.total):
                 raise TrainingDiverged(epoch)
             epoch_total += breakdown.total
-            nn.rmsprop_step(params, enc_g + dec_g, state)
+            nn.rmsprop_step([params], [grads], state)
         train_loss = epoch_total / n
         val_break, _, _ = loss_and_grads(
             encoder, decoder, val_set.preference, val_set.conditional, val_eps,
@@ -306,10 +313,9 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best_params = params.copy()
 
-    for dst, src in zip(params, best_params):
-        dst[...] = src
+    params[...] = best_params
     return TrainedModel(
         encoder=encoder,
         decoder=decoder,

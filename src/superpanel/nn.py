@@ -8,6 +8,10 @@ checks them against central finite differences.
 
 All math is float64. Networks are plain numpy arrays, safe to share for
 inference; training mutates parameters in place through the optimizer.
+Training first packs every parameter into one contiguous buffer (``pack``)
+so that one RMSprop pass of a few ufunc calls updates them all, and
+``backward`` writes gradients into views of a matching buffer
+(``gradient_views``).
 """
 
 import math
@@ -31,6 +35,7 @@ class DenseLayer:
     biases: np.ndarray  # (out_dim,)
     activation: str
     blocks: tuple[tuple[str, int], ...] | None = None  # for softmax_blocks
+    softmax_index: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -47,6 +52,14 @@ class DenseLayer:
                     raise ValueError(f"bad block ({kind}, {width})")
             if sum(w for _, w in self.blocks) != self.out_dim:
                 raise DimensionError("block widths must sum to out_dim")
+            # the softmax columns, where each softmax block starts among them and
+            # the block of each: the segments of the reduceat calls in the head
+            widths = [w for kind, w in self.blocks if kind == "softmax"]
+            is_softmax = np.repeat([kind == "softmax" for kind, _ in self.blocks],
+                                   [w for _, w in self.blocks])
+            block_of = np.repeat(np.arange(len(widths)), widths)
+            self.softmax_index = (np.flatnonzero(is_softmax),
+                                  np.flatnonzero(np.diff(block_of, prepend=-1)), block_of)
         elif self.blocks:
             raise ValueError("blocks only apply to softmax_blocks activation")
 
@@ -98,7 +111,7 @@ class ForwardTape:
 class Gradients:
     weight_grads: list[np.ndarray]
     bias_grads: list[np.ndarray]
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None = None
 
     def flat(self) -> list[np.ndarray]:
         out = []
@@ -116,42 +129,45 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _activate(layer: DenseLayer, pre: np.ndarray) -> np.ndarray:
+def _activate(layer: DenseLayer, pre: np.ndarray) -> None:
+    """Apply the layer's activation to pre in place."""
     if layer.activation == "tanh":
-        return np.tanh(pre)
-    if layer.activation == "linear":
-        return pre
-    out = np.empty_like(pre)
-    offset = 0
-    for kind, width in layer.blocks:
-        seg = pre[..., offset : offset + width]
-        out[..., offset : offset + width] = softmax(seg) if kind == "softmax" else seg
-        offset += width
-    return out
+        np.tanh(pre, out=pre)
+    elif layer.activation == "softmax_blocks":
+        cols, starts, block_of = layer.softmax_index
+        s = pre[..., cols]
+        s -= np.maximum.reduceat(s, starts, axis=-1)[..., block_of]
+        np.exp(s, out=s)
+        s /= np.add.reduceat(s, starts, axis=-1)[..., block_of]
+        pre[..., cols] = s
 
 
 def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient through f given the activated output (pre-activation not needed)."""
     if layer.activation == "tanh":
-        return grad_out * (1.0 - output * output)
+        grad_pre = output * output
+        np.subtract(1.0, grad_pre, out=grad_pre)
+        grad_pre *= grad_out
+        return grad_pre
     if layer.activation == "linear":
         return grad_out
-    grad_pre = np.empty_like(grad_out)
-    offset = 0
-    for kind, width in layer.blocks:
-        g = grad_out[..., offset : offset + width]
-        if kind == "softmax":
-            p = output[..., offset : offset + width]
-            dot = np.sum(g * p, axis=-1, keepdims=True)
-            grad_pre[..., offset : offset + width] = p * (g - dot)
-        else:
-            grad_pre[..., offset : offset + width] = g
-        offset += width
+    cols, starts, block_of = layer.softmax_index
+    grad_pre = grad_out.copy()
+    p = output[..., cols]
+    g = grad_out[..., cols]
+    g -= np.add.reduceat(g * p, starts, axis=-1)[..., block_of]
+    g *= p
+    grad_pre[..., cols] = g
     return grad_pre
 
 
 def forward(network: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """Apply the network to a vector or a batch of row vectors."""
+    """Apply the network to a vector or a batch of row vectors.
+
+    Each layer's activation overwrites its own matmul result, so a layer
+    allocates one array; the tape keeps the activated outputs, which is all
+    that backward reads. x itself is never written.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != network.in_dim:
         raise DimensionError(f"input width {x.shape[-1]} != {network.in_dim}")
@@ -159,36 +175,85 @@ def forward(network: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     y = x
     for layer in network.layers:
         tape.inputs.append(y)
-        y = _activate(layer, y @ layer.weights.T + layer.biases)
+        y = y @ layer.weights.T
+        y += layer.biases
+        _activate(layer, y)
         tape.outputs.append(y)
     return y, tape
 
 
-def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray) -> Gradients:
+def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray,
+             out: Gradients | None = None, input_grad: bool = True) -> Gradients:
     """Chain-rule gradients of a scalar loss given dL/doutput.
 
     Batched inputs contribute summed parameter gradients; the input
-    gradient keeps the batch shape.
+    gradient keeps the batch shape. The parameter gradients are written
+    into the arrays of ``out`` (see gradient_views), or into new ones when
+    it is None. With input_grad false the first layer's input gradient is
+    not computed and the result's input_grad is None.
     """
     if tape.n_layers != len(network.layers):
         raise DimensionError("tape does not match network")
     grad = np.asarray(output_gradient, dtype=float)
     if grad.shape != tape.outputs[-1].shape:
         raise DimensionError("output gradient shape mismatch")
-    weight_grads = [None] * len(network.layers)
-    bias_grads = [None] * len(network.layers)
+    if out is None:
+        out = gradient_views([network], np.empty(_parameter_count([network])))[0]
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
         grad_pre = _activation_backward(layer, tape.outputs[i], grad)
         x = tape.inputs[i]
         if grad_pre.ndim == 1:
-            weight_grads[i] = np.outer(grad_pre, x)
-            bias_grads[i] = grad_pre.copy()
+            np.outer(grad_pre, x, out=out.weight_grads[i])
+            out.bias_grads[i][...] = grad_pre
         else:
-            weight_grads[i] = grad_pre.T @ x
-            bias_grads[i] = grad_pre.sum(axis=0)
-        grad = grad_pre @ layer.weights
-    return Gradients(weight_grads=weight_grads, bias_grads=bias_grads, input_grad=grad)
+            np.matmul(grad_pre.T, x, out=out.weight_grads[i])
+            np.add.reduce(grad_pre, axis=0, out=out.bias_grads[i])
+        grad = grad_pre @ layer.weights if i or input_grad else None
+    return Gradients(weight_grads=out.weight_grads, bias_grads=out.bias_grads, input_grad=grad)
+
+
+def _parameter_count(networks) -> int:
+    return sum(layer.weights.size + layer.out_dim for net in networks for layer in net.layers)
+
+
+def _split(networks, buffer: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Per network, (weight views, bias views) of buffer laid out W0, b0, W1, b1, ...
+    network after network."""
+    if buffer.shape != (_parameter_count(networks),):
+        raise DimensionError("buffer size does not match the networks' parameters")
+    views, offset = [], 0
+    for net in networks:
+        weights, biases = [], []
+        for layer in net.layers:
+            end = offset + layer.weights.size
+            weights.append(buffer[offset:end].reshape(layer.weights.shape))
+            biases.append(buffer[end : end + layer.out_dim])
+            offset = end + layer.out_dim
+        views.append((weights, biases))
+    return views
+
+
+def pack(networks) -> np.ndarray:
+    """Move every weight and bias of networks into one contiguous buffer.
+
+    Each layer's weights and biases become views of the returned buffer,
+    in Network.parameters() order, network after network, with their values
+    unchanged. One optimizer pass over the buffer then updates them all.
+    """
+    flat = np.empty(_parameter_count(networks))
+    for net, (weights, biases) in zip(networks, _split(networks, flat)):
+        for layer, w, b in zip(net.layers, weights, biases):
+            w[...] = layer.weights
+            b[...] = layer.biases
+            layer.weights, layer.biases = w, b
+    return flat
+
+
+def gradient_views(networks, buffer: np.ndarray) -> list[Gradients]:
+    """One Gradients per network whose arrays are views of buffer, laid out
+    as pack(networks) lays out the parameters; pass them to backward as out."""
+    return [Gradients(weight_grads=w, bias_grads=b) for w, b in _split(networks, buffer)]
 
 
 def init_weights(dims, seed: int, activations=None, output_blocks=None) -> Network:
@@ -249,13 +314,23 @@ def rmsprop_init(params, learning_rate: float = 0.001, rho: float = 0.9, epsilon
 
 
 def rmsprop_step(params, grads, state: OptimizerState):
-    """In-place update: a <- rho a + (1-rho) g^2; p <- p - lr g / sqrt(a + eps)."""
+    """In-place update: a <- rho a + (1-rho) g^2; p <- p - lr g / sqrt(a + eps).
+
+    Training passes one packed buffer (see pack), so a step is one pass of
+    ufunc calls with two temporaries.
+    """
     if len(params) != len(grads) or len(params) != len(state.accumulators):
         raise DimensionError("params/grads/state length mismatch")
     for p, g, a in zip(params, grads, state.accumulators):
         if p.shape != g.shape or p.shape != a.shape:
             raise DimensionError("parameter/gradient shape mismatch")
+        step = np.multiply(g, 1.0 - state.rho)
+        step *= g
         a *= state.rho
-        a += (1.0 - state.rho) * g * g
-        p -= state.learning_rate * g / np.sqrt(a + state.epsilon)
+        a += step
+        denom = np.add(a, state.epsilon)
+        np.sqrt(denom, out=denom)
+        np.multiply(g, state.learning_rate, out=step)
+        step /= denom
+        p -= step
     return params, state

@@ -210,6 +210,25 @@ class TestSetOverrides:
         assert code == 1
         assert f"'{key}'" in capsys.readouterr().err
 
+    def test_set_fills_null_section(self, tmp_path):
+        """bootstrap.model defaults to null; a key under it makes it a section."""
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = base_config(tmp_path, out, bootstrap={"replicates": 2})
+        assert run(["synth", "--config", str(cfg), "--out", str(out),
+                    "--set", "bootstrap.model.epochs=2"]) == 0
+        manifest = json.loads((out / "synth_manifest.json").read_text())
+        assert manifest["config"]["bootstrap"]["model"] == {"epochs": 2}
+
+    @pytest.mark.parametrize("seed", [424242, None])
+    def test_set_through_value_fails(self, tmp_path, capsys, seed):
+        cfg = base_config(tmp_path, tmp_path, seed=seed)
+        code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--set", "seed.x=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert ("'seed.x'" if seed else "seed must be an integer") in err
+
 
 class TestManifestReRun:
     def test_manifest_config_reproduces_outputs(self, pipeline, tmp_path):

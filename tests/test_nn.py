@@ -48,6 +48,9 @@ def tiny_net(dims, seed=0, output_blocks=None):
     return nn.init_weights(dims, seed=seed, output_blocks=output_blocks)
 
 
+MIXED_HEAD = (("softmax", 3), ("linear", 2), ("softmax", 2))
+
+
 class TestForward:
     def test_zero_network_tanh_zero_output(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "tanh")
@@ -88,6 +91,16 @@ class TestForward:
         b, _ = nn.forward(net, x)
         assert np.array_equal(a, b)
 
+    def test_input_untouched_and_repeatable_through_in_place_layers(self):
+        net = tiny_net([4, 6, 5, 7], seed=6, output_blocks=MIXED_HEAD)
+        x = derive_rng(3, "in-place").standard_normal((9, 4))
+        before = x.copy()
+        a, tape = nn.forward(net, x)
+        b, _ = nn.forward(net, x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(a, b)
+        assert tape.inputs[0] is x and tape.outputs[-1] is a
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):
@@ -114,6 +127,43 @@ class TestSoftmax:
     def test_extreme_logits_stable(self):
         p = nn.softmax(np.array([1000.0, 0.0, -1000.0]))
         assert np.isfinite(p).all() and abs(p.sum() - 1.0) < 1e-12
+
+
+class TestSoftmaxBlocksHead:
+    """The segment-reduction head against nn.softmax applied block by block."""
+
+    @staticmethod
+    def head():
+        # identity weights and zero biases: the layer's output is the head of x
+        return nn.Network([nn.DenseLayer(np.eye(7), np.zeros(7), "softmax_blocks",
+                                         blocks=MIXED_HEAD)])
+
+    @staticmethod
+    def reference(x):
+        return np.concatenate([nn.softmax(x[..., 0:3]), x[..., 3:5],
+                               nn.softmax(x[..., 5:7])], axis=-1)
+
+    @staticmethod
+    def reference_backward(p, g):
+        out = g.copy()
+        for lo, hi in ((0, 3), (5, 7)):
+            pb, gb = p[..., lo:hi], g[..., lo:hi]
+            out[..., lo:hi] = pb * (gb - np.sum(gb * pb, axis=-1, keepdims=True))
+        return out
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7,)])
+    def test_forward_and_backward_match_per_block(self, shape):
+        rng = derive_rng(31, "head", len(shape))
+        x = rng.standard_normal(shape) * 10
+        g = rng.standard_normal(shape)
+        net = self.head()
+        y, tape = nn.forward(net, x)
+        assert y.shape == shape
+        assert np.allclose(y, self.reference(x), rtol=0, atol=1e-15)
+        assert np.array_equal(y[..., 3:5], x[..., 3:5])
+        grads = nn.backward(net, tape, g)
+        assert np.allclose(grads.input_grad, self.reference_backward(y, g), rtol=0, atol=1e-15)
+        assert np.array_equal(grads.input_grad[..., 3:5], g[..., 3:5])
 
 
 class TestBackward:
@@ -193,6 +243,59 @@ class TestBackward:
             summed_b += g.bias_grads[0]
         assert np.allclose(batched.weight_grads[0], summed_w)
         assert np.allclose(batched.bias_grads[0], summed_b)
+
+
+class TestPacking:
+    def test_pack_makes_views_of_one_buffer(self):
+        nets = [tiny_net([5, 4, 6], seed=1), tiny_net([3, 4, 7], seed=2, output_blocks=MIXED_HEAD)]
+        before = [p.copy() for net in nets for p in net.parameters()]
+        flat = nn.pack(nets)
+        after = [p for net in nets for p in net.parameters()]
+        assert flat.flags.c_contiguous and flat.dtype == np.float64
+        assert flat.size == sum(p.size for p in before)
+        for old, new in zip(before, after):
+            assert np.shares_memory(new, flat)
+            assert np.array_equal(old, new)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in before]))
+
+    def test_backward_writes_into_gradient_views(self):
+        net = tiny_net([5, 4, 7], seed=4, output_blocks=MIXED_HEAD)
+        nn.pack([net])
+        rng = derive_rng(37, "views")
+        x, g = rng.standard_normal((6, 5)), rng.standard_normal((6, 7))
+        _, tape = nn.forward(net, x)
+        buffer = np.full(sum(p.size for p in net.parameters()), np.nan)
+        (views,) = nn.gradient_views([net], buffer)
+        into = nn.backward(net, tape, g, out=views, input_grad=False)
+        fresh = nn.backward(net, tape, g)
+        assert into.input_grad is None
+        for a, b in zip(into.flat(), fresh.flat()):
+            assert np.shares_memory(a, buffer)
+            assert np.array_equal(a, b)
+        assert np.array_equal(buffer, np.concatenate([a.ravel() for a in fresh.flat()]))
+
+    def test_rmsprop_on_flat_buffer_equals_per_array_reference(self):
+        nets = [tiny_net([5, 4, 2], seed=5), tiny_net([3, 4, 7], seed=6, output_blocks=MIXED_HEAD)]
+        flat = nn.pack(nets)
+        views = [p for net in nets for p in net.parameters()]
+        ref_params = [p.copy() for p in views]
+        ref_acc = [np.zeros_like(p) for p in views]
+        state = nn.rmsprop_init([flat], learning_rate=0.01, rho=0.8, epsilon=1e-7)
+        rng = derive_rng(41, "flat-rms")
+        for _ in range(5):
+            grads = rng.standard_normal(flat.size)
+            nn.rmsprop_step([flat], [grads], state)
+            offset = 0
+            for p, a in zip(ref_params, ref_acc):
+                g = grads[offset : offset + p.size].reshape(p.shape)
+                offset += p.size
+                a *= 0.8
+                a += (1.0 - 0.8) * g * g
+                p -= 0.01 * g / np.sqrt(a + 1e-7)
+        for view, ref in zip(views, ref_params):
+            assert np.array_equal(view, ref)
+        assert np.array_equal(state.accumulators[0],
+                              np.concatenate([a.ravel() for a in ref_acc]))
 
 
 class TestRmsprop:
