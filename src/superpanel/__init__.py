@@ -18,7 +18,7 @@ from .schema import (
 )
 from .nn import Network, DenseLayer, OptimizerState, forward, backward, softmax, rmsprop_step, init_weights
 from .cvae import CvaeConfig, LatentParams, LossBreakdown, TrainedModel, GridSpec, train, grid_search
-from .sampling import ConditionProfile, PreferenceDraws, sample, generate_population
+from .sampling import PreferenceDraws, sample, generate_population
 from .metrics import JointHistogram, ComparisonReport, cross_tabulate, srmse, pearson, r2, marginals, overlap
 from .panel import PanelCube, MoverReport, BootstrapSummary, StatisticSpec, build_panel, aggregate_trend, classify_movers, group_marginals, bootstrap
 from .oracle import DgpSpec, TableSpec, DriftSpec, canned_spec, generate_dataset, exact_conditional, baseline_independent

@@ -254,17 +254,7 @@ def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.
     m = dict(config["model"])
     if overrides:
         m.update({k: v for k, v in overrides.items() if v is not None})
-    return cvae.CvaeConfig(
-        hidden_layers=tuple(m["hidden_layers"]),
-        latent_dim=int(m["latent_dim"]),
-        beta=float(m["beta"]),
-        learning_rate=float(m["learning_rate"]),
-        rho=float(m["rho"]),
-        epsilon=float(m["epsilon"]),
-        batch_size=int(m["batch_size"]),
-        epochs=int(m["epochs"]),
-        seed=derive_seed(config["seed"], seed_key),
-    )
+    return cvae.CvaeConfig(**m, seed=derive_seed(config["seed"], seed_key))
 
 
 def cmd_train(args) -> int:
@@ -288,7 +278,7 @@ def cmd_train(args) -> int:
         print(f"grid plan: {len(cells)} cells")
         plan_rows = []
         for i, (nl, nn_, dz, beta) in enumerate(cells):
-            hidden = [nn_ // (2 ** l) for l in range(nl)]
+            hidden = list(cvae.CvaeConfig.from_grid_cell(nl, nn_, dz, beta).hidden_layers)
             print(f"  cell {i:3d}: layers={nl} neurons={nn_} hidden={hidden} "
                   f"latent={dz} beta={beta}")
             plan_rows.append((i, nl, nn_, "x".join(map(str, hidden)), dz, beta))
@@ -364,10 +354,9 @@ def cmd_generate(args) -> int:
     sch, records, _ = _load_inputs(config)
     gen_cfg = config["generate"]
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
-    profiles = sampling.profiles_from_records(records, sch)
     population = sampling.generate_population(
         model,
-        profiles,
+        records,
         draws_per_profile=int(gen_cfg.get("draws_per_profile", 1)),
         seed=derive_seed(config["seed"], "generate"),
         decode_mode=gen_cfg.get("decode_mode", "sample"),
@@ -411,9 +400,8 @@ def cmd_evaluate(args) -> int:
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
 
     def synth_records(model, source_records, key):
-        profiles = sampling.profiles_from_records(source_records, sch)
         pop = sampling.generate_population(
-            model, profiles, draws_per_profile=draws,
+            model, source_records, draws_per_profile=draws,
             seed=derive_seed(config["seed"], "evaluate", key), decode_mode="sample",
         )
         return pop.records
@@ -462,12 +450,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_external_table(path, sch, profiles):
+def _load_external_table(path, sch, base_records):
     """Per-year external values, keyed by individual_id or by zone.
 
-    A zone-keyed table (column "zone") is resolved through each profile's
-    geography value, which is how per-zone accessibility scores attach to
-    individuals. The result always maps year -> individual id -> values.
+    A zone-keyed table (column "zone") is resolved through each base
+    record's geography value, which is how per-zone accessibility scores
+    attach to individuals; a zone with no row in some year is an error.
+    The result always maps year -> individual id -> values, where base
+    record i is individual str(i).
     """
     externals = [a.name for a in sch.attributes if a.role == "external"]
     if not externals:
@@ -492,14 +482,15 @@ def _load_external_table(path, sch, profiles):
     geo = [a.name for a in sch.attributes if a.role == "geography"]
     if not geo:
         raise CliError("zone-keyed external table needs a geography attribute")
-    table: dict = {}
-    for year, per_zone in raw.items():
-        table[year] = {}
-        for p in profiles:
-            zone = str(int(p.values[geo[0]]))
-            if zone in per_zone:
-                table[year][p.id] = per_zone[zone]
-    return table
+    col = schema_mod.record_columns(base_records, geo[:1], sch)[geo[0]]
+    zones = [str(int(z)) for z in col]
+    missing = sorted({(int(z), year) for year, per_zone in raw.items()
+                      for z in zones if z not in per_zone})
+    if missing:
+        raise CliError(f"{path}: no external values for "
+                       + ", ".join(f"zone {z} in year {y}" for z, y in missing))
+    return {year: {str(i): per_zone[z] for i, z in enumerate(zones)}
+            for year, per_zone in raw.items()}
 
 
 def _build_cube(config, args, sch, records):
@@ -516,22 +507,20 @@ def _build_cube(config, args, sch, records):
     limit = panel_cfg.get("max_individuals")
     if limit:
         base_records = base_records[: int(limit)]
-    profiles = sampling.profiles_from_records(base_records, sch)
     years = panel_cfg.get("years")
     if years is None:
         years = sorted({int(r.values[pos]) for r in records})
     external = None
     if panel_cfg.get("external_table"):
-        external = _load_external_table(panel_cfg["external_table"], sch, profiles)
+        external = _load_external_table(panel_cfg["external_table"], sch, base_records)
     subsets = panel_cfg.get("subsets")
-    cube = panel.build_panel(
-        model, profiles, years, external,
+    return panel.build_panel(
+        model, base_records, years, external,
         draws_per_cell=int(panel_cfg.get("draws_per_cell", 200)),
         seed=derive_seed(config["seed"], "panel"),
         subsets=[tuple(s) for s in subsets] if subsets else None,
         jobs=args.jobs,
     )
-    return cube, profiles
 
 
 def cmd_build_panel(args) -> int:
@@ -539,16 +528,16 @@ def cmd_build_panel(args) -> int:
     config = load_config(args)
     out = _out_dir(args, config)
     sch, records, _ = _load_inputs(config)
-    cube, _ = _build_cube(config, args, sch, records)
+    cube = _build_cube(config, args, sch, records)
 
     panel_path = out / "panel.csv"
     rows = []
-    for i, profile in enumerate(cube.individuals):
+    for i, pid in enumerate(cube.ids):
         for t_idx, year in enumerate(cube.years):
             for name in (a.name for a in sch.preference_attributes):
                 freqs = cube.attr_freqs[name][i, t_idx]
                 for cat, f in enumerate(freqs):
-                    rows.append((profile.id, year, name, cat, float(f)))
+                    rows.append((pid, year, name, cat, float(f)))
     write_csv(panel_path, ["individual_id", "year", "attribute", "category", "frequency"], rows)
 
     panel_cfg = config["panel"]
@@ -589,7 +578,7 @@ def cmd_classify_movers(args) -> int:
     config = load_config(args)
     out = _out_dir(args, config)
     sch, records, _ = _load_inputs(config)
-    cube, profiles = _build_cube(config, args, sch, records)
+    cube = _build_cube(config, args, sch, records)
     movers_cfg = config["movers"]
     t_start = movers_cfg.get("t_start")
     t_end = movers_cfg.get("t_end")
@@ -610,8 +599,8 @@ def cmd_classify_movers(args) -> int:
     write_csv(movers_path, ["individual_id", "distance", "group"], rows)
 
     marg_rows = []
-    fast_marg = panel.group_marginals(profiles, report.fast_ids, sch)
-    slow_marg = panel.group_marginals(profiles, report.slow_ids, sch)
+    fast_marg = panel.group_marginals(cube, report.fast_ids)
+    slow_marg = panel.group_marginals(cube, report.slow_ids)
     for name in fast_marg:
         f, s = fast_marg[name], slow_marg[name]
         for cat in range(len(f["frequencies"])):

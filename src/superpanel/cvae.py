@@ -24,7 +24,7 @@ latent variance and the divergence above is the exact closed form.
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -54,7 +54,11 @@ class CvaeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
+        # JSON configs and --set overrides give ints for floats and lists for tuples
+        for f in fields(self):
+            value = getattr(self, f.name)
+            object.__setattr__(self, f.name, tuple(int(h) for h in value)
+                               if f.name == "hidden_layers" else f.type(value))
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:
@@ -518,12 +522,10 @@ def load_model(path) -> TrainedModel:
     numeric_mode = payload["numeric_mode"]
     cond_layout, _ = build_layout(schema, preference=False, numeric_mode=numeric_mode)
     pref_layout, _ = build_layout(schema, preference=True, numeric_mode=numeric_mode)
-    cfg = payload["config"]
-    cfg["hidden_layers"] = tuple(cfg["hidden_layers"])
     return TrainedModel(
         encoder=_network_from_dict(payload["encoder"]),
         decoder=_network_from_dict(payload["decoder"]),
-        config=CvaeConfig(**cfg),
+        config=CvaeConfig(**payload["config"]),
         schema=schema,
         cond_layout=cond_layout,
         pref_layout=pref_layout,

@@ -18,14 +18,8 @@ import numpy as np
 
 from . import cvae, metrics
 from .metrics import JointHistogram
-from .sampling import (
-    ConditionProfile,
-    encode_profile,
-    profiles_from_records,
-    sampled_category_columns,
-    _decode_with_noise,
-)
-from .schema import Schema, discretize_array, encode, record_columns
+from .sampling import generate_population, sampled_category_columns, _decode_with_noise
+from .schema import Schema, discretize_array, encode, encode_columns, record_columns
 from .seeding import derive_rng, derive_seed
 
 
@@ -42,22 +36,24 @@ class PanelCube:
 
     subset_freqs maps each declared subset to an (N, T, n_bins) array;
     attr_freqs holds single-attribute marginals for every preference
-    attribute, used by trend extraction.
+    attribute, used by trend extraction. conditionals holds each
+    individual's base-year value of every conditional attribute, one
+    column per attribute.
     """
 
-    individuals: tuple[ConditionProfile, ...]
+    ids: tuple[str, ...]
+    conditionals: dict
     years: tuple[int, ...]
     schema: Schema
     subsets: tuple[tuple[str, ...], ...]
     subset_freqs: dict
     attr_freqs: dict
-    external_by_year: dict | None
     draws_per_cell: int
     seed: int
 
     @property
     def n_individuals(self) -> int:
-        return len(self.individuals)
+        return len(self.ids)
 
     def cell_histogram(self, subset, i: int, t: int) -> JointHistogram:
         subset = tuple(subset)
@@ -77,39 +73,37 @@ def default_distance_subset(schema: Schema, bin_cap: int = metrics.DEFAULT_BIN_C
     return subset if n_bins <= bin_cap else None
 
 
-def _profile_for_year(profile: ConditionProfile, schema: Schema, year: int,
-                      external_by_year) -> ConditionProfile:
-    updates = {}
+def _year_columns(base_cols: dict, ids, schema: Schema, year: int, external_by_year) -> dict:
+    """Base-year conditional columns moved to ``year``: the time column set
+    to it and the external columns read from the table."""
+    cols = dict(base_cols)
     t = schema.time_attribute
     if t is not None:
-        updates[t.name] = int(year)
-    externals = [a.name for a in schema.attributes if a.role == "external"]
-    if externals:
-        if external_by_year is None or year not in external_by_year:
-            raise PanelError(f"missing external values for year {year}")
-        per_id = external_by_year[year]
-        if profile.id not in per_id:
-            raise PanelError(f"missing external values for individual {profile.id} in year {year}")
-        for name in externals:
-            if name not in per_id[profile.id]:
-                raise PanelError(f"missing external attribute {name} for {profile.id}/{year}")
-            updates[name] = per_id[profile.id][name]
-    return profile.with_values(**updates)
+        cols[t.name] = np.full(len(ids), year, dtype=cols[t.name].dtype)
+    externals = [a for a in schema.attributes if a.role == "external"]
+    if not externals:
+        return cols
+    if external_by_year is None or year not in external_by_year:
+        raise PanelError(f"missing external values for year {year}")
+    per_id = external_by_year[year]
+    for pid in ids:
+        if pid not in per_id:
+            raise PanelError(f"missing external values for individual {pid} in year {year}")
+    for attr in externals:
+        missing = [pid for pid in ids if attr.name not in per_id[pid]]
+        if missing:
+            raise PanelError(f"missing external attribute {attr.name} for {missing[0]}/{year}")
+        cols[attr.name] = np.array([per_id[pid][attr.name] for pid in ids],
+                                   dtype=cols[attr.name].dtype)
+    return cols
 
 
 def _panel_year_block(args):
     """All cells of one year: per-individual subset and marginal frequencies."""
-    t_idx, year, model, base_population, external_by_year, subsets, draws_per_cell, seed = args
+    t_idx, year, model, ids, cond_rows, subsets, draws_per_cell, seed = args
     schema = model.schema
-    n, r = len(base_population), draws_per_cell
-    cond_rows = np.stack(
-        [
-            encode_profile(_profile_for_year(p, schema, year, external_by_year),
-                           schema, model.cond_layout)
-            for p in base_population
-        ]
-    )
-    rngs = [derive_rng(seed, "panel-cell", p.id, int(year)) for p in base_population]
+    n, r = len(ids), draws_per_cell
+    rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
     cat_cols = sampled_category_columns(
         model, _decode_with_noise(model, cond_rows, r, rngs, "sample"))
     cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
@@ -129,16 +123,19 @@ def _panel_year_block(args):
     return t_idx, subset_out, attr_out
 
 
-def build_panel(model: cvae.TrainedModel, base_population, years, external_by_year,
+def build_panel(model: cvae.TrainedModel, base_records, years, external_by_year,
                 draws_per_cell: int, seed: int, subsets=None, jobs: int = 1) -> PanelCube:
     """Sample every (individual, year) cell and tabulate the draws.
 
+    Base record i is individual ``str(i)``; its conditional values stay
+    fixed apart from the time value and the externals, which
+    ``external_by_year`` maps year -> individual id -> {attribute: value}.
     Each cell owns an rng derived from (seed, individual id, year), so the
     cube is identical however the cells are scheduled; jobs > 1 spreads
     the per-year blocks over worker processes. Decoding runs in large
     stacked batches for speed.
     """
-    if not base_population:
+    if not base_records:
         raise PanelError("base population is empty")
     if draws_per_cell < MIN_DRAWS_PER_CELL:
         raise PanelError(f"draws_per_cell below floor {MIN_DRAWS_PER_CELL}")
@@ -151,14 +148,17 @@ def build_panel(model: cvae.TrainedModel, base_population, years, external_by_ye
         subsets = (joint,) if joint is not None else ()
     subsets = tuple(tuple(s) for s in subsets)
     pref_names = tuple(a.name for a in schema.preference_attributes)
-    base_population = tuple(base_population)
+    ids = tuple(str(i) for i in range(len(base_records)))
+    base_cols = record_columns(base_records, [b.name for b in model.cond_layout], schema)
 
-    # fail fast on missing externals before any sampling work
-    for year in years:
-        for p in base_population:
-            _profile_for_year(p, schema, year, external_by_year)
+    # every year's conditional rows, so missing externals fail before any sampling
+    cond_rows = [
+        encode_columns(_year_columns(base_cols, ids, schema, year, external_by_year),
+                       model.cond_layout, schema)
+        for year in years
+    ]
 
-    n, t_count, r = len(base_population), len(years), draws_per_cell
+    n, t_count, r = len(ids), len(years), draws_per_cell
     subset_freqs = {
         s: np.zeros((n, t_count, int(np.prod(metrics.subset_dims(schema, s))))) for s in subsets
     }
@@ -166,7 +166,7 @@ def build_panel(model: cvae.TrainedModel, base_population, years, external_by_ye
         name: np.zeros((n, t_count, schema.attribute(name).n_categories)) for name in pref_names
     }
     args = [
-        (t_idx, year, model, base_population, external_by_year, subsets, r, seed)
+        (t_idx, year, model, ids, cond_rows[t_idx], subsets, r, seed)
         for t_idx, year in enumerate(years)
     ]
     if jobs > 1:
@@ -181,13 +181,13 @@ def build_panel(model: cvae.TrainedModel, base_population, years, external_by_ye
             attr_freqs[name][:, t_idx, :] = attr_out[name]
 
     return PanelCube(
-        individuals=base_population,
+        ids=ids,
+        conditionals=base_cols,
         years=years,
         schema=schema,
         subsets=subsets,
         subset_freqs=subset_freqs,
         attr_freqs=attr_freqs,
-        external_by_year=external_by_year,
         draws_per_cell=draws_per_cell,
         seed=seed,
     )
@@ -208,18 +208,9 @@ class TrendSeries:
     n_individuals: int = 0
 
 
-def _condition_mask(individuals, condition) -> np.ndarray:
-    if condition is None:
-        return np.ones(len(individuals), dtype=bool)
-    if callable(condition):
-        return np.array([bool(condition(p)) for p in individuals])
-    return np.array(
-        [all(p.values.get(k) == v for k, v in condition.items()) for p in individuals]
-    )
-
-
 def aggregate_trend(cube: PanelCube, attribute: str, condition=None) -> TrendSeries:
-    """Per-year series over the individuals passing the condition.
+    """Per-year series over the individuals whose base-year conditional
+    values match every {attribute: value} pair of the condition.
 
     Numerical (binned) attributes yield the mean and standard deviation of
     the sampled values via bin midpoints; categorical attributes yield
@@ -229,7 +220,11 @@ def aggregate_trend(cube: PanelCube, attribute: str, condition=None) -> TrendSer
     attr = cube.schema.attribute(attribute)
     if attr.role != "preference":
         raise PanelError(f"{attribute} is not a preference attribute")
-    mask = _condition_mask(cube.individuals, condition)
+    mask = np.ones(cube.n_individuals, dtype=bool)
+    for k, v in (condition or {}).items():
+        if k not in cube.conditionals:
+            raise PanelError(f"condition on {k!r}: not a conditional attribute")
+        mask &= cube.conditionals[k] == v
     if not mask.any():
         raise PanelError("condition matches no individuals")
     freqs = cube.attr_freqs[attribute][mask]  # (n_sel, T, D)
@@ -304,7 +299,7 @@ def classify_movers(cube: PanelCube, t_start: int, t_end: int, subset=None) -> M
     # SRMSE with reference frequencies summing to 1: rmse / (1 / n_bins)
     distances = np.sqrt(np.sum(diff ** 2, axis=1) / n_bins) * n_bins
 
-    ids = tuple(p.id for p in cube.individuals)
+    ids = cube.ids
     order = sorted(range(len(ids)), key=lambda i: (distances[i], ids[i]))
     k = len(ids) // 10
     slow = tuple(ids[i] for i in order[:k])
@@ -321,28 +316,23 @@ def classify_movers(cube: PanelCube, t_start: int, t_end: int, subset=None) -> M
     )
 
 
-def group_marginals(base_population, ids, schema: Schema) -> dict:
-    """Socio-attribute frequency tables for a group of individuals.
+def group_marginals(cube: PanelCube, ids) -> dict:
+    """Socio-attribute frequency tables for a group of the cube's individuals.
 
     Returns {attribute: {"frequencies": array, "mode": index}} in the
     shape used by the mover profile tables.
     """
-    ids = set(ids)
-    members = [p for p in base_population if p.id in ids]
-    if not members:
+    members = np.isin(cube.ids, list(ids))
+    if not members.any():
         raise PanelError("empty group")
     out = {}
-    for attr in schema.attributes:
+    for attr in cube.schema.attributes:
         if attr.role != "socio":
             continue
-        counts = np.zeros(attr.n_categories)
-        for p in members:
-            v = p.values[attr.name]
-            if attr.kind == "numerical":
-                from .schema import discretize
-
-                v = discretize(float(v), attr.bin_edges)
-            counts[int(v)] += 1
+        col = cube.conditionals[attr.name][members]
+        if attr.kind == "numerical":
+            col = discretize_array(col, attr.bin_edges)
+        counts = np.bincount(col, minlength=attr.n_categories)
         freqs = counts / counts.sum()
         out[attr.name] = {"frequencies": freqs, "mode": int(np.argmax(freqs))}
     return out
@@ -441,11 +431,8 @@ def _bootstrap_replicate(args):
         return rep_idx, None, data_stats
 
     m = min(samples_per_replicate, n)
-    gen_profiles = profiles_from_records(resample[:m], schema)
-    from .sampling import generate_population
-
     synth = generate_population(
-        model, gen_profiles, draws_per_profile=1,
+        model, resample[:m], draws_per_profile=1,
         seed=derive_seed(seed, "bootstrap-generate", rep_idx), decode_mode="sample",
     )
     model_stats = {s.name: _statistic_values(synth.records, schema, s) for s in stats}

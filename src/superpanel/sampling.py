@@ -6,7 +6,8 @@ are resolved either by a seeded draw from the softmax distribution
 ("sample", the default, which preserves the full conditional spread) or
 by taking the mode ("argmax"). Per-profile randomness is derived from
 (master seed, profile id), so sampling many profiles in parallel or
-serially yields identical output.
+serially yields identical output. Conditional rows come from
+``schema.encode_columns``, like every other encoded row.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .cvae import TrainedModel
-from .schema import Record, Schema, discretize_array
+from .schema import Record, discretize_array, encode_columns, record_columns
 from .seeding import derive_rng
 
 DECODE_MODES = ("sample", "argmax")
@@ -24,70 +25,12 @@ DECODE_MODES = ("sample", "argmax")
 CHUNK_ROWS = 65536
 
 
-@dataclass(frozen=True)
-class ConditionProfile:
-    """Conditional attribute values for one individual."""
-
-    id: str
-    values: dict
-
-    def with_values(self, **updates) -> "ConditionProfile":
-        merged = dict(self.values)
-        merged.update(updates)
-        return ConditionProfile(id=self.id, values=merged)
-
-
 @dataclass
 class PreferenceDraws:
-    profile: ConditionProfile
+    profile_id: str
     draws: list[dict]
     seed: int
     decode_mode: str
-    extrapolated: bool = False
-
-
-def profiles_from_records(records, schema: Schema, ids=None) -> list[ConditionProfile]:
-    names = [a.name for a in schema.conditional_attributes]
-    out = []
-    for i, rec in enumerate(records):
-        pid = str(ids[i]) if ids is not None else str(i)
-        out.append(
-            ConditionProfile(id=pid, values={n: rec.values[schema.index_of(n)] for n in names})
-        )
-    return out
-
-
-def encode_profile(profile: ConditionProfile, schema: Schema, cond_layout) -> np.ndarray:
-    """One conditional row vector in the model's encoding."""
-    dim_c = sum(b.width for b in cond_layout)
-    row = np.zeros(dim_c)
-    for block in cond_layout:
-        attr = schema.attribute(block.name)
-        if block.name not in profile.values:
-            raise ValueError(f"profile {profile.id}: missing value for {block.name}")
-        v = profile.values[block.name]
-        if not block.onehot:
-            row[block.start] = float(v)
-            continue
-        if attr.kind == "categorical":
-            idx = int(v)
-            if not 0 <= idx < attr.cardinality:
-                raise ValueError(f"profile {profile.id}: {block.name}={v} out of range")
-        else:
-            from .schema import discretize
-
-            idx = discretize(float(v), attr.bin_edges)
-        row[block.start + idx] = 1.0
-    return row
-
-
-def _is_extrapolated(profile: ConditionProfile, schema: Schema) -> bool:
-    """Flag time values outside the declared numeric range (raw time only)."""
-    t = schema.time_attribute
-    if t is None or t.kind != "numerical" or t.name not in profile.values:
-        return False
-    v = float(profile.values[t.name])
-    return v < t.bin_edges[0] or v >= t.bin_edges[-1]
 
 
 def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms, decode_mode: str):
@@ -147,19 +90,17 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     return {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
 
 
-def sample(model: TrainedModel, profile: ConditionProfile, n_draws: int, seed: int,
+def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int, seed: int,
            decode_mode: str = "sample") -> PreferenceDraws:
-    """Draw preference realizations for one conditional profile."""
+    """Draw preference realizations for one encoded conditional row."""
     if decode_mode not in DECODE_MODES:
         raise ValueError(f"unknown decode_mode {decode_mode!r}")
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
-    c_row = encode_profile(profile, model.schema, model.cond_layout)
-    extrapolated = _is_extrapolated(profile, model.schema)
     if n_draws == 0:
-        return PreferenceDraws(profile, [], seed, decode_mode, extrapolated)
-    cols = _decode_with_noise(model, c_row[None, :], n_draws,
-                              [derive_rng(seed, "profile", profile.id)], decode_mode)
+        return PreferenceDraws(profile_id, [], seed, decode_mode)
+    cols = _decode_with_noise(model, np.asarray(c_row, dtype=float)[None, :], n_draws,
+                              [derive_rng(seed, "profile", profile_id)], decode_mode)
     values = []
     for block in model.pref_layout:
         attr = model.schema.attribute(block.name)
@@ -169,7 +110,7 @@ def sample(model: TrainedModel, profile: ConditionProfile, n_draws: int, seed: i
             values.append(cols[block.name].tolist())
     names = [block.name for block in model.pref_layout]
     draws = [dict(zip(names, row)) for row in zip(*values)]
-    return PreferenceDraws(profile, draws, seed, decode_mode, extrapolated)
+    return PreferenceDraws(profile_id, draws, seed, decode_mode)
 
 
 def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draws_per_row: int,
@@ -203,7 +144,7 @@ def sampled_category_columns(model: TrainedModel, cols: dict[str, np.ndarray]) -
 
 @dataclass
 class SyntheticPopulation:
-    """Generated records tagged with the profile each row came from."""
+    """Generated records tagged with the source record each row came from."""
 
     profile_ids: list[str]
     records: list[Record]
@@ -212,29 +153,35 @@ class SyntheticPopulation:
     extrapolated_ids: list[str]
 
 
-def generate_population(model: TrainedModel, profiles, draws_per_profile: int, seed: int,
+def generate_population(model: TrainedModel, records, draws_per_profile: int, seed: int,
                         decode_mode: str = "sample") -> SyntheticPopulation:
-    """Concatenated draws over many profiles, reproducible per profile."""
-    if not profiles:
-        raise ValueError("profiles must be nonempty")
+    """Draws for every source record under its own conditional values.
+
+    Record i is profile ``str(i)``: its draws come from its own stream, so
+    they do not depend on the other records. Raw time values outside the
+    declared range are reported as extrapolated.
+    """
+    if not records:
+        raise ValueError("records must be nonempty")
     schema = model.schema
-    ids: list[str] = []
-    records: list[Record] = []
+    cols = record_columns(records, [b.name for b in model.cond_layout], schema)
+    c_rows = encode_columns(cols, model.cond_layout, schema)
     flagged: list[str] = []
-    for profile in profiles:
-        draws = sample(model, profile, draws_per_profile, seed, decode_mode)
-        if draws.extrapolated:
-            flagged.append(profile.id)
-        for d in draws.draws:
-            values = []
-            for attr in schema.attributes:
-                if attr.role == "preference":
-                    values.append(d[attr.name])
-                else:
-                    values.append(profile.values[attr.name])
-            ids.append(profile.id)
-            records.append(Record(tuple(values)))
+    t = schema.time_attribute
+    if t is not None and t.kind == "numerical":
+        outside = (cols[t.name] < t.bin_edges[0]) | (cols[t.name] >= t.bin_edges[-1])
+        flagged = [str(i) for i in np.flatnonzero(outside)]
+    is_pref = [a.role == "preference" for a in schema.attributes]
+    names = [a.name for a in schema.attributes]
+    ids: list[str] = []
+    out: list[Record] = []
+    for i, rec in enumerate(records):
+        pid = str(i)
+        for d in sample(model, c_rows[i], pid, draws_per_profile, seed, decode_mode).draws:
+            ids.append(pid)
+            out.append(Record(tuple([d[n] if p else v
+                                     for n, p, v in zip(names, is_pref, rec.values)])))
     return SyntheticPopulation(
-        profile_ids=ids, records=records, seed=seed, decode_mode=decode_mode,
+        profile_ids=ids, records=out, seed=seed, decode_mode=decode_mode,
         extrapolated_ids=flagged,
     )

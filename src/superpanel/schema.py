@@ -12,7 +12,7 @@ over their bins (default) or a single raw column.
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -376,7 +376,6 @@ class EncodedDataset:
 
     conditional: np.ndarray
     preference: np.ndarray
-    row_ids: tuple
     schema: Schema
     cond_layout: tuple[BlockLayout, ...]
     pref_layout: tuple[BlockLayout, ...]
@@ -396,27 +395,26 @@ class EncodedDataset:
 
     def take(self, indices) -> "EncodedDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return EncodedDataset(
-            conditional=self.conditional[idx],
-            preference=self.preference[idx],
-            row_ids=tuple(self.row_ids[i] for i in idx),
-            schema=self.schema,
-            cond_layout=self.cond_layout,
-            pref_layout=self.pref_layout,
-            numeric_mode=self.numeric_mode,
-        )
+        return replace(self, conditional=self.conditional[idx], preference=self.preference[idx])
 
 
-def _encode_block(records, layout, schema: Schema, width: int) -> np.ndarray:
-    """One-hot (or raw) matrix of one block: per attribute, one column read and one write."""
-    n = len(records)
-    out = np.zeros((n, width))
+def encode_columns(cols, layout, schema: Schema) -> np.ndarray:
+    """One-hot (or raw) matrix of one block from an attribute -> array table.
+
+    Every conditional or preference row in the package is written here:
+    survey rows, generated populations and panel cells alike.
+    """
+    n = len(cols[layout[0].name])
+    out = np.zeros((n, sum(b.width for b in layout)))
     rows = np.arange(n)
     for block in layout:
+        col = cols[block.name]
         if not block.onehot:
-            out[:, block.start] = record_columns(records, (block.name,), schema)[block.name]
+            out[:, block.start] = col
             continue
-        col = category_columns(records, (block.name,), schema)[block.name]
+        attr = schema.attribute(block.name)
+        if attr.kind == "numerical":
+            col = discretize_array(col, attr.bin_edges)
         bad = (col < 0) | (col >= block.width)
         if bad.any():
             raise ValueError(f"{block.name}: category {col[bad][0]} out of range "
@@ -427,12 +425,12 @@ def _encode_block(records, layout, schema: Schema, width: int) -> np.ndarray:
 
 def encode(records, schema: Schema, numeric_mode: str = "discretize") -> EncodedDataset:
     """Encode records into conditional and preference matrices."""
-    cond_layout, dim_c = build_layout(schema, preference=False, numeric_mode=numeric_mode)
-    pref_layout, dim_v = build_layout(schema, preference=True, numeric_mode=numeric_mode)
+    cond_layout, _ = build_layout(schema, preference=False, numeric_mode=numeric_mode)
+    pref_layout, _ = build_layout(schema, preference=True, numeric_mode=numeric_mode)
+    cols = record_columns(records, [a.name for a in schema.attributes], schema)
     return EncodedDataset(
-        conditional=_encode_block(records, cond_layout, schema, dim_c),
-        preference=_encode_block(records, pref_layout, schema, dim_v),
-        row_ids=tuple(range(len(records))),
+        conditional=encode_columns(cols, cond_layout, schema),
+        preference=encode_columns(cols, pref_layout, schema),
         schema=schema,
         cond_layout=cond_layout,
         pref_layout=pref_layout,

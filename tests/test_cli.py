@@ -230,6 +230,19 @@ class TestSetOverrides:
         assert ("'seed.x'" if seed else "seed must be an integer") in err
 
 
+class TestModelConfig:
+    def test_int_beta_saved_as_float(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = base_config(tmp_path, out)
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out),
+                    "--set", "model.beta=5", "--set", "model.epochs=1"]) == 0
+        text = (out / "model_full.json").read_text()
+        assert '"beta": 5.0,' in text
+        assert json.loads(text)["config"]["hidden_layers"] == [16]
+
+
 class TestManifestReRun:
     def test_manifest_config_reproduces_outputs(self, pipeline, tmp_path):
         """The config snapshot inside a manifest is enough to re-run and get
@@ -248,7 +261,7 @@ class TestManifestReRun:
 
 
 class TestExternalTable:
-    def _external_setup(self, tmp_path, key_mode):
+    def _external_setup(self, tmp_path, key_mode, zones=(0, 1)):
         """Tiny process with a zone and an external accessibility score."""
         from superpanel import oracle, schema as sm
 
@@ -273,7 +286,7 @@ class TestExternalTable:
             if key_mode == "zone":
                 w.writerow(["zone", "year", "access"])
                 for year in range(3):
-                    for zone in range(2):
+                    for zone in zones:
                         w.writerow([zone, year, (zone + year) % 2])
             else:
                 w.writerow(["individual_id", "year", "access"])
@@ -306,3 +319,13 @@ class TestExternalTable:
         assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 0
         rows = read_csv(out / "panel.csv")
         assert len(rows) - 1 == 20 * 3 * 2  # individuals x years x categories
+
+    def test_missing_zone_named(self, tmp_path, capsys):
+        cfg, out = self._external_setup(tmp_path, "zone", zones=(0,))
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "zone 1 in year 0" in err and "zone 1 in year 2" in err
+        assert "zone 0" not in err

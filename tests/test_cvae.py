@@ -303,6 +303,20 @@ class TestGridSearch:
         assert (best.latent_dim, best.beta) == (best_row.latent_dim, best_row.beta)
 
 
+class TestConfig:
+    def test_fields_coerced_to_declared_types(self):
+        cfg = cvae.CvaeConfig(hidden_layers=[16, 8.0], latent_dim=2.0, beta=5, learning_rate=1,
+                              rho=1, epsilon=0, batch_size="32", epochs=3.0, seed=True)
+        assert cfg.hidden_layers == (16, 8) and type(cfg.hidden_layers[1]) is int
+        assert [type(getattr(cfg, n)) for n in ("latent_dim", "batch_size", "epochs", "seed")] \
+            == [int] * 4
+        assert [type(getattr(cfg, n)) for n in ("beta", "learning_rate", "rho", "epsilon")] \
+            == [float] * 4
+        assert cfg == cvae.CvaeConfig(hidden_layers=(16, 8), latent_dim=2, beta=5.0,
+                                      learning_rate=1.0, rho=1.0, epsilon=0.0, batch_size=32,
+                                      epochs=3, seed=1)
+
+
 class TestSerialization:
     def test_roundtrip_bitexact(self, tmp_path):
         data = tiny_encoded(20, seed=19)

@@ -15,14 +15,13 @@ def drift_setup():
                              batch_size=64, epochs=15, seed=63)
     model = cvae.train(encoded.take(idx_tr), config, encoded.take(idx_va))
     base_records = [r for r in records if r.values[0] == 0][:60]
-    profiles = sampling.profiles_from_records(base_records, spec.schema)
-    return spec, records, model, profiles
+    return spec, records, model, base_records
 
 
 @pytest.fixture(scope="module")
 def small_cube(drift_setup):
-    spec, records, model, profiles = drift_setup
-    return panel.build_panel(model, profiles, years=[0, 2, 4], external_by_year=None,
+    spec, records, model, base = drift_setup
+    return panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                              draws_per_cell=200, seed=64)
 
 
@@ -36,48 +35,58 @@ class TestBuildPanel:
             assert np.allclose(freqs.sum(axis=2), 1.0)
 
     def test_determinism(self, drift_setup, small_cube):
-        spec, records, model, profiles = drift_setup
-        again = panel.build_panel(model, profiles, years=[0, 2, 4], external_by_year=None,
+        spec, records, model, base = drift_setup
+        again = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                                   draws_per_cell=200, seed=64)
         for s in small_cube.subsets:
             assert np.array_equal(small_cube.subset_freqs[s], again.subset_freqs[s])
 
     def test_parallel_jobs_identical(self, drift_setup, small_cube):
-        spec, records, model, profiles = drift_setup
-        par = panel.build_panel(model, profiles, years=[0, 2, 4], external_by_year=None,
+        spec, records, model, base = drift_setup
+        par = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                                 draws_per_cell=200, seed=64, jobs=2)
         for s in small_cube.subsets:
             assert np.array_equal(small_cube.subset_freqs[s], par.subset_freqs[s])
 
     def test_draw_floor_enforced(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+        spec, records, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="floor"):
-            panel.build_panel(model, profiles, years=[0], external_by_year=None,
+            panel.build_panel(model, base, years=[0], external_by_year=None,
                               draws_per_cell=1, seed=65)
 
     def test_empty_population_rejected(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+        spec, records, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="empty"):
             panel.build_panel(model, [], years=[0], external_by_year=None,
                               draws_per_cell=50, seed=66)
 
-    def test_missing_externals_rejected(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+    def test_missing_externals_rejected(self):
         ext_schema = sm.Schema(attributes=(
             sm.AttributeSpec("year", "time", "categorical", cardinality=3),
             sm.AttributeSpec("access", "external", "categorical", cardinality=2),
             sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
         ))
-        prof = sampling.ConditionProfile(id="a", values={"year": 0, "access": 1})
-        with pytest.raises(panel.PanelError, match="external"):
-            panel._profile_for_year(prof, ext_schema, 1, external_by_year=None)
-        table = {1: {"a": {"access": 0}}}
-        moved = panel._profile_for_year(prof, ext_schema, 1, external_by_year=table)
-        assert moved.values["access"] == 0 and moved.values["year"] == 1
+        records = [sm.Record((0, i % 2, i % 2)) for i in range(40)]
+        config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=69)
+        encoded = sm.encode(records, ext_schema)
+        model = cvae.train(encoded, config, encoded)
+        base = records[:2]
+        with pytest.raises(panel.PanelError, match="external values for year 1"):
+            panel.build_panel(model, base, [1], None, draws_per_cell=10, seed=70)
+        with pytest.raises(panel.PanelError, match="individual 1 in year 1"):
+            panel.build_panel(model, base, [1], {1: {"0": {"access": 0}}}, draws_per_cell=10,
+                              seed=70)
+        # the table's values replace the base year's, and the year is moved
+        table = {1: {"0": {"access": 0}, "1": {"access": 0}}}
+        moved = panel._year_columns({"year": np.array([0, 0]), "access": np.array([0, 1])},
+                                    ("0", "1"), ext_schema, 1, table)
+        assert moved["year"].tolist() == [1, 1] and moved["access"].tolist() == [0, 0]
+        cube = panel.build_panel(model, base, [1], table, draws_per_cell=10, seed=70)
+        assert cube.conditionals["access"].tolist() == [0, 1]
 
     def test_single_individual_single_year_degenerate_draw(self, drift_setup):
-        spec, records, model, profiles = drift_setup
-        cube = panel.build_panel(model, profiles[:1], years=[0], external_by_year=None,
+        spec, records, model, base = drift_setup
+        cube = panel.build_panel(model, base[:1], years=[0], external_by_year=None,
                                  draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67)
         assert cube.subset_freqs[cube.subsets[0]].shape[0] == 1
 
@@ -86,15 +95,21 @@ class TestCellDraws:
     def test_cell_recomputed_by_hand(self, drift_setup, small_cube):
         """A cell's generator yields the latent noise, then the category
         uniforms; its decoded draws go through the cumulative-sum rule."""
-        spec, records, model, profiles = drift_setup
+        spec, records, model, base = drift_setup
         i, t = 7, 1
         year, r = small_cube.years[t], small_cube.draws_per_cell
-        rng = derive_rng(small_cube.seed, "panel-cell", profiles[i].id, year)
+        rng = derive_rng(small_cube.seed, "panel-cell", small_cube.ids[i], year)
         eps = rng.standard_normal((r, model.config.latent_dim))
         blocks = [b for b in model.pref_layout if b.onehot]
         uniforms = rng.random((r, len(blocks)))
-        profile = profiles[i].with_values(**{spec.schema.time_attribute.name: year})
-        c_row = sampling.encode_profile(profile, spec.schema, model.cond_layout)
+        cell = sm.encode([base[i]], spec.schema).conditional[0]
+        cols = dict(small_cube.conditionals)
+        cols[spec.schema.time_attribute.name] = np.full(len(small_cube.ids), year)
+        c_row = sm.encode_columns(cols, model.cond_layout, spec.schema)[i]
+        # only the time block differs from the base record's own row
+        moved = [b for b in model.cond_layout if not np.array_equal(
+            cell[b.start : b.start + b.width], c_row[b.start : b.start + b.width])]
+        assert [b.name for b in moved] == [spec.schema.time_attribute.name]
         dec = cvae.decode(model, eps, np.tile(c_row, (r, 1)))
         cats = {}
         for j, block in enumerate(blocks):
@@ -111,8 +126,8 @@ class TestCellDraws:
 
     def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
         """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
-        spec, records, model, profiles = drift_setup
-        build = lambda: panel.build_panel(model, profiles[:45], years=[0, 3],  # noqa: E731
+        spec, records, model, base = drift_setup
+        build = lambda: panel.build_panel(model, base[:45], years=[0, 3],  # noqa: E731
                                           external_by_year=None, draws_per_cell=30, seed=68)
         whole = build()
         rows = []
@@ -144,13 +159,13 @@ class TestAggregateTrend:
         static = panel.aggregate_trend(small_cube, "p_mode", {"group": 0})
         assert drifting.n_individuals + static.n_individuals == 60
 
-    def test_callable_condition(self, small_cube):
-        series = panel.aggregate_trend(small_cube, "p_mode", lambda p: p.values["group"] == 1)
-        assert series.n_individuals > 0
-
     def test_no_match_rejected(self, small_cube):
         with pytest.raises(panel.PanelError, match="no individuals"):
             panel.aggregate_trend(small_cube, "p_mode", {"group": 99})
+
+    def test_unknown_condition_attribute_rejected(self, small_cube):
+        with pytest.raises(panel.PanelError, match="not a conditional attribute"):
+            panel.aggregate_trend(small_cube, "p_mode", {"p_trips": 0})
 
     def test_non_preference_rejected(self, small_cube):
         with pytest.raises(panel.PanelError, match="not a preference"):
@@ -163,12 +178,11 @@ class TestAggregateTrend:
             sm.AttributeSpec("g", "socio", "categorical", cardinality=1),
             sm.AttributeSpec("dist", "preference", "numerical", bin_edges=(0.0, 10.0, 30.0)),
         ))
-        profiles = (sampling.ConditionProfile("a", {"year": 0, "g": 0}),)
         freqs = np.array([[[0.25, 0.75]]])  # midpoints 5 and 20
         cube = panel.PanelCube(
-            individuals=profiles, years=(0,), schema=schema, subsets=(),
-            subset_freqs={}, attr_freqs={"dist": freqs}, external_by_year=None,
-            draws_per_cell=100, seed=0,
+            ids=("0",), conditionals={"year": np.array([0]), "g": np.array([0])},
+            years=(0,), schema=schema, subsets=(),
+            subset_freqs={}, attr_freqs={"dist": freqs}, draws_per_cell=100, seed=0,
         )
         series = panel.aggregate_trend(cube, "dist")
         expected_mean = 0.25 * 5 + 0.75 * 20
@@ -220,29 +234,26 @@ class TestClassifyMovers:
 
 class TestGroupMarginals:
     def test_whole_population_equals_population_marginals(self, drift_setup, small_cube):
-        spec, records, model, profiles = drift_setup
-        out = panel.group_marginals(profiles, [p.id for p in profiles], spec.schema)
+        spec, records, model, base = drift_setup
+        out = panel.group_marginals(small_cube, small_cube.ids)
         assert set(out) == {"group", "segment"}
-        base = [r for r in records if r.values[0] == 0][:60]
         expected = metrics.marginals(base, "segment", spec.schema)
         assert np.allclose(out["segment"]["frequencies"], expected)
 
-    def test_frequencies_sum_to_one_and_mode_flagged(self, drift_setup):
-        spec, records, model, profiles = drift_setup
-        out = panel.group_marginals(profiles, [profiles[0].id, profiles[1].id], spec.schema)
+    def test_frequencies_sum_to_one_and_mode_flagged(self, small_cube):
+        out = panel.group_marginals(small_cube, small_cube.ids[:2])
         for name, table in out.items():
             assert table["frequencies"].sum() == pytest.approx(1.0)
             assert table["mode"] == int(np.argmax(table["frequencies"]))
 
-    def test_empty_group_rejected(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+    def test_empty_group_rejected(self, small_cube):
         with pytest.raises(panel.PanelError, match="empty"):
-            panel.group_marginals(profiles, ["nope"], spec.schema)
+            panel.group_marginals(small_cube, ["nope"])
 
 
 class TestBootstrap:
     def test_smoke_and_shapes(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+        spec, records, model, base = drift_setup
         config = cvae.CvaeConfig(hidden_layers=(16,), latent_dim=2, beta=1.0,
                                  batch_size=64, epochs=3, seed=0)
         stats = [panel.StatisticSpec(attribute="p_mode", category=0, per_year=True)]
@@ -255,7 +266,7 @@ class TestBootstrap:
             assert np.isfinite(mean) and np.isfinite(std) and std >= 0
 
     def test_constant_statistic_zero_std(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+        spec, records, model, base = drift_setup
         config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=1.0,
                                  batch_size=64, epochs=2, seed=0)
         consts = sm.Schema(attributes=(
@@ -271,7 +282,7 @@ class TestBootstrap:
         assert all(r[4] == 0.0 for r in data_rows)  # frequency of the only category
 
     def test_replicate_floor(self, drift_setup):
-        spec, records, model, profiles = drift_setup
+        spec, records, model, base = drift_setup
         config = cvae.CvaeConfig(epochs=1, seed=0)
         with pytest.raises(panel.PanelError, match="replicates"):
             panel.bootstrap(records[:100], spec.schema, config, n_replicates=1,

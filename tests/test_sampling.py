@@ -18,55 +18,55 @@ def small_model():
     return cvae.train(encoded.take(idx_tr), config, encoded.take(idx_va))
 
 
-def profile_for(model, **values):
-    base = {"year": 0, "segment": 0}
-    base.update(values)
-    return sampling.ConditionProfile(id="ind-0", values=base)
+def row_for(model, **values):
+    """The encoded conditional row of one profile (year 0, segment 0 by default)."""
+    cols = {"year": 0, "segment": 0}
+    cols.update(values)
+    return sm.encode_columns({k: np.array([v]) for k, v in cols.items()},
+                             model.cond_layout, model.schema)[0]
+
+
+def records_for(model, *segments):
+    """Year-0 records, one per segment, with every preference at category 0."""
+    return [sm.Record(tuple(s if a.name == "segment" else 0 for a in model.schema.attributes))
+            for s in segments]
 
 
 class TestSample:
     def test_zero_draws_empty(self, small_model):
-        draws = sampling.sample(small_model, profile_for(small_model), 0, seed=1)
+        draws = sampling.sample(small_model, row_for(small_model), "ind-0", 0, seed=1)
         assert draws.draws == []
 
     def test_same_seed_identical(self, small_model):
-        p = profile_for(small_model)
-        a = sampling.sample(small_model, p, 20, seed=2)
-        b = sampling.sample(small_model, p, 20, seed=2)
+        c_row = row_for(small_model)
+        a = sampling.sample(small_model, c_row, "ind-0", 20, seed=2)
+        b = sampling.sample(small_model, c_row, "ind-0", 20, seed=2)
         assert a.draws == b.draws
 
     def test_draw_values_valid_categories(self, small_model):
-        draws = sampling.sample(small_model, profile_for(small_model), 50, seed=3)
+        draws = sampling.sample(small_model, row_for(small_model), "ind-0", 50, seed=3)
         for d in draws.draws:
             for attr in small_model.schema.preference_attributes:
                 assert 0 <= d[attr.name] < attr.n_categories
 
     def test_argmax_mode_constant_given_z(self, small_model):
-        p = profile_for(small_model)
-        a = sampling.sample(small_model, p, 30, seed=4, decode_mode="argmax")
-        b = sampling.sample(small_model, p, 30, seed=4, decode_mode="argmax")
+        c_row = row_for(small_model)
+        a = sampling.sample(small_model, c_row, "ind-0", 30, seed=4, decode_mode="argmax")
+        b = sampling.sample(small_model, c_row, "ind-0", 30, seed=4, decode_mode="argmax")
         assert a.draws == b.draws
         # variation can only come through z, never through category noise
-        c_row = sampling.encode_profile(p, small_model.schema, small_model.cond_layout)
         z = np.zeros((2, small_model.config.latent_dim))
         out = cvae.decode(small_model, z, np.tile(c_row, (2, 1)))
         assert np.array_equal(out[0], out[1])
 
-    def test_profile_missing_attribute_rejected(self, small_model):
-        bad = sampling.ConditionProfile(id="x", values={"year": 0})
-        with pytest.raises(ValueError, match="missing value"):
-            sampling.sample(small_model, bad, 1, seed=5)
-
     def test_profile_out_of_range_rejected(self, small_model):
-        bad = profile_for(small_model, segment=17)
         with pytest.raises(ValueError, match="out of range"):
-            sampling.sample(small_model, bad, 1, seed=6)
+            sampling.generate_population(small_model, records_for(small_model, 17), 1, seed=6)
 
     def test_empirical_frequencies_match_decoder_probabilities(self, small_model):
         """Category frequencies over many draws converge to the softmax
         output at the 1/sqrt(N) rate; 0.01 absolute at N = 100k."""
-        p = profile_for(small_model, segment=1)
-        c_row = sampling.encode_profile(p, small_model.schema, small_model.cond_layout)
+        c_row = row_for(small_model, segment=1)
         n = 100_000
         cols = sampling.sample_preference_columns(small_model, c_row[None, :], n, seed=7)
         rng = derive_rng(7, "bulk-sample")
@@ -80,28 +80,23 @@ class TestSample:
 
 class TestGeneratePopulation:
     def test_draw_count_arithmetic(self, small_model):
-        profiles = [profile_for(small_model), profile_for(small_model, segment=1)]
-        profiles[1] = sampling.ConditionProfile(id="ind-1", values=profiles[1].values)
-        pop = sampling.generate_population(small_model, profiles, 3, seed=15)
+        pop = sampling.generate_population(small_model, records_for(small_model, 0, 1), 3,
+                                           seed=15)
         assert len(pop.records) == 6
-        assert pop.profile_ids == ["ind-0"] * 3 + ["ind-1"] * 3
+        assert pop.profile_ids == ["0"] * 3 + ["1"] * 3
 
     def test_records_validate_against_schema(self, small_model):
-        pop = sampling.generate_population(small_model, [profile_for(small_model)], 25, seed=16)
+        pop = sampling.generate_population(small_model, records_for(small_model, 0), 25,
+                                           seed=16)
         for rec in pop.records:
             sm.validate_record(rec, small_model.schema)
 
     def test_per_profile_streams_invariant_to_batch_shape(self, small_model):
         """The same profile id and seed produce the same draws whether the
         profile is sampled alone or within a population call."""
-        p0 = profile_for(small_model)
-        alone = sampling.sample(small_model, p0, 4, seed=17)
-        both = sampling.generate_population(
-            small_model,
-            [p0, sampling.ConditionProfile(id="other", values=p0.values)],
-            4,
-            seed=17,
-        )
+        alone = sampling.sample(small_model, row_for(small_model), "0", 4, seed=17)
+        both = sampling.generate_population(small_model, records_for(small_model, 0, 0), 4,
+                                            seed=17)
         pref_names = [a.name for a in small_model.schema.preference_attributes]
         for i in range(4):
             rec = both.records[i]
@@ -112,18 +107,37 @@ class TestGeneratePopulation:
         with pytest.raises(ValueError):
             sampling.generate_population(small_model, [], 1, seed=18)
 
+    def test_extrapolated_ids_from_time_column(self):
+        """Raw time values outside the declared range flag their record."""
+        schema = sm.Schema(attributes=(
+            sm.AttributeSpec("t", "time", "numerical", bin_edges=(0.0, 5.0)),
+            sm.AttributeSpec("g", "socio", "categorical", cardinality=2),
+            sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
+        ))
+        records = [sm.Record((float(i % 5), i % 2, i % 2)) for i in range(40)]
+        encoded = sm.encode(records, schema, numeric_mode="raw")
+        config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=21)
+        model = cvae.train(encoded, config, encoded)
+        source = [sm.Record((t, 0, 0)) for t in (2.0, 5.0, -0.5, 4.99)]
+        pop = sampling.generate_population(model, source, 1, seed=22)
+        assert pop.extrapolated_ids == ["1", "2"]
 
-class TestProfiles:
-    def test_profiles_from_records(self, small_model):
-        schema = small_model.schema
+    def test_conditional_rows_match_encode(self, small_model, monkeypatch):
+        """Each record is sampled under its row of encode(records).conditional,
+        bit for bit, with its index as profile id; conditionals are copied."""
         records = oracle.generate_dataset(oracle.canned_spec("static-corr"), 5, seed=19)
-        profiles = sampling.profiles_from_records(records, schema)
-        assert len(profiles) == 25  # 5 per year over 5 years
-        assert set(profiles[0].values) == {"year", "segment"}
+        calls = []
+        original = sampling.sample
 
-    def test_encode_profile_onehot(self, small_model):
-        row = sampling.encode_profile(
-            profile_for(small_model, segment=2), small_model.schema, small_model.cond_layout
-        )
-        assert row.sum() == 2.0  # one-hot year plus one-hot segment
-        assert row[0] == 1.0  # year 0
+        def spy(model, c_row, profile_id, *args, **kwargs):
+            calls.append((profile_id, c_row.copy()))
+            return original(model, c_row, profile_id, *args, **kwargs)
+
+        monkeypatch.setattr(sampling, "sample", spy)
+        pop = sampling.generate_population(small_model, records, 2, seed=20)
+        expected = sm.encode(records, small_model.schema).conditional
+        assert [pid for pid, _ in calls] == [str(i) for i in range(len(records))]
+        assert np.array_equal(np.stack([row for _, row in calls]), expected)
+        cond = [i for i, a in enumerate(small_model.schema.attributes) if a.role != "preference"]
+        for k, rec in enumerate(pop.records):
+            assert [rec.values[i] for i in cond] == [records[k // 2].values[i] for i in cond]

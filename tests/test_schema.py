@@ -207,6 +207,18 @@ class TestOneHot:
         with pytest.raises(ValueError, match="out of range"):
             sm.encode([sm.Record((0, -1))], minimal_schema())
 
+    def test_encode_columns_onehot(self):
+        """A column table encodes like the records it came from: one bit per
+        categorical, the bin of a numerical (clamped), or its raw value."""
+        schema = mixed_schema()
+        cols = {"t": np.array([2, 0]), "income": np.array([-3.0, 25.0])}
+        layout, _ = sm.build_layout(schema, preference=False)
+        assert sm.encode_columns(cols, layout, schema).tolist() == [
+            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
+        raw, _ = sm.build_layout(schema, preference=False, numeric_mode="raw")
+        assert sm.encode_columns(cols, raw, schema).tolist() == [
+            [0.0, 0.0, 1.0, -3.0], [1.0, 0.0, 0.0, 25.0]]
+
 
 def mixed_schema():
     return make_schema([
@@ -258,18 +270,6 @@ class TestEncodeDecode:
         assert ds.dim_c == 4  # 3 one-hot + 1 raw column
         back = sm.decode(ds.conditional[0], ds.preference[0], ds)
         assert back.values[1] == 13.0 and back.values[3] == 3.25
-
-    @pytest.mark.parametrize("numeric_mode", sm.NUMERIC_MODES)
-    def test_conditional_rows_match_per_profile_encoding(self, numeric_mode):
-        from superpanel.sampling import encode_profile, profiles_from_records
-
-        schema = mixed_schema()
-        records = [sm.Record((t, inc, p, d)) for t, inc, p, d in
-                   [(0, -3.0, 1, 3.0), (2, 10.0, 0, 44.0), (1, 39.9, 1, 50.0), (0, 99.0, 0, 0.0)]]
-        ds = sm.encode(records, schema, numeric_mode=numeric_mode)
-        expected = [encode_profile(p, schema, ds.cond_layout)
-                    for p in profiles_from_records(records, schema)]
-        assert np.array_equal(ds.conditional, np.stack(expected))
 
     def test_sampling_mode_decode_reproducible(self):
         schema = minimal_schema()
