@@ -27,7 +27,6 @@ DEFAULT_CONFIG = {
     "out_dir": None,
     "schema": None,
     "data": None,
-    "numeric_mode": "discretize",
     "split_fraction": 0.8,
     "dgp": {"name": "static-corr", "spec_path": None, "n_per_year": 1000, "years": None},
     "model": {
@@ -246,7 +245,7 @@ def cmd_synth(args) -> int:
 def _train_split(config, sch, records):
     fraction = float(config.get("split_fraction", 0.8))
     idx_train, idx_val = schema_mod.split_indices(len(records), fraction, config["seed"])
-    encoded = schema_mod.encode(records, sch, numeric_mode=config["numeric_mode"])
+    encoded = schema_mod.encode(records, sch)
     return encoded, encoded.take(idx_train), encoded.take(idx_val), idx_train, idx_val
 
 
@@ -467,6 +466,10 @@ def _load_external_table(path, sch, base_records):
         fields = reader.fieldnames or []
         by_zone = "zone" in fields and "individual_id" not in fields
         key_col = "zone" if by_zone else "individual_id"
+        missing = [c for c in ("year", key_col, *externals) if c not in fields]
+        if missing:
+            raise CliError(f"{path}: external table has no column "
+                           + ", ".join(repr(c) for c in missing))
         raw: dict = {}
         for row in reader:
             year = int(row["year"])
@@ -582,8 +585,8 @@ def cmd_classify_movers(args) -> int:
     movers_cfg = config["movers"]
     t_start = movers_cfg.get("t_start")
     t_end = movers_cfg.get("t_end")
-    if t_start is None or t_end is None:
-        t_start, t_end = cube.years[0], cube.years[-1]
+    t_start = cube.years[0] if t_start is None else t_start
+    t_end = cube.years[-1] if t_end is None else t_end
     subset = movers_cfg.get("subset")
     report = panel.classify_movers(
         cube, int(t_start), int(t_end), tuple(subset) if subset else None
@@ -647,7 +650,6 @@ def cmd_bootstrap(args) -> int:
         statistics=stats,
         seed=derive_seed(config["seed"], "bootstrap"),
         samples_per_replicate=int(bs_cfg.get("samples_per_replicate", 100)),
-        numeric_mode=config["numeric_mode"],
         jobs=args.jobs,
     )
     bs_path = out / "bootstrap.csv"

@@ -3,17 +3,15 @@
 The encoder maps the concatenation of a preference row v and its
 conditional row c to the mean and log-variance of a diagonal Gaussian over
 the latent space. A latent draw z = mu + exp(log_var / 2) * eps is
-concatenated with c and decoded back into per-block reconstructions:
-softmax probabilities for every one-hot segment and raw reals for numeric
-positions.
+concatenated with c and decoded back into softmax probabilities for
+every one-hot segment of v.
 
 The training objective summed over a batch is
 
-    total = mse_num + xent_cat + beta * kl
+    total = xent + beta * kl
 
-with the squared-error term over numeric positions, the cross-entropy
-term over one-hot segments, and the analytic Gaussian divergence from the
-unit prior
+with the cross-entropy of v under the decoder's probabilities and the
+analytic Gaussian divergence from the unit prior
 
     kl = -1/2 * sum_i (1 + log_var_i - mu_i^2 - exp(log_var_i)).
 
@@ -29,10 +27,12 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from . import metrics, nn
-from .schema import EncodedDataset, Schema, build_layout, discretize_array, schema_from_dict
+from .schema import EncodedDataset, Schema, build_layout, schema_from_dict
 from .seeding import derive_rng, derive_seed
 
 LOG_FLOOR = 1e-12  # clamp inside log() so saturated softmax cannot emit -inf
+#: version 2: every preference is a softmax segment; head blocks are widths
+MODEL_FORMAT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,14 +91,13 @@ class LatentParams:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    mse_num: float
-    xent_cat: float
+    xent: float
     kl: float
     beta: float
     total: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "total", self.mse_num + self.xent_cat + self.beta * self.kl)
+        object.__setattr__(self, "total", self.xent + self.beta * self.kl)
 
 
 @dataclass
@@ -109,7 +108,6 @@ class TrainedModel:
     schema: Schema
     cond_layout: tuple
     pref_layout: tuple
-    numeric_mode: str
     training_history: list[tuple[float, float]]
     best_epoch: int
 
@@ -122,9 +120,9 @@ class TrainedModel:
         return self.encoder.in_dim - self.decoder.out_dim
 
 
-def output_blocks(pref_layout) -> tuple[tuple[str, int], ...]:
-    """Mixed decoder head: softmax per one-hot segment, linear elsewhere."""
-    return tuple(("softmax" if b.onehot else "linear", b.width) for b in pref_layout)
+def output_blocks(pref_layout) -> tuple[int, ...]:
+    """Segment widths of the decoder head: one softmax per preference attribute."""
+    return tuple(b.width for b in pref_layout)
 
 
 def build_networks(dim_v: int, dim_c: int, config: CvaeConfig, pref_layout) -> tuple[nn.Network, nn.Network]:
@@ -159,7 +157,7 @@ def reparameterize(params: LatentParams, eps: np.ndarray) -> np.ndarray:
 
 
 def decode(model: TrainedModel, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Reconstruction: probabilities per one-hot segment, reals elsewhere."""
+    """Reconstruction: probabilities per one-hot segment."""
     x = np.concatenate([np.asarray(z, dtype=float), np.asarray(c, dtype=float)], axis=-1)
     out, _ = nn.forward(model.decoder, x)
     return out
@@ -170,14 +168,6 @@ def kl_divergence(mu: np.ndarray, log_var: np.ndarray) -> float:
     return float(-0.5 * np.sum(1.0 + log_var - mu ** 2 - np.exp(log_var)))
 
 
-def _numeric_mask(pref_layout, dim_v: int) -> np.ndarray:
-    mask = np.zeros(dim_v, dtype=bool)
-    for b in pref_layout:
-        if not b.onehot:
-            mask[b.start : b.start + b.width] = True
-    return mask
-
-
 def loss_and_grads(
     encoder: nn.Network,
     decoder: nn.Network,
@@ -185,7 +175,6 @@ def loss_and_grads(
     C: np.ndarray,
     eps: np.ndarray,
     beta: float,
-    numeric_mask: np.ndarray,
     want_grads: bool = True,
     out: tuple = (None, None),
 ):
@@ -213,23 +202,15 @@ def loss_and_grads(
         z = mu + std * eps
         dec_out, dec_tape = nn.forward(decoder, np.concatenate([z, C], axis=1))
 
-        num = numeric_mask
-        cat = ~numeric_mask
-        diff_num = V[:, num] - dec_out[:, num]
-        mse_num = 0.5 * float(np.sum(diff_num ** 2))
-        v_cat = V[:, cat]
-        probs = dec_out[:, cat]
-        clamped = np.maximum(probs, LOG_FLOOR)
-        xent_cat = -float(np.sum(v_cat * np.log(clamped)))
+        clamped = np.maximum(dec_out, LOG_FLOOR)
+        xent = -float(np.sum(V * np.log(clamped)))
         kl = kl_divergence(mu, log_var)
-        breakdown = LossBreakdown(mse_num=mse_num, xent_cat=xent_cat, kl=kl, beta=beta)
+        breakdown = LossBreakdown(xent=xent, kl=kl, beta=beta)
         if not want_grads:
             return breakdown, None, None
 
-        grad_dec_out = np.empty_like(dec_out)
-        grad_dec_out[:, num] = -diff_num
         # clamped entries sit on a flat segment of log
-        grad_dec_out[:, cat] = np.where(probs >= LOG_FLOOR, -v_cat / clamped, 0.0)
+        grad_dec_out = np.where(dec_out >= LOG_FLOOR, -V / clamped, 0.0)
 
         dec_grads = nn.backward(decoder, dec_tape, grad_dec_out, out=out[1])
         grad_z = dec_grads.input_grad[:, :d_z]
@@ -243,9 +224,8 @@ def loss_and_grads(
 
 def loss(model: TrainedModel, V: np.ndarray, C: np.ndarray, eps: np.ndarray) -> LossBreakdown:
     """Batch loss of a trained model with supplied eps draws."""
-    mask = _numeric_mask(model.pref_layout, model.dim_v)
     breakdown, _, _ = loss_and_grads(
-        model.encoder, model.decoder, V, C, eps, model.config.beta, mask, want_grads=False
+        model.encoder, model.decoder, V, C, eps, model.config.beta, want_grads=False
     )
     return breakdown
 
@@ -269,7 +249,6 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         raise ValueError("empty training set")
     dim_v, dim_c = dataset.dim_v, dataset.dim_c
     encoder, decoder = build_networks(dim_v, dim_c, config, dataset.pref_layout)
-    mask = _numeric_mask(dataset.pref_layout, dim_v)
     params = nn.pack([encoder, decoder])
     grads = np.empty_like(params)
     grad_views = nn.gradient_views([encoder, decoder], grads)
@@ -298,7 +277,6 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
                 dataset.conditional[idx],
                 eps,
                 config.beta,
-                mask,
                 out=grad_views,
             )
             if not np.isfinite(breakdown.total):
@@ -308,7 +286,7 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         train_loss = epoch_total / n
         val_break, _, _ = loss_and_grads(
             encoder, decoder, val_set.preference, val_set.conditional, val_eps,
-            config.beta, mask, want_grads=False,
+            config.beta, want_grads=False,
         )
         if not np.isfinite(val_break.total):
             raise TrainingDiverged(epoch, "validation loss")
@@ -327,7 +305,6 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         schema=dataset.schema,
         cond_layout=dataset.cond_layout,
         pref_layout=dataset.pref_layout,
-        numeric_mode=dataset.numeric_mode,
         training_history=history,
         best_epoch=best_epoch,
     )
@@ -364,15 +341,11 @@ class GridResult:
 
 def _pref_histogram(ds: EncodedDataset, subset) -> metrics.JointHistogram:
     """Exact cross tabulation of an encoded set over a preference subset."""
-    cols = {}
-    for block in ds.pref_layout:
-        if block.name in subset:
-            seg = ds.preference[:, block.start : block.start + block.width]
-            if block.onehot:
-                cols[block.name] = np.argmax(seg, axis=1).astype(np.int64)
-            else:
-                edges = ds.schema.attribute(block.name).bin_edges
-                cols[block.name] = discretize_array(seg[:, 0], edges)
+    cols = {
+        block.name: np.argmax(ds.preference[:, block.start : block.start + block.width],
+                              axis=1).astype(np.int64)
+        for block in ds.pref_layout if block.name in subset
+    }
     return metrics.cross_tabulate_columns(cols, subset, ds.schema)
 
 
@@ -380,17 +353,16 @@ def evaluate_srmse(model: TrainedModel, val_set: EncodedDataset, eval_subsets, s
                    draws_per_row: int = 1) -> dict:
     """Validation SRMSE per subset: model draws conditioned on the held-out
     conditionals versus the held-out preference tabulation."""
-    from .sampling import sample_preference_columns, sampled_category_columns
+    from .sampling import sample_preference_columns
 
     cols = sample_preference_columns(
         model, val_set.conditional, draws_per_row=draws_per_row, seed=seed, decode_mode="sample"
     )
-    cat_cols = sampled_category_columns(model, cols)
     out = {}
     for subset in eval_subsets:
         subset = tuple(subset)
         model_hist = metrics.cross_tabulate_columns(
-            {k: cat_cols[k] for k in subset}, subset, model.schema
+            {k: cols[k] for k in subset}, subset, model.schema
         )
         val_hist = _pref_histogram(val_set, subset)
         out[subset] = metrics.srmse(model_hist, val_hist)
@@ -474,7 +446,7 @@ def _network_to_dict(net: nn.Network) -> dict:
                 "weights": layer.weights.tolist(),
                 "biases": layer.biases.tolist(),
                 "activation": layer.activation,
-                "blocks": [list(b) for b in layer.blocks] if layer.blocks else None,
+                "blocks": list(layer.blocks) if layer.blocks else None,
             }
             for layer in net.layers
         ]
@@ -489,7 +461,7 @@ def _network_from_dict(data: dict) -> nn.Network:
                 weights=np.array(entry["weights"], dtype=float),
                 biases=np.array(entry["biases"], dtype=float),
                 activation=entry["activation"],
-                blocks=tuple((k, int(w)) for k, w in entry["blocks"]) if entry["blocks"] else None,
+                blocks=tuple(int(w) for w in entry["blocks"]) if entry["blocks"] else None,
             )
         )
     return nn.Network(layers=layers)
@@ -498,11 +470,10 @@ def _network_from_dict(data: dict) -> nn.Network:
 def save_model(model: TrainedModel, path) -> None:
     payload = {
         "format": "superpanel-model",
-        "format_version": 1,
+        "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(model.config),
         "schema": model.schema.to_dict(),
         "schema_hash": model.schema.content_hash(),
-        "numeric_mode": model.numeric_mode,
         "encoder": _network_to_dict(model.encoder),
         "decoder": _network_to_dict(model.decoder),
         "training_history": [[t, v] for t, v in model.training_history],
@@ -518,10 +489,13 @@ def load_model(path) -> TrainedModel:
         payload = json.load(fh)
     if payload.get("format") != "superpanel-model":
         raise ValueError(f"{path}: not a model file")
+    version = payload.get("format_version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: model format_version {version} is not supported "
+                         f"(expected {MODEL_FORMAT_VERSION}); retrain the model")
     schema = schema_from_dict(payload["schema"])
-    numeric_mode = payload["numeric_mode"]
-    cond_layout, _ = build_layout(schema, preference=False, numeric_mode=numeric_mode)
-    pref_layout, _ = build_layout(schema, preference=True, numeric_mode=numeric_mode)
+    cond_layout, _ = build_layout(schema, preference=False)
+    pref_layout, _ = build_layout(schema, preference=True)
     return TrainedModel(
         encoder=_network_from_dict(payload["encoder"]),
         decoder=_network_from_dict(payload["decoder"]),
@@ -529,7 +503,6 @@ def load_model(path) -> TrainedModel:
         schema=schema,
         cond_layout=cond_layout,
         pref_layout=pref_layout,
-        numeric_mode=numeric_mode,
         training_history=[(t, v) for t, v in payload["training_history"]],
         best_epoch=payload["best_epoch"],
     )

@@ -1,10 +1,10 @@
 """Dense feed-forward network kernel with hand-derived backpropagation.
 
 Layers compute y = f(x W^T + b). Supported activations are tanh, linear,
-and a mixed output head ("softmax_blocks") that applies a softmax to each
-declared categorical segment and passes the remaining positions through
-linearly. Gradients are exact chain-rule derivatives; the test suite
-checks them against central finite differences.
+and an output head ("softmax_blocks") that applies a softmax to each of
+the declared consecutive segments covering its columns. Gradients are
+exact chain-rule derivatives; the test suite checks them against central
+finite differences.
 
 All math is float64. Networks are plain numpy arrays, safe to share for
 inference; training mutates parameters in place through the optimizer.
@@ -22,7 +22,6 @@ import numpy as np
 from .seeding import derive_rng
 
 ACTIVATIONS = ("tanh", "linear", "softmax_blocks")
-BLOCK_KINDS = ("softmax", "linear")
 
 
 class DimensionError(ValueError):
@@ -34,7 +33,7 @@ class DenseLayer:
     weights: np.ndarray  # (out_dim, in_dim)
     biases: np.ndarray  # (out_dim,)
     activation: str
-    blocks: tuple[tuple[str, int], ...] | None = None  # for softmax_blocks
+    blocks: tuple[int, ...] | None = None  # segment widths, for softmax_blocks
     softmax_index: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -47,19 +46,14 @@ class DenseLayer:
         if self.activation == "softmax_blocks":
             if not self.blocks:
                 raise ValueError("softmax_blocks needs block declarations")
-            for kind, width in self.blocks:
-                if kind not in BLOCK_KINDS or width < 1:
-                    raise ValueError(f"bad block ({kind}, {width})")
-            if sum(w for _, w in self.blocks) != self.out_dim:
+            if any(width < 1 for width in self.blocks):
+                raise ValueError(f"bad block widths {self.blocks}")
+            if sum(self.blocks) != self.out_dim:
                 raise DimensionError("block widths must sum to out_dim")
-            # the softmax columns, where each softmax block starts among them and
-            # the block of each: the segments of the reduceat calls in the head
-            widths = [w for kind, w in self.blocks if kind == "softmax"]
-            is_softmax = np.repeat([kind == "softmax" for kind, _ in self.blocks],
-                                   [w for _, w in self.blocks])
-            block_of = np.repeat(np.arange(len(widths)), widths)
-            self.softmax_index = (np.flatnonzero(is_softmax),
-                                  np.flatnonzero(np.diff(block_of, prepend=-1)), block_of)
+            # where each block starts and the block of each column: the
+            # segments of the reduceat calls in the head
+            block_of = np.repeat(np.arange(len(self.blocks)), self.blocks)
+            self.softmax_index = (np.flatnonzero(np.diff(block_of, prepend=-1)), block_of)
         elif self.blocks:
             raise ValueError("blocks only apply to softmax_blocks activation")
 
@@ -134,12 +128,10 @@ def _activate(layer: DenseLayer, pre: np.ndarray) -> None:
     if layer.activation == "tanh":
         np.tanh(pre, out=pre)
     elif layer.activation == "softmax_blocks":
-        cols, starts, block_of = layer.softmax_index
-        s = pre[..., cols]
-        s -= np.maximum.reduceat(s, starts, axis=-1)[..., block_of]
-        np.exp(s, out=s)
-        s /= np.add.reduceat(s, starts, axis=-1)[..., block_of]
-        pre[..., cols] = s
+        starts, block_of = layer.softmax_index
+        pre -= np.maximum.reduceat(pre, starts, axis=-1)[..., block_of]
+        np.exp(pre, out=pre)
+        pre /= np.add.reduceat(pre, starts, axis=-1)[..., block_of]
 
 
 def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -151,13 +143,9 @@ def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.nda
         return grad_pre
     if layer.activation == "linear":
         return grad_out
-    cols, starts, block_of = layer.softmax_index
-    grad_pre = grad_out.copy()
-    p = output[..., cols]
-    g = grad_out[..., cols]
-    g -= np.add.reduceat(g * p, starts, axis=-1)[..., block_of]
-    g *= p
-    grad_pre[..., cols] = g
+    starts, block_of = layer.softmax_index
+    grad_pre = grad_out - np.add.reduceat(grad_out * output, starts, axis=-1)[..., block_of]
+    grad_pre *= output
     return grad_pre
 
 
@@ -260,8 +248,8 @@ def init_weights(dims, seed: int, activations=None, output_blocks=None) -> Netwo
     """Seeded network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
 
     dims is the full dimension chain; activations defaults to tanh for
-    hidden layers and linear for the last. Pass output_blocks to give the
-    final layer the mixed softmax/linear head.
+    hidden layers and linear for the last. Pass output_blocks, the segment
+    widths, to give the final layer the per-segment softmax head.
     """
     dims = list(dims)
     if len(dims) < 2:

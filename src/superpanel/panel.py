@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cvae, metrics
 from .metrics import JointHistogram
-from .sampling import generate_population, sampled_category_columns, _decode_with_noise
+from .sampling import generate_population, _decode_with_noise
 from .schema import Schema, discretize_array, encode, encode_columns, record_columns
 from .seeding import derive_rng, derive_seed
 
@@ -104,8 +104,7 @@ def _panel_year_block(args):
     schema = model.schema
     n, r = len(ids), draws_per_cell
     rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
-    cat_cols = sampled_category_columns(
-        model, _decode_with_noise(model, cond_rows, r, rngs, "sample"))
+    cat_cols = _decode_with_noise(model, cond_rows, r, rngs, "sample")
     cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
 
     def tabulate(flat, n_bins):
@@ -410,7 +409,7 @@ def _statistic_values(records, schema: Schema, stat: StatisticSpec) -> dict:
 
 
 def _bootstrap_replicate(args):
-    (rep_idx, records, schema, config, stats, samples_per_replicate, seed, numeric_mode) = args
+    (rep_idx, records, schema, config, stats, samples_per_replicate, seed) = args
     rng = derive_rng(seed, "bootstrap-resample", rep_idx)
     n = len(records)
     resample_idx = rng.integers(0, n, size=n)
@@ -418,7 +417,7 @@ def _bootstrap_replicate(args):
 
     data_stats = {s.name: _statistic_values(resample, schema, s) for s in stats}
 
-    encoded = encode(resample, schema, numeric_mode=numeric_mode)
+    encoded = encode(resample, schema)
     rep_cfg = replace(config, seed=derive_seed(seed, "bootstrap-train", rep_idx))
     split_at = max(1, int(round(n * 0.9)))
     if split_at >= n:
@@ -441,7 +440,7 @@ def _bootstrap_replicate(args):
 
 def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: int,
               statistics, seed: int, samples_per_replicate: int = 100,
-              numeric_mode: str = "discretize", jobs: int = 1) -> BootstrapSummary:
+              jobs: int = 1) -> BootstrapSummary:
     """Refit-and-resample uncertainty estimates.
 
     Each replicate resamples the records with replacement at full size,
@@ -457,7 +456,7 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
     if not stats:
         raise PanelError("no statistics declared")
     args = [
-        (b, records, schema, config, stats, samples_per_replicate, seed, numeric_mode)
+        (b, records, schema, config, stats, samples_per_replicate, seed)
         for b in range(n_replicates)
     ]
     if jobs > 1:

@@ -1,7 +1,7 @@
 """Conditional sampling from a trained model.
 
 New preference draws come from pushing unit-Gaussian latent vectors
-through the decoder under a fixed conditional row. Categorical segments
+through the decoder under a fixed conditional row. Preference segments
 are resolved either by a seeded draw from the softmax distribution
 ("sample", the default, which preserves the full conditional spread) or
 by taking the mode ("argmax"). Per-profile randomness is derived from
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import nn
 from .cvae import TrainedModel
-from .schema import Record, discretize_array, encode_columns, record_columns
+from .schema import Record, encode_columns, record_columns
 from .seeding import derive_rng
 
 DECODE_MODES = ("sample", "argmax")
@@ -34,26 +34,17 @@ class PreferenceDraws:
 
 
 def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms, decode_mode: str):
-    """Turn decoder rows into per-attribute value columns.
-
-    One-hot segments yield category indices; raw numeric segments pass
-    the linear output through unchanged (no added observation noise).
-    """
+    """Turn decoder rows into one column of category indices per attribute."""
     cols = {}
-    block_i = 0
-    for block in model.pref_layout:
+    for j, block in enumerate(model.pref_layout):
         seg = dec_out[:, block.start : block.start + block.width]
-        if not block.onehot:
-            cols[block.name] = seg[:, 0].copy()
-            continue
         if decode_mode == "argmax":
             cols[block.name] = np.argmax(seg, axis=1).astype(np.int64)
         else:
             cum = np.cumsum(seg, axis=1)
-            u = uniforms[:, block_i] * cum[:, -1]  # renormalize against fp drift
+            u = uniforms[:, j] * cum[:, -1]  # renormalize against fp drift
             idx = np.sum(u[:, None] >= cum, axis=1)
             cols[block.name] = np.minimum(idx, block.width - 1).astype(np.int64)
-        block_i += 1
     return cols
 
 
@@ -63,11 +54,11 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
 
     rngs[i] is row i's generator (rows may share one); each row draws its
     latent noise, then its category uniforms. Rows are decoded in chunks of
-    about CHUNK_ROWS draws. Returns one column per preference attribute
-    with draws_per_row consecutive entries per row.
+    about CHUNK_ROWS draws. Returns one column of category indices per
+    preference attribute with draws_per_row consecutive entries per row.
     """
     r, d_z = draws_per_row, model.config.latent_dim
-    n_blocks = sum(b.onehot for b in model.pref_layout) if decode_mode == "sample" else 0
+    n_blocks = len(model.pref_layout) if decode_mode == "sample" else 0
     pieces = []
     rows_per_chunk = max(1, CHUNK_ROWS // r)
     for lo in range(0, len(c_rows), rows_per_chunk):
@@ -104,7 +95,7 @@ def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int
     values = []
     for block in model.pref_layout:
         attr = model.schema.attribute(block.name)
-        if block.onehot and attr.kind == "numerical":
+        if attr.kind == "numerical":
             values.append([attr.bin_representative(v) for v in cols[block.name].tolist()])
         else:
             values.append(cols[block.name].tolist())
@@ -117,29 +108,15 @@ def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draw
                               seed: int, decode_mode: str = "sample") -> dict[str, np.ndarray]:
     """Vectorized draws for many conditional rows at once.
 
-    Returns one column per preference attribute with draws_per_row
-    consecutive entries per conditional row (row-major). One-hot segments
-    come back as category indices, raw numeric segments as reals. All rows
-    share one generator and take their draws from it in row order.
+    Returns one column of category indices per preference attribute with
+    draws_per_row consecutive entries per conditional row (row-major). All
+    rows share one generator and take their draws from it in row order.
     """
     if decode_mode not in DECODE_MODES:
         raise ValueError(f"unknown decode_mode {decode_mode!r}")
     cond_matrix = np.atleast_2d(np.asarray(cond_matrix, dtype=float))
     rngs = [derive_rng(seed, "bulk-sample")] * len(cond_matrix)
     return _decode_with_noise(model, cond_matrix, draws_per_row, rngs, decode_mode)
-
-
-def sampled_category_columns(model: TrainedModel, cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Normalize sampled columns into category-index space for tabulation."""
-    out = {}
-    for block in model.pref_layout:
-        col = cols[block.name]
-        if block.onehot:
-            out[block.name] = np.asarray(col, dtype=np.int64)
-        else:
-            attr = model.schema.attribute(block.name)
-            out[block.name] = discretize_array(col, attr.bin_edges)
-    return out
 
 
 @dataclass

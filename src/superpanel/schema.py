@@ -5,8 +5,8 @@ A survey column is declared as an :class:`AttributeSpec` with a role
 with a fixed number of categories, or numerical with sorted bin edges).
 Records are encoded into a conditional block ``C`` (all non-preference
 attributes) and a preference block ``V``; categorical attributes become
-one-hot segments, numerical attributes become either a one-hot segment
-over their bins (default) or a single raw column.
+one-hot segments and numerical attributes one-hot segments over their
+bins.
 """
 
 import csv
@@ -20,10 +20,6 @@ from .seeding import derive_rng
 
 ROLES = ("time", "geography", "external", "socio", "preference")
 KINDS = ("categorical", "numerical")
-
-#: numerical attributes are encoded as one-hot over their bins ("discretize")
-#: or as a single raw real column ("raw")
-NUMERIC_MODES = ("discretize", "raw")
 
 
 class SchemaError(ValueError):
@@ -345,28 +341,21 @@ def category_columns(records, subset, schema: Schema) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Column span of one attribute inside an encoded block."""
+    """Column span of one attribute's one-hot segment inside an encoded block."""
 
     name: str
     start: int
     width: int
-    onehot: bool
 
 
-def build_layout(schema: Schema, preference: bool, numeric_mode: str = "discretize"):
+def build_layout(schema: Schema, preference: bool):
     """Column layout for the preference (V) or conditional (C) block."""
-    if numeric_mode not in NUMERIC_MODES:
-        raise ValueError(f"unknown numeric_mode {numeric_mode!r}")
     attrs = schema.preference_attributes if preference else schema.conditional_attributes
     blocks = []
     offset = 0
     for a in attrs:
-        if a.kind == "categorical" or numeric_mode == "discretize":
-            width, onehot = a.n_categories, True
-        else:
-            width, onehot = 1, False
-        blocks.append(BlockLayout(a.name, offset, width, onehot))
-        offset += width
+        blocks.append(BlockLayout(a.name, offset, a.n_categories))
+        offset += a.n_categories
     return tuple(blocks), offset
 
 
@@ -379,7 +368,6 @@ class EncodedDataset:
     schema: Schema
     cond_layout: tuple[BlockLayout, ...]
     pref_layout: tuple[BlockLayout, ...]
-    numeric_mode: str = "discretize"
 
     @property
     def n_rows(self) -> int:
@@ -399,7 +387,7 @@ class EncodedDataset:
 
 
 def encode_columns(cols, layout, schema: Schema) -> np.ndarray:
-    """One-hot (or raw) matrix of one block from an attribute -> array table.
+    """One-hot matrix of one block from an attribute -> array table.
 
     Every conditional or preference row in the package is written here:
     survey rows, generated populations and panel cells alike.
@@ -409,9 +397,6 @@ def encode_columns(cols, layout, schema: Schema) -> np.ndarray:
     rows = np.arange(n)
     for block in layout:
         col = cols[block.name]
-        if not block.onehot:
-            out[:, block.start] = col
-            continue
         attr = schema.attribute(block.name)
         if attr.kind == "numerical":
             col = discretize_array(col, attr.bin_edges)
@@ -423,10 +408,10 @@ def encode_columns(cols, layout, schema: Schema) -> np.ndarray:
     return out
 
 
-def encode(records, schema: Schema, numeric_mode: str = "discretize") -> EncodedDataset:
+def encode(records, schema: Schema) -> EncodedDataset:
     """Encode records into conditional and preference matrices."""
-    cond_layout, _ = build_layout(schema, preference=False, numeric_mode=numeric_mode)
-    pref_layout, _ = build_layout(schema, preference=True, numeric_mode=numeric_mode)
+    cond_layout, _ = build_layout(schema, preference=False)
+    pref_layout, _ = build_layout(schema, preference=True)
     cols = record_columns(records, [a.name for a in schema.attributes], schema)
     return EncodedDataset(
         conditional=encode_columns(cols, cond_layout, schema),
@@ -434,46 +419,28 @@ def encode(records, schema: Schema, numeric_mode: str = "discretize") -> Encoded
         schema=schema,
         cond_layout=cond_layout,
         pref_layout=pref_layout,
-        numeric_mode=numeric_mode,
     )
 
 
-def decode_block(vector, layout, schema: Schema, mode: str = "exact", rng=None) -> dict:
-    """Decode one encoded block row back to attribute values.
-
-    mode "exact" expects unit one-hot segments (argmax; exact round trip),
-    "argmax" takes the most probable category of a probability segment,
-    and "sample" draws a category from the segment distribution using rng.
-    Numerical attributes come back as the bin midpoint (one-hot segments)
-    or the raw column value.
+def decode_block(vector, layout, schema: Schema) -> dict:
+    """Decode one encoded block row back to attribute values, the inverse of
+    encode: the hot column of each segment gives the category, which
+    numerical attributes turn into the bin midpoint.
     """
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
     vector = np.asarray(vector, dtype=float)
     out = {}
     for block in layout:
         attr = schema.attribute(block.name)
-        seg = vector[block.start : block.start + block.width]
-        if not block.onehot:
-            out[block.name] = float(seg[0])
-            continue
-        if mode == "sample":
-            p = seg / seg.sum()
-            idx = int(rng.choice(block.width, p=p))
-        else:
-            idx = int(np.argmax(seg))
-        if attr.kind == "categorical":
-            out[block.name] = idx
-        else:
-            out[block.name] = attr.bin_representative(idx)
+        idx = int(np.argmax(vector[block.start : block.start + block.width]))
+        out[block.name] = idx if attr.kind == "categorical" else attr.bin_representative(idx)
     return out
 
 
-def decode(cond_row, pref_row, dataset: EncodedDataset, mode: str = "exact", rng=None) -> Record:
+def decode(cond_row, pref_row, dataset: EncodedDataset) -> Record:
     """Rebuild a full record from its two encoded rows."""
     values = {}
-    values.update(decode_block(cond_row, dataset.cond_layout, dataset.schema, mode, rng))
-    values.update(decode_block(pref_row, dataset.pref_layout, dataset.schema, mode, rng))
+    values.update(decode_block(cond_row, dataset.cond_layout, dataset.schema))
+    values.update(decode_block(pref_row, dataset.pref_layout, dataset.schema))
     return Record(tuple(values[a.name] for a in dataset.schema.attributes))
 
 

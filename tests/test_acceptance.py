@@ -119,16 +119,15 @@ def test_01_gradient_correctness():
     assert data.dim_v == 6 and data.dim_c == 4
     config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=0.7, epochs=1, seed=3)
     encoder, decoder = cvae.build_networks(data.dim_v, data.dim_c, config, data.pref_layout)
-    mask = np.array([b for blk in data.pref_layout for b in [not blk.onehot] * blk.width])
     eps = derive_rng(29, "acceptance-eps").standard_normal((5, 2))
 
     def loss_fn():
         b, _, _ = cvae.loss_and_grads(encoder, decoder, data.preference, data.conditional,
-                                      eps, config.beta, mask, want_grads=False)
+                                      eps, config.beta, want_grads=False)
         return b.total
 
     _, enc_g, dec_g = cvae.loss_and_grads(encoder, decoder, data.preference,
-                                          data.conditional, eps, config.beta, mask)
+                                          data.conditional, eps, config.beta)
     analytic = enc_g + dec_g
     numeric = numeric_gradients(loss_fn, encoder.parameters() + decoder.parameters(), h=1e-5)
     worst_rel = 0.0

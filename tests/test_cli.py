@@ -151,6 +151,16 @@ class TestPanelCommands:
         assert marg[0] == ["attribute", "category", "freq_fast", "freq_slow",
                            "mode_fast", "mode_slow"]
 
+    def test_lone_movers_year_kept(self, pipeline, tmp_path):
+        """A start year given alone stays; only the missing end year defaults."""
+        tmp, out, cfg = pipeline
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", "panel.years=[0,1,2,3,4]",
+                    "--set", 'movers={"t_start": 1}']) == 0
+        manifest = json.loads((tmp_path / "classify_movers_manifest.json").read_text())
+        assert (manifest["t_start"], manifest["t_end"]) == (1, 4)
+
     def test_bootstrap_outputs(self, pipeline):
         tmp, out, cfg = pipeline
         assert run(["bootstrap", "--config", str(cfg), "--out", str(out)]) == 0
@@ -184,6 +194,19 @@ class TestGenerate:
         assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
         assert str(schema_path) in capsys.readouterr().err
 
+    def test_old_model_format_fails(self, pipeline, tmp_path, capsys):
+        """A version 1 file, with numeric_mode and (kind, width) head blocks, is refused."""
+        tmp, out, _ = pipeline
+        payload = json.loads((out / "model_full.json").read_text())
+        payload.update(format_version=1, numeric_mode="discretize")
+        head = payload["decoder"]["layers"][-1]
+        head["blocks"] = [["softmax", w] for w in head["blocks"]]
+        old = tmp_path / "model_v1.json"
+        old.write_text(json.dumps(payload))
+        cfg = base_config(tmp_path, out, generate={"model": str(old)})
+        assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
+        assert "format_version 1" in capsys.readouterr().err
+
 
 class TestSetOverrides:
     def test_set_deep_override(self, tmp_path):
@@ -202,7 +225,7 @@ class TestSetOverrides:
         assert code == 1
 
     @pytest.mark.parametrize("key", ["model.latnt_dim", "panel.draws_per_cel",
-                                     "bootstrap.model.epoch", "out_dirr"])
+                                     "bootstrap.model.epoch", "out_dirr", "numeric_mode"])
     def test_unknown_key_fails(self, tmp_path, capsys, key):
         cfg = base_config(tmp_path, tmp_path)
         code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -329,3 +352,18 @@ class TestExternalTable:
         err = capsys.readouterr().err
         assert "zone 1 in year 0" in err and "zone 1 in year 2" in err
         assert "zone 0" not in err
+
+    def test_missing_key_column_named(self, tmp_path, capsys):
+        """A table keyed by neither individual_id nor zone is refused by name."""
+        cfg, out = self._external_setup(tmp_path, "individual")
+        ext_path = tmp_path / "external.csv"
+        rows = read_csv(ext_path)
+        rows[0][0] = "person"
+        with open(ext_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'individual_id'" in err and "'year'" not in err and "'access'" not in err

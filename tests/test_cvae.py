@@ -11,24 +11,25 @@ from test_nn import numeric_gradients, assert_grads_close
 
 
 def tiny_schema():
-    """dim(V) = 6 as two one-hot blocks (3, 2) plus one raw numeric; dim(C) = 4."""
+    """dim(V) = 6 as three one-hot blocks of width 2, the last over the bins
+    of a numerical preference; dim(C) = 4."""
     return sm.Schema(attributes=(
         sm.AttributeSpec("c1", "socio", "categorical", cardinality=3),
         sm.AttributeSpec("c2", "socio", "categorical", cardinality=1),
-        sm.AttributeSpec("p1", "preference", "categorical", cardinality=3),
+        sm.AttributeSpec("p1", "preference", "categorical", cardinality=2),
         sm.AttributeSpec("p2", "preference", "categorical", cardinality=2),
-        sm.AttributeSpec("p3", "preference", "numerical", bin_edges=(0.0, 1.0)),
+        sm.AttributeSpec("p3", "preference", "numerical", bin_edges=(0.0, 0.5, 1.0)),
     ))
 
 
 def tiny_encoded(n=5, seed=0):
     rng = derive_rng(seed, "tiny-data")
     records = [
-        sm.Record((int(rng.integers(3)), 0, int(rng.integers(3)), int(rng.integers(2)),
+        sm.Record((int(rng.integers(3)), 0, int(rng.integers(2)), int(rng.integers(2)),
                    float(rng.random())))
         for _ in range(n)
     ]
-    return sm.encode(records, tiny_schema(), numeric_mode="raw")
+    return sm.encode(records, tiny_schema())
 
 
 def tiny_model(config=None, data=None, seed=1):
@@ -39,7 +40,7 @@ def tiny_model(config=None, data=None, seed=1):
     return cvae.TrainedModel(
         encoder=encoder, decoder=decoder, config=config, schema=data.schema,
         cond_layout=data.cond_layout, pref_layout=data.pref_layout,
-        numeric_mode=data.numeric_mode, training_history=[], best_epoch=-1,
+        training_history=[], best_epoch=-1,
     )
 
 
@@ -81,8 +82,8 @@ class TestEncodeDecodeOps:
         model = tiny_model()
         rng = derive_rng(5, "dec")
         out = cvae.decode(model, rng.standard_normal(2), rng.random(4))
-        assert abs(out[0:3].sum() - 1.0) < 1e-12
-        assert abs(out[3:5].sum() - 1.0) < 1e-12
+        for lo in (0, 2, 4):
+            assert abs(out[lo : lo + 2].sum() - 1.0) < 1e-12
 
     def test_zero_decoder_uniform_blocks(self):
         model = tiny_model()
@@ -90,7 +91,7 @@ class TestEncodeDecodeOps:
             layer.weights[...] = 0.0
             layer.biases[...] = 0.0
         out = cvae.decode(model, np.zeros(2), np.zeros(4))
-        assert np.allclose(out[0:3], 1 / 3) and np.allclose(out[3:5], 1 / 2)
+        assert np.allclose(out, 1 / 2)
 
 
 class TestReparameterize:
@@ -152,24 +153,21 @@ class TestLoss:
         model = tiny_model(data=data)
         eps = derive_rng(19, "eps").standard_normal((8, 2))
         b = cvae.loss(model, data.preference, data.conditional, eps)
-        assert b.total == b.mse_num + b.xent_cat + b.beta * b.kl
-        assert b.kl >= 0 and b.xent_cat >= 0 and b.mse_num >= 0
+        assert b.total == b.xent + b.beta * b.kl
+        assert b.kl >= 0 and b.xent >= 0
 
     def test_doubling_beta_doubles_kl_share(self):
         data = tiny_encoded(6)
-        mask = np.array([False] * 5 + [True])
         eps = derive_rng(23, "eps2").standard_normal((6, 2))
         model = tiny_model(data=data)
         b1, _, _ = cvae.loss_and_grads(model.encoder, model.decoder, data.preference,
-                                       data.conditional, eps, 1.0, mask, want_grads=False)
+                                       data.conditional, eps, 1.0, want_grads=False)
         b2, _, _ = cvae.loss_and_grads(model.encoder, model.decoder, data.preference,
-                                       data.conditional, eps, 2.0, mask, want_grads=False)
-        assert (b2.total - (b2.mse_num + b2.xent_cat)) == pytest.approx(
-            2 * (b1.total - (b1.mse_num + b1.xent_cat)), rel=1e-12
-        )
+                                       data.conditional, eps, 2.0, want_grads=False)
+        assert (b2.total - b2.xent) == pytest.approx(2 * (b1.total - b1.xent), rel=1e-12)
 
     def test_perfect_categorical_reconstruction_zero_xent(self):
-        # drive one softmax block to (almost) the one-hot target
+        # drive every softmax block to (almost) the one-hot target
         data = tiny_encoded(1)
         model = tiny_model(data=data)
         target = data.preference[0]
@@ -178,14 +176,12 @@ class TestLoss:
             layer.biases[...] = 0.0
         final = model.decoder.layers[-1]
         for block in model.pref_layout:
-            if not block.onehot:
-                continue
             idx = int(np.argmax(target[block.start : block.start + block.width]))
             final.biases[block.start + idx] = 500.0  # softmax saturates to 1
         out = cvae.decode(model, np.zeros(2), data.conditional[0])
         eps = np.zeros((1, 2))
         b = cvae.loss(model, data.preference[:1], data.conditional[:1], eps)
-        assert b.xent_cat == pytest.approx(0.0, abs=1e-9)
+        assert b.xent == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_batch_rejected(self):
         data = tiny_encoded(2)
@@ -196,23 +192,25 @@ class TestLoss:
 
 class TestFullGradient:
     def test_composite_loss_gradients_vs_finite_differences(self):
-        """Every encoder and decoder parameter, fixed eps draws."""
+        """Every encoder and decoder parameter, fixed eps draws; the rows fill
+        both bins of the numerical preference p3."""
         data = tiny_encoded(5, seed=2)
+        p3 = next(b for b in data.pref_layout if b.name == "p3")
+        assert data.schema.attribute("p3").kind == "numerical" and p3.width >= 2
+        assert np.all(data.preference[:, p3.start : p3.start + p3.width].sum(axis=0) > 0)
         config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=0.7,
                                  epochs=1, seed=3)
         encoder, decoder = cvae.build_networks(data.dim_v, data.dim_c, config, data.pref_layout)
-        mask = np.array([b for blk in data.pref_layout
-                         for b in [not blk.onehot] * blk.width])
         eps = derive_rng(29, "fixed-eps").standard_normal((5, 2))
 
         def loss_fn():
             b, _, _ = cvae.loss_and_grads(encoder, decoder, data.preference,
-                                          data.conditional, eps, config.beta, mask,
+                                          data.conditional, eps, config.beta,
                                           want_grads=False)
             return b.total
 
         _, enc_g, dec_g = cvae.loss_and_grads(encoder, decoder, data.preference,
-                                              data.conditional, eps, config.beta, mask)
+                                              data.conditional, eps, config.beta)
         arrays = encoder.parameters() + decoder.parameters()
         numeric = numeric_gradients(loss_fn, arrays)
         assert_grads_close(enc_g + dec_g, numeric)

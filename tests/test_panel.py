@@ -100,7 +100,7 @@ class TestCellDraws:
         year, r = small_cube.years[t], small_cube.draws_per_cell
         rng = derive_rng(small_cube.seed, "panel-cell", small_cube.ids[i], year)
         eps = rng.standard_normal((r, model.config.latent_dim))
-        blocks = [b for b in model.pref_layout if b.onehot]
+        blocks = model.pref_layout
         uniforms = rng.random((r, len(blocks)))
         cell = sm.encode([base[i]], spec.schema).conditional[0]
         cols = dict(small_cube.conditionals)

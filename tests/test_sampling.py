@@ -115,7 +115,7 @@ class TestGeneratePopulation:
             sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
         ))
         records = [sm.Record((float(i % 5), i % 2, i % 2)) for i in range(40)]
-        encoded = sm.encode(records, schema, numeric_mode="raw")
+        encoded = sm.encode(records, schema)
         config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=21)
         model = cvae.train(encoded, config, encoded)
         source = [sm.Record((t, 0, 0)) for t in (2.0, 5.0, -0.5, 4.99)]

@@ -209,15 +209,15 @@ class TestOneHot:
 
     def test_encode_columns_onehot(self):
         """A column table encodes like the records it came from: one bit per
-        categorical, the bin of a numerical (clamped), or its raw value."""
+        categorical and one for the bin of a numerical (clamped); the layout
+        gives every attribute one segment as wide as its category count."""
         schema = mixed_schema()
         cols = {"t": np.array([2, 0]), "income": np.array([-3.0, 25.0])}
-        layout, _ = sm.build_layout(schema, preference=False)
+        layout, width = sm.build_layout(schema, preference=False)
+        assert [(b.name, b.start, b.width) for b in layout] == [("t", 0, 3), ("income", 3, 3)]
+        assert width == 6
         assert sm.encode_columns(cols, layout, schema).tolist() == [
             [0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
-        raw, _ = sm.build_layout(schema, preference=False, numeric_mode="raw")
-        assert sm.encode_columns(cols, raw, schema).tolist() == [
-            [0.0, 0.0, 1.0, -3.0], [1.0, 0.0, 0.0, 25.0]]
 
 
 def mixed_schema():
@@ -264,28 +264,13 @@ class TestEncodeDecode:
         assert back.values[1] == 15.0  # midpoint of [10, 20)
         assert back.values[3] == 2.5  # midpoint of [0, 5)
 
-    def test_raw_mode_roundtrip_exact(self):
+    def test_numeric_outside_edges_roundtrip_to_end_bins(self):
         schema = mixed_schema()
-        ds = sm.encode([sm.Record((1, 13.0, 0, 3.25))], schema, numeric_mode="raw")
-        assert ds.dim_c == 4  # 3 one-hot + 1 raw column
+        ds = sm.encode([sm.Record((1, -3.0, 0, 60.0))], schema)
+        assert ds.dim_c == 6 and ds.dim_v == 4  # every attribute one-hot
         back = sm.decode(ds.conditional[0], ds.preference[0], ds)
-        assert back.values[1] == 13.0 and back.values[3] == 3.25
-
-    def test_sampling_mode_decode_reproducible(self):
-        schema = minimal_schema()
-        layout, _ = sm.build_layout(schema, preference=True)
-        row = np.array([0.0, 0.2, 0.8])
-        from superpanel.seeding import derive_rng
-
-        a = sm.decode_block(row, layout, schema, mode="sample", rng=derive_rng(11, "d"))
-        b = sm.decode_block(row, layout, schema, mode="sample", rng=derive_rng(11, "d"))
-        assert a == b
-        counts = {0: 0, 1: 0, 2: 0}
-        rng = derive_rng(5, "freq")
-        for _ in range(2000):
-            counts[sm.decode_block(row, layout, schema, mode="sample", rng=rng)["p"]] += 1
-        assert counts[0] == 0
-        assert abs(counts[2] / 2000 - 0.8) < 0.04
+        assert back.values[1] == 5.0  # clamped to [0, 10)
+        assert back.values[3] == 27.5  # clamped to [5, 50)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
