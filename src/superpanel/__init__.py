@@ -12,7 +12,6 @@ from .schema import (
     EncodedDataset,
     load_schema,
     ingest_csv,
-    discretize,
     encode,
     decode,
 )

@@ -47,7 +47,7 @@ DEFAULT_CONFIG = {
         "plan_only": False,
     },
     "eval_subsets": None,
-    "generate": {"model": "model_full.json", "draws_per_profile": 1, "decode_mode": "sample"},
+    "generate": {"model": "model_full.json", "draws_per_profile": 1},
     "evaluate": {"draws_per_profile": 1},
     "panel": {
         "model": "model_full.json",
@@ -358,14 +358,12 @@ def cmd_generate(args) -> int:
         records,
         draws_per_profile=int(gen_cfg.get("draws_per_profile", 1)),
         seed=derive_seed(config["seed"], "generate"),
-        decode_mode=gen_cfg.get("decode_mode", "sample"),
     )
     synth_path = out / "synthetic.csv"
     schema_mod.write_records_csv(synth_path, population.records, sch)
     write_manifest(out, "generate", config, [synth_path], started, {
         "model_hash": hashlib.sha256(model_path.read_bytes()).hexdigest(),
         "schema_hash": model.schema.content_hash(),
-        "decode_mode": population.decode_mode,
         "n_records": len(population.records),
         "extrapolated_profiles": population.extrapolated_ids,
     })
@@ -401,7 +399,7 @@ def cmd_evaluate(args) -> int:
     def synth_records(model, source_records, key):
         pop = sampling.generate_population(
             model, source_records, draws_per_profile=draws,
-            seed=derive_seed(config["seed"], "evaluate", key), decode_mode="sample",
+            seed=derive_seed(config["seed"], "evaluate", key),
         )
         return pop.records
 

@@ -21,14 +21,13 @@ latent variance and the divergence above is the exact closed form.
 
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from . import metrics, nn
 from .schema import EncodedDataset, Schema, build_layout, schema_from_dict
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, map_units
 
 LOG_FLOOR = 1e-12  # clamp inside log() so saturated softmax cannot emit -inf
 #: version 2: every preference is a softmax segment; head blocks are widths
@@ -151,11 +150,6 @@ def encode(model: TrainedModel, v: np.ndarray, c: np.ndarray) -> LatentParams:
     return LatentParams(mu=out[..., :d], log_var=out[..., d:])
 
 
-def reparameterize(params: LatentParams, eps: np.ndarray) -> np.ndarray:
-    """z = mu + exp(log_var / 2) * eps."""
-    return params.mu + np.exp(0.5 * params.log_var) * np.asarray(eps, dtype=float)
-
-
 def decode(model: TrainedModel, z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Reconstruction: probabilities per one-hot segment."""
     x = np.concatenate([np.asarray(z, dtype=float), np.asarray(c, dtype=float)], axis=-1)
@@ -220,14 +214,6 @@ def loss_and_grads(
         enc_grads = nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=1),
                                 out=out[0], input_grad=False)
     return breakdown, enc_grads.flat(), dec_grads.flat()
-
-
-def loss(model: TrainedModel, V: np.ndarray, C: np.ndarray, eps: np.ndarray) -> LossBreakdown:
-    """Batch loss of a trained model with supplied eps draws."""
-    breakdown, _, _ = loss_and_grads(
-        model.encoder, model.decoder, V, C, eps, model.config.beta, want_grads=False
-    )
-    return breakdown
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +335,12 @@ def _pref_histogram(ds: EncodedDataset, subset) -> metrics.JointHistogram:
     return metrics.cross_tabulate_columns(cols, subset, ds.schema)
 
 
-def evaluate_srmse(model: TrainedModel, val_set: EncodedDataset, eval_subsets, seed: int,
-                   draws_per_row: int = 1) -> dict:
-    """Validation SRMSE per subset: model draws conditioned on the held-out
-    conditionals versus the held-out preference tabulation."""
+def evaluate_srmse(model: TrainedModel, val_set: EncodedDataset, eval_subsets, seed: int) -> dict:
+    """Validation SRMSE per subset: one model draw conditioned on each
+    held-out conditional row versus the held-out preference tabulation."""
     from .sampling import sample_preference_columns
 
-    cols = sample_preference_columns(
-        model, val_set.conditional, draws_per_row=draws_per_row, seed=seed, decode_mode="sample"
-    )
+    cols = sample_preference_columns(model, val_set.conditional, draws_per_row=1, seed=seed)
     out = {}
     for subset in eval_subsets:
         subset = tuple(subset)
@@ -414,16 +397,16 @@ def grid_search(
     cells = grid.cells()
     if not cells:
         raise ValueError("empty grid")
+    prefs = {a.name for a in train_set.schema.preference_attributes}
+    bad = [n for s in eval_subsets for n in s if n not in prefs]
+    if bad:
+        raise ValueError(f"eval subset attribute {bad[0]!r} is not a preference attribute")
     args = [
         (i, nl, nnrn, dz, beta, train_set, val_set, [tuple(s) for s in eval_subsets],
          base, seed)
         for i, (nl, nnrn, dz, beta) in enumerate(cells)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_grid_cell, args))
-    else:
-        results = [_run_grid_cell(a) for a in args]
+    results = map_units(_run_grid_cell, args, jobs)
     survivors = [r for r in results if not r.diverged]
     if not survivors:
         raise TrainingDiverged(-1, "every grid cell diverged")
@@ -485,6 +468,7 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model file; a missing or malformed field is a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format") != "superpanel-model":
@@ -493,16 +477,25 @@ def load_model(path) -> TrainedModel:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: model format_version {version} is not supported "
                          f"(expected {MODEL_FORMAT_VERSION}); retrain the model")
-    schema = schema_from_dict(payload["schema"])
+
+    def field(key, parse):
+        if key not in payload:
+            raise ValueError(f"{path}: model file has no {key!r} field")
+        try:
+            return parse(payload[key])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed {key!r} field in model file: {exc}") from None
+
+    schema = field("schema", schema_from_dict)
     cond_layout, _ = build_layout(schema, preference=False)
     pref_layout, _ = build_layout(schema, preference=True)
     return TrainedModel(
-        encoder=_network_from_dict(payload["encoder"]),
-        decoder=_network_from_dict(payload["decoder"]),
-        config=CvaeConfig(**payload["config"]),
+        encoder=field("encoder", _network_from_dict),
+        decoder=field("decoder", _network_from_dict),
+        config=field("config", lambda c: CvaeConfig(**c)),
         schema=schema,
         cond_layout=cond_layout,
         pref_layout=pref_layout,
-        training_history=[(t, v) for t, v in payload["training_history"]],
-        best_epoch=payload["best_epoch"],
+        training_history=field("training_history", lambda h: [(t, v) for t, v in h]),
+        best_epoch=field("best_epoch", int),
     )

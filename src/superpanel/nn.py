@@ -244,23 +244,18 @@ def gradient_views(networks, buffer: np.ndarray) -> list[Gradients]:
     return [Gradients(weight_grads=w, bias_grads=b) for w, b in _split(networks, buffer)]
 
 
-def init_weights(dims, seed: int, activations=None, output_blocks=None) -> Network:
+def init_weights(dims, seed: int, output_blocks=None) -> Network:
     """Seeded network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
 
-    dims is the full dimension chain; activations defaults to tanh for
-    hidden layers and linear for the last. Pass output_blocks, the segment
-    widths, to give the final layer the per-segment softmax head.
+    dims is the full dimension chain. Hidden layers are tanh and the last
+    layer is linear; pass output_blocks, the segment widths, to give the
+    final layer the per-segment softmax head instead.
     """
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
     n_layers = len(dims) - 1
-    if activations is None:
-        activations = ["tanh"] * (n_layers - 1) + [
-            "softmax_blocks" if output_blocks else "linear"
-        ]
-    if len(activations) != n_layers:
-        raise ValueError("one activation per layer required")
+    activations = ["tanh"] * (n_layers - 1) + ["softmax_blocks" if output_blocks else "linear"]
     rng = derive_rng(seed, "init-weights")
     layers = []
     for i in range(n_layers):

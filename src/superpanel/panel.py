@@ -11,16 +11,14 @@ and quantify model uncertainty by refitting on bootstrap resamples.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cvae, metrics
-from .metrics import JointHistogram
 from .sampling import generate_population, _decode_with_noise
 from .schema import Schema, discretize_array, encode, encode_columns, record_columns
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng, derive_seed, map_units
 
 
 class PanelError(ValueError):
@@ -55,22 +53,12 @@ class PanelCube:
     def n_individuals(self) -> int:
         return len(self.ids)
 
-    def cell_histogram(self, subset, i: int, t: int) -> JointHistogram:
-        subset = tuple(subset)
-        dims = metrics.subset_dims(self.schema, subset)
-        return JointHistogram(
-            subset=subset,
-            dims=dims,
-            frequencies=self.subset_freqs[subset][i, t],
-            n_source=self.draws_per_cell,
-        )
 
-
-def default_distance_subset(schema: Schema, bin_cap: int = metrics.DEFAULT_BIN_CAP):
-    """All preference attributes jointly when the dense joint fits the cap."""
+def default_distance_subset(schema: Schema):
+    """All preference attributes jointly when the dense joint fits the bin cap."""
     subset = tuple(a.name for a in schema.preference_attributes)
     n_bins = int(np.prod(metrics.subset_dims(schema, subset)))
-    return subset if n_bins <= bin_cap else None
+    return subset if n_bins <= metrics.DEFAULT_BIN_CAP else None
 
 
 def _year_columns(base_cols: dict, ids, schema: Schema, year: int, external_by_year) -> dict:
@@ -104,7 +92,7 @@ def _panel_year_block(args):
     schema = model.schema
     n, r = len(ids), draws_per_cell
     rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
-    cat_cols = _decode_with_noise(model, cond_rows, r, rngs, "sample")
+    cat_cols = _decode_with_noise(model, cond_rows, r, rngs)
     cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
 
     def tabulate(flat, n_bins):
@@ -147,6 +135,9 @@ def build_panel(model: cvae.TrainedModel, base_records, years, external_by_year,
         subsets = (joint,) if joint is not None else ()
     subsets = tuple(tuple(s) for s in subsets)
     pref_names = tuple(a.name for a in schema.preference_attributes)
+    bad = [name for s in subsets for name in s if name not in pref_names]
+    if bad:
+        raise PanelError(f"subset attribute {bad[0]!r} is not a preference attribute")
     ids = tuple(str(i) for i in range(len(base_records)))
     base_cols = record_columns(base_records, [b.name for b in model.cond_layout], schema)
 
@@ -168,12 +159,7 @@ def build_panel(model: cvae.TrainedModel, base_records, years, external_by_year,
         (t_idx, year, model, ids, cond_rows[t_idx], subsets, r, seed)
         for t_idx, year in enumerate(years)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            blocks = list(pool.map(_panel_year_block, args))
-    else:
-        blocks = [_panel_year_block(a) for a in args]
-    for t_idx, subset_out, attr_out in blocks:
+    for t_idx, subset_out, attr_out in map_units(_panel_year_block, args, jobs):
         for s in subsets:
             subset_freqs[s][:, t_idx, :] = subset_out[s]
         for name in pref_names:
@@ -401,11 +387,29 @@ def _statistic_values(records, schema: Schema, stat: StatisticSpec) -> dict:
             if attr.kind == "numerical":
                 cats = discretize_array(cats, attr.bin_edges)
             out[year] = float(np.mean(cats == stat.category))
-        elif attr.kind != "numerical":
-            raise PanelError(f"{stat.attribute}: mean statistic needs a numerical attribute")
         else:
             out[year] = float(np.mean(values[mask]))
     return out
+
+
+def _is_category(value, attr) -> bool:
+    return isinstance(value, (int, np.integer)) and 0 <= value < attr.n_categories
+
+
+def _check_statistic(schema: Schema, stat: StatisticSpec) -> None:
+    """Refuse a mean of a categorical attribute, or a category or condition
+    value that is not one of its attribute's categories."""
+    attr = schema.attribute(stat.attribute)
+    if stat.category is None and attr.kind != "numerical":
+        raise PanelError(f"statistic {stat.name}: a mean needs a numerical attribute")
+    if stat.category is not None and not _is_category(stat.category, attr):
+        raise PanelError(f"statistic {stat.name}: category {stat.category!r} is not one of "
+                         f"{attr.name}'s {attr.n_categories} categories")
+    for k, v in stat.condition:
+        cond = schema.attribute(k)
+        if cond.kind == "categorical" and not _is_category(v, cond):
+            raise PanelError(f"statistic {stat.name}: condition value {v!r} is not one of "
+                             f"{cond.name}'s {cond.n_categories} categories")
 
 
 def _bootstrap_replicate(args):
@@ -432,7 +436,7 @@ def _bootstrap_replicate(args):
     m = min(samples_per_replicate, n)
     synth = generate_population(
         model, resample[:m], draws_per_profile=1,
-        seed=derive_seed(seed, "bootstrap-generate", rep_idx), decode_mode="sample",
+        seed=derive_seed(seed, "bootstrap-generate", rep_idx),
     )
     model_stats = {s.name: _statistic_values(synth.records, schema, s) for s in stats}
     return rep_idx, model_stats, data_stats
@@ -448,23 +452,21 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
     profiles, and evaluates the declared statistics; the same statistics
     are also computed directly on the resample (the data-only reference).
     The summary reports the mean and standard deviation of each statistic
-    across surviving replicates for both sources.
+    across surviving replicates for both sources. Every statistic is
+    checked against the schema before any replicate trains.
     """
     if n_replicates < 2:
         raise PanelError("need at least 2 replicates")
     stats = tuple(statistics)
     if not stats:
         raise PanelError("no statistics declared")
+    for stat in stats:
+        _check_statistic(schema, stat)
     args = [
         (b, records, schema, config, stats, samples_per_replicate, seed)
         for b in range(n_replicates)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_bootstrap_replicate, args))
-    else:
-        results = [_bootstrap_replicate(a) for a in args]
-    results.sort(key=lambda r: r[0])
+    results = map_units(_bootstrap_replicate, args, jobs)
 
     diverged = tuple(r[0] for r in results if r[1] is None)
     survivors = [r for r in results if r[1] is not None]

@@ -1,13 +1,12 @@
 """Conditional sampling from a trained model.
 
 New preference draws come from pushing unit-Gaussian latent vectors
-through the decoder under a fixed conditional row. Preference segments
-are resolved either by a seeded draw from the softmax distribution
-("sample", the default, which preserves the full conditional spread) or
-by taking the mode ("argmax"). Per-profile randomness is derived from
-(master seed, profile id), so sampling many profiles in parallel or
-serially yields identical output. Conditional rows come from
-``schema.encode_columns``, like every other encoded row.
+through the decoder under a fixed conditional row. Each preference
+segment is resolved by one seeded draw from its softmax distribution, so
+the draws keep the full conditional spread of the model. Per-profile
+randomness is derived from (master seed, profile id), so sampling many
+profiles in parallel or serially yields identical output. Conditional
+rows come from ``schema.encode_columns``, like every other encoded row.
 """
 
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ from .cvae import TrainedModel
 from .schema import Record, encode_columns, record_columns
 from .seeding import derive_rng
 
-DECODE_MODES = ("sample", "argmax")
-
 #: decoder rows pushed through one batched forward pass
 CHUNK_ROWS = 65536
 
@@ -29,27 +26,21 @@ CHUNK_ROWS = 65536
 class PreferenceDraws:
     profile_id: str
     draws: list[dict]
-    seed: int
-    decode_mode: str
 
 
-def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms, decode_mode: str):
-    """Turn decoder rows into one column of category indices per attribute."""
+def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms):
+    """One column of category indices per attribute, each drawn from its softmax."""
     cols = {}
     for j, block in enumerate(model.pref_layout):
-        seg = dec_out[:, block.start : block.start + block.width]
-        if decode_mode == "argmax":
-            cols[block.name] = np.argmax(seg, axis=1).astype(np.int64)
-        else:
-            cum = np.cumsum(seg, axis=1)
-            u = uniforms[:, j] * cum[:, -1]  # renormalize against fp drift
-            idx = np.sum(u[:, None] >= cum, axis=1)
-            cols[block.name] = np.minimum(idx, block.width - 1).astype(np.int64)
+        cum = np.cumsum(dec_out[:, block.start : block.start + block.width], axis=1)
+        u = uniforms[:, j] * cum[:, -1]  # renormalize against fp drift
+        idx = np.sum(u[:, None] >= cum, axis=1)
+        cols[block.name] = np.minimum(idx, block.width - 1).astype(np.int64)
     return cols
 
 
-def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int, rngs,
-                       decode_mode: str) -> dict[str, np.ndarray]:
+def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,
+                       rngs) -> dict[str, np.ndarray]:
     """The sampling kernel: draws_per_row decoder draws for every conditional row.
 
     rngs[i] is row i's generator (rows may share one); each row draws its
@@ -58,7 +49,7 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     preference attribute with draws_per_row consecutive entries per row.
     """
     r, d_z = draws_per_row, model.config.latent_dim
-    n_blocks = len(model.pref_layout) if decode_mode == "sample" else 0
+    n_blocks = len(model.pref_layout)
     pieces = []
     rows_per_chunk = max(1, CHUNK_ROWS // r)
     for lo in range(0, len(c_rows), rows_per_chunk):
@@ -71,7 +62,7 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
         expanded = np.repeat(c_rows[lo:hi], r, axis=0)
         # latent draws from the unit prior are the eps themselves
         dec_out, tape = nn.forward(model.decoder, np.concatenate([eps, expanded], axis=1))
-        pieces.append(_resolve_samples(model, dec_out, uniforms, decode_mode))
+        pieces.append(_resolve_samples(model, dec_out, uniforms))
         # Drop the decoder's buffers before the next chunk allocates its own, but
         # keep this chunk's inputs until then: freed heap memory is then reused
         # rather than handed back to the system and faulted in again.
@@ -81,17 +72,15 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     return {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
 
 
-def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int, seed: int,
-           decode_mode: str = "sample") -> PreferenceDraws:
+def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int,
+           seed: int) -> PreferenceDraws:
     """Draw preference realizations for one encoded conditional row."""
-    if decode_mode not in DECODE_MODES:
-        raise ValueError(f"unknown decode_mode {decode_mode!r}")
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
     if n_draws == 0:
-        return PreferenceDraws(profile_id, [], seed, decode_mode)
+        return PreferenceDraws(profile_id, [])
     cols = _decode_with_noise(model, np.asarray(c_row, dtype=float)[None, :], n_draws,
-                              [derive_rng(seed, "profile", profile_id)], decode_mode)
+                              [derive_rng(seed, "profile", profile_id)])
     values = []
     for block in model.pref_layout:
         attr = model.schema.attribute(block.name)
@@ -101,37 +90,32 @@ def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int
             values.append(cols[block.name].tolist())
     names = [block.name for block in model.pref_layout]
     draws = [dict(zip(names, row)) for row in zip(*values)]
-    return PreferenceDraws(profile_id, draws, seed, decode_mode)
+    return PreferenceDraws(profile_id, draws)
 
 
 def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draws_per_row: int,
-                              seed: int, decode_mode: str = "sample") -> dict[str, np.ndarray]:
+                              seed: int) -> dict[str, np.ndarray]:
     """Vectorized draws for many conditional rows at once.
 
     Returns one column of category indices per preference attribute with
     draws_per_row consecutive entries per conditional row (row-major). All
     rows share one generator and take their draws from it in row order.
     """
-    if decode_mode not in DECODE_MODES:
-        raise ValueError(f"unknown decode_mode {decode_mode!r}")
     cond_matrix = np.atleast_2d(np.asarray(cond_matrix, dtype=float))
     rngs = [derive_rng(seed, "bulk-sample")] * len(cond_matrix)
-    return _decode_with_noise(model, cond_matrix, draws_per_row, rngs, decode_mode)
+    return _decode_with_noise(model, cond_matrix, draws_per_row, rngs)
 
 
 @dataclass
 class SyntheticPopulation:
-    """Generated records tagged with the source record each row came from."""
+    """Generated records in source order, and the ids of extrapolated sources."""
 
-    profile_ids: list[str]
     records: list[Record]
-    seed: int
-    decode_mode: str
     extrapolated_ids: list[str]
 
 
-def generate_population(model: TrainedModel, records, draws_per_profile: int, seed: int,
-                        decode_mode: str = "sample") -> SyntheticPopulation:
+def generate_population(model: TrainedModel, records, draws_per_profile: int,
+                        seed: int) -> SyntheticPopulation:
     """Draws for every source record under its own conditional values.
 
     Record i is profile ``str(i)``: its draws come from its own stream, so
@@ -150,15 +134,9 @@ def generate_population(model: TrainedModel, records, draws_per_profile: int, se
         flagged = [str(i) for i in np.flatnonzero(outside)]
     is_pref = [a.role == "preference" for a in schema.attributes]
     names = [a.name for a in schema.attributes]
-    ids: list[str] = []
     out: list[Record] = []
     for i, rec in enumerate(records):
-        pid = str(i)
-        for d in sample(model, c_rows[i], pid, draws_per_profile, seed, decode_mode).draws:
-            ids.append(pid)
+        for d in sample(model, c_rows[i], str(i), draws_per_profile, seed).draws:
             out.append(Record(tuple([d[n] if p else v
                                      for n, p, v in zip(names, is_pref, rec.values)])))
-    return SyntheticPopulation(
-        profile_ids=ids, records=out, seed=seed, decode_mode=decode_mode,
-        extrapolated_ids=flagged,
-    )
+    return SyntheticPopulation(records=out, extrapolated_ids=flagged)

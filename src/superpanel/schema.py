@@ -294,18 +294,12 @@ def write_records_csv(path, records, schema: Schema) -> None:
 # Discretization
 
 
-def discretize(value: float, edges) -> int:
-    """Bin index i with edges[i] <= value < edges[i+1].
+def discretize_array(values, edges) -> np.ndarray:
+    """Bin index i with edges[i] <= value < edges[i+1], for every value.
 
     Values below the first edge clamp to bin 0; values at or above the
     last edge clamp to the last bin. Interior edges are right-open.
     """
-    edges = np.asarray(edges, dtype=float)
-    i = int(np.searchsorted(edges, value, side="right")) - 1
-    return min(max(i, 0), len(edges) - 2)
-
-
-def discretize_array(values, edges) -> np.ndarray:
     edges = np.asarray(edges, dtype=float)
     idx = np.searchsorted(edges, np.asarray(values, dtype=float), side="right") - 1
     return np.clip(idx, 0, len(edges) - 2).astype(np.int64)

@@ -7,6 +7,7 @@ unit owns its own stream regardless of scheduling order.
 """
 
 import hashlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,3 +31,14 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
     """Create a generator seeded from (master_seed, *keys)."""
     entropy = [_key_to_int(master_seed)] + [_key_to_int(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def map_units(fn, args, jobs: int) -> list:
+    """[fn(a) for a in args], spread over ``jobs`` worker processes when jobs > 1.
+
+    Results come back in argument order, so output does not depend on jobs.
+    """
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, args))
+    return [fn(a) for a in args]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from superpanel import cli
+from superpanel import cli, cvae
 
 
 def run(argv):
@@ -49,6 +49,14 @@ def pipeline(tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail any model fit, for commands that must refuse their input first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was trained")
+    monkeypatch.setattr(cvae, "train", refuse)
 
 
 class TestSynthTrain:
@@ -170,6 +178,36 @@ class TestPanelCommands:
         manifest = json.loads((out / "bootstrap_manifest.json").read_text())
         assert manifest["survivors"] == 2
 
+    def test_conditional_panel_subset_fails(self, pipeline, tmp_path, capsys):
+        tmp, out, cfg = pipeline
+        assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", 'panel.subsets=[["segment","p_mode"]]']) == 1
+        assert "'segment' is not a preference attribute" in capsys.readouterr().err
+
+    def test_conditional_eval_subset_fails_before_training(self, pipeline, tmp_path, capsys,
+                                                            no_training):
+        tmp, out, cfg = pipeline
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path), "--grid",
+                    "--set", 'grid={"n_layers": [1], "n_neurons": [8], "latent_dims": [2], '
+                             '"betas": [1.0], "plan_only": false}',
+                    "--set", 'eval_subsets=[["segment","p_mode"]]']) == 1
+        assert "'segment' is not a preference attribute" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stat, named", [
+        ({"attribute": "p_mode", "category": 7}, "category 7"),
+        ({"attribute": "p_mode", "category": "1"}, "category '1'"),
+        ({"attribute": "p_mode", "category": 0, "condition": {"segment": 9}}, "value 9"),
+    ])
+    def test_bad_bootstrap_statistic_fails(self, pipeline, tmp_path, capsys, no_training,
+                                           stat, named):
+        tmp, out, cfg = pipeline
+        assert run(["bootstrap", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"bootstrap.statistics={json.dumps([stat])}"]) == 1
+        err = capsys.readouterr().err
+        assert "statistic p_mode:" in err and named in err
+        assert not (tmp_path / "bootstrap.csv").exists()
+
 
 class TestGenerate:
     def test_generate_matches_ingestion_format(self, pipeline):
@@ -180,7 +218,7 @@ class TestGenerate:
         assert synth[0] == data[0]  # same header
         assert len(synth) == len(data)  # one draw per profile
         manifest = json.loads((out / "generate_manifest.json").read_text())
-        assert manifest["decode_mode"] == "sample"
+        assert manifest["n_records"] == len(data) - 1
 
     def test_model_schema_mismatch_fails(self, pipeline, tmp_path, capsys):
         tmp, out, _ = pipeline
@@ -207,6 +245,22 @@ class TestGenerate:
         assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
         assert "format_version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["decoder", "best_epoch"])
+    def test_malformed_model_fails(self, pipeline, tmp_path, capsys, field):
+        """(kind, width) head blocks in a version 2 file, or no best_epoch, are refused."""
+        tmp, out, _ = pipeline
+        payload = json.loads((out / "model_full.json").read_text())
+        if field == "decoder":
+            payload["decoder"]["layers"][-1]["blocks"] = [["softmax", 3], ["softmax", 3]]
+        else:
+            del payload["best_epoch"]
+        bad = tmp_path / "model_bad.json"
+        bad.write_text(json.dumps(payload))
+        cfg = base_config(tmp_path, out, generate={"model": str(bad)})
+        assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"'{field}'" in err
+
 
 class TestSetOverrides:
     def test_set_deep_override(self, tmp_path):
@@ -225,7 +279,8 @@ class TestSetOverrides:
         assert code == 1
 
     @pytest.mark.parametrize("key", ["model.latnt_dim", "panel.draws_per_cel",
-                                     "bootstrap.model.epoch", "out_dirr", "numeric_mode"])
+                                     "bootstrap.model.epoch", "out_dirr", "numeric_mode",
+                                     "generate.decode_mode"])
     def test_unknown_key_fails(self, tmp_path, capsys, key):
         cfg = base_config(tmp_path, tmp_path)
         code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"),

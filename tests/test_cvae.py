@@ -44,6 +44,13 @@ def tiny_model(config=None, data=None, seed=1):
     )
 
 
+def model_loss(model, V, C, eps):
+    """Batch loss of a trained model with supplied eps draws."""
+    breakdown, _, _ = cvae.loss_and_grads(model.encoder, model.decoder, V, C, eps,
+                                          model.config.beta, want_grads=False)
+    return breakdown
+
+
 class TestEncodeDecodeOps:
     def test_network_dimension_contract(self):
         data = tiny_encoded()
@@ -94,26 +101,6 @@ class TestEncodeDecodeOps:
         assert np.allclose(out, 1 / 2)
 
 
-class TestReparameterize:
-    def test_zero_eps_returns_mu(self):
-        p = cvae.LatentParams(mu=np.array([1.0, -2.0]), log_var=np.array([0.3, -0.3]))
-        assert np.array_equal(cvae.reparameterize(p, np.zeros(2)), p.mu)
-
-    def test_unit_params_pass_eps_through(self):
-        p = cvae.LatentParams(mu=np.zeros(3), log_var=np.zeros(3))
-        e = np.array([0.5, -1.5, 2.0])
-        assert np.array_equal(cvae.reparameterize(p, e), e)
-
-    def test_monte_carlo_moments(self):
-        mu = np.array([1.0, -1.0])
-        sigma = np.array([2.0, 0.5])
-        p = cvae.LatentParams(mu=mu, log_var=2 * np.log(sigma))
-        eps = derive_rng(11, "mc").standard_normal((1_000_000, 2))
-        z = cvae.reparameterize(p, eps)
-        assert np.allclose(z.mean(axis=0), mu, atol=0.01 * np.abs(mu).max())
-        assert np.allclose(z.std(axis=0), sigma, rtol=0.01)
-
-
 class TestKl:
     def test_prior_match_zero(self):
         assert cvae.kl_divergence(np.zeros(4), np.zeros(4)) == pytest.approx(0.0, abs=1e-12)
@@ -152,7 +139,7 @@ class TestLoss:
         data = tiny_encoded(8)
         model = tiny_model(data=data)
         eps = derive_rng(19, "eps").standard_normal((8, 2))
-        b = cvae.loss(model, data.preference, data.conditional, eps)
+        b = model_loss(model, data.preference, data.conditional, eps)
         assert b.total == b.xent + b.beta * b.kl
         assert b.kl >= 0 and b.xent >= 0
 
@@ -180,14 +167,14 @@ class TestLoss:
             final.biases[block.start + idx] = 500.0  # softmax saturates to 1
         out = cvae.decode(model, np.zeros(2), data.conditional[0])
         eps = np.zeros((1, 2))
-        b = cvae.loss(model, data.preference[:1], data.conditional[:1], eps)
+        b = model_loss(model, data.preference[:1], data.conditional[:1], eps)
         assert b.xent == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_batch_rejected(self):
         data = tiny_encoded(2)
         model = tiny_model(data=data)
         with pytest.raises(ValueError, match="empty batch"):
-            cvae.loss(model, np.zeros((0, 6)), np.zeros((0, 4)), np.zeros((0, 2)))
+            model_loss(model, np.zeros((0, 6)), np.zeros((0, 4)), np.zeros((0, 2)))
 
 
 class TestFullGradient:
@@ -249,7 +236,7 @@ class TestTrain:
         assert model.best_epoch == int(np.argmin(val_losses))
         # recompute with the same fixed validation eps used during training
         val_eps = derive_rng(config.seed, "val-eps").standard_normal((val.n_rows, 2))
-        recomputed = cvae.loss(model, val.preference, val.conditional, val_eps).total / val.n_rows
+        recomputed = model_loss(model, val.preference, val.conditional, val_eps).total / val.n_rows
         assert recomputed == pytest.approx(min(val_losses), rel=1e-12)
 
     def test_divergence_reported_with_epoch(self):
@@ -331,4 +318,4 @@ class TestSerialization:
         assert back.training_history == model.training_history
         v, c = data.preference[:3], data.conditional[:3]
         eps = np.zeros((3, 2))
-        assert cvae.loss(back, v, c, eps).total == cvae.loss(model, v, c, eps).total
+        assert model_loss(back, v, c, eps).total == model_loss(model, v, c, eps).total

@@ -217,9 +217,12 @@ class TestClassifyMovers:
         """Vectorized distances agree with the histogram metric pairwise."""
         report = panel.classify_movers(small_cube, 0, 4)
         subset = report.subset
+        freqs = small_cube.subset_freqs[subset]
+        dims = metrics.subset_dims(small_cube.schema, subset)
+        r = small_cube.draws_per_cell
         for i in (0, 7, 31):
-            h0 = small_cube.cell_histogram(subset, i, 0)
-            h4 = small_cube.cell_histogram(subset, i, 2)  # year 4 is index 2
+            h0 = metrics.JointHistogram(subset, dims, freqs[i, 0], r)
+            h4 = metrics.JointHistogram(subset, dims, freqs[i, 2], r)  # year 4 is index 2
             assert report.distances[i] == pytest.approx(metrics.srmse(h4, h0), abs=1e-12)
 
     def test_fast_distances_dominate_slow(self, small_cube):
@@ -329,7 +332,7 @@ class TestStatisticValues:
         schema, records = statistic_records()
         stat = panel.StatisticSpec(attribute="mode", per_year=False)
         with pytest.raises(panel.PanelError, match="numerical"):
-            panel._statistic_values(records, schema, stat)
+            panel._check_statistic(schema, stat)
 
     def test_empty_selection(self):
         schema, records = statistic_records()

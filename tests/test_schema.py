@@ -164,23 +164,23 @@ class TestIngest:
 class TestDiscretize:
     def test_decade_bins(self):
         edges = [0, 10, 20, 30, 40, 50, 60, 70]
-        assert sm.discretize(25, edges) == 2  # the [20, 30) bin
+        assert sm.discretize_array([25], edges).tolist() == [2]  # the [20, 30) bin
 
     def test_interior_edge_goes_right(self):
-        assert sm.discretize(20, [0, 10, 20, 30]) == 2
+        assert sm.discretize_array([20], [0, 10, 20, 30]).tolist() == [2]
 
     def test_clamp_below(self):
-        assert sm.discretize(-5, [0, 10, 20]) == 0
+        assert sm.discretize_array([-5], [0, 10, 20]).tolist() == [0]
 
     def test_clamp_above(self):
-        assert sm.discretize(99, [0, 10, 20]) == 1
+        assert sm.discretize_array([99], [0, 10, 20]).tolist() == [1]
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50))
     @settings(max_examples=50)
     def test_monotone(self, values):
         edges = [0.0, 5.0, 12.0, 30.0]
         values = sorted(values)
-        bins = [sm.discretize(v, edges) for v in values]
+        bins = sm.discretize_array(values, edges).tolist()
         assert bins == sorted(bins)
 
 
