@@ -202,6 +202,15 @@ def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     return model, model_path
 
 
+def _draw_count(config, key: str) -> int:
+    """The draw count at ``section.name``; below 1 it fails before any model loads or trains."""
+    section, name = key.split(".")
+    value = int(config[section][name])
+    if value < 1:
+        raise CliError(f"{key} must be >= 1, got {value}")
+    return value
+
+
 def _eval_subsets(config, sch) -> list[tuple[str, ...]]:
     subsets = config.get("eval_subsets")
     if subsets:
@@ -352,11 +361,12 @@ def cmd_generate(args) -> int:
     out = _out_dir(args, config)
     sch, records, _ = _load_inputs(config)
     gen_cfg = config["generate"]
+    draws = _draw_count(config, "generate.draws_per_profile")
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
     population = sampling.generate_population(
         model,
         records,
-        draws_per_profile=int(gen_cfg.get("draws_per_profile", 1)),
+        draws_per_profile=draws,
         seed=derive_seed(config["seed"], "generate"),
     )
     synth_path = out / "synthetic.csv"
@@ -391,7 +401,7 @@ def cmd_evaluate(args) -> int:
     train_records = [records[i] for i in idx_train]
     val_records = [records[i] for i in idx_val]
     subsets = _eval_subsets(config, sch)
-    draws = int(config["evaluate"].get("draws_per_profile", 1))
+    draws = _draw_count(config, "evaluate.draws_per_profile")
 
     split_model, _ = _load_model(config, out, sch, out / "model_split.json")
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
@@ -641,13 +651,14 @@ def cmd_bootstrap(args) -> int:
         )
         for s in stats_cfg
     ]
+    samples = _draw_count(config, "bootstrap.samples_per_replicate")
     model_cfg = _model_config(config, "bootstrap-base", bs_cfg.get("model") or {})
     summary = panel.bootstrap(
         records, sch, model_cfg,
         n_replicates=int(bs_cfg.get("replicates", 20)),
         statistics=stats,
         seed=derive_seed(config["seed"], "bootstrap"),
-        samples_per_replicate=int(bs_cfg.get("samples_per_replicate", 100)),
+        samples_per_replicate=samples,
         jobs=args.jobs,
     )
     bs_path = out / "bootstrap.csv"

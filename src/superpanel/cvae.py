@@ -487,9 +487,9 @@ def load_model(path) -> TrainedModel:
             raise ValueError(f"{path}: malformed {key!r} field in model file: {exc}") from None
 
     schema = field("schema", schema_from_dict)
-    cond_layout, _ = build_layout(schema, preference=False)
-    pref_layout, _ = build_layout(schema, preference=True)
-    return TrainedModel(
+    cond_layout, dim_c = build_layout(schema, preference=False)
+    pref_layout, dim_v = build_layout(schema, preference=True)
+    model = TrainedModel(
         encoder=field("encoder", _network_from_dict),
         decoder=field("decoder", _network_from_dict),
         config=field("config", lambda c: CvaeConfig(**c)),
@@ -499,3 +499,16 @@ def load_model(path) -> TrainedModel:
         training_history=field("training_history", lambda h: [(t, v) for t, v in h]),
         best_epoch=field("best_epoch", int),
     )
+    # the sampler slices the decoder output by the schema's layout, so a
+    # network of other widths would draw wrong categories without failing
+    d_z = model.config.latent_dim
+    for key, net, expected in (("encoder", model.encoder, (dim_v + dim_c, 2 * d_z)),
+                               ("decoder", model.decoder, (d_z + dim_c, dim_v))):
+        if (net.in_dim, net.out_dim) != expected:
+            raise ValueError(f"{path}: {key!r} network is {net.in_dim} -> {net.out_dim} wide; "
+                             f"the schema and latent_dim need {expected[0]} -> {expected[1]}")
+    blocks, widths = model.decoder.layers[-1].blocks, output_blocks(pref_layout)
+    if blocks != widths:
+        raise ValueError(f"{path}: decoder head 'blocks' {list(blocks or ())} do not match "
+                         f"the schema's preference widths {list(widths)}")
+    return model

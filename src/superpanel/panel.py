@@ -119,8 +119,9 @@ def build_panel(model: cvae.TrainedModel, base_records, years, external_by_year,
     ``external_by_year`` maps year -> individual id -> {attribute: value}.
     Each cell owns an rng derived from (seed, individual id, year), so the
     cube is identical however the cells are scheduled; jobs > 1 spreads
-    the per-year blocks over worker processes. Decoding runs in large
-    stacked batches for speed.
+    the per-year blocks over worker processes. Each year's cells go through
+    the sampling kernel in one call, which decodes them in cache-sized
+    chunks, so the decoder's working memory does not grow with the cells.
     """
     if not base_records:
         raise PanelError("base population is empty")

@@ -7,6 +7,12 @@ the draws keep the full conditional spread of the model. Per-profile
 randomness is derived from (master seed, profile id), so sampling many
 profiles in parallel or serially yields identical output. Conditional
 rows come from ``schema.encode_columns``, like every other encoded row.
+
+One kernel (``_decode_with_noise``) serves per-profile draws, bulk
+columns and the panel cube. It decodes whole rows in cache-sized chunks
+of about ``CHUNK_ROWS`` draws and writes their categories into int64
+columns allocated once, so its working memory does not grow with the
+number of rows.
 """
 
 from dataclasses import dataclass
@@ -18,8 +24,9 @@ from .cvae import TrainedModel
 from .schema import Record, encode_columns, record_columns
 from .seeding import derive_rng
 
-#: decoder rows pushed through one batched forward pass
-CHUNK_ROWS = 65536
+#: decoder draws pushed through one forward pass: small enough that a chunk's
+#: input, layer outputs and category arrays stay near cache size
+CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -28,15 +35,25 @@ class PreferenceDraws:
     draws: list[dict]
 
 
-def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms):
-    """One column of category indices per attribute, each drawn from its softmax."""
-    cols = {}
-    for j, block in enumerate(model.pref_layout):
-        cum = np.cumsum(dec_out[:, block.start : block.start + block.width], axis=1)
-        u = uniforms[:, j] * cum[:, -1]  # renormalize against fp drift
-        idx = np.sum(u[:, None] >= cum, axis=1)
-        cols[block.name] = np.minimum(idx, block.width - 1).astype(np.int64)
-    return cols
+def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray):
+    """Category indices, (rows, blocks): block j's index is drawn from its softmax
+    segment by uniforms[:, j].
+
+    The segments are gathered into one zero-padded (rows, blocks, widest)
+    array, so one cumsum, one compare-and-sum and one clamp serve every
+    block. The padding follows each segment's end: it leaves every partial
+    sum as it was and adds 0 to each total.
+    """
+    widths = [block.width for block in model.pref_layout]
+    widest = max(widths)
+    # the decoder's output columns are the segments in order
+    slots = [j * widest + m for j, width in enumerate(widths) for m in range(width)]
+    padded = np.zeros((len(dec_out), len(widths), widest))
+    padded.reshape(len(dec_out), -1)[:, slots] = dec_out
+    cum = np.cumsum(padded, axis=2, out=padded)
+    u = uniforms * cum[:, :, -1]  # renormalize against fp drift
+    idx = np.sum(u[:, :, None] >= cum, axis=2)
+    return np.minimum(idx, np.array(widths) - 1, out=idx)
 
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,
@@ -44,32 +61,33 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     """The sampling kernel: draws_per_row decoder draws for every conditional row.
 
     rngs[i] is row i's generator (rows may share one); each row draws its
-    latent noise, then its category uniforms. Rows are decoded in chunks of
-    about CHUNK_ROWS draws. Returns one column of category indices per
-    preference attribute with draws_per_row consecutive entries per row.
+    latent noise, then its category uniforms. Whole rows are decoded in
+    chunks of about CHUNK_ROWS draws, each built in one reused input
+    buffer, and their categories are written into int64 columns allocated
+    once. Returns one column of category indices per preference attribute
+    with draws_per_row consecutive entries per row.
     """
     r, d_z = draws_per_row, model.config.latent_dim
-    n_blocks = len(model.pref_layout)
-    pieces = []
-    rows_per_chunk = max(1, CHUNK_ROWS // r)
-    for lo in range(0, len(c_rows), rows_per_chunk):
-        hi = min(lo + rows_per_chunk, len(c_rows))
-        eps = np.empty(((hi - lo) * r, d_z))
-        uniforms = np.empty(((hi - lo) * r, n_blocks))
-        for k, rng in enumerate(rngs[lo:hi]):
-            eps[k * r : (k + 1) * r] = rng.standard_normal((r, d_z))
-            uniforms[k * r : (k + 1) * r] = rng.random((r, n_blocks))
-        expanded = np.repeat(c_rows[lo:hi], r, axis=0)
-        # latent draws from the unit prior are the eps themselves
-        dec_out, tape = nn.forward(model.decoder, np.concatenate([eps, expanded], axis=1))
-        pieces.append(_resolve_samples(model, dec_out, uniforms))
-        # Drop the decoder's buffers before the next chunk allocates its own, but
-        # keep this chunk's inputs until then: freed heap memory is then reused
-        # rather than handed back to the system and faulted in again.
-        del dec_out, tape
-    if len(pieces) == 1:
-        return pieces[0]
-    return {name: np.concatenate([p[name] for p in pieces]) for name in pieces[0]}
+    n, n_blocks = len(c_rows), len(model.pref_layout)
+    out = np.empty((n_blocks, n * r), dtype=np.int64)
+    cols = {block.name: col for block, col in zip(model.pref_layout, out)}
+    if n * r == 0:
+        return cols
+    rows_per_chunk = min(n, max(1, CHUNK_ROWS // r))
+    x = np.empty((rows_per_chunk, r, d_z + c_rows.shape[1]))
+    uniforms = np.empty((rows_per_chunk, r, n_blocks))
+    for lo in range(0, n, rows_per_chunk):
+        k = min(rows_per_chunk, n - lo)
+        for i, rng in enumerate(rngs[lo : lo + k]):
+            # latent draws from the unit prior are the eps themselves
+            x[i, :, :d_z] = rng.standard_normal((r, d_z))
+            rng.random(out=uniforms[i])
+        x[:k, :, d_z:] = c_rows[lo : lo + k, None, :]
+        # [0] drops the tape, so no hidden layer outlives its chunk
+        dec_out = nn.forward(model.decoder, x[:k].reshape(k * r, -1))[0]
+        out[:, lo * r : (lo + k) * r] = _resolve_samples(
+            model, dec_out, uniforms[:k].reshape(k * r, n_blocks)).T
+    return cols
 
 
 def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int,
@@ -77,8 +95,6 @@ def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int
     """Draw preference realizations for one encoded conditional row."""
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
-    if n_draws == 0:
-        return PreferenceDraws(profile_id, [])
     cols = _decode_with_noise(model, np.asarray(c_row, dtype=float)[None, :], n_draws,
                               [derive_rng(seed, "profile", profile_id)])
     values = []

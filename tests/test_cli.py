@@ -245,13 +245,20 @@ class TestGenerate:
         assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
         assert "format_version 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["decoder", "best_epoch"])
+    @pytest.mark.parametrize("field", ["decoder", "best_epoch", "blocks", "encoder"])
     def test_malformed_model_fails(self, pipeline, tmp_path, capsys, field):
-        """(kind, width) head blocks in a version 2 file, or no best_epoch, are refused."""
+        """(kind, width) head blocks in a version 2 file, no best_epoch, head blocks
+        that split the schema's [3, 3] preference widths as [2, 4], or networks
+        sized for another latent_dim are refused."""
         tmp, out, _ = pipeline
         payload = json.loads((out / "model_full.json").read_text())
         if field == "decoder":
             payload["decoder"]["layers"][-1]["blocks"] = [["softmax", 3], ["softmax", 3]]
+        elif field == "blocks":
+            assert payload["decoder"]["layers"][-1]["blocks"] == [3, 3]
+            payload["decoder"]["layers"][-1]["blocks"] = [2, 4]
+        elif field == "encoder":
+            payload["config"]["latent_dim"] += 1
         else:
             del payload["best_epoch"]
         bad = tmp_path / "model_bad.json"
@@ -260,6 +267,25 @@ class TestGenerate:
         assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and f"'{field}'" in err
+
+
+class TestDrawCounts:
+    @pytest.mark.parametrize("command, key", [
+        ("generate", "generate.draws_per_profile"),
+        ("evaluate", "evaluate.draws_per_profile"),
+        ("bootstrap", "bootstrap.samples_per_replicate"),
+    ])
+    def test_draw_count_below_one_fails_first(self, pipeline, tmp_path, capsys, monkeypatch,
+                                              no_training, command, key):
+        """A draw count of 0 fails naming its key before any model loads or trains."""
+        tmp, out, cfg = pipeline
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was loaded")
+        monkeypatch.setattr(cvae, "load_model", refuse)
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"{key}=0"]) == 1
+        assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
 
 
 class TestSetOverrides:

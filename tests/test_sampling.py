@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,88 @@ def records_for(model, *segments):
     """Year-0 records, one per segment, with every preference at category 0."""
     return [sm.Record(tuple(s if a.name == "segment" else 0 for a in model.schema.attributes))
             for s in segments]
+
+
+def resolve_per_block(layout, dec_out, uniforms):
+    """Reference category draw: one cumsum, compare and clamp per segment."""
+    out = []
+    for j, block in enumerate(layout):
+        cum = np.cumsum(dec_out[:, block.start : block.start + block.width], axis=1)
+        u = uniforms[:, j] * cum[:, -1]
+        out.append(np.minimum(np.sum(u[:, None] >= cum, axis=1), block.width - 1))
+    return np.stack(out, axis=1)
+
+
+class TestKernel:
+    def test_single_pass_matches_per_block(self, small_model):
+        """Unnormalized segments of widths (2, 2, 4, 6) resolve as block by block."""
+        layout = small_model.pref_layout
+        assert [b.width for b in layout] == [2, 2, 4, 6]
+        rng = np.random.default_rng(0)
+        dec_out = rng.random((5000, small_model.dim_v)) ** 3
+        uniforms = rng.random((5000, len(layout)))
+        got = sampling._resolve_samples(small_model, dec_out, uniforms)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, resolve_per_block(layout, dec_out, uniforms))
+
+    def test_single_pass_matches_per_block_at_clamp_edge(self, small_model):
+        """With the largest uniform, u * total reaches total for zero and
+        subnormal segment totals; the padding does not move the clamp."""
+        layout = small_model.pref_layout
+        rng = np.random.default_rng(1)
+        dec_out = rng.random((300, small_model.dim_v))
+        dec_out[::3] = 0.0
+        dec_out[1::3] = 5e-324  # the smallest subnormal
+        uniforms = np.full((300, len(layout)), 1 - 2.0 ** -53)
+        totals = np.stack([dec_out[:, b.start : b.start + b.width].sum(axis=1) for b in layout],
+                          axis=1)
+        edge = np.arange(300) % 3 < 2
+        assert np.all((uniforms * totals >= totals)[edge])
+        got = sampling._resolve_samples(small_model, dec_out, uniforms)
+        assert np.array_equal(got, resolve_per_block(layout, dec_out, uniforms))
+        assert np.array_equal(got[edge], np.tile([b.width - 1 for b in layout], (200, 1)))
+
+    def test_chunk_size_does_not_change_draws(self, small_model, monkeypatch):
+        """Chunks of 7 draws give per-profile and bulk draws equal to one chunk."""
+        rows = np.stack([row_for(small_model, segment=s, year=y)
+                         for s in range(2) for y in range(3)])
+        whole_cols = sampling.sample_preference_columns(small_model, rows, 3, seed=8)
+        whole_draws = sampling.sample(small_model, rows[1], "ind-1", 20, seed=8).draws
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 7)
+        cols = sampling.sample_preference_columns(small_model, rows, 3, seed=8)
+        for name, col in whole_cols.items():
+            assert np.array_equal(cols[name], col)
+        assert sampling.sample(small_model, rows[1], "ind-1", 20, seed=8).draws == whole_draws
+
+    @pytest.mark.parametrize("n_rows, draws", [(0, 5), (3, 0)])
+    def test_no_rows_or_no_draws_give_empty_columns(self, small_model, n_rows, draws):
+        rows = np.stack([row_for(small_model)] * 3)[:n_rows]
+        cols = sampling.sample_preference_columns(small_model, rows, draws, seed=9)
+        assert list(cols) == [b.name for b in small_model.pref_layout]
+        for col in cols.values():
+            assert col.dtype == np.int64 and col.shape == (0,)
+
+    def test_working_memory_does_not_grow_with_rows(self):
+        """The kernel's traced peak beyond the columns it returns is the same
+        for 50 and for 2,000 conditional rows x 500 draws."""
+        spec = oracle.canned_spec("static-corr")
+        encoded = sm.encode(oracle.generate_dataset(spec, 40, seed=54), spec.schema)
+        config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=55)
+        model = cvae.train(encoded, config, encoded)
+        extra = []
+        for n_rows in (50, 2000):
+            rows = np.repeat(encoded.conditional[:1], n_rows, axis=0)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cols = sampling.sample_preference_columns(model, rows, 500, seed=10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            returned = sum(col.nbytes for col in cols.values())
+            extra.append(peak - before - returned)
+        assert abs(extra[1] - extra[0]) <= 0.1 * extra[0], extra
 
 
 class TestSample:
