@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,23 +29,8 @@ DEFAULT_CONFIG = {
     "data": None,
     "split_fraction": 0.8,
     "dgp": {"name": "static-corr", "spec_path": None, "n_per_year": 1000, "years": None},
-    "model": {
-        "hidden_layers": [64, 32],
-        "latent_dim": 5,
-        "beta": 0.5,
-        "learning_rate": 0.001,
-        "rho": 0.9,
-        "epsilon": 1e-8,
-        "batch_size": 64,
-        "epochs": 50,
-    },
-    "grid": {
-        "n_layers": [1, 2, 3],
-        "n_neurons": [25, 50, 100, 200, 400],
-        "latent_dims": [5, 10, 25],
-        "betas": [0.1, 0.5, 1.0, 10.0],
-        "plan_only": False,
-    },
+    "model": {f.name: f.default for f in fields(cvae.CvaeConfig) if f.name != "seed"},
+    "grid": {**asdict(cvae.GridSpec()), "plan_only": False},
     "eval_subsets": None,
     "generate": {"model": "model_full.json", "draws_per_profile": 1},
     "evaluate": {"draws_per_profile": 1},
@@ -99,30 +84,42 @@ def _apply_set(config: dict, assignment: str) -> None:
         elif not isinstance(node[p], dict):
             raise CliError(f"--set {key!r}: {p!r} holds a value, not a section")
         node = node[p]
-    node[parts[-1]] = value
+    # an object merges into its section, as the config file does
+    _deep_update(node, {parts[-1]: value})
 
 
 def _check_keys(config: dict, known: dict, prefix: str = "") -> None:
     for key, value in config.items():
         if key not in known:
             raise CliError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and isinstance(known[key], dict):
+        if isinstance(known[key], dict):
+            if not isinstance(value, dict):
+                raise CliError(f"config key {prefix + key!r} must be a section (a JSON object), "
+                               f"got {value!r}")
             _check_keys(value, known[key], f"{prefix}{key}.")
 
 
+def _check_config(config: dict) -> None:
+    _check_keys(config, DEFAULT_CONFIG)
+    if config["bootstrap"]["model"] is not None:  # null, or a section of model overrides
+        _check_keys({"model": config["bootstrap"]["model"]}, {"model": DEFAULT_CONFIG["model"]},
+                    "bootstrap.")
+
+
 def load_config(args) -> dict:
+    """DEFAULT_CONFIG merged with the config file, then with each --set; every stage
+    is checked, so a command can read config[section][key] directly."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             _deep_update(config, json.load(fh))
+        _check_config(config)
     for assignment in args.set or []:
         _apply_set(config, assignment)
-    _check_keys(config, DEFAULT_CONFIG)
-    if isinstance(config["bootstrap"].get("model"), dict):
-        _check_keys(config["bootstrap"]["model"], DEFAULT_CONFIG["model"], "bootstrap.model.")
+        _check_config(config)
     if args.seed is not None:
         config["seed"] = args.seed
-    if config.get("seed") is None:
+    if config["seed"] is None:
         raise CliError("a seed is required (config 'seed' or --seed); wall-clock seeding is not supported")
     try:
         config["seed"] = int(config["seed"])
@@ -150,7 +147,7 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, outputs, started: float,
-                   extra: dict | None = None) -> None:
+                   extra: dict) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -162,16 +159,15 @@ def write_manifest(out_dir: Path, command: str, config: dict, outputs, started: 
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     with open(out_dir / f"{command}_manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
         fh.write("\n")
 
 
 def _out_dir(args, config) -> Path:
-    out = args.out or config.get("out_dir")
+    out = args.out or config["out_dir"]
     if not out:
         raise CliError("an output directory is required (--out or config 'out_dir')")
     path = Path(out)
@@ -180,7 +176,7 @@ def _out_dir(args, config) -> Path:
 
 
 def _load_inputs(config):
-    if not config.get("schema") or not config.get("data"):
+    if not config["schema"] or not config["data"]:
         raise CliError("config must point at 'schema' and 'data' files")
     sch = schema_mod.load_schema(config["schema"])
     records, dropped = schema_mod.ingest_csv(config["data"], sch)
@@ -212,7 +208,7 @@ def _draw_count(config, key: str) -> int:
 
 
 def _eval_subsets(config, sch) -> list[tuple[str, ...]]:
-    subsets = config.get("eval_subsets")
+    subsets = config["eval_subsets"]
     if subsets:
         return [tuple(s) for s in subsets]
     joint = panel.default_distance_subset(sch)
@@ -225,18 +221,13 @@ def _eval_subsets(config, sch) -> list[tuple[str, ...]]:
 # Commands
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def cmd_synth(args, config, out):
     dgp_cfg = config["dgp"]
-    if dgp_cfg.get("spec_path"):
-        spec = oracle.load_dgp(dgp_cfg["spec_path"])
-    else:
-        spec = oracle.canned_spec(dgp_cfg.get("name", "static-corr"))
-    years = dgp_cfg.get("years") or list(spec.years)
+    spec = (oracle.load_dgp(dgp_cfg["spec_path"]) if dgp_cfg["spec_path"]
+            else oracle.canned_spec(dgp_cfg["name"]))
+    years = dgp_cfg["years"] or list(spec.years)
     records = oracle.generate_dataset(
-        spec, int(dgp_cfg.get("n_per_year", 1000)), years,
+        spec, int(dgp_cfg["n_per_year"]), years,
         seed=derive_seed(config["seed"], "synth"),
     )
     schema_path = out / "schema.json"
@@ -245,17 +236,13 @@ def cmd_synth(args) -> int:
     schema_mod.save_schema(spec.schema, schema_path)
     schema_mod.write_records_csv(data_path, records, spec.schema)
     oracle.save_dgp(spec, spec_path)
-    write_manifest(out, "synth", config, [schema_path, data_path, spec_path], started,
-                   {"n_records": len(records)})
     print(f"synth: wrote {len(records)} records to {data_path}")
-    return 0
+    return [schema_path, data_path, spec_path], {"n_records": len(records)}
 
 
-def _train_split(config, sch, records):
-    fraction = float(config.get("split_fraction", 0.8))
-    idx_train, idx_val = schema_mod.split_indices(len(records), fraction, config["seed"])
-    encoded = schema_mod.encode(records, sch)
-    return encoded, encoded.take(idx_train), encoded.take(idx_val), idx_train, idx_val
+def _split(config, records):
+    """(idx_train, idx_val): the seeded train/validation split of the survey rows."""
+    return schema_mod.split_indices(len(records), float(config["split_fraction"]), config["seed"])
 
 
 def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.CvaeConfig:
@@ -265,28 +252,23 @@ def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.
     return cvae.CvaeConfig(**m, seed=derive_seed(config["seed"], seed_key))
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def cmd_train(args, config, out):
     sch, records, dropped = _load_inputs(config)
-    encoded, train_set, val_set, _, _ = _train_split(config, sch, records)
+    idx_train, idx_val = _split(config, records)
+    encoded = schema_mod.encode(records, sch)
+    train_set, val_set = encoded.take(idx_train), encoded.take(idx_val)
     outputs = []
     extra = {"dropped_rows": dropped}
 
     if args.grid:
         grid_cfg = config["grid"]
-        grid = cvae.GridSpec(
-            n_layers=tuple(grid_cfg["n_layers"]),
-            n_neurons=tuple(grid_cfg["n_neurons"]),
-            latent_dims=tuple(grid_cfg["latent_dims"]),
-            betas=tuple(grid_cfg["betas"]),
-        )
+        grid = cvae.GridSpec(**{f.name: tuple(grid_cfg[f.name]) for f in fields(cvae.GridSpec)})
+        base = _model_config(config, "grid-base")
         cells = grid.cells()
         print(f"grid plan: {len(cells)} cells")
         plan_rows = []
         for i, (nl, nn_, dz, beta) in enumerate(cells):
-            hidden = list(cvae.CvaeConfig.from_grid_cell(nl, nn_, dz, beta).hidden_layers)
+            hidden = list(cvae.grid_cell_config(base, nl, nn_, dz, beta, base.seed).hidden_layers)
             print(f"  cell {i:3d}: layers={nl} neurons={nn_} hidden={hidden} "
                   f"latent={dz} beta={beta}")
             plan_rows.append((i, nl, nn_, "x".join(map(str, hidden)), dz, beta))
@@ -294,23 +276,17 @@ def cmd_train(args) -> int:
         write_csv(plan_path, ["cell", "n_layers", "n_neurons", "hidden", "latent_dim", "beta"],
                   plan_rows)
         outputs.append(plan_path)
-        if grid_cfg.get("plan_only"):
-            write_manifest(out, "train", config, outputs, started, {"plan_only": True})
-            return 0
-        base = {k: config["model"][k] for k in
-                ("learning_rate", "rho", "epsilon", "batch_size", "epochs")}
+        if grid_cfg["plan_only"]:
+            return outputs, {"plan_only": True}
         best_cfg, leaderboard = cvae.grid_search(
             train_set, val_set, grid, _eval_subsets(config, sch),
             seed=config["seed"], base=base, jobs=args.jobs,
         )
         lb_path = out / "leaderboard.csv"
-        write_csv(
-            lb_path,
-            ["cell", "n_layers", "n_neurons", "latent_dim", "beta", "mean_srmse",
-             "val_loss", "best_epoch", "diverged"],
-            [(r.cell, r.n_layers, r.n_neurons, r.latent_dim, r.beta, r.mean_srmse,
-              r.val_loss, r.best_epoch, r.diverged) for r in leaderboard],
-        )
+        write_csv(lb_path, ["cell", "n_layers", "n_neurons", "latent_dim", "beta", "mean_srmse",
+                            "val_loss", "best_epoch", "diverged"],
+                  [(r.cell, r.n_layers, r.n_neurons, r.latent_dim, r.beta, r.mean_srmse,
+                    r.val_loss, r.best_epoch, r.diverged) for r in leaderboard])
         outputs.append(lb_path)
         split_cfg = best_cfg
         extra["winner"] = {"hidden_layers": list(best_cfg.hidden_layers),
@@ -350,35 +326,26 @@ def cmd_train(args) -> int:
                "val_loss": min(v for _, v in model.training_history)}
         for name, model in (("split", model_split), ("full", model_full))
     }
-    write_manifest(out, "train", config, outputs, started, extra)
     print(f"train: wrote {split_path} and {full_path}")
-    return 0
+    return outputs, extra
 
 
-def cmd_generate(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def cmd_generate(args, config, out):
     sch, records, _ = _load_inputs(config)
     gen_cfg = config["generate"]
     draws = _draw_count(config, "generate.draws_per_profile")
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
     population = sampling.generate_population(
-        model,
-        records,
-        draws_per_profile=draws,
-        seed=derive_seed(config["seed"], "generate"),
-    )
+        model, records, draws_per_profile=draws, seed=derive_seed(config["seed"], "generate"))
     synth_path = out / "synthetic.csv"
     schema_mod.write_records_csv(synth_path, population.records, sch)
-    write_manifest(out, "generate", config, [synth_path], started, {
+    print(f"generate: wrote {len(population.records)} records to {synth_path}")
+    return [synth_path], {
         "model_hash": hashlib.sha256(model_path.read_bytes()).hexdigest(),
         "schema_hash": model.schema.content_hash(),
         "n_records": len(population.records),
         "extrapolated_profiles": population.extrapolated_ids,
-    })
-    print(f"generate: wrote {len(population.records)} records to {synth_path}")
-    return 0
+    }
 
 
 def _histogram_rows(comparison, report, hat, ref):
@@ -391,13 +358,9 @@ def _histogram_rows(comparison, report, hat, ref):
     return summary, scatter
 
 
-def cmd_evaluate(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def cmd_evaluate(args, config, out):
     sch, records, _ = _load_inputs(config)
-    fraction = float(config.get("split_fraction", 0.8))
-    idx_train, idx_val = schema_mod.split_indices(len(records), fraction, config["seed"])
+    idx_train, idx_val = _split(config, records)
     train_records = [records[i] for i in idx_train]
     val_records = [records[i] for i in idx_val]
     subsets = _eval_subsets(config, sch)
@@ -407,11 +370,8 @@ def cmd_evaluate(args) -> int:
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
 
     def synth_records(model, source_records, key):
-        pop = sampling.generate_population(
-            model, source_records, draws_per_profile=draws,
-            seed=derive_seed(config["seed"], "evaluate", key),
-        )
-        return pop.records
+        seed = derive_seed(config["seed"], "evaluate", key)
+        return sampling.generate_population(model, source_records, draws, seed).records
 
     synth_train = synth_records(split_model, train_records, "train")
     synth_val = synth_records(split_model, val_records, "val")
@@ -450,11 +410,10 @@ def cmd_evaluate(args) -> int:
               scatter_rows)
     overlap_path = out / "overlap.csv"
     write_csv(overlap_path, ["pair", "a_in_b_pct", "b_in_a_pct"], overlap_rows)
-    write_manifest(out, "evaluate", config, [comp_path, scatter_path, overlap_path], started)
     for row in summary_rows:
         print(f"evaluate: {row[0]} subset={row[1]} n_bins={row[2]} srmse={row[3]:.4f} "
               f"corr={row[4]:.4f} r2={row[5]:.4f}")
-    return 0
+    return [comp_path, scatter_path, overlap_path], {}
 
 
 def _load_external_table(path, sch, base_records):
@@ -504,9 +463,9 @@ def _load_external_table(path, sch, base_records):
             for year, per_zone in raw.items()}
 
 
-def _build_cube(config, args, sch, records):
+def _build_cube(args, config, out, sch, records):
     panel_cfg = config["panel"]
-    model, _ = _load_model(config, _out_dir(args, config), sch, panel_cfg["model"])
+    model, _ = _load_model(config, out, sch, panel_cfg["model"])
     time_attr = sch.time_attribute
     if time_attr is None:
         raise CliError("panel construction needs a time attribute")
@@ -515,31 +474,28 @@ def _build_cube(config, args, sch, records):
     base_records = [r for r in records if int(r.values[pos]) == ref_year]
     if not base_records:
         raise CliError(f"no records in reference year {ref_year}")
-    limit = panel_cfg.get("max_individuals")
+    limit = panel_cfg["max_individuals"]
     if limit:
         base_records = base_records[: int(limit)]
-    years = panel_cfg.get("years")
+    years = panel_cfg["years"]
     if years is None:
         years = sorted({int(r.values[pos]) for r in records})
     external = None
-    if panel_cfg.get("external_table"):
+    if panel_cfg["external_table"]:
         external = _load_external_table(panel_cfg["external_table"], sch, base_records)
-    subsets = panel_cfg.get("subsets")
+    subsets = panel_cfg["subsets"]
     return panel.build_panel(
         model, base_records, years, external,
-        draws_per_cell=int(panel_cfg.get("draws_per_cell", 200)),
+        draws_per_cell=int(panel_cfg["draws_per_cell"]),
         seed=derive_seed(config["seed"], "panel"),
         subsets=[tuple(s) for s in subsets] if subsets else None,
         jobs=args.jobs,
     )
 
 
-def cmd_build_panel(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def cmd_build_panel(args, config, out):
     sch, records, _ = _load_inputs(config)
-    cube = _build_cube(config, args, sch, records)
+    cube = _build_cube(args, config, out, sch, records)
 
     panel_path = out / "panel.csv"
     rows = []
@@ -552,10 +508,8 @@ def cmd_build_panel(args) -> int:
     write_csv(panel_path, ["individual_id", "year", "attribute", "category", "frequency"], rows)
 
     panel_cfg = config["panel"]
-    trend_attrs = panel_cfg.get("trend_attributes") or [
-        a.name for a in sch.preference_attributes
-    ]
-    conditions = panel_cfg.get("trend_conditions") or [{}]
+    trend_attrs = panel_cfg["trend_attributes"] or [a.name for a in sch.preference_attributes]
+    conditions = panel_cfg["trend_conditions"] or [{}]
     trend_rows = []
     for cond in conditions:
         cond_label = ",".join(f"{k}={v}" for k, v in sorted(cond.items())) or "all"
@@ -574,31 +528,24 @@ def cmd_build_panel(args) -> int:
     trends_path = out / "trends.csv"
     write_csv(trends_path, ["condition", "attribute", "kind", "year", "category", "value"],
               trend_rows)
-    write_manifest(out, "build_panel", config, [panel_path, trends_path], started, {
+    print(f"build-panel: {cube.n_individuals} individuals x {len(cube.years)} years "
+          f"x R={cube.draws_per_cell} -> {panel_path}")
+    return [panel_path, trends_path], {
         "individuals": cube.n_individuals,
         "years": list(cube.years),
         "draws_per_cell": cube.draws_per_cell,
-    })
-    print(f"build-panel: {cube.n_individuals} individuals x {len(cube.years)} years "
-          f"x R={cube.draws_per_cell} -> {panel_path}")
-    return 0
+    }
 
 
-def cmd_classify_movers(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def cmd_classify_movers(args, config, out):
     sch, records, _ = _load_inputs(config)
-    cube = _build_cube(config, args, sch, records)
+    cube = _build_cube(args, config, out, sch, records)
     movers_cfg = config["movers"]
-    t_start = movers_cfg.get("t_start")
-    t_end = movers_cfg.get("t_end")
-    t_start = cube.years[0] if t_start is None else t_start
-    t_end = cube.years[-1] if t_end is None else t_end
-    subset = movers_cfg.get("subset")
-    report = panel.classify_movers(
-        cube, int(t_start), int(t_end), tuple(subset) if subset else None
-    )
+    t_start = cube.years[0] if movers_cfg["t_start"] is None else movers_cfg["t_start"]
+    t_end = cube.years[-1] if movers_cfg["t_end"] is None else movers_cfg["t_end"]
+    subset = movers_cfg["subset"]
+    report = panel.classify_movers(cube, int(t_start), int(t_end),
+                                   tuple(subset) if subset else None)
 
     movers_path = out / "movers.csv"
     fast, slow = set(report.fast_ids), set(report.slow_ids)
@@ -623,58 +570,59 @@ def cmd_classify_movers(args) -> int:
     write_csv(marg_path,
               ["attribute", "category", "freq_fast", "freq_slow", "mode_fast", "mode_slow"],
               marg_rows)
-    write_manifest(out, "classify_movers", config, [movers_path, marg_path], started, {
+    print(f"classify-movers: {len(report.fast_ids)} fast / {len(report.slow_ids)} slow "
+          f"of {len(report.ids)} -> {movers_path}")
+    return [movers_path, marg_path], {
         "t_start": int(t_start), "t_end": int(t_end),
         "subset": list(report.subset),
         "n_fast": len(report.fast_ids), "n_slow": len(report.slow_ids),
-    })
-    print(f"classify-movers: {len(report.fast_ids)} fast / {len(report.slow_ids)} slow "
-          f"of {len(report.ids)} -> {movers_path}")
-    return 0
+    }
 
 
-def cmd_bootstrap(args) -> int:
-    started = time.time()
-    config = load_config(args)
-    out = _out_dir(args, config)
+def _statistics(config) -> list[panel.StatisticSpec]:
+    """bootstrap.statistics as specs; an entry needs an attribute and only StatisticSpec keys."""
+    entries = config["bootstrap"]["statistics"]
+    if not entries or not isinstance(entries, list):
+        raise CliError("bootstrap.statistics must be a nonempty list of statistics")
+    known = [f.name for f in fields(panel.StatisticSpec)]
+    stats = []
+    for i, s in enumerate(entries):
+        if not isinstance(s, dict) or "attribute" not in s:
+            raise CliError(f"bootstrap.statistics[{i}] has no 'attribute' key")
+        unknown = [k for k in s if k not in known]
+        if unknown:
+            raise CliError(f"bootstrap.statistics[{i}] has an unknown key {unknown[0]!r}")
+        stats.append(panel.StatisticSpec(
+            attribute=s["attribute"], category=s.get("category"),
+            condition=tuple(sorted((s.get("condition") or {}).items())),
+            per_year=bool(s.get("per_year", True))))
+    return stats
+
+
+def cmd_bootstrap(args, config, out):
     sch, records, _ = _load_inputs(config)
     bs_cfg = config["bootstrap"]
-    stats_cfg = bs_cfg.get("statistics")
-    if not stats_cfg:
-        raise CliError("bootstrap.statistics must declare at least one statistic")
-    stats = [
-        panel.StatisticSpec(
-            attribute=s["attribute"],
-            category=s.get("category"),
-            condition=tuple(sorted((s.get("condition") or {}).items())),
-            per_year=bool(s.get("per_year", True)),
-        )
-        for s in stats_cfg
-    ]
+    stats = _statistics(config)
     samples = _draw_count(config, "bootstrap.samples_per_replicate")
-    model_cfg = _model_config(config, "bootstrap-base", bs_cfg.get("model") or {})
+    model_cfg = _model_config(config, "bootstrap-base", bs_cfg["model"])
     summary = panel.bootstrap(
         records, sch, model_cfg,
-        n_replicates=int(bs_cfg.get("replicates", 20)),
+        n_replicates=int(bs_cfg["replicates"]),
         statistics=stats,
         seed=derive_seed(config["seed"], "bootstrap"),
         samples_per_replicate=samples,
         jobs=args.jobs,
     )
     bs_path = out / "bootstrap.csv"
-    write_csv(
-        bs_path,
-        ["statistic", "source", "year", "mean", "std"],
-        [(name, source, "" if year is None else year, m, s)
-         for name, source, year, m, s in summary.rows],
-    )
-    write_manifest(out, "bootstrap", config, [bs_path], started, {
+    write_csv(bs_path, ["statistic", "source", "year", "mean", "std"],
+              [(name, source, "" if year is None else year, m, s)
+               for name, source, year, m, s in summary.rows])
+    print(f"bootstrap: {summary.survivors}/{summary.n_replicates} replicates -> {bs_path}")
+    return [bs_path], {
         "replicates": summary.n_replicates,
         "survivors": summary.survivors,
         "diverged": list(summary.diverged),
-    })
-    print(f"bootstrap: {summary.survivors}/{summary.n_replicates} replicates -> {bs_path}")
-    return 0
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +659,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; it returns (outputs, extra manifest entries) for its manifest."""
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.fn(args)
+        config = load_config(args)
+        out = _out_dir(args, config)
+        outputs, extra = args.fn(args, config, out)
+        write_manifest(out, args.command.replace("-", "_"), config, outputs, started, extra)
+        return 0
     except (CliError, schema_mod.SchemaError, schema_mod.IngestError,
             metrics.MetricError, panel.PanelError, oracle.DgpError,
             cvae.TrainingDiverged, FileNotFoundError, ValueError) as exc:

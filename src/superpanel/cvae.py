@@ -21,7 +21,7 @@ latent variance and the divergence above is the exact closed form.
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -64,14 +64,6 @@ class CvaeConfig:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-
-    @staticmethod
-    def from_grid_cell(n_layers: int, n_neurons: int, latent_dim: int, beta: float, **kw) -> "CvaeConfig":
-        """Hidden widths n_neurons // 2**l for layer l (integer division)."""
-        hidden = tuple(n_neurons // (2 ** l) for l in range(n_layers))
-        if any(h < 1 for h in hidden):
-            raise ValueError(f"layer width collapsed to zero for ({n_layers}, {n_neurons})")
-        return CvaeConfig(hidden_layers=hidden, latent_dim=latent_dim, beta=beta, **kw)
 
 
 @dataclass(frozen=True)
@@ -311,6 +303,16 @@ class GridSpec:
         return list(itertools.product(self.n_layers, self.n_neurons, self.latent_dims, self.betas))
 
 
+def grid_cell_config(base: CvaeConfig, n_layers: int, n_neurons: int, latent_dim: int,
+                     beta: float, seed: int) -> CvaeConfig:
+    """``base`` with one cell's shape: hidden widths n_neurons // 2**l for layer l
+    (integer division), the cell's latent size and divergence weight, and ``seed``."""
+    hidden = tuple(n_neurons // (2 ** l) for l in range(n_layers))
+    if any(h < 1 for h in hidden):
+        raise ValueError(f"layer width collapsed to zero for ({n_layers}, {n_neurons})")
+    return replace(base, hidden_layers=hidden, latent_dim=latent_dim, beta=beta, seed=seed)
+
+
 @dataclass
 class GridResult:
     cell: int
@@ -354,9 +356,7 @@ def evaluate_srmse(model: TrainedModel, val_set: EncodedDataset, eval_subsets, s
 
 def _run_grid_cell(args):
     (cell_idx, nl, nnrn, dz, beta, train_set, val_set, eval_subsets, base, master_seed) = args
-    cfg = CvaeConfig.from_grid_cell(
-        nl, nnrn, dz, beta, **base, seed=derive_seed(master_seed, "grid-cell", cell_idx)
-    )
+    cfg = grid_cell_config(base, nl, nnrn, dz, beta, derive_seed(master_seed, "grid-cell", cell_idx))
     try:
         model = train(train_set, cfg, val_set)
     except TrainingDiverged:
@@ -381,7 +381,7 @@ def grid_search(
     grid: GridSpec,
     eval_subsets,
     seed: int,
-    base: dict | None = None,
+    base: CvaeConfig,
     jobs: int = 1,
 ) -> tuple[CvaeConfig, list[GridResult]]:
     """Train one model per grid cell and rank by mean validation SRMSE.
@@ -390,10 +390,10 @@ def grid_search(
     ranking across cells uses the distribution distance. Cells run
     independently with seeds derived from (seed, cell index), so the
     leaderboard is identical for any jobs count. Diverged cells stay on
-    the leaderboard, flagged, and are excluded from ranking. ``base`` holds
-    the CvaeConfig fields shared by every cell (learning rate, epochs, ...).
+    the leaderboard, flagged, and are excluded from ranking. Every cell and
+    the returned winner are ``base`` (learning rate, epochs, ...) with the
+    cell's shape and seed, see ``grid_cell_config``.
     """
-    base = dict(base or {})
     cells = grid.cells()
     if not cells:
         raise ValueError("empty grid")
@@ -411,10 +411,8 @@ def grid_search(
     if not survivors:
         raise TrainingDiverged(-1, "every grid cell diverged")
     best = min(survivors, key=lambda r: (r.mean_srmse, r.cell))
-    best_cfg = CvaeConfig.from_grid_cell(
-        best.n_layers, best.n_neurons, best.latent_dim, best.beta, **base,
-        seed=derive_seed(seed, "grid-winner"),
-    )
+    best_cfg = grid_cell_config(base, best.n_layers, best.n_neurons, best.latent_dim, best.beta,
+                                derive_seed(seed, "grid-winner"))
     return best_cfg, results
 
 

@@ -9,10 +9,11 @@ profiles in parallel or serially yields identical output. Conditional
 rows come from ``schema.encode_columns``, like every other encoded row.
 
 One kernel (``_decode_with_noise``) serves per-profile draws, bulk
-columns and the panel cube. It decodes whole rows in cache-sized chunks
-of about ``CHUNK_ROWS`` draws and writes their categories into int64
-columns allocated once, so its working memory does not grow with the
-number of rows.
+columns and the panel cube. It draws whole rows in cache-sized chunks of
+about ``CHUNK_ROWS`` draws, sends at most ``CHUNK_ROWS`` of them through
+one decoder pass and writes their categories into int64 columns
+allocated once, so its decoder working memory grows neither with the
+number of rows nor with the draws per row.
 """
 
 from dataclasses import dataclass
@@ -61,11 +62,12 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     """The sampling kernel: draws_per_row decoder draws for every conditional row.
 
     rngs[i] is row i's generator (rows may share one); each row draws its
-    latent noise, then its category uniforms. Whole rows are decoded in
+    latent noise, then its category uniforms. Whole rows are drawn in
     chunks of about CHUNK_ROWS draws, each built in one reused input
-    buffer, and their categories are written into int64 columns allocated
-    once. Returns one column of category indices per preference attribute
-    with draws_per_row consecutive entries per row.
+    buffer, and decoded in slices of at most CHUNK_ROWS draws (a row with
+    more draws spans several slices); their categories are written into
+    int64 columns allocated once. Returns one column of category indices
+    per preference attribute with draws_per_row consecutive entries per row.
     """
     r, d_z = draws_per_row, model.config.latent_dim
     n, n_blocks = len(c_rows), len(model.pref_layout)
@@ -83,10 +85,13 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
             x[i, :, :d_z] = rng.standard_normal((r, d_z))
             rng.random(out=uniforms[i])
         x[:k, :, d_z:] = c_rows[lo : lo + k, None, :]
-        # [0] drops the tape, so no hidden layer outlives its chunk
-        dec_out = nn.forward(model.decoder, x[:k].reshape(k * r, -1))[0]
-        out[:, lo * r : (lo + k) * r] = _resolve_samples(
-            model, dec_out, uniforms[:k].reshape(k * r, n_blocks)).T
+        x_k, u_k = x[:k].reshape(k * r, -1), uniforms[:k].reshape(k * r, n_blocks)
+        # several slices only when one row has more than CHUNK_ROWS draws;
+        # [0] drops the tape, so no hidden layer outlives its slice
+        for a in range(0, k * r, CHUNK_ROWS):
+            b = min(a + CHUNK_ROWS, k * r)
+            out[:, lo * r + a : lo * r + b] = _resolve_samples(
+                model, nn.forward(model.decoder, x_k[a:b])[0], u_k[a:b]).T
     return cols
 
 

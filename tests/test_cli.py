@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,20 @@ class TestPanelCommands:
         assert "statistic p_mode:" in err and named in err
         assert not (tmp_path / "bootstrap.csv").exists()
 
+    @pytest.mark.parametrize("stat, named", [
+        ({"category": 0}, "bootstrap.statistics[1] has no 'attribute' key"),
+        ({"attribute": "p_mode", "catgory": 0}, "bootstrap.statistics[1] has an unknown key "
+                                                "'catgory'"),
+    ])
+    def test_malformed_bootstrap_statistic_fails(self, pipeline, tmp_path, capsys, no_training,
+                                                 stat, named):
+        tmp, out, cfg = pipeline
+        stats = [{"attribute": "p_mode", "category": 0}, stat]
+        assert run(["bootstrap", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"bootstrap.statistics={json.dumps(stats)}"]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "bootstrap.csv").exists()
+
 
 class TestGenerate:
     def test_generate_matches_ingestion_format(self, pipeline):
@@ -324,6 +340,30 @@ class TestSetOverrides:
         manifest = json.loads((out / "synth_manifest.json").read_text())
         assert manifest["config"]["bootstrap"]["model"] == {"epochs": 2}
 
+    def test_set_object_merges_into_section(self, tmp_path):
+        """An object given to --set keeps the section's other keys, as a config file does."""
+        out = tmp_path / "o"
+        cfg = base_config(tmp_path, tmp_path)
+        assert run(["synth", "--config", str(cfg), "--out", str(out),
+                    "--set", 'dgp={"n_per_year": 10}']) == 0
+        manifest = json.loads((out / "synth_manifest.json").read_text())
+        assert manifest["config"]["dgp"] == {"name": "drift-split", "spec_path": None,
+                                             "n_per_year": 10, "years": None}
+
+    @pytest.mark.parametrize("command, file_override, sets, key", [
+        ("build-panel", {"panel": None}, [], "panel"),
+        ("train", {"model": 7}, [], "model"),
+        ("build-panel", {}, ["panel=3"], "panel"),
+        ("bootstrap", {}, ["bootstrap.model=7"], "bootstrap.model"),
+    ])
+    def test_section_given_a_value_fails(self, tmp_path, capsys, no_training, command,
+                                         file_override, sets, key):
+        cfg = base_config(tmp_path, tmp_path, **file_override)
+        code = run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+                   + [a for s in sets for a in ("--set", s)])
+        assert code == 1
+        assert f"config key '{key}' must be a section" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [424242, None])
     def test_set_through_value_fails(self, tmp_path, capsys, seed):
         cfg = base_config(tmp_path, tmp_path, seed=seed)
@@ -332,6 +372,22 @@ class TestSetOverrides:
         assert code == 1
         err = capsys.readouterr().err
         assert ("'seed.x'" if seed else "seed must be an integer") in err
+
+
+class TestReadmeConfig:
+    def test_minimal_config_loads(self, tmp_path):
+        """The README's minimal end-to-end config loads from a file and as --set objects."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("A minimal end-to-end config:", 1)[1]
+        text = block.split("```json", 1)[1].split("```", 1)[0]
+        doc = json.loads(text)
+        path = tmp_path / "readme.json"
+        path.write_text(text)
+        from_file = cli.load_config(argparse.Namespace(config=str(path), set=None, seed=None))
+        from_sets = cli.load_config(argparse.Namespace(
+            config=None, set=[f"{k}={json.dumps(v)}" for k, v in doc.items()], seed=None))
+        assert from_file == from_sets
+        assert from_file["panel"]["draws_per_cell"] == doc["panel"]["draws_per_cell"]
 
 
 class TestModelConfig:

@@ -253,17 +253,28 @@ class TestGridSearch:
         assert len(grid.cells()) == 180
 
     def test_hidden_widths_halve(self):
-        cfg = cvae.CvaeConfig.from_grid_cell(3, 200, 5, 0.5)
+        cfg = cvae.grid_cell_config(cvae.CvaeConfig(), 3, 200, 5, 0.5, seed=0)
         assert cfg.hidden_layers == (200, 100, 50)
+
+    def test_cell_keeps_base_fields(self):
+        base = cvae.CvaeConfig(learning_rate=0.01, batch_size=8, epochs=3, seed=1)
+        cfg = cvae.grid_cell_config(base, 2, 8, 3, 1.0, seed=2)
+        assert cfg == cvae.CvaeConfig(hidden_layers=(8, 4), latent_dim=3, beta=1.0,
+                                      learning_rate=0.01, batch_size=8, epochs=3, seed=2)
+
+    def test_zero_width_cell_fails(self):
+        with pytest.raises(ValueError, match="collapsed to zero"):
+            cvae.grid_cell_config(cvae.CvaeConfig(), 3, 2, 5, 0.5, seed=0)
 
     def test_single_point_grid_returns_it(self):
         data = tiny_encoded(40, seed=13)
         val = tiny_encoded(10, seed=14)
         grid = cvae.GridSpec(n_layers=(1,), n_neurons=(8,), latent_dims=(2,), betas=(0.5,))
         best, leaderboard = cvae.grid_search(
-            data, val, grid, [("p1", "p2")], seed=15, base={"epochs": 3, "batch_size": 8}
+            data, val, grid, [("p1", "p2")], seed=15,
+            base=cvae.CvaeConfig(epochs=3, batch_size=8),
         )
-        assert best.hidden_layers == (8,) and best.latent_dim == 2
+        assert best.hidden_layers == (8,) and best.latent_dim == 2 and best.epochs == 3
         assert len(leaderboard) == 1 and not leaderboard[0].diverged
 
     def test_all_cells_diverged_is_an_error(self):
@@ -272,7 +283,7 @@ class TestGridSearch:
         with pytest.raises(cvae.TrainingDiverged, match="every grid cell"):
             cvae.grid_search(
                 data, data, grid, [("p1",)], seed=22,
-                base={"epochs": 2, "batch_size": 8, "learning_rate": 1e9},
+                base=cvae.CvaeConfig(epochs=2, batch_size=8, learning_rate=1e9),
             )
 
     def test_winner_minimizes_leaderboard(self):
@@ -280,7 +291,8 @@ class TestGridSearch:
         val = tiny_encoded(15, seed=17)
         grid = cvae.GridSpec(n_layers=(1,), n_neurons=(4, 8), latent_dims=(2,), betas=(0.5, 1.0))
         best, leaderboard = cvae.grid_search(
-            data, val, grid, [("p1", "p2")], seed=18, base={"epochs": 2, "batch_size": 16}
+            data, val, grid, [("p1", "p2")], seed=18,
+            base=cvae.CvaeConfig(epochs=2, batch_size=16),
         )
         survivors = [r for r in leaderboard if not r.diverged]
         best_row = min(survivors, key=lambda r: (r.mean_srmse, r.cell))

@@ -85,6 +85,27 @@ class TestKernel:
             assert np.array_equal(cols[name], col)
         assert sampling.sample(small_model, rows[1], "ind-1", 20, seed=8).draws == whole_draws
 
+    def test_long_row_decoded_in_slices(self, small_model, monkeypatch):
+        """A row of more than CHUNK_ROWS draws never sends more than CHUNK_ROWS
+        rows through one decoder pass, and its draws equal one pass's."""
+        draws = 3 * sampling.CHUNK_ROWS + 5
+        passes = []
+        forward = sampling.nn.forward
+
+        def counted(net, x):
+            passes.append(len(x))
+            return forward(net, x)
+
+        monkeypatch.setattr(sampling.nn, "forward", counted)
+        cols = sampling.sample_preference_columns(small_model, row_for(small_model), draws, seed=3)
+        assert max(passes) <= sampling.CHUNK_ROWS and sum(passes) == draws
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 10**9)
+        whole = sampling.sample_preference_columns(small_model, row_for(small_model), draws,
+                                                   seed=3)
+        assert passes[-1] == draws
+        for name, col in whole.items():
+            assert np.array_equal(cols[name], col)
+
     @pytest.mark.parametrize("n_rows, draws", [(0, 5), (3, 0)])
     def test_no_rows_or_no_draws_give_empty_columns(self, small_model, n_rows, draws):
         rows = np.stack([row_for(small_model)] * 3)[:n_rows]
