@@ -16,7 +16,7 @@ from .schema import (
     decode,
 )
 from .nn import Network, DenseLayer, OptimizerState, forward, backward, softmax, rmsprop_step, init_weights
-from .cvae import CvaeConfig, LatentParams, LossBreakdown, TrainedModel, GridSpec, train, grid_search
+from .cvae import CvaeConfig, TrainedModel, GridSpec, train, grid_search
 from .sampling import PreferenceDraws, sample, generate_population
 from .metrics import JointHistogram, ComparisonReport, cross_tabulate, srmse, pearson, r2, marginals, overlap
 from .panel import PanelCube, MoverReport, BootstrapSummary, StatisticSpec, build_panel, aggregate_trend, classify_movers, group_marginals, bootstrap

@@ -112,7 +112,11 @@ def load_config(args) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            _deep_update(config, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise CliError(f"{args.config}: a config file must hold a JSON object, "
+                           f"got {type(loaded).__name__}")
+        _deep_update(config, loaded)
         _check_config(config)
     for assignment in args.set or []:
         _apply_set(config, assignment)
@@ -592,9 +596,13 @@ def _statistics(config) -> list[panel.StatisticSpec]:
         unknown = [k for k in s if k not in known]
         if unknown:
             raise CliError(f"bootstrap.statistics[{i}] has an unknown key {unknown[0]!r}")
+        condition = s.get("condition") or {}
+        if not isinstance(condition, dict):
+            raise CliError(f"bootstrap.statistics[{i}] 'condition' must be an object of "
+                           f"attribute: category pairs, got {condition!r}")
         stats.append(panel.StatisticSpec(
             attribute=s["attribute"], category=s.get("category"),
-            condition=tuple(sorted((s.get("condition") or {}).items())),
+            condition=tuple(sorted(condition.items())),
             per_year=bool(s.get("per_year", True))))
     return stats
 

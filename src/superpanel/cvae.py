@@ -17,11 +17,16 @@ analytic Gaussian divergence from the unit prior
 
 The encoder is parameterized by log-variance, so exp(log_var) is the
 latent variance and the divergence above is the exact closed form.
+
+Training works on one parameter vector and one gradient vector: both
+networks are packed into one buffer (nn.pack), loss_and_grads returns
+(xent, kl) and overwrites a buffer of the same layout with the gradient of
+the total, and one nn.rmsprop_step updates the parameters.
 """
 
 import itertools
 import json
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, fields, asdict, replace
 
 import numpy as np
 
@@ -58,37 +63,16 @@ class CvaeConfig:
             value = getattr(self, f.name)
             object.__setattr__(self, f.name, tuple(int(h) for h in value)
                                if f.name == "hidden_layers" else f.type(value))
+        if any(h < 1 for h in self.hidden_layers):
+            raise ValueError(f"hidden_layers widths must be >= 1, got {list(self.hidden_layers)}")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
-
-
-@dataclass(frozen=True)
-class LatentParams:
-    mu: np.ndarray
-    log_var: np.ndarray
-
-    @property
-    def variance(self) -> np.ndarray:
-        return np.exp(self.log_var)
-
-    @property
-    def std(self) -> np.ndarray:
-        return np.exp(0.5 * self.log_var)
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    xent: float
-    kl: float
-    beta: float
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "total", self.xent + self.beta * self.kl)
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -134,14 +118,6 @@ def build_networks(dim_v: int, dim_c: int, config: CvaeConfig, pref_layout) -> t
 # Forward pieces
 
 
-def encode(model: TrainedModel, v: np.ndarray, c: np.ndarray) -> LatentParams:
-    """Posterior parameters for one row or a batch of rows."""
-    x = np.concatenate([np.asarray(v, dtype=float), np.asarray(c, dtype=float)], axis=-1)
-    out, _ = nn.forward(model.encoder, x)
-    d = model.config.latent_dim
-    return LatentParams(mu=out[..., :d], log_var=out[..., d:])
-
-
 def decode(model: TrainedModel, z: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Reconstruction: probabilities per one-hot segment."""
     x = np.concatenate([np.asarray(z, dtype=float), np.asarray(c, dtype=float)], axis=-1)
@@ -154,27 +130,15 @@ def kl_divergence(mu: np.ndarray, log_var: np.ndarray) -> float:
     return float(-0.5 * np.sum(1.0 + log_var - mu ** 2 - np.exp(log_var)))
 
 
-def loss_and_grads(
-    encoder: nn.Network,
-    decoder: nn.Network,
-    V: np.ndarray,
-    C: np.ndarray,
-    eps: np.ndarray,
-    beta: float,
-    want_grads: bool = True,
-    out: tuple = (None, None),
-):
-    """Batch loss and, optionally, exact gradients for every parameter.
+def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: np.ndarray,
+                   eps: np.ndarray, beta: float, grads: np.ndarray | None = None):
+    """Batch loss terms (xent, kl) and, given grads, their exact gradients.
 
-    One eps draw per record. Returns (LossBreakdown, encoder_grads,
-    decoder_grads) where the gradient lists align with
-    Network.parameters(); both are None when want_grads is false. ``out``
-    holds the encoder's and the decoder's nn.Gradients to write into
-    (see nn.gradient_views); None allocates new arrays.
+    V, C and eps are 2-D float arrays, one eps draw per record. grads is a
+    buffer laid out as nn.pack([encoder, decoder]) lays out the parameters;
+    every entry is overwritten with the gradient of xent + beta * kl. With
+    grads None (validation) only the loss terms are computed.
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    eps = np.atleast_2d(np.asarray(eps, dtype=float))
     if V.shape[0] == 0:
         raise ValueError("empty batch")
     d_z = eps.shape[1]
@@ -191,21 +155,19 @@ def loss_and_grads(
         clamped = np.maximum(dec_out, LOG_FLOOR)
         xent = -float(np.sum(V * np.log(clamped)))
         kl = kl_divergence(mu, log_var)
-        breakdown = LossBreakdown(xent=xent, kl=kl, beta=beta)
-        if not want_grads:
-            return breakdown, None, None
+        if grads is None:
+            return xent, kl
 
+        enc_views, dec_views = nn.views([encoder, decoder], grads)
         # clamped entries sit on a flat segment of log
         grad_dec_out = np.where(dec_out >= LOG_FLOOR, -V / clamped, 0.0)
-
-        dec_grads = nn.backward(decoder, dec_tape, grad_dec_out, out=out[1])
-        grad_z = dec_grads.input_grad[:, :d_z]
+        grad_z = nn.backward(decoder, dec_tape, grad_dec_out, dec_views)[:, :d_z]
 
         grad_mu = grad_z + beta * mu
         grad_log_var = grad_z * (0.5 * std * eps) + beta * (-0.5) * (1.0 - np.exp(log_var))
-        enc_grads = nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=1),
-                                out=out[0], input_grad=False)
-    return breakdown, enc_grads.flat(), dec_grads.flat()
+        nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=1),
+                    enc_views, input_grad=False)
+    return xent, kl
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +191,8 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
     encoder, decoder = build_networks(dim_v, dim_c, config, dataset.pref_layout)
     params = nn.pack([encoder, decoder])
     grads = np.empty_like(params)
-    grad_views = nn.gradient_views([encoder, decoder], grads)
-    state = nn.rmsprop_init([params], config.learning_rate, config.rho, config.epsilon)
+    state = nn.OptimizerState(np.zeros_like(params), config.learning_rate, config.rho,
+                              config.epsilon)
 
     rng = derive_rng(config.seed, "train-loop")
     val_eps = derive_rng(config.seed, "val-eps").standard_normal(
@@ -248,27 +210,20 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             eps = rng.standard_normal((len(idx), config.latent_dim))
-            breakdown, _, _ = loss_and_grads(
-                encoder,
-                decoder,
-                dataset.preference[idx],
-                dataset.conditional[idx],
-                eps,
-                config.beta,
-                out=grad_views,
-            )
-            if not np.isfinite(breakdown.total):
+            xent, kl = loss_and_grads(encoder, decoder, dataset.preference[idx],
+                                      dataset.conditional[idx], eps, config.beta, grads)
+            total = xent + config.beta * kl
+            if not np.isfinite(total):
                 raise TrainingDiverged(epoch)
-            epoch_total += breakdown.total
-            nn.rmsprop_step([params], [grads], state)
+            epoch_total += total
+            nn.rmsprop_step(params, grads, state)
         train_loss = epoch_total / n
-        val_break, _, _ = loss_and_grads(
-            encoder, decoder, val_set.preference, val_set.conditional, val_eps,
-            config.beta, want_grads=False,
-        )
-        if not np.isfinite(val_break.total):
+        xent, kl = loss_and_grads(encoder, decoder, val_set.preference, val_set.conditional,
+                                  val_eps, config.beta)
+        val_total = xent + config.beta * kl
+        if not np.isfinite(val_total):
             raise TrainingDiverged(epoch, "validation loss")
-        val_loss = val_break.total / val_set.n_rows
+        val_loss = val_total / val_set.n_rows
         history.append((train_loss, val_loss))
         if val_loss < best_val:
             best_val = val_loss

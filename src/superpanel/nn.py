@@ -8,10 +8,10 @@ finite differences.
 
 All math is float64. Networks are plain numpy arrays, safe to share for
 inference; training mutates parameters in place through the optimizer.
-Training first packs every parameter into one contiguous buffer (``pack``)
-so that one RMSprop pass of a few ufunc calls updates them all, and
-``backward`` writes gradients into views of a matching buffer
-(``gradient_views``).
+Training packs every parameter into one contiguous buffer (``pack``), so
+one RMSprop pass of a few ufunc calls over one array updates them all;
+``backward`` writes gradients into the views of a matching buffer
+(``views``), laid out as ``pack`` lays out the parameters.
 """
 
 import math
@@ -98,21 +98,6 @@ class ForwardTape:
 
     inputs: list[np.ndarray] = field(default_factory=list)
     outputs: list[np.ndarray] = field(default_factory=list)
-    n_layers: int = 0
-
-
-@dataclass
-class Gradients:
-    weight_grads: list[np.ndarray]
-    bias_grads: list[np.ndarray]
-    input_grad: np.ndarray | None = None
-
-    def flat(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weight_grads, self.bias_grads):
-            out.append(w)
-            out.append(b)
-        return out
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -159,7 +144,7 @@ def forward(network: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != network.in_dim:
         raise DimensionError(f"input width {x.shape[-1]} != {network.in_dim}")
-    tape = ForwardTape(n_layers=len(network.layers))
+    tape = ForwardTape()
     y = x
     for layer in network.layers:
         tape.inputs.append(y)
@@ -170,47 +155,39 @@ def forward(network: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     return y, tape
 
 
-def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray,
-             out: Gradients | None = None, input_grad: bool = True) -> Gradients:
-    """Chain-rule gradients of a scalar loss given dL/doutput.
+def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray, grads,
+             input_grad: bool = True) -> np.ndarray | None:
+    """Chain-rule gradients of a scalar loss given dL/doutput for a batch of rows.
 
-    Batched inputs contribute summed parameter gradients; the input
-    gradient keeps the batch shape. The parameter gradients are written
-    into the arrays of ``out`` (see gradient_views), or into new ones when
-    it is None. With input_grad false the first layer's input gradient is
-    not computed and the result's input_grad is None.
+    The parameter gradients, summed over the rows, are written into grads,
+    the network's (weight views, bias views) from ``views``. Returns the
+    input gradient, with the batch shape, or None when input_grad is false.
     """
-    if tape.n_layers != len(network.layers):
+    if len(tape.outputs) != len(network.layers):
         raise DimensionError("tape does not match network")
-    grad = np.asarray(output_gradient, dtype=float)
-    if grad.shape != tape.outputs[-1].shape:
+    if output_gradient.shape != tape.outputs[-1].shape:
         raise DimensionError("output gradient shape mismatch")
-    if out is None:
-        out = gradient_views([network], np.empty(_parameter_count([network])))[0]
+    weight_grads, bias_grads = grads
+    grad = output_gradient
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
         grad_pre = _activation_backward(layer, tape.outputs[i], grad)
-        x = tape.inputs[i]
-        if grad_pre.ndim == 1:
-            np.outer(grad_pre, x, out=out.weight_grads[i])
-            out.bias_grads[i][...] = grad_pre
-        else:
-            np.matmul(grad_pre.T, x, out=out.weight_grads[i])
-            np.add.reduce(grad_pre, axis=0, out=out.bias_grads[i])
+        np.matmul(grad_pre.T, tape.inputs[i], out=weight_grads[i])
+        np.add.reduce(grad_pre, axis=0, out=bias_grads[i])
         grad = grad_pre @ layer.weights if i or input_grad else None
-    return Gradients(weight_grads=out.weight_grads, bias_grads=out.bias_grads, input_grad=grad)
+    return grad
 
 
 def _parameter_count(networks) -> int:
     return sum(layer.weights.size + layer.out_dim for net in networks for layer in net.layers)
 
 
-def _split(networks, buffer: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+def views(networks, buffer: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
     """Per network, (weight views, bias views) of buffer laid out W0, b0, W1, b1, ...
-    network after network."""
+    network after network, as ``pack`` lays out the parameters."""
     if buffer.shape != (_parameter_count(networks),):
         raise DimensionError("buffer size does not match the networks' parameters")
-    views, offset = [], 0
+    out, offset = [], 0
     for net in networks:
         weights, biases = [], []
         for layer in net.layers:
@@ -218,8 +195,8 @@ def _split(networks, buffer: np.ndarray) -> list[tuple[list[np.ndarray], list[np
             weights.append(buffer[offset:end].reshape(layer.weights.shape))
             biases.append(buffer[end : end + layer.out_dim])
             offset = end + layer.out_dim
-        views.append((weights, biases))
-    return views
+        out.append((weights, biases))
+    return out
 
 
 def pack(networks) -> np.ndarray:
@@ -230,18 +207,12 @@ def pack(networks) -> np.ndarray:
     unchanged. One optimizer pass over the buffer then updates them all.
     """
     flat = np.empty(_parameter_count(networks))
-    for net, (weights, biases) in zip(networks, _split(networks, flat)):
+    for net, (weights, biases) in zip(networks, views(networks, flat)):
         for layer, w, b in zip(net.layers, weights, biases):
             w[...] = layer.weights
             b[...] = layer.biases
             layer.weights, layer.biases = w, b
     return flat
-
-
-def gradient_views(networks, buffer: np.ndarray) -> list[Gradients]:
-    """One Gradients per network whose arrays are views of buffer, laid out
-    as pack(networks) lays out the parameters; pass them to backward as out."""
-    return [Gradients(weight_grads=w, bias_grads=b) for w, b in _split(networks, buffer)]
 
 
 def init_weights(dims, seed: int, output_blocks=None) -> Network:
@@ -275,45 +246,33 @@ def init_weights(dims, seed: int, output_blocks=None) -> Network:
 
 @dataclass
 class OptimizerState:
-    """Running mean-square accumulators, one per parameter array."""
+    """Running mean-square accumulator of one packed parameter buffer."""
 
-    accumulators: list[np.ndarray]
-    learning_rate: float = 0.001
-    rho: float = 0.9
-    epsilon: float = 1e-8
+    accumulator: np.ndarray
+    learning_rate: float
+    rho: float
+    epsilon: float
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must be in (0, 1)")
 
 
-def rmsprop_init(params, learning_rate: float = 0.001, rho: float = 0.9, epsilon: float = 1e-8) -> OptimizerState:
-    return OptimizerState(
-        accumulators=[np.zeros_like(p) for p in params],
-        learning_rate=learning_rate,
-        rho=rho,
-        epsilon=epsilon,
-    )
-
-
-def rmsprop_step(params, grads, state: OptimizerState):
+def rmsprop_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
     """In-place update: a <- rho a + (1-rho) g^2; p <- p - lr g / sqrt(a + eps).
 
-    Training passes one packed buffer (see pack), so a step is one pass of
-    ufunc calls with two temporaries.
+    params is the one packed buffer (see pack) and grads its gradient, so a
+    step is one pass of ufunc calls with two temporaries.
     """
-    if len(params) != len(grads) or len(params) != len(state.accumulators):
-        raise DimensionError("params/grads/state length mismatch")
-    for p, g, a in zip(params, grads, state.accumulators):
-        if p.shape != g.shape or p.shape != a.shape:
-            raise DimensionError("parameter/gradient shape mismatch")
-        step = np.multiply(g, 1.0 - state.rho)
-        step *= g
-        a *= state.rho
-        a += step
-        denom = np.add(a, state.epsilon)
-        np.sqrt(denom, out=denom)
-        np.multiply(g, state.learning_rate, out=step)
-        step /= denom
-        p -= step
-    return params, state
+    a = state.accumulator
+    if params.shape != grads.shape or params.shape != a.shape:
+        raise DimensionError("parameter/gradient shape mismatch")
+    step = np.multiply(grads, 1.0 - state.rho)
+    step *= grads
+    a *= state.rho
+    a += step
+    denom = np.add(a, state.epsilon)
+    np.sqrt(denom, out=denom)
+    np.multiply(grads, state.learning_rate, out=step)
+    step /= denom
+    params -= step

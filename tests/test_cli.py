@@ -81,6 +81,14 @@ class TestSynthTrain:
         cfg.write_text(json.dumps({"dgp": {"name": "static-corr"}}))
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("content", ["[1]", '"model"', "null"])
+    def test_non_object_config_fails(self, tmp_path, capsys, content):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(content)
+        assert run(["synth", "--config", str(cfg), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 1
+        assert f"{cfg}: a config file must hold a JSON object" in capsys.readouterr().err
+
     def test_missing_inputs_fail_cleanly(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 1, "schema": "/nope.json", "data": "/nope.csv"}))
@@ -214,6 +222,8 @@ class TestPanelCommands:
         ({"category": 0}, "bootstrap.statistics[1] has no 'attribute' key"),
         ({"attribute": "p_mode", "catgory": 0}, "bootstrap.statistics[1] has an unknown key "
                                                 "'catgory'"),
+        ({"attribute": "p_mode", "category": 0, "condition": [["segment", 0]]},
+         "bootstrap.statistics[1] 'condition' must be an object"),
     ])
     def test_malformed_bootstrap_statistic_fails(self, pipeline, tmp_path, capsys, no_training,
                                                  stat, named):
@@ -401,6 +411,18 @@ class TestModelConfig:
         text = (out / "model_full.json").read_text()
         assert '"beta": 5.0,' in text
         assert json.loads(text)["config"]["hidden_layers"] == [16]
+
+    @pytest.mark.parametrize("assignment, named", [
+        ("model.hidden_layers=[0]", "hidden_layers"),
+        ("model.learning_rate=-0.01", "learning_rate"),
+    ])
+    def test_bad_model_shape_or_rate_fails(self, pipeline, tmp_path, capsys, no_training,
+                                           assignment, named):
+        tmp, out, cfg = pipeline
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", assignment]) == 1
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.glob("*.json")) == []
 
 
 class TestManifestReRun:

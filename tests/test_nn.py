@@ -35,6 +35,7 @@ def numeric_gradients(loss_fn, arrays, h=1e-5):
 def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-8, abs_tol=1e-7):
     worst = 0.0
     for a, n in zip(analytic, numeric):
+        assert not np.isnan(a).any(), "an analytic gradient entry was never written"
         for av, nv in zip(a.ravel(), n.ravel()):
             if abs(av) < abs_floor and abs(nv) < abs_floor:
                 assert abs(av - nv) < abs_tol
@@ -46,6 +47,19 @@ def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-8, abs_tol=
 
 def tiny_net(dims, seed=0, output_blocks=None):
     return nn.init_weights(dims, seed=seed, output_blocks=output_blocks)
+
+
+def nan_buffer(networks):
+    """A NaN-filled gradient buffer laid out as nn.pack(networks) lays out the parameters."""
+    return np.full(sum(p.size for net in networks for p in net.parameters()), np.nan)
+
+
+def run_backward(net, tape, output_gradient):
+    """backward into a fresh buffer: (flat gradient buffer, (weight views, bias views),
+    input gradient)."""
+    buffer = nan_buffer([net])
+    (grads,) = nn.views([net], buffer)
+    return buffer, grads, nn.backward(net, tape, output_gradient, grads)
 
 
 SOFTMAX_HEAD = (3, 2, 2)  # segment widths
@@ -151,7 +165,7 @@ class TestSoftmaxBlocksHead:
             out[..., lo:hi] = pb * (gb - np.sum(gb * pb, axis=-1, keepdims=True))
         return out
 
-    @pytest.mark.parametrize("shape", [(40, 7), (7,)])
+    @pytest.mark.parametrize("shape", [(40, 7), (1, 7)])
     def test_forward_and_backward_match_per_block(self, shape):
         rng = derive_rng(31, "head", len(shape))
         x = rng.standard_normal(shape) * 10
@@ -160,62 +174,61 @@ class TestSoftmaxBlocksHead:
         y, tape = nn.forward(net, x)
         assert y.shape == shape
         assert np.allclose(y, self.reference(x), rtol=0, atol=1e-15)
-        grads = nn.backward(net, tape, g)
-        assert np.allclose(grads.input_grad, self.reference_backward(y, g), rtol=0, atol=1e-15)
+        _, _, input_grad = run_backward(net, tape, g)
+        assert np.allclose(input_grad, self.reference_backward(y, g), rtol=0, atol=1e-15)
 
 
 class TestBackward:
     def test_zero_output_gradient(self):
         net = tiny_net([3, 4, 2], seed=3)
-        x = np.array([0.3, -0.2, 0.9])
+        x = np.array([[0.3, -0.2, 0.9]])
         _, tape = nn.forward(net, x)
-        grads = nn.backward(net, tape, np.zeros(2))
-        for g in grads.flat():
-            assert np.all(g == 0.0)
+        buffer, _, _ = run_backward(net, tape, np.zeros((1, 2)))
+        assert np.all(buffer == 0.0)
 
     def test_textbook_linear_layer(self):
         # loss = 0.5 ||y - t||^2 for a single linear layer: dL/dW = (y - t) x^T
         w = np.array([[0.5, -1.0], [2.0, 0.25]])
         layer = nn.DenseLayer(w.copy(), np.array([0.1, -0.1]), "linear")
         net = nn.Network([layer])
-        x = np.array([1.5, -0.5])
-        t = np.array([1.0, 0.0])
+        x = np.array([[1.5, -0.5]])
+        t = np.array([[1.0, 0.0]])
         y, tape = nn.forward(net, x)
-        grads = nn.backward(net, tape, y - t)
-        assert np.allclose(grads.weight_grads[0], np.outer(y - t, x))
-        assert np.allclose(grads.bias_grads[0], y - t)
+        _, (weight_grads, bias_grads), _ = run_backward(net, tape, y - t)
+        assert np.allclose(weight_grads[0], np.outer(y - t, x))
+        assert np.allclose(bias_grads[0], (y - t)[0])
 
     def test_random_tanh_net_vs_finite_differences(self):
         net = tiny_net([8, 6, 4], seed=11)
         rng = derive_rng(7, "fd")
-        x = rng.standard_normal(8)
-        t = rng.standard_normal(4)
+        x = rng.standard_normal(8)[None, :]
+        t = rng.standard_normal(4)[None, :]
 
         def loss_fn():
             y, _ = nn.forward(net, x)
             return 0.5 * float(np.sum((y - t) ** 2))
 
         y, tape = nn.forward(net, x)
-        analytic = nn.backward(net, tape, y - t).flat()
+        analytic, _, _ = run_backward(net, tape, y - t)
         numeric = numeric_gradients(loss_fn, net.parameters())
-        assert_grads_close(analytic, numeric)
+        assert_grads_close([analytic], [np.concatenate([g.ravel() for g in numeric])])
 
     def test_softmax_blocks_head_vs_finite_differences(self):
         net = nn.init_weights([5, 6, 7], seed=13, output_blocks=SOFTMAX_HEAD)
         rng = derive_rng(19, "fd2")
-        x = rng.standard_normal(5)
-        target = np.zeros(7)
-        target[[1, 4, 5]] = 1.0  # one-hot in each block
+        x = rng.standard_normal(5)[None, :]
+        target = np.zeros((1, 7))
+        target[0, [1, 4, 5]] = 1.0  # one-hot in each block
 
         def loss_fn():
             y, _ = nn.forward(net, x)
-            return -float(target @ np.log(y))
+            return -float(np.sum(target * np.log(y)))
 
         y, tape = nn.forward(net, x)
         grad_out = -target / y
-        analytic = nn.backward(net, tape, grad_out).flat()
+        analytic, _, _ = run_backward(net, tape, grad_out)
         numeric = numeric_gradients(loss_fn, net.parameters())
-        assert_grads_close(analytic, numeric)
+        assert_grads_close([analytic], [np.concatenate([g.ravel() for g in numeric])])
 
     def test_batched_gradients_sum_of_rows(self):
         net = tiny_net([4, 3], seed=17)
@@ -223,16 +236,16 @@ class TestBackward:
         x = rng.standard_normal((5, 4))
         g_out = rng.standard_normal((5, 3))
         _, tape = nn.forward(net, x)
-        batched = nn.backward(net, tape, g_out)
+        _, (batched_w, batched_b), _ = run_backward(net, tape, g_out)
         summed_w = np.zeros_like(net.layers[0].weights)
         summed_b = np.zeros_like(net.layers[0].biases)
         for i in range(5):
-            _, tape_i = nn.forward(net, x[i])
-            g = nn.backward(net, tape_i, g_out[i])
-            summed_w += g.weight_grads[0]
-            summed_b += g.bias_grads[0]
-        assert np.allclose(batched.weight_grads[0], summed_w)
-        assert np.allclose(batched.bias_grads[0], summed_b)
+            _, tape_i = nn.forward(net, x[i : i + 1])
+            _, (w, b), _ = run_backward(net, tape_i, g_out[i : i + 1])
+            summed_w += w[0]
+            summed_b += b[0]
+        assert np.allclose(batched_w[0], summed_w)
+        assert np.allclose(batched_b[0], summed_b)
 
 
 class TestPacking:
@@ -254,15 +267,17 @@ class TestPacking:
         rng = derive_rng(37, "views")
         x, g = rng.standard_normal((6, 5)), rng.standard_normal((6, 7))
         _, tape = nn.forward(net, x)
-        buffer = np.full(sum(p.size for p in net.parameters()), np.nan)
-        (views,) = nn.gradient_views([net], buffer)
-        into = nn.backward(net, tape, g, out=views, input_grad=False)
-        fresh = nn.backward(net, tape, g)
-        assert into.input_grad is None
-        for a, b in zip(into.flat(), fresh.flat()):
+        buffer = nan_buffer([net])
+        (views,) = nn.views([net], buffer)
+        assert nn.backward(net, tape, g, views, input_grad=False) is None
+        again, _, input_grad = run_backward(net, tape, g)
+        assert input_grad.shape == x.shape
+        for a in views[0] + views[1]:
             assert np.shares_memory(a, buffer)
-            assert np.array_equal(a, b)
-        assert np.array_equal(buffer, np.concatenate([a.ravel() for a in fresh.flat()]))
+        assert not np.isnan(buffer).any()
+        assert np.array_equal(buffer, again)
+        assert np.array_equal(buffer, np.concatenate(
+            [a.ravel() for w, b in zip(*views) for a in (w, b)]))
 
     def test_rmsprop_on_flat_buffer_equals_per_array_reference(self):
         nets = [tiny_net([5, 4, 2], seed=5), tiny_net([3, 4, 7], seed=6, output_blocks=SOFTMAX_HEAD)]
@@ -270,11 +285,11 @@ class TestPacking:
         views = [p for net in nets for p in net.parameters()]
         ref_params = [p.copy() for p in views]
         ref_acc = [np.zeros_like(p) for p in views]
-        state = nn.rmsprop_init([flat], learning_rate=0.01, rho=0.8, epsilon=1e-7)
+        state = nn.OptimizerState(np.zeros_like(flat), learning_rate=0.01, rho=0.8, epsilon=1e-7)
         rng = derive_rng(41, "flat-rms")
         for _ in range(5):
             grads = rng.standard_normal(flat.size)
-            nn.rmsprop_step([flat], [grads], state)
+            nn.rmsprop_step(flat, grads, state)
             offset = 0
             for p, a in zip(ref_params, ref_acc):
                 g = grads[offset : offset + p.size].reshape(p.shape)
@@ -284,47 +299,42 @@ class TestPacking:
                 p -= 0.01 * g / np.sqrt(a + 1e-7)
         for view, ref in zip(views, ref_params):
             assert np.array_equal(view, ref)
-        assert np.array_equal(state.accumulators[0],
+        assert np.array_equal(state.accumulator,
                               np.concatenate([a.ravel() for a in ref_acc]))
 
 
 class TestRmsprop:
     def test_zero_gradient_keeps_params(self):
-        params = [np.array([1.0, -2.0])]
-        state = nn.rmsprop_init(params)
-        state.accumulators[0][:] = 0.5
-        nn.rmsprop_step(params, [np.zeros(2)], state)
-        assert np.array_equal(params[0], [1.0, -2.0])
-        assert np.allclose(state.accumulators[0], 0.45)  # decayed by rho
+        params = np.array([1.0, -2.0])
+        state = nn.OptimizerState(np.full(2, 0.5), learning_rate=0.001, rho=0.9, epsilon=1e-8)
+        nn.rmsprop_step(params, np.zeros(2), state)
+        assert np.array_equal(params, [1.0, -2.0])
+        assert np.allclose(state.accumulator, 0.45)  # decayed by rho
 
     def test_first_step_hand_computation(self):
         lr, rho, eps = 0.001, 0.9, 1e-8
         g = 0.3
-        params = [np.array([2.0])]
-        state = nn.rmsprop_init(params, lr, rho, eps)
-        nn.rmsprop_step(params, [np.array([g])], state)
+        params = np.array([2.0])
+        state = nn.OptimizerState(np.zeros(1), lr, rho, eps)
+        nn.rmsprop_step(params, np.array([g]), state)
         expected = 2.0 - lr * g / math.sqrt((1 - rho) * g * g + eps)
-        assert params[0][0] == pytest.approx(expected, rel=1e-12)
+        assert params[0] == pytest.approx(expected, rel=1e-12)
         # for |g| >> sqrt(eps) this is close to -lr * sign(g) / sqrt(1 - rho)
-        assert params[0][0] == pytest.approx(2.0 - lr / math.sqrt(1 - rho), rel=1e-4)
-
-    def test_defaults(self):
-        state = nn.rmsprop_init([np.zeros(1)])
-        assert state.learning_rate == 0.001 and state.rho == 0.9
+        assert params[0] == pytest.approx(2.0 - lr / math.sqrt(1 - rho), rel=1e-4)
 
     def test_accumulator_nonnegative_always(self):
         rng = derive_rng(29, "acc")
-        params = [rng.standard_normal((3, 3))]
-        state = nn.rmsprop_init(params)
+        params = rng.standard_normal(9)
+        state = nn.OptimizerState(np.zeros(9), learning_rate=0.001, rho=0.9, epsilon=1e-8)
         for _ in range(100):
-            nn.rmsprop_step(params, [rng.standard_normal((3, 3)) * 10], state)
-            assert np.all(state.accumulators[0] >= 0)
+            nn.rmsprop_step(params, rng.standard_normal(9) * 10, state)
+            assert np.all(state.accumulator >= 0)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
-        state = nn.rmsprop_init(params)
+        params = np.zeros(2)
+        state = nn.OptimizerState(np.zeros(2), learning_rate=0.001, rho=0.9, epsilon=1e-8)
         with pytest.raises(nn.DimensionError):
-            nn.rmsprop_step(params, [np.zeros(3)], state)
+            nn.rmsprop_step(params, np.zeros(3), state)
 
 
 class TestInit:
