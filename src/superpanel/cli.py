@@ -187,6 +187,13 @@ def _load_inputs(config):
     return sch, records, dropped
 
 
+def _load_table(config):
+    """The config's schema and its survey as a column table. The records are
+    not kept, so the stage that follows holds only the table."""
+    sch, records, _ = _load_inputs(config)
+    return sch, schema_mod.record_columns(records, sch)
+
+
 def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     """Load a model file, relative paths falling back to the output directory.
 
@@ -238,15 +245,16 @@ def cmd_synth(args, config, out):
     data_path = out / "data.csv"
     spec_path = out / "dgp.json"
     schema_mod.save_schema(spec.schema, schema_path)
-    schema_mod.write_records_csv(data_path, records, spec.schema)
+    schema_mod.write_records_csv(data_path, schema_mod.record_columns(records, spec.schema),
+                                 spec.schema)
     oracle.save_dgp(spec, spec_path)
     print(f"synth: wrote {len(records)} records to {data_path}")
     return [schema_path, data_path, spec_path], {"n_records": len(records)}
 
 
-def _split(config, records):
+def _split(config, n_rows):
     """(idx_train, idx_val): the seeded train/validation split of the survey rows."""
-    return schema_mod.split_indices(len(records), float(config["split_fraction"]), config["seed"])
+    return schema_mod.split_indices(n_rows, float(config["split_fraction"]), config["seed"])
 
 
 def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.CvaeConfig:
@@ -258,7 +266,7 @@ def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.
 
 def cmd_train(args, config, out):
     sch, records, dropped = _load_inputs(config)
-    idx_train, idx_val = _split(config, records)
+    idx_train, idx_val = _split(config, len(records))
     encoded = schema_mod.encode(records, sch)
     train_set, val_set = encoded.take(idx_train), encoded.take(idx_val)
     outputs = []
@@ -335,19 +343,20 @@ def cmd_train(args, config, out):
 
 
 def cmd_generate(args, config, out):
-    sch, records, _ = _load_inputs(config)
+    sch, table = _load_table(config)
     gen_cfg = config["generate"]
     draws = _draw_count(config, "generate.draws_per_profile")
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
     population = sampling.generate_population(
-        model, records, draws_per_profile=draws, seed=derive_seed(config["seed"], "generate"))
+        model, table, draws_per_profile=draws, seed=derive_seed(config["seed"], "generate"))
     synth_path = out / "synthetic.csv"
-    schema_mod.write_records_csv(synth_path, population.records, sch)
-    print(f"generate: wrote {len(population.records)} records to {synth_path}")
+    schema_mod.write_records_csv(synth_path, population.columns, sch)
+    n_generated = len(population.columns[sch.attributes[0].name])
+    print(f"generate: wrote {n_generated} records to {synth_path}")
     return [synth_path], {
         "model_hash": hashlib.sha256(model_path.read_bytes()).hexdigest(),
         "schema_hash": model.schema.content_hash(),
-        "n_records": len(population.records),
+        "n_records": n_generated,
         "extrapolated_profiles": population.extrapolated_ids,
     }
 
@@ -363,35 +372,37 @@ def _histogram_rows(comparison, report, hat, ref):
 
 
 def cmd_evaluate(args, config, out):
-    sch, records, _ = _load_inputs(config)
-    idx_train, idx_val = _split(config, records)
-    train_records = [records[i] for i in idx_train]
-    val_records = [records[i] for i in idx_val]
+    sch, whole = _load_table(config)
+    idx_train, idx_val = _split(config, len(whole[sch.attributes[0].name]))
+    train, val = schema_mod.take_rows(whole, idx_train), schema_mod.take_rows(whole, idx_val)
     subsets = _eval_subsets(config, sch)
     draws = _draw_count(config, "evaluate.draws_per_profile")
 
     split_model, _ = _load_model(config, out, sch, out / "model_split.json")
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
 
-    def synth_records(model, source_records, key):
+    def synth_table(model, source, key):
         seed = derive_seed(config["seed"], "evaluate", key)
-        return sampling.generate_population(model, source_records, draws, seed).records
+        return sampling.generate_population(model, source, draws, seed).columns
 
-    synth_train = synth_records(split_model, train_records, "train")
-    synth_val = synth_records(split_model, val_records, "val")
-    synth_whole = synth_records(full_model, records, "whole")
+    def histogram(table, subset):
+        return metrics.cross_tabulate_columns(schema_mod.category_columns(table, subset, sch),
+                                              subset, sch)
+
+    synth_train = synth_table(split_model, train, "train")
+    synth_val = synth_table(split_model, val, "val")
+    synth_whole = synth_table(full_model, whole, "whole")
 
     summary_rows = []
     scatter_rows = []
     pairs = [
-        ("train-vs-val", train_records, val_records),
-        ("model-vs-val", synth_val, val_records),
-        ("model-vs-whole", synth_whole, records),
+        ("train-vs-val", train, val),
+        ("model-vs-val", synth_val, val),
+        ("model-vs-whole", synth_whole, whole),
     ]
-    for comparison, hat_records, ref_records in pairs:
+    for comparison, hat_table, ref_table in pairs:
         for subset in subsets:
-            hat = metrics.cross_tabulate(hat_records, subset, sch)
-            ref = metrics.cross_tabulate(ref_records, subset, sch)
+            hat, ref = histogram(hat_table, subset), histogram(ref_table, subset)
             report = metrics.compare(hat, ref)
             summary, scatter = _histogram_rows(comparison, report, hat, ref)
             summary_rows.append(summary)
@@ -399,10 +410,10 @@ def cmd_evaluate(args, config, out):
 
     overlap_rows = []
     for name, a, b in [
-        ("train-vs-val", train_records, val_records),
-        ("model-split-vs-train", synth_train, train_records),
-        ("model-split-vs-val", synth_val, val_records),
-        ("model-full-vs-whole", synth_whole, records),
+        ("train-vs-val", train, val),
+        ("model-split-vs-train", synth_train, train),
+        ("model-split-vs-val", synth_val, val),
+        ("model-full-vs-whole", synth_whole, whole),
     ]:
         fwd, rev = metrics.overlap_pair(a, b, sch)
         overlap_rows.append((name, fwd, rev))
@@ -420,14 +431,14 @@ def cmd_evaluate(args, config, out):
     return [comp_path, scatter_path, overlap_path], {}
 
 
-def _load_external_table(path, sch, base_records):
+def _load_external_table(path, sch, base):
     """Per-year external values, keyed by individual_id or by zone.
 
-    A zone-keyed table (column "zone") is resolved through each base
-    record's geography value, which is how per-zone accessibility scores
-    attach to individuals; a zone with no row in some year is an error.
-    The result always maps year -> individual id -> values, where base
-    record i is individual str(i).
+    A zone-keyed table (column "zone") is resolved through the geography
+    value of each row of the base table, which is how per-zone
+    accessibility scores attach to individuals; a zone with no row in
+    some year is an error. The result always maps year -> individual id ->
+    values, where base row i is individual str(i).
     """
     externals = [a.name for a in sch.attributes if a.role == "external"]
     if not externals:
@@ -456,8 +467,7 @@ def _load_external_table(path, sch, base_records):
     geo = [a.name for a in sch.attributes if a.role == "geography"]
     if not geo:
         raise CliError("zone-keyed external table needs a geography attribute")
-    col = schema_mod.record_columns(base_records, geo[:1], sch)[geo[0]]
-    zones = [str(int(z)) for z in col]
+    zones = [str(int(z)) for z in base[geo[0]].tolist()]
     missing = sorted({(int(z), year) for year, per_zone in raw.items()
                       for z in zones if z not in per_zone})
     if missing:
@@ -467,29 +477,31 @@ def _load_external_table(path, sch, base_records):
             for year, per_zone in raw.items()}
 
 
-def _build_cube(args, config, out, sch, records):
+def _build_cube(args, config, out, sch, table):
     panel_cfg = config["panel"]
     model, _ = _load_model(config, out, sch, panel_cfg["model"])
     time_attr = sch.time_attribute
     if time_attr is None:
         raise CliError("panel construction needs a time attribute")
     ref_year = int(panel_cfg["reference_year"])
-    pos = sch.index_of(time_attr.name)
-    base_records = [r for r in records if int(r.values[pos]) == ref_year]
-    if not base_records:
+    # truncated toward zero, as int() truncates a raw numerical time value
+    row_years = table[time_attr.name].astype(np.int64)
+    base_idx = np.flatnonzero(row_years == ref_year)
+    if not len(base_idx):
         raise CliError(f"no records in reference year {ref_year}")
     limit = panel_cfg["max_individuals"]
     if limit:
-        base_records = base_records[: int(limit)]
+        base_idx = base_idx[: int(limit)]
+    base = schema_mod.take_rows(table, base_idx)
     years = panel_cfg["years"]
     if years is None:
-        years = sorted({int(r.values[pos]) for r in records})
+        years = sorted(set(row_years.tolist()))
     external = None
     if panel_cfg["external_table"]:
-        external = _load_external_table(panel_cfg["external_table"], sch, base_records)
+        external = _load_external_table(panel_cfg["external_table"], sch, base)
     subsets = panel_cfg["subsets"]
     return panel.build_panel(
-        model, base_records, years, external,
+        model, base, years, external,
         draws_per_cell=int(panel_cfg["draws_per_cell"]),
         seed=derive_seed(config["seed"], "panel"),
         subsets=[tuple(s) for s in subsets] if subsets else None,
@@ -497,9 +509,27 @@ def _build_cube(args, config, out, sch, records):
     )
 
 
+def _trend_requests(config, sch):
+    """panel.trend_attributes and panel.trend_conditions, checked before any cell is sampled."""
+    panel_cfg = config["panel"]
+    prefs = [a.name for a in sch.preference_attributes]
+    conditionals = [a.name for a in sch.conditional_attributes]
+    trend_attrs = panel_cfg["trend_attributes"] or prefs
+    conditions = panel_cfg["trend_conditions"] or [{}]
+    for i, name in enumerate(trend_attrs):
+        if name not in prefs:
+            raise CliError(f"panel.trend_attributes[{i}] {name!r} is not a preference attribute")
+    for i, cond in enumerate(conditions):
+        if not isinstance(cond, dict) or any(k not in conditionals for k in cond):
+            raise CliError(f"panel.trend_conditions[{i}] must map conditional attributes to "
+                           f"values, got {cond!r}")
+    return trend_attrs, conditions
+
+
 def cmd_build_panel(args, config, out):
-    sch, records, _ = _load_inputs(config)
-    cube = _build_cube(args, config, out, sch, records)
+    sch, table = _load_table(config)
+    trend_attrs, conditions = _trend_requests(config, sch)
+    cube = _build_cube(args, config, out, sch, table)
 
     panel_path = out / "panel.csv"
     rows = []
@@ -511,9 +541,6 @@ def cmd_build_panel(args, config, out):
                     rows.append((pid, year, name, cat, float(f)))
     write_csv(panel_path, ["individual_id", "year", "attribute", "category", "frequency"], rows)
 
-    panel_cfg = config["panel"]
-    trend_attrs = panel_cfg["trend_attributes"] or [a.name for a in sch.preference_attributes]
-    conditions = panel_cfg["trend_conditions"] or [{}]
     trend_rows = []
     for cond in conditions:
         cond_label = ",".join(f"{k}={v}" for k, v in sorted(cond.items())) or "all"
@@ -542,8 +569,8 @@ def cmd_build_panel(args, config, out):
 
 
 def cmd_classify_movers(args, config, out):
-    sch, records, _ = _load_inputs(config)
-    cube = _build_cube(args, config, out, sch, records)
+    sch, table = _load_table(config)
+    cube = _build_cube(args, config, out, sch, table)
     movers_cfg = config["movers"]
     t_start = cube.years[0] if movers_cfg["t_start"] is None else movers_cfg["t_start"]
     t_end = cube.years[-1] if movers_cfg["t_end"] is None else movers_cfg["t_end"]

@@ -21,7 +21,8 @@ latent variance and the divergence above is the exact closed form.
 Training works on one parameter vector and one gradient vector: both
 networks are packed into one buffer (nn.pack), loss_and_grads returns
 (xent, kl) and overwrites a buffer of the same layout with the gradient of
-the total, and one nn.rmsprop_step updates the parameters.
+the total, through views that train builds once, and one nn.rmsprop_step
+updates the parameters.
 """
 
 import itertools
@@ -118,26 +119,20 @@ def build_networks(dim_v: int, dim_c: int, config: CvaeConfig, pref_layout) -> t
 # Forward pieces
 
 
-def decode(model: TrainedModel, z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Reconstruction: probabilities per one-hot segment."""
-    x = np.concatenate([np.asarray(z, dtype=float), np.asarray(c, dtype=float)], axis=-1)
-    out, _ = nn.forward(model.decoder, x)
-    return out
-
-
 def kl_divergence(mu: np.ndarray, log_var: np.ndarray) -> float:
     """Closed-form divergence of N(mu, exp(log_var)) from the unit Gaussian."""
     return float(-0.5 * np.sum(1.0 + log_var - mu ** 2 - np.exp(log_var)))
 
 
 def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: np.ndarray,
-                   eps: np.ndarray, beta: float, grads: np.ndarray | None = None):
+                   eps: np.ndarray, beta: float, grads=None):
     """Batch loss terms (xent, kl) and, given grads, their exact gradients.
 
-    V, C and eps are 2-D float arrays, one eps draw per record. grads is a
-    buffer laid out as nn.pack([encoder, decoder]) lays out the parameters;
-    every entry is overwritten with the gradient of xent + beta * kl. With
-    grads None (validation) only the loss terms are computed.
+    V, C and eps are 2-D float arrays, one eps draw per record. grads is
+    nn.views([encoder, decoder], buffer) of a buffer laid out as nn.pack
+    lays out the parameters; every entry of the buffer is overwritten with
+    the gradient of xent + beta * kl. With grads None (validation) only the
+    loss terms are computed.
     """
     if V.shape[0] == 0:
         raise ValueError("empty batch")
@@ -158,7 +153,7 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
         if grads is None:
             return xent, kl
 
-        enc_views, dec_views = nn.views([encoder, decoder], grads)
+        enc_views, dec_views = grads
         # clamped entries sit on a flat segment of log
         grad_dec_out = np.where(dec_out >= LOG_FLOOR, -V / clamped, 0.0)
         grad_z = nn.backward(decoder, dec_tape, grad_dec_out, dec_views)[:, :d_z]
@@ -191,6 +186,7 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
     encoder, decoder = build_networks(dim_v, dim_c, config, dataset.pref_layout)
     params = nn.pack([encoder, decoder])
     grads = np.empty_like(params)
+    grad_views = nn.views([encoder, decoder], grads)
     state = nn.OptimizerState(np.zeros_like(params), config.learning_rate, config.rho,
                               config.epsilon)
 
@@ -211,7 +207,7 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
             idx = perm[start : start + config.batch_size]
             eps = rng.standard_normal((len(idx), config.latent_dim))
             xent, kl = loss_and_grads(encoder, decoder, dataset.preference[idx],
-                                      dataset.conditional[idx], eps, config.beta, grads)
+                                      dataset.conditional[idx], eps, config.beta, grad_views)
             total = xent + config.beta * kl
             if not np.isfinite(total):
                 raise TrainingDiverged(epoch)

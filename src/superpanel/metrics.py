@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import Schema, category_columns
+from .schema import Schema, category_columns, record_columns
 
 #: guard against accidentally materializing astronomically large joints
 DEFAULT_BIN_CAP = 1_000_000
@@ -81,10 +81,8 @@ def cross_tabulate_columns(
 
 
 def cross_tabulate(records, subset, schema: Schema, bin_cap: int = DEFAULT_BIN_CAP) -> JointHistogram:
-    """Dense normalized cross tabulation of records over a subset."""
-    if not records:
-        raise MetricError("no records to tabulate")
-    cols = category_columns(records, subset, schema)
+    """Dense normalized cross tabulation of a record list over a subset."""
+    cols = category_columns(record_columns(records, schema), subset, schema)
     return cross_tabulate_columns(cols, subset, schema, bin_cap)
 
 
@@ -128,25 +126,20 @@ def compare(pi_hat: JointHistogram, pi: JointHistogram) -> ComparisonReport:
     )
 
 
-def marginals(records, attribute: str, schema: Schema) -> np.ndarray:
-    """Per-category frequency vector of one attribute."""
-    if not records:
+def marginals(table, attribute: str, schema: Schema) -> np.ndarray:
+    """Per-category frequency vector of one attribute of a column table."""
+    col = category_columns(table, (attribute,), schema)[attribute]
+    if len(col) == 0:
         raise MetricError("no records")
-    cols = category_columns(records, (attribute,), schema)
-    counts = np.bincount(cols[attribute], minlength=schema.attribute(attribute).n_categories)
-    return counts.astype(float) / len(records)
+    counts = np.bincount(col, minlength=schema.attribute(attribute).n_categories)
+    return counts.astype(float) / len(col)
 
 
-def _category_tuples(sample_a, sample_b, schema: Schema) -> tuple[list, list]:
-    """Each sample's records as full category tuples."""
-    if not sample_a or not sample_b:
-        raise MetricError("overlap needs nonempty samples")
+def _category_tuples(table, schema: Schema) -> list[tuple]:
+    """A table's rows as full category tuples."""
     names = tuple(a.name for a in schema.attributes)
-    tuples = []
-    for records in (sample_a, sample_b):
-        cols = category_columns(records, names, schema)
-        tuples.append(list(zip(*(cols[n].tolist() for n in names))))
-    return tuples[0], tuples[1]
+    cols = category_columns(table, names, schema)
+    return list(zip(*(cols[n].tolist() for n in names)))
 
 
 def _share_in(rows, other_rows) -> float:
@@ -154,16 +147,14 @@ def _share_in(rows, other_rows) -> float:
     return 100.0 * sum(1 for row in rows if row in other) / len(rows)
 
 
-def overlap(sample_a, sample_b, schema: Schema) -> float:
-    """Percentage of records in a whose full category tuple occurs in b.
+def overlap_pair(table_a, table_b, schema: Schema) -> tuple[float, float]:
+    """Percentage of rows in a whose full category tuple occurs in b, and of
+    rows in b that occur in a.
 
     Numerical attributes are compared in bin space so that generated bin
     midpoints match the raw survey values that fall in the same bin.
     """
-    return _share_in(*_category_tuples(sample_a, sample_b, schema))
-
-
-def overlap_pair(sample_a, sample_b, schema: Schema) -> tuple[float, float]:
-    """Overlap measured in both directions (a-in-b, b-in-a)."""
-    rows_a, rows_b = _category_tuples(sample_a, sample_b, schema)
+    rows_a, rows_b = _category_tuples(table_a, schema), _category_tuples(table_b, schema)
+    if not rows_a or not rows_b:
+        raise MetricError("overlap needs nonempty samples")
     return _share_in(rows_a, rows_b), _share_in(rows_b, rows_a)

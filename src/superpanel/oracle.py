@@ -20,7 +20,8 @@ from itertools import product
 import numpy as np
 
 from .metrics import JointHistogram, cross_tabulate_columns
-from .schema import AttributeSpec, Record, Schema, category_columns, schema_from_dict
+from .schema import (AttributeSpec, Record, Schema, category_columns, record_columns,
+                     schema_from_dict)
 from .seeding import derive_rng
 
 
@@ -278,7 +279,7 @@ def baseline_independent(records, subset, schema: Schema) -> JointHistogram:
     if not records:
         raise ValueError("no records")
     subset = tuple(subset)
-    cols = category_columns(records, subset, schema)
+    cols = category_columns(record_columns(records, schema), subset, schema)
     joint = cross_tabulate_columns(cols, subset, schema)
     freqs = np.ones(1)
     for name in subset:

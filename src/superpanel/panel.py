@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cvae, metrics
 from .sampling import generate_population, _decode_with_noise
-from .schema import Schema, discretize_array, encode, encode_columns, record_columns
+from .schema import Schema, discretize_array, encode, encode_columns, record_columns, take_rows
 from .seeding import derive_rng, derive_seed, map_units
 
 
@@ -92,7 +92,8 @@ def _panel_year_block(args):
     schema = model.schema
     n, r = len(ids), draws_per_cell
     rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
-    cat_cols = _decode_with_noise(model, cond_rows, r, rngs)
+    draws = _decode_with_noise(model, cond_rows, r, rngs)
+    cat_cols = {block.name: col for block, col in zip(model.pref_layout, draws.T)}
     cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
 
     def tabulate(flat, n_bins):
@@ -110,20 +111,23 @@ def _panel_year_block(args):
     return t_idx, subset_out, attr_out
 
 
-def build_panel(model: cvae.TrainedModel, base_records, years, external_by_year,
+def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
                 draws_per_cell: int, seed: int, subsets=None, jobs: int = 1) -> PanelCube:
     """Sample every (individual, year) cell and tabulate the draws.
 
-    Base record i is individual ``str(i)``; its conditional values stay
-    fixed apart from the time value and the externals, which
-    ``external_by_year`` maps year -> individual id -> {attribute: value}.
+    ``base`` is a column table; its row i is individual ``str(i)``, whose
+    conditional values stay fixed apart from the time value and the
+    externals, which ``external_by_year`` maps year -> individual id ->
+    {attribute: value}.
     Each cell owns an rng derived from (seed, individual id, year), so the
     cube is identical however the cells are scheduled; jobs > 1 spreads
     the per-year blocks over worker processes. Each year's cells go through
     the sampling kernel in one call, which decodes them in cache-sized
     chunks, so the decoder's working memory does not grow with the cells.
     """
-    if not base_records:
+    base_cols = {block.name: base[block.name] for block in model.cond_layout}
+    ids = tuple(str(i) for i in range(len(base_cols[model.cond_layout[0].name])))
+    if not ids:
         raise PanelError("base population is empty")
     if draws_per_cell < MIN_DRAWS_PER_CELL:
         raise PanelError(f"draws_per_cell below floor {MIN_DRAWS_PER_CELL}")
@@ -139,8 +143,6 @@ def build_panel(model: cvae.TrainedModel, base_records, years, external_by_year,
     bad = [name for s in subsets for name in s if name not in pref_names]
     if bad:
         raise PanelError(f"subset attribute {bad[0]!r} is not a preference attribute")
-    ids = tuple(str(i) for i in range(len(base_records)))
-    base_cols = record_columns(base_records, [b.name for b in model.cond_layout], schema)
 
     # every year's conditional rows, so missing externals fail before any sampling
     cond_rows = [
@@ -361,24 +363,20 @@ class BootstrapSummary:
     rows: list  # (statistic, source, year, mean, std)
 
 
-def _statistic_values(records, schema: Schema, stat: StatisticSpec) -> dict:
-    """Statistic per year (or {None: value} when not split by year)."""
+def _statistic_values(table, schema: Schema, stat: StatisticSpec) -> dict:
+    """Statistic per year (or {None: value} when not split by year) over a column table."""
     time_attr = schema.time_attribute
     by_year = stat.per_year and time_attr is not None
-    names = {stat.attribute, *(k for k, _ in stat.condition)}
-    if by_year:
-        names.add(time_attr.name)
-    cols = record_columns(records, names, schema)
-    selected = np.ones(len(records), dtype=bool)
+    values = table[stat.attribute]
+    selected = np.ones(len(values), dtype=bool)
     for k, v in stat.condition:
-        selected &= cols[k] == v
+        selected &= table[k] == v
     if by_year:
-        years = cols[time_attr.name].astype(np.int64)
+        years = table[time_attr.name].astype(np.int64)
         groups = {y: selected & (years == y) for y in sorted(set(years[selected].tolist()))}
     else:
         groups = {None: selected}
     attr = schema.attribute(stat.attribute)
-    values = cols[stat.attribute]
     out = {}
     for year, mask in groups.items():
         if not mask.any():
@@ -414,32 +412,28 @@ def _check_statistic(schema: Schema, stat: StatisticSpec) -> None:
 
 
 def _bootstrap_replicate(args):
-    (rep_idx, records, schema, config, stats, samples_per_replicate, seed) = args
+    (rep_idx, table, encoded, schema, config, stats, samples_per_replicate, seed) = args
     rng = derive_rng(seed, "bootstrap-resample", rep_idx)
-    n = len(records)
+    n = encoded.n_rows
     resample_idx = rng.integers(0, n, size=n)
-    resample = [records[i] for i in resample_idx]
 
-    data_stats = {s.name: _statistic_values(resample, schema, s) for s in stats}
+    data_stats = {s.name: _statistic_values(take_rows(table, resample_idx), schema, s)
+                  for s in stats}
 
-    encoded = encode(resample, schema)
     rep_cfg = replace(config, seed=derive_seed(seed, "bootstrap-train", rep_idx))
-    split_at = max(1, int(round(n * 0.9)))
-    if split_at >= n:
-        split_at = n - 1
-    train_idx = np.arange(split_at)
-    val_idx = np.arange(split_at, n)
+    split_at = min(max(1, int(round(n * 0.9))), n - 1)
     try:
-        model = cvae.train(encoded.take(train_idx), rep_cfg, encoded.take(val_idx))
+        model = cvae.train(encoded.take(resample_idx[:split_at]), rep_cfg,
+                           encoded.take(resample_idx[split_at:]))
     except cvae.TrainingDiverged:
         return rep_idx, None, data_stats
 
     m = min(samples_per_replicate, n)
     synth = generate_population(
-        model, resample[:m], draws_per_profile=1,
+        model, take_rows(table, resample_idx[:m]), draws_per_profile=1,
         seed=derive_seed(seed, "bootstrap-generate", rep_idx),
     )
-    model_stats = {s.name: _statistic_values(synth.records, schema, s) for s in stats}
+    model_stats = {s.name: _statistic_values(synth.columns, schema, s) for s in stats}
     return rep_idx, model_stats, data_stats
 
 
@@ -448,7 +442,7 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
               jobs: int = 1) -> BootstrapSummary:
     """Refit-and-resample uncertainty estimates.
 
-    Each replicate resamples the records with replacement at full size,
+    Each replicate resamples the survey rows with replacement at full size,
     refits the model, generates preferences for a pool of resampled
     profiles, and evaluates the declared statistics; the same statistics
     are also computed directly on the resample (the data-only reference).
@@ -463,8 +457,10 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
         raise PanelError("no statistics declared")
     for stat in stats:
         _check_statistic(schema, stat)
+    # the survey is encoded once; a replicate's rows are taken from it by index
+    table, encoded = record_columns(records, schema), encode(records, schema)
     args = [
-        (b, records, schema, config, stats, samples_per_replicate, seed)
+        (b, table, encoded, schema, config, stats, samples_per_replicate, seed)
         for b in range(n_replicates)
     ]
     results = map_units(_bootstrap_replicate, args, jobs)

@@ -11,9 +11,10 @@ rows come from ``schema.encode_columns``, like every other encoded row.
 One kernel (``_decode_with_noise``) serves per-profile draws, bulk
 columns and the panel cube. It draws whole rows in cache-sized chunks of
 about ``CHUNK_ROWS`` draws, sends at most ``CHUNK_ROWS`` of them through
-one decoder pass and writes their categories into int64 columns
+one decoder pass and writes their categories into one int64 array
 allocated once, so its decoder working memory grows neither with the
-number of rows nor with the draws per row.
+number of rows nor with the draws per row. Generated populations are
+column tables, like the survey tables they are drawn from.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import nn
 from .cvae import TrainedModel
-from .schema import Record, encode_columns, record_columns
+from .schema import encode_columns
 from .seeding import derive_rng
 
 #: decoder draws pushed through one forward pass: small enough that a chunk's
@@ -33,7 +34,7 @@ CHUNK_ROWS = 4096
 @dataclass
 class PreferenceDraws:
     profile_id: str
-    draws: list[dict]
+    draws: np.ndarray  # (n_draws, n_pref) category indices, columns in pref_layout order
 
 
 def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray):
@@ -58,7 +59,7 @@ def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndar
 
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,
-                       rngs) -> dict[str, np.ndarray]:
+                       rngs) -> np.ndarray:
     """The sampling kernel: draws_per_row decoder draws for every conditional row.
 
     rngs[i] is row i's generator (rows may share one); each row draws its
@@ -66,15 +67,15 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     chunks of about CHUNK_ROWS draws, each built in one reused input
     buffer, and decoded in slices of at most CHUNK_ROWS draws (a row with
     more draws spans several slices); their categories are written into
-    int64 columns allocated once. Returns one column of category indices
-    per preference attribute with draws_per_row consecutive entries per row.
+    one int64 array allocated once. Returns that (n_rows * draws_per_row,
+    n_pref) array of category indices, draws_per_row consecutive rows per
+    conditional row and one column per preference attribute.
     """
     r, d_z = draws_per_row, model.config.latent_dim
     n, n_blocks = len(c_rows), len(model.pref_layout)
-    out = np.empty((n_blocks, n * r), dtype=np.int64)
-    cols = {block.name: col for block, col in zip(model.pref_layout, out)}
+    out = np.empty((n * r, n_blocks), dtype=np.int64)
     if n * r == 0:
-        return cols
+        return out
     rows_per_chunk = min(n, max(1, CHUNK_ROWS // r))
     x = np.empty((rows_per_chunk, r, d_z + c_rows.shape[1]))
     uniforms = np.empty((rows_per_chunk, r, n_blocks))
@@ -90,9 +91,9 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
         # [0] drops the tape, so no hidden layer outlives its slice
         for a in range(0, k * r, CHUNK_ROWS):
             b = min(a + CHUNK_ROWS, k * r)
-            out[:, lo * r + a : lo * r + b] = _resolve_samples(
-                model, nn.forward(model.decoder, x_k[a:b])[0], u_k[a:b]).T
-    return cols
+            out[lo * r + a : lo * r + b] = _resolve_samples(
+                model, nn.forward(model.decoder, x_k[a:b])[0], u_k[a:b])
+    return out
 
 
 def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int,
@@ -100,18 +101,9 @@ def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int
     """Draw preference realizations for one encoded conditional row."""
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
-    cols = _decode_with_noise(model, np.asarray(c_row, dtype=float)[None, :], n_draws,
-                              [derive_rng(seed, "profile", profile_id)])
-    values = []
-    for block in model.pref_layout:
-        attr = model.schema.attribute(block.name)
-        if attr.kind == "numerical":
-            values.append([attr.bin_representative(v) for v in cols[block.name].tolist()])
-        else:
-            values.append(cols[block.name].tolist())
-    names = [block.name for block in model.pref_layout]
-    draws = [dict(zip(names, row)) for row in zip(*values)]
-    return PreferenceDraws(profile_id, draws)
+    return PreferenceDraws(profile_id, _decode_with_noise(
+        model, np.asarray(c_row, dtype=float)[None, :], n_draws,
+        [derive_rng(seed, "profile", profile_id)]))
 
 
 def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draws_per_row: int,
@@ -124,40 +116,50 @@ def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draw
     """
     cond_matrix = np.atleast_2d(np.asarray(cond_matrix, dtype=float))
     rngs = [derive_rng(seed, "bulk-sample")] * len(cond_matrix)
-    return _decode_with_noise(model, cond_matrix, draws_per_row, rngs)
+    draws = _decode_with_noise(model, cond_matrix, draws_per_row, rngs)
+    return {block.name: col for block, col in zip(model.pref_layout, draws.T)}
 
 
 @dataclass
 class SyntheticPopulation:
-    """Generated records in source order, and the ids of extrapolated sources."""
+    """Generated rows as a column table in source order, and the ids of
+    extrapolated sources."""
 
-    records: list[Record]
+    columns: dict[str, np.ndarray]
     extrapolated_ids: list[str]
 
 
-def generate_population(model: TrainedModel, records, draws_per_profile: int,
+def generate_population(model: TrainedModel, table, draws_per_profile: int,
                         seed: int) -> SyntheticPopulation:
-    """Draws for every source record under its own conditional values.
+    """Draws for every row of a source table under its own conditional values.
 
-    Record i is profile ``str(i)``: its draws come from its own stream, so
-    they do not depend on the other records. Raw time values outside the
-    declared range are reported as extrapolated.
+    Row i is profile ``str(i)``: its draws come from its own stream, so
+    they do not depend on the other rows. The generated table repeats each
+    row's conditional values once per draw; a numerical preference takes
+    its bin's midpoint. Raw time values outside the declared range are
+    reported as extrapolated.
     """
-    if not records:
-        raise ValueError("records must be nonempty")
     schema = model.schema
-    cols = record_columns(records, [b.name for b in model.cond_layout], schema)
-    c_rows = encode_columns(cols, model.cond_layout, schema)
+    c_rows = encode_columns(table, model.cond_layout, schema)
+    n, r = len(c_rows), draws_per_profile
+    if n == 0:
+        raise ValueError("the source table must be nonempty")
     flagged: list[str] = []
     t = schema.time_attribute
     if t is not None and t.kind == "numerical":
-        outside = (cols[t.name] < t.bin_edges[0]) | (cols[t.name] >= t.bin_edges[-1])
+        outside = (table[t.name] < t.bin_edges[0]) | (table[t.name] >= t.bin_edges[-1])
         flagged = [str(i) for i in np.flatnonzero(outside)]
-    is_pref = [a.role == "preference" for a in schema.attributes]
-    names = [a.name for a in schema.attributes]
-    out: list[Record] = []
-    for i, rec in enumerate(records):
-        for d in sample(model, c_rows[i], str(i), draws_per_profile, seed).draws:
-            out.append(Record(tuple([d[n] if p else v
-                                     for n, p, v in zip(names, is_pref, rec.values)])))
-    return SyntheticPopulation(records=out, extrapolated_ids=flagged)
+    draws = np.empty((n * r, len(model.pref_layout)), dtype=np.int64)
+    for i in range(n):
+        draws[i * r : (i + 1) * r] = sample(model, c_rows[i], str(i), r, seed).draws
+    pref = {block.name: col for block, col in zip(model.pref_layout, draws.T)}
+    columns = {}
+    for attr in schema.attributes:
+        if attr.role != "preference":
+            columns[attr.name] = np.repeat(table[attr.name], r)
+        elif attr.kind == "numerical":
+            midpoints = np.array([attr.bin_representative(k) for k in range(attr.n_categories)])
+            columns[attr.name] = midpoints[pref[attr.name]]
+        else:
+            columns[attr.name] = pref[attr.name]
+    return SyntheticPopulation(columns, flagged)

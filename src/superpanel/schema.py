@@ -3,10 +3,11 @@
 A survey column is declared as an :class:`AttributeSpec` with a role
 (time / geography / external / socio / preference) and a kind (categorical
 with a fixed number of categories, or numerical with sorted bin edges).
-Records are encoded into a conditional block ``C`` (all non-preference
-attributes) and a preference block ``V``; categorical attributes become
-one-hot segments and numerical attributes one-hot segments over their
-bins.
+Ingested records become a column table, one array per attribute, which
+every later stage works on. Rows are encoded into a conditional block
+``C`` (all non-preference attributes) and a preference block ``V``;
+categorical attributes become one-hot segments and numerical attributes
+one-hot segments over their bins.
 """
 
 import csv
@@ -195,18 +196,6 @@ class Record:
     values: tuple
 
 
-def validate_record(record: Record, schema: Schema) -> None:
-    if len(record.values) != len(schema.attributes):
-        raise SchemaError("record length does not match schema")
-    for v, attr in zip(record.values, schema.attributes):
-        if attr.kind == "categorical":
-            if not (isinstance(v, (int, np.integer)) and 0 <= v < attr.cardinality):
-                raise SchemaError(f"{attr.name}: category {v!r} out of range")
-        else:
-            if not np.isfinite(float(v)):
-                raise SchemaError(f"{attr.name}: non-finite value")
-
-
 # ---------------------------------------------------------------------------
 # Ingestion
 
@@ -275,19 +264,14 @@ def ingest_csv(path, schema: Schema) -> tuple[list[Record], int]:
     return records, dropped
 
 
-def write_records_csv(path, records, schema: Schema) -> None:
-    """Write records in the ingestion CSV format (deterministic text)."""
+def write_records_csv(path, table, schema: Schema) -> None:
+    """Write a column table in the ingestion CSV format (deterministic text)."""
+    cols = [map(str if a.kind == "categorical" else repr, table[a.name].tolist())
+            for a in schema.attributes]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in schema.attributes])
-        for rec in records:
-            row = []
-            for v, attr in zip(rec.values, schema.attributes):
-                if attr.kind == "categorical":
-                    row.append(str(int(v)))
-                else:
-                    row.append(repr(float(v)))
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +293,29 @@ def discretize_array(values, edges) -> np.ndarray:
 # Columns
 
 
-def record_columns(records, names, schema: Schema) -> dict[str, np.ndarray]:
-    """One array per named attribute: int64 categories or float64 raw values."""
+def record_columns(records, schema: Schema) -> dict[str, np.ndarray]:
+    """The column table of a record list: one array per attribute in schema
+    order, int64 categories or float64 raw values. Past ingest every stage
+    works on such tables."""
     cols = {}
-    for name in names:
-        pos = schema.index_of(name)
-        dtype = np.int64 if schema.attribute(name).kind == "categorical" else np.float64
-        cols[name] = np.fromiter((rec.values[pos] for rec in records), dtype, len(records))
+    for pos, attr in enumerate(schema.attributes):
+        dtype = np.int64 if attr.kind == "categorical" else np.float64
+        cols[attr.name] = np.fromiter((rec.values[pos] for rec in records), dtype, len(records))
     return cols
 
 
-def category_columns(records, subset, schema: Schema) -> dict[str, np.ndarray]:
-    """Column arrays of category indices; numericals go through their bins."""
-    cols = record_columns(records, subset, schema)
+def take_rows(table, indices) -> dict[str, np.ndarray]:
+    """The table's rows at ``indices``, in that order."""
+    return {name: col[indices] for name, col in table.items()}
+
+
+def category_columns(table, subset, schema: Schema) -> dict[str, np.ndarray]:
+    """The subset's columns as category indices; numericals go through their bins."""
+    cols = {}
     for name in subset:
         attr = schema.attribute(name)
-        if attr.kind == "numerical":
-            cols[name] = discretize_array(cols[name], attr.bin_edges)
+        cols[name] = (table[name] if attr.kind == "categorical"
+                      else discretize_array(table[name], attr.bin_edges))
     return cols
 
 
@@ -406,7 +396,7 @@ def encode(records, schema: Schema) -> EncodedDataset:
     """Encode records into conditional and preference matrices."""
     cond_layout, _ = build_layout(schema, preference=False)
     pref_layout, _ = build_layout(schema, preference=True)
-    cols = record_columns(records, [a.name for a in schema.attributes], schema)
+    cols = record_columns(records, schema)
     return EncodedDataset(
         conditional=encode_columns(cols, cond_layout, schema),
         preference=encode_columns(cols, pref_layout, schema),
@@ -414,28 +404,6 @@ def encode(records, schema: Schema) -> EncodedDataset:
         cond_layout=cond_layout,
         pref_layout=pref_layout,
     )
-
-
-def decode_block(vector, layout, schema: Schema) -> dict:
-    """Decode one encoded block row back to attribute values, the inverse of
-    encode: the hot column of each segment gives the category, which
-    numerical attributes turn into the bin midpoint.
-    """
-    vector = np.asarray(vector, dtype=float)
-    out = {}
-    for block in layout:
-        attr = schema.attribute(block.name)
-        idx = int(np.argmax(vector[block.start : block.start + block.width]))
-        out[block.name] = idx if attr.kind == "categorical" else attr.bin_representative(idx)
-    return out
-
-
-def decode(cond_row, pref_row, dataset: EncodedDataset) -> Record:
-    """Rebuild a full record from its two encoded rows."""
-    values = {}
-    values.update(decode_block(cond_row, dataset.cond_layout, dataset.schema))
-    values.update(decode_block(pref_row, dataset.pref_layout, dataset.schema))
-    return Record(tuple(values[a.name] for a in dataset.schema.attributes))
 
 
 # ---------------------------------------------------------------------------

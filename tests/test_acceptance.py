@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from superpanel import cli, cvae, metrics, oracle, panel
+from superpanel import cli, cvae, metrics, nn, oracle, panel
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
@@ -130,7 +130,7 @@ def test_01_gradient_correctness():
     params = encoder.parameters() + decoder.parameters()
     analytic = np.full(sum(p.size for p in params), np.nan)
     cvae.loss_and_grads(encoder, decoder, data.preference, data.conditional, eps, config.beta,
-                        analytic)
+                        nn.views([encoder, decoder], analytic))
     numeric = np.concatenate([g.ravel() for g in numeric_gradients(loss_fn, params, h=1e-5)])
     worst_rel = 0.0
     worst_abs = 0.0
@@ -198,10 +198,11 @@ def test_03_metric_oracles():
                   for _ in range(int(rng.integers(1, 15)))]
         rows_b = [(int(rng.integers(2)), int(rng.integers(3)), int(rng.integers(4)))
                   for _ in range(int(rng.integers(1, 15)))]
-        rec_a = [sm.Record(r) for r in rows_a]
-        rec_b = [sm.Record(r) for r in rows_b]
-        worst = max(worst, abs(metrics.overlap(rec_a, rec_b, schema) - brute_overlap(rows_a, rows_b)))
-        got = metrics.marginals(rec_a, "y", schema)
+        table_a = sm.record_columns([sm.Record(r) for r in rows_a], schema)
+        table_b = sm.record_columns([sm.Record(r) for r in rows_b], schema)
+        got = metrics.overlap_pair(table_a, table_b, schema)[0]
+        worst = max(worst, abs(got - brute_overlap(rows_a, rows_b)))
+        got = metrics.marginals(table_a, "y", schema)
         want = brute_marginal(rows_a, 2, 4)
         worst = max(worst, float(np.max(np.abs(got - want))))
     hand = metrics.srmse(hist([0.75, 0.25]), hist([0.5, 0.5]))

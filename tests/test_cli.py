@@ -3,9 +3,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from superpanel import cli, cvae
+from superpanel import cli, cvae, panel
 
 
 def run(argv):
@@ -233,6 +234,65 @@ class TestPanelCommands:
                     "--set", f"bootstrap.statistics={json.dumps(stats)}"]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "bootstrap.csv").exists()
+
+
+    @pytest.mark.parametrize("setting, named", [
+        ('panel.trend_conditions=[["group", 1]]',
+         "panel.trend_conditions[0] must map conditional attributes to values"),
+        ('panel.trend_conditions=[{"group": 1}, {"p_mode": 0}]',
+         "panel.trend_conditions[1] must map conditional attributes to values"),
+        ('panel.trend_attributes=["p_mode", "segment"]',
+         "panel.trend_attributes[1] 'segment' is not a preference attribute"),
+    ])
+    def test_bad_trend_request_fails_before_sampling(self, pipeline, tmp_path, capsys,
+                                                     monkeypatch, setting, named):
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(panel, "build_panel",
+                            lambda *a, **k: pytest.fail("panel.build_panel ran"))
+        assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}", "--set", setting]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "panel.csv").exists()
+
+
+class TestReferenceYear:
+    def test_numerical_time_truncates_like_int(self, tmp_path, monkeypatch):
+        """A raw time value joins the reference year its int() names: -0.5 and
+        0.99 are year 0, 1.0 is not; the default years are the int() values."""
+        from superpanel import schema as sm
+
+        schema = sm.Schema(attributes=(
+            sm.AttributeSpec("year", "time", "numerical", bin_edges=(-2.0, 0.0, 1.0, 2.0, 3.0)),
+            sm.AttributeSpec("g", "socio", "categorical", cardinality=2),
+            sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
+        ))
+        times = [0.0, 0.5, -0.5, 0.99, 1.0, 1.5, 2.7, -1.2]
+        table = {"year": np.array([times[i % 8] for i in range(40)]),
+                 "g": np.arange(40) % 2, "p": np.arange(40) // 3 % 2}
+        sm.save_schema(schema, tmp_path / "schema.json")
+        sm.write_records_csv(tmp_path / "data.csv", table, schema)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 5, "schema": str(tmp_path / "schema.json"),
+            "data": str(tmp_path / "data.csv"),
+            "model": {"hidden_layers": [4], "latent_dim": 1, "epochs": 1},
+            "panel": {"draws_per_cell": 10}}))
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        seen = []
+        build_panel = panel.build_panel
+
+        def spy(model, base, years, *args, **kwargs):
+            seen.append((base, years))
+            return build_panel(model, base, years, *args, **kwargs)
+
+        monkeypatch.setattr(panel, "build_panel", spy)
+        assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        (base, years), = seen
+        want = [t for t in table["year"].tolist() if int(t) == 0]
+        assert base["year"].tolist() == want and len(want) == 20
+        assert base["g"].tolist() == [g for t, g in zip(table["year"].tolist(),
+                                                        table["g"].tolist()) if int(t) == 0]
+        assert years == sorted({int(t) for t in times}) == [-1, 0, 1, 2]
 
 
 class TestGenerate:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from superpanel import cvae
+from superpanel import cvae, nn
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
@@ -68,7 +68,8 @@ class TestEncodeDecodeOps:
     def test_decode_blocks_are_distributions(self):
         model = tiny_model()
         rng = derive_rng(5, "dec")
-        out = cvae.decode(model, rng.standard_normal(2), rng.random(4))
+        out = nn.forward(model.decoder, np.concatenate([rng.standard_normal(2),
+                                                        rng.random(4)])[None, :])[0][0]
         for lo in (0, 2, 4):
             assert abs(out[lo : lo + 2].sum() - 1.0) < 1e-12
 
@@ -77,7 +78,7 @@ class TestEncodeDecodeOps:
         for layer in model.decoder.layers:
             layer.weights[...] = 0.0
             layer.biases[...] = 0.0
-        out = cvae.decode(model, np.zeros(2), np.zeros(4))
+        out, _ = nn.forward(model.decoder, np.zeros((1, 6)))
         assert np.allclose(out, 1 / 2)
 
 
@@ -139,7 +140,6 @@ class TestLoss:
         for block in model.pref_layout:
             idx = int(np.argmax(target[block.start : block.start + block.width]))
             final.biases[block.start + idx] = 500.0  # softmax saturates to 1
-        out = cvae.decode(model, np.zeros(2), data.conditional[0])
         eps = np.zeros((1, 2))
         xent, _ = model_loss(model, data.preference[:1], data.conditional[:1], eps)
         assert xent == pytest.approx(0.0, abs=1e-9)
@@ -171,7 +171,7 @@ class TestFullGradient:
 
         grads = nan_buffer([encoder, decoder])
         cvae.loss_and_grads(encoder, decoder, data.preference, data.conditional, eps,
-                            config.beta, grads)
+                            config.beta, nn.views([encoder, decoder], grads))
         arrays = encoder.parameters() + decoder.parameters()
         numeric = numeric_gradients(loss_fn, arrays)
         assert_grads_close([grads], [np.concatenate([g.ravel() for g in numeric])])
@@ -185,10 +185,11 @@ class TestFullGradient:
         args = (model.encoder, model.decoder, data.preference, data.conditional, eps,
                 model.config.beta)
         grads = nan_buffer([model.encoder, model.decoder])
-        terms = cvae.loss_and_grads(*args, grads)
+        views = nn.views([model.encoder, model.decoder], grads)
+        terms = cvae.loss_and_grads(*args, views)
         assert not np.isnan(grads).any()
         first = grads.copy()
-        assert cvae.loss_and_grads(*args, grads) == terms
+        assert cvae.loss_and_grads(*args, views) == terms
         assert np.array_equal(grads, first)
         assert cvae.loss_and_grads(*args) == terms
         assert np.array_equal(grads, first)

@@ -13,6 +13,11 @@ from superpanel.seeding import derive_rng
 # vectorized code paths they check.
 
 
+def tables(schema, *record_lists):
+    """The column table of each record list."""
+    return [sm.record_columns(records, schema) for records in record_lists]
+
+
 def brute_srmse(hat, ref):
     n_b = len(ref)
     total = 0.0
@@ -121,8 +126,9 @@ class TestCrossTabulate:
         rng = derive_rng(8, "marg")
         records = [sm.Record((0, int(rng.integers(2)), int(rng.integers(3)))) for _ in range(80)]
         joint = mx.cross_tabulate(records, ("x", "y"), schema)
+        (table,) = tables(schema, records)
         for name in ("x", "y"):
-            assert np.allclose(joint.marginal(name), mx.marginals(records, name, schema))
+            assert np.allclose(joint.marginal(name), mx.marginals(table, name, schema))
 
 
 class TestSrmse:
@@ -200,12 +206,14 @@ class TestMarginals:
             sm.AttributeSpec("c", "socio", "categorical", cardinality=1),
             sm.AttributeSpec("p", "preference", "categorical", cardinality=1),
         ))
-        assert mx.marginals([sm.Record((0, 0))], "p", schema).tolist() == [1.0]
+        (table,) = tables(schema, [sm.Record((0, 0))])
+        assert mx.marginals(table, "p", schema).tolist() == [1.0]
 
     def test_counting(self):
         schema = two_attr_schema()
         records = [sm.Record((0, 0, 0)), sm.Record((0, 0, 1)), sm.Record((0, 1, 2))]
-        assert np.allclose(mx.marginals(records, "x", schema), [2 / 3, 1 / 3])
+        (table,) = tables(schema, records)
+        assert np.allclose(mx.marginals(table, "x", schema), [2 / 3, 1 / 3])
 
     def test_brute_force_100_random_cases(self):
         schema = two_attr_schema(d1=4, d2=5)
@@ -214,7 +222,7 @@ class TestMarginals:
             n = int(rng.integers(1, 40))
             rows = [(0, int(rng.integers(4)), int(rng.integers(5))) for _ in range(n)]
             records = [sm.Record(r) for r in rows]
-            got = mx.marginals(records, "y", schema)
+            got = mx.marginals(sm.record_columns(records, schema), "y", schema)
             want = brute_marginal(rows, 2, 5)
             assert np.allclose(got, want, atol=1e-12)
 
@@ -223,13 +231,13 @@ class TestOverlap:
     def test_self_overlap_100(self):
         schema = two_attr_schema()
         records = [sm.Record((0, 1, 2)), sm.Record((1, 0, 0))]
-        assert mx.overlap(records, records, schema) == 100.0
+        assert mx.overlap_pair(*tables(schema, records, records), schema)[0] == 100.0
 
     def test_disjoint_zero(self):
         schema = two_attr_schema()
         a = [sm.Record((0, 0, 0))]
         b = [sm.Record((1, 1, 1))]
-        assert mx.overlap(a, b, schema) == 0.0
+        assert mx.overlap_pair(*tables(schema, a, b), schema)[0] == 0.0
 
     def test_monotone_in_b(self):
         schema = two_attr_schema()
@@ -239,7 +247,7 @@ class TestOverlap:
         last = 0.0
         for _ in range(30):
             b.append(sm.Record((0, int(rng.integers(2)), int(rng.integers(3)))))
-            cur = mx.overlap(a, b, schema)
+            cur = mx.overlap_pair(*tables(schema, a, b), schema)[0]
             assert cur >= last
             last = cur
 
@@ -253,16 +261,14 @@ class TestOverlap:
             rows_b = [(int(rng.integers(2)), int(rng.integers(2)), int(rng.integers(3)))
                       for _ in range(nb)]
             rec_a, rec_b = [sm.Record(r) for r in rows_a], [sm.Record(r) for r in rows_b]
-            got = mx.overlap(rec_a, rec_b, schema)
-            assert got == pytest.approx(brute_overlap(rows_a, rows_b), abs=1e-12)
-            assert mx.overlap_pair(rec_a, rec_b, schema) == (
+            assert mx.overlap_pair(*tables(schema, rec_a, rec_b), schema) == (
                 brute_overlap(rows_a, rows_b), brute_overlap(rows_b, rows_a))
 
     def test_pair_reports_both_directions(self):
         schema = two_attr_schema()
         a = [sm.Record((0, 0, 0)), sm.Record((0, 1, 1))]
         b = [sm.Record((0, 0, 0))]
-        fwd, rev = mx.overlap_pair(a, b, schema)
+        fwd, rev = mx.overlap_pair(*tables(schema, a, b), schema)
         assert fwd == 50.0 and rev == 100.0
 
     def test_numeric_attributes_compared_in_bin_space(self):
@@ -272,4 +278,4 @@ class TestOverlap:
         ))
         a = [sm.Record((0, 5.0))]  # midpoint of [0, 10)
         b = [sm.Record((0, 7.3))]  # same bin, different raw value
-        assert mx.overlap(a, b, schema) == 100.0
+        assert mx.overlap_pair(*tables(schema, a, b), schema)[0] == 100.0

@@ -100,8 +100,12 @@ class TestGenerate:
 
     def test_records_validate_against_schema(self):
         spec = oracle.canned_spec("static-corr")
-        for rec in oracle.generate_dataset(spec, 100, seed=5):
-            sm.validate_record(rec, spec.schema)
+        records = oracle.generate_dataset(spec, 100, seed=5)
+        assert all(len(rec.values) == len(spec.schema.attributes)
+                   and all(type(v) is int for v in rec.values) for rec in records)
+        for attr, col in zip(spec.schema.attributes,
+                             sm.record_columns(records, spec.schema).values()):
+            assert np.all((col >= 0) & (col < attr.n_categories)), attr.name
 
 
 class TestExactConditional:

@@ -14,8 +14,8 @@ def drift_setup():
     config = cvae.CvaeConfig(hidden_layers=(32, 16), latent_dim=3, beta=5.0,
                              batch_size=64, epochs=15, seed=63)
     model = cvae.train(encoded.take(idx_tr), config, encoded.take(idx_va))
-    base_records = [r for r in records if r.values[0] == 0][:60]
-    return spec, records, model, base_records
+    base = sm.record_columns([r for r in records if r.values[0] == 0][:60], spec.schema)
+    return spec, records, model, base
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ class TestBuildPanel:
     def test_empty_population_rejected(self, drift_setup):
         spec, records, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="empty"):
-            panel.build_panel(model, [], years=[0], external_by_year=None,
+            panel.build_panel(model, sm.take_rows(base, []), years=[0], external_by_year=None,
                               draws_per_cell=50, seed=66)
 
     def test_missing_externals_rejected(self):
@@ -70,7 +70,7 @@ class TestBuildPanel:
         config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=69)
         encoded = sm.encode(records, ext_schema)
         model = cvae.train(encoded, config, encoded)
-        base = records[:2]
+        base = sm.record_columns(records[:2], ext_schema)
         with pytest.raises(panel.PanelError, match="external values for year 1"):
             panel.build_panel(model, base, [1], None, draws_per_cell=10, seed=70)
         with pytest.raises(panel.PanelError, match="individual 1 in year 1"):
@@ -86,7 +86,7 @@ class TestBuildPanel:
 
     def test_single_individual_single_year_degenerate_draw(self, drift_setup):
         spec, records, model, base = drift_setup
-        cube = panel.build_panel(model, base[:1], years=[0], external_by_year=None,
+        cube = panel.build_panel(model, sm.take_rows(base, [0]), years=[0], external_by_year=None,
                                  draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67)
         assert cube.subset_freqs[cube.subsets[0]].shape[0] == 1
 
@@ -102,7 +102,7 @@ class TestCellDraws:
         eps = rng.standard_normal((r, model.config.latent_dim))
         blocks = model.pref_layout
         uniforms = rng.random((r, len(blocks)))
-        cell = sm.encode([base[i]], spec.schema).conditional[0]
+        cell = sm.encode_columns(sm.take_rows(base, [i]), model.cond_layout, spec.schema)[0]
         cols = dict(small_cube.conditionals)
         cols[spec.schema.time_attribute.name] = np.full(len(small_cube.ids), year)
         c_row = sm.encode_columns(cols, model.cond_layout, spec.schema)[i]
@@ -110,7 +110,7 @@ class TestCellDraws:
         moved = [b for b in model.cond_layout if not np.array_equal(
             cell[b.start : b.start + b.width], c_row[b.start : b.start + b.width])]
         assert [b.name for b in moved] == [spec.schema.time_attribute.name]
-        dec = cvae.decode(model, eps, np.tile(c_row, (r, 1)))
+        dec = nn.forward(model.decoder, np.concatenate([eps, np.tile(c_row, (r, 1))], axis=1))[0]
         cats = {}
         for j, block in enumerate(blocks):
             cum = np.cumsum(dec[:, block.start : block.start + block.width], axis=1)
@@ -127,7 +127,8 @@ class TestCellDraws:
     def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
         """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
         spec, records, model, base = drift_setup
-        build = lambda: panel.build_panel(model, base[:45], years=[0, 3],  # noqa: E731
+        build = lambda: panel.build_panel(model, sm.take_rows(base, np.arange(45)),  # noqa: E731
+                                          years=[0, 3],
                                           external_by_year=None, draws_per_cell=30, seed=68)
         whole = build()
         rows = []
@@ -293,7 +294,7 @@ class TestBootstrap:
                             seed=73)
 
 
-def statistic_records():
+def statistic_table():
     schema = sm.Schema(attributes=(
         sm.AttributeSpec("t", "time", "categorical", cardinality=3),
         sm.AttributeSpec("seg", "socio", "categorical", cardinality=2),
@@ -308,41 +309,41 @@ def statistic_records():
         (2, 1, 0, 15.0),
         (0, 0, 0, 8.0),
     ]]
-    return schema, records
+    return schema, sm.record_columns(records, schema)
 
 
 class TestStatisticValues:
     def test_condition_and_per_year_groups(self):
-        schema, records = statistic_records()
+        schema, table = statistic_table()
         stat = panel.StatisticSpec(attribute="mode", category=0, condition=(("seg", 0),))
-        assert panel._statistic_values(records, schema, stat) == {0: 1.0, 1: 0.5}
+        assert panel._statistic_values(table, schema, stat) == {0: 1.0, 1: 0.5}
 
     def test_numerical_bin_category_per_year(self):
-        schema, records = statistic_records()
+        schema, table = statistic_table()
         stat = panel.StatisticSpec(attribute="dist", category=1)  # bin [5, 10)
-        got = panel._statistic_values(records, schema, stat)
+        got = panel._statistic_values(table, schema, stat)
         assert got == {0: pytest.approx(2 / 3), 1: 0.0, 2: 0.0}
 
     def test_numerical_mean_pooled(self):
-        schema, records = statistic_records()
+        schema, table = statistic_table()
         stat = panel.StatisticSpec(attribute="dist", condition=(("seg", 1),), per_year=False)
-        assert panel._statistic_values(records, schema, stat) == {None: 11.0}
+        assert panel._statistic_values(table, schema, stat) == {None: 11.0}
 
     def test_mean_of_categorical_rejected(self):
-        schema, records = statistic_records()
+        schema, table = statistic_table()
         stat = panel.StatisticSpec(attribute="mode", per_year=False)
         with pytest.raises(panel.PanelError, match="numerical"):
             panel._check_statistic(schema, stat)
 
     def test_empty_selection(self):
-        schema, records = statistic_records()
+        schema, table = statistic_table()
         cond = (("t", 2), ("seg", 0))
         pooled = panel.StatisticSpec(attribute="mode", category=0, condition=cond,
                                      per_year=False)
-        got = panel._statistic_values(records, schema, pooled)
+        got = panel._statistic_values(table, schema, pooled)
         assert list(got) == [None] and np.isnan(got[None])
         per_year = panel.StatisticSpec(attribute="mode", category=0, condition=cond)
-        assert panel._statistic_values(records, schema, per_year) == {}
+        assert panel._statistic_values(table, schema, per_year) == {}
 
     def test_matches_record_loop(self, drift_setup):
         spec, records, _, _ = drift_setup
@@ -358,4 +359,5 @@ class TestStatisticValues:
                 groups.setdefault(v[pos["year"]] if stat.per_year else None, []).append(v)
             want = {y: float(np.mean([v[pos[stat.attribute]] == stat.category for v in vs]))
                     for y, vs in groups.items()}
-            assert panel._statistic_values(records, schema, stat) == want
+            assert panel._statistic_values(sm.record_columns(records, schema), schema,
+                                           stat) == want

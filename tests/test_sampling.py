@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from superpanel import cvae, oracle, sampling
+from superpanel import cvae, nn, oracle, sampling
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
@@ -28,10 +28,10 @@ def row_for(model, **values):
                              model.cond_layout, model.schema)[0]
 
 
-def records_for(model, *segments):
-    """Year-0 records, one per segment, with every preference at category 0."""
-    return [sm.Record(tuple(s if a.name == "segment" else 0 for a in model.schema.attributes))
-            for s in segments]
+def table_for(model, *segments):
+    """Year-0 rows, one per segment, with every preference at category 0."""
+    return {a.name: np.array([s if a.name == "segment" else 0 for s in segments], dtype=np.int64)
+            for a in model.schema.attributes}
 
 
 def resolve_per_block(layout, dec_out, uniforms):
@@ -83,7 +83,8 @@ class TestKernel:
         cols = sampling.sample_preference_columns(small_model, rows, 3, seed=8)
         for name, col in whole_cols.items():
             assert np.array_equal(cols[name], col)
-        assert sampling.sample(small_model, rows[1], "ind-1", 20, seed=8).draws == whole_draws
+        assert np.array_equal(sampling.sample(small_model, rows[1], "ind-1", 20, seed=8).draws,
+                              whole_draws)
 
     def test_long_row_decoded_in_slices(self, small_model, monkeypatch):
         """A row of more than CHUNK_ROWS draws never sends more than CHUNK_ROWS
@@ -140,23 +141,23 @@ class TestKernel:
 class TestSample:
     def test_zero_draws_empty(self, small_model):
         draws = sampling.sample(small_model, row_for(small_model), "ind-0", 0, seed=1)
-        assert draws.draws == []
+        assert draws.draws.shape == (0, len(small_model.pref_layout))
 
     def test_same_seed_identical(self, small_model):
         c_row = row_for(small_model)
         a = sampling.sample(small_model, c_row, "ind-0", 20, seed=2)
         b = sampling.sample(small_model, c_row, "ind-0", 20, seed=2)
-        assert a.draws == b.draws
+        assert np.array_equal(a.draws, b.draws)
 
     def test_draw_values_valid_categories(self, small_model):
         draws = sampling.sample(small_model, row_for(small_model), "ind-0", 50, seed=3)
-        for d in draws.draws:
-            for attr in small_model.schema.preference_attributes:
-                assert 0 <= d[attr.name] < attr.n_categories
+        assert draws.draws.shape == (50, len(small_model.pref_layout))
+        for col, attr in zip(draws.draws.T, small_model.schema.preference_attributes):
+            assert np.all((col >= 0) & (col < attr.n_categories))
 
     def test_profile_out_of_range_rejected(self, small_model):
         with pytest.raises(ValueError, match="out of range"):
-            sampling.generate_population(small_model, records_for(small_model, 17), 1, seed=6)
+            sampling.generate_population(small_model, table_for(small_model, 17), 1, seed=6)
 
     def test_empirical_frequencies_match_decoder_probabilities(self, small_model):
         """Category frequencies over many draws converge to the softmax
@@ -166,7 +167,8 @@ class TestSample:
         cols = sampling.sample_preference_columns(small_model, c_row[None, :], n, seed=7)
         rng = derive_rng(7, "bulk-sample")
         eps = rng.standard_normal((n, small_model.config.latent_dim))
-        dec = cvae.decode(small_model, eps, np.tile(c_row, (n, 1)))
+        dec = nn.forward(small_model.decoder,
+                         np.concatenate([eps, np.tile(c_row, (n, 1))], axis=1))[0]
         for block in small_model.pref_layout:
             expected = dec[:, block.start : block.start + block.width].mean(axis=0)
             got = np.bincount(cols[block.name], minlength=block.width) / n
@@ -175,33 +177,32 @@ class TestSample:
 
 class TestGeneratePopulation:
     def test_draw_count_arithmetic(self, small_model):
-        pop = sampling.generate_population(small_model, records_for(small_model, 0, 1), 3,
+        pop = sampling.generate_population(small_model, table_for(small_model, 0, 1), 3,
                                            seed=15)
-        assert len(pop.records) == 6
-        seg = small_model.schema.index_of("segment")
-        assert [rec.values[seg] for rec in pop.records] == [0] * 3 + [1] * 3
+        assert list(pop.columns) == [a.name for a in small_model.schema.attributes]
+        assert all(len(col) == 6 for col in pop.columns.values())
+        assert pop.columns["segment"].tolist() == [0] * 3 + [1] * 3
 
     def test_records_validate_against_schema(self, small_model):
-        pop = sampling.generate_population(small_model, records_for(small_model, 0), 25,
+        pop = sampling.generate_population(small_model, table_for(small_model, 0), 25,
                                            seed=16)
-        for rec in pop.records:
-            sm.validate_record(rec, small_model.schema)
+        for attr in small_model.schema.attributes:
+            col = pop.columns[attr.name]
+            assert col.dtype == np.int64 and col.shape == (25,)
+            assert np.all((col >= 0) & (col < attr.n_categories))
 
     def test_per_profile_streams_invariant_to_batch_shape(self, small_model):
         """The same profile id and seed produce the same draws whether the
         profile is sampled alone or within a population call."""
         alone = sampling.sample(small_model, row_for(small_model), "0", 4, seed=17)
-        both = sampling.generate_population(small_model, records_for(small_model, 0, 0), 4,
+        both = sampling.generate_population(small_model, table_for(small_model, 0, 0), 4,
                                             seed=17)
-        pref_names = [a.name for a in small_model.schema.preference_attributes]
-        for i in range(4):
-            rec = both.records[i]
-            got = {n: rec.values[small_model.schema.index_of(n)] for n in pref_names}
-            assert got == alone.draws[i]
+        got = np.stack([both.columns[b.name][:4] for b in small_model.pref_layout], axis=1)
+        assert np.array_equal(got, alone.draws)
 
     def test_empty_profiles_rejected(self, small_model):
         with pytest.raises(ValueError):
-            sampling.generate_population(small_model, [], 1, seed=18)
+            sampling.generate_population(small_model, table_for(small_model), 1, seed=18)
 
     def test_extrapolated_ids_from_time_column(self):
         """Raw time values outside the declared range flag their record."""
@@ -214,7 +215,8 @@ class TestGeneratePopulation:
         encoded = sm.encode(records, schema)
         config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=21)
         model = cvae.train(encoded, config, encoded)
-        source = [sm.Record((t, 0, 0)) for t in (2.0, 5.0, -0.5, 4.99)]
+        source = sm.record_columns([sm.Record((t, 0, 0)) for t in (2.0, 5.0, -0.5, 4.99)],
+                                   schema)
         pop = sampling.generate_population(model, source, 1, seed=22)
         assert pop.extrapolated_ids == ["1", "2"]
 
@@ -230,10 +232,35 @@ class TestGeneratePopulation:
             return original(model, c_row, profile_id, *args, **kwargs)
 
         monkeypatch.setattr(sampling, "sample", spy)
-        pop = sampling.generate_population(small_model, records, 2, seed=20)
+        table = sm.record_columns(records, small_model.schema)
+        pop = sampling.generate_population(small_model, table, 2, seed=20)
         expected = sm.encode(records, small_model.schema).conditional
         assert [pid for pid, _ in calls] == [str(i) for i in range(len(records))]
         assert np.array_equal(np.stack([row for _, row in calls]), expected)
-        cond = [i for i, a in enumerate(small_model.schema.attributes) if a.role != "preference"]
-        for k, rec in enumerate(pop.records):
-            assert [rec.values[i] for i in cond] == [records[k // 2].values[i] for i in cond]
+        for attr in small_model.schema.conditional_attributes:
+            assert np.array_equal(pop.columns[attr.name], np.repeat(table[attr.name], 2))
+
+    def test_columns_equal_per_row_sample_draws(self):
+        """Rows i*r .. (i+1)*r of the generated preference columns are row i's
+        sample draws; a numerical preference takes its bin midpoint."""
+        edges = (0.0, 0.3, 1.0, 7.0)
+        schema = sm.Schema(attributes=(
+            sm.AttributeSpec("t", "time", "numerical", bin_edges=(0.0, 2.5, 5.0)),
+            sm.AttributeSpec("g", "socio", "categorical", cardinality=2),
+            sm.AttributeSpec("p", "preference", "categorical", cardinality=3),
+            sm.AttributeSpec("q", "preference", "numerical", bin_edges=edges),
+        ))
+        records = [sm.Record((0.5 * (i % 9), i % 2, i % 3, 0.7 * (i % 7))) for i in range(60)]
+        encoded = sm.encode(records, schema)
+        config = cvae.CvaeConfig(hidden_layers=(6,), latent_dim=2, epochs=2, seed=24)
+        model = cvae.train(encoded, config, encoded)
+        r, table = 3, sm.record_columns(records[:7], schema)
+        pop = sampling.generate_population(model, table, r, seed=25)
+        assert (pop.columns["p"].dtype, pop.columns["q"].dtype) == (np.int64, np.float64)
+        midpoints = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+        for i in range(7):
+            draws = sampling.sample(model, encoded.conditional[i], str(i), r, seed=25).draws
+            rows = slice(i * r, (i + 1) * r)
+            assert pop.columns["p"][rows].tolist() == draws[:, 0].tolist()
+            assert pop.columns["q"][rows].tolist() == [midpoints[k] for k in draws[:, 1]]
+            assert pop.columns["t"][rows].tolist() == [records[i].values[0]] * r

@@ -138,9 +138,22 @@ class TestIngest:
         schema = minimal_schema()
         records = [sm.Record((0, 2)), sm.Record((1, 1))]
         path = tmp_path / "out.csv"
-        sm.write_records_csv(path, records, schema)
+        sm.write_records_csv(path, sm.record_columns(records, schema), schema)
         back, dropped = sm.ingest_csv(path, schema)
         assert back == records and dropped == 0
+
+    def test_table_roundtrip_exact_for_both_kinds(self, tmp_path):
+        """Categories come back as the same ints and raw numerical values as the
+        same floats, bit for bit, including values no short decimal spells."""
+        schema = mixed_schema()
+        table = {"t": np.array([2, 0, 1]), "income": np.array([0.1 + 0.2, -3.0, 1e-300]),
+                 "p1": np.array([1, 0, 1]), "dist": np.array([1 / 3, 49.99999999999999, 5e300])}
+        path = tmp_path / "out.csv"
+        sm.write_records_csv(path, table, schema)
+        back, dropped = sm.ingest_csv(path, schema)
+        assert dropped == 0
+        for name, col in sm.record_columns(back, schema).items():
+            assert col.dtype == table[name].dtype and col.tolist() == table[name].tolist()
 
     def test_survey_scale_clean_file_preserves_count(self, tmp_path):
         """67,419 already-clean rows across 46 columns survive unchanged."""
@@ -229,6 +242,18 @@ def mixed_schema():
     ])
 
 
+def hot_values(ds, i):
+    """Row i of an encoded set read back through the hot column of each segment:
+    the category, or a numerical attribute's bin midpoint, in schema order."""
+    values = {}
+    for layout, mat in ((ds.cond_layout, ds.conditional), (ds.pref_layout, ds.preference)):
+        for block in layout:
+            attr = ds.schema.attribute(block.name)
+            k = int(np.argmax(mat[i, block.start : block.start + block.width]))
+            values[block.name] = k if attr.kind == "categorical" else attr.bin_representative(k)
+    return tuple(values[a.name] for a in ds.schema.attributes)
+
+
 class TestEncodeDecode:
     def test_width_arithmetic(self):
         schema = make_schema([
@@ -254,23 +279,22 @@ class TestEncodeDecode:
         records = [sm.Record((0, 2)), sm.Record((1, 0))]
         ds = sm.encode(records, schema)
         for i, rec in enumerate(records):
-            back = sm.decode(ds.conditional[i], ds.preference[i], ds)
-            assert back == rec
+            assert hot_values(ds, i) == rec.values
 
     def test_numeric_roundtrip_bin_representative(self):
         schema = mixed_schema()
         ds = sm.encode([sm.Record((1, 15.0, 0, 3.0))], schema)
-        back = sm.decode(ds.conditional[0], ds.preference[0], ds)
-        assert back.values[1] == 15.0  # midpoint of [10, 20)
-        assert back.values[3] == 2.5  # midpoint of [0, 5)
+        back = hot_values(ds, 0)
+        assert back[1] == 15.0  # midpoint of [10, 20)
+        assert back[3] == 2.5  # midpoint of [0, 5)
 
     def test_numeric_outside_edges_roundtrip_to_end_bins(self):
         schema = mixed_schema()
         ds = sm.encode([sm.Record((1, -3.0, 0, 60.0))], schema)
         assert ds.dim_c == 6 and ds.dim_v == 4  # every attribute one-hot
-        back = sm.decode(ds.conditional[0], ds.preference[0], ds)
-        assert back.values[1] == 5.0  # clamped to [0, 10)
-        assert back.values[3] == 27.5  # clamped to [5, 50)
+        back = hot_values(ds, 0)
+        assert back[1] == 5.0  # clamped to [0, 10)
+        assert back[3] == 27.5  # clamped to [5, 50)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -289,7 +313,22 @@ class TestEncodeDecode:
             data.draw(st.integers(0, a.cardinality - 1)) for a in schema.attributes
         )
         ds = sm.encode([sm.Record(values)], schema)
-        assert sm.decode(ds.conditional[0], ds.preference[0], ds) == sm.Record(values)
+        assert hot_values(ds, 0) == values
+
+    def test_take_matches_encoding_of_the_taken_records(self):
+        """encode(records).take(idx) is the encoding of [records[i] for i in idx],
+        bit for bit, for a resample with repeats in any order."""
+        schema = mixed_schema()
+        records = [sm.Record((i % 3, 7.5 * i - 4.0, i % 2, 3.3 * i)) for i in range(12)]
+        idx = np.array([11, 0, 0, 5, 3, 3, 3, 9, 1, 11])
+        taken = sm.encode(records, schema).take(idx)
+        direct = sm.encode([records[i] for i in idx], schema)
+        for a, b in ((taken.conditional, direct.conditional),
+                     (taken.preference, direct.preference)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert (taken.cond_layout, taken.pref_layout) == (direct.cond_layout,
+                                                          direct.pref_layout)
 
 
 class TestSplit:
