@@ -40,7 +40,6 @@ DEFAULT_CONFIG = {
         "years": None,
         "draws_per_cell": 200,
         "external_table": None,
-        "subsets": None,
         "max_individuals": None,
         "trend_attributes": None,
         "trend_conditions": None,
@@ -431,55 +430,50 @@ def cmd_evaluate(args, config, out):
     return [comp_path, scatter_path, overlap_path], {}
 
 
-def _load_external_table(path, sch, base):
-    """Per-year external values, keyed by individual_id or by zone.
+def _load_external_table(path, sch, base, years):
+    """Each requested year's external values, one column per external
+    attribute aligned with the base rows.
 
-    A zone-keyed table (column "zone") is resolved through the geography
-    value of each row of the base table, which is how per-zone
-    accessibility scores attach to individuals; a zone with no row in
-    some year is an error. The result always maps year -> individual id ->
-    values, where base row i is individual str(i).
+    The table is keyed by individual_id, where base row i is individual
+    str(i), or by zone (a column "zone"), resolved through each base row's
+    geography value, which is how per-zone accessibility scores attach to
+    individuals. A key of the base population with no row in a requested
+    year is an error naming it; other years are not checked.
     """
-    externals = [a.name for a in sch.attributes if a.role == "external"]
+    # each external attribute's name -> the parser of its cells
+    externals = {a.name: float if a.kind == "numerical" else int
+                 for a in sch.attributes if a.role == "external"}
     if not externals:
         return None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
-        by_zone = "zone" in fields and "individual_id" not in fields
-        key_col = "zone" if by_zone else "individual_id"
+        key_col = "zone" if "zone" in fields and "individual_id" not in fields else "individual_id"
         missing = [c for c in ("year", key_col, *externals) if c not in fields]
         if missing:
             raise CliError(f"{path}: external table has no column "
                            + ", ".join(repr(c) for c in missing))
-        raw: dict = {}
-        for row in reader:
-            year = int(row["year"])
-            values = {}
-            for name in externals:
-                attr = sch.attribute(name)
-                values[name] = (
-                    float(row[name]) if attr.kind == "numerical" else int(row[name])
-                )
-            raw.setdefault(year, {})[str(row[key_col])] = values
-    if not by_zone:
-        return raw
-    geo = [a.name for a in sch.attributes if a.role == "geography"]
-    if not geo:
-        raise CliError("zone-keyed external table needs a geography attribute")
-    zones = [str(int(z)) for z in base[geo[0]].tolist()]
-    missing = sorted({(int(z), year) for year, per_zone in raw.items()
-                      for z in zones if z not in per_zone})
+        rows = {(int(row["year"]), row[key_col]): row for row in reader}
+    if key_col == "zone":
+        geo = [a.name for a in sch.attributes if a.role == "geography"]
+        if not geo:
+            raise CliError("zone-keyed external table needs a geography attribute")
+        keys = [str(int(z)) for z in base[geo[0]].tolist()]
+    else:
+        keys = [str(i) for i in range(len(base[sch.attributes[0].name]))]
+    missing = sorted({(int(k), y) for y in years for k in keys if (y, k) not in rows})
     if missing:
         raise CliError(f"{path}: no external values for "
-                       + ", ".join(f"zone {z} in year {y}" for z, y in missing))
-    return {year: {str(i): per_zone[z] for i, z in enumerate(zones)}
-            for year, per_zone in raw.items()}
+                       + ", ".join(f"{key_col} {k} in year {y}" for k, y in missing))
+    return {y: {name: np.array([parse(rows[y, k][name]) for k in keys], dtype=base[name].dtype)
+                for name, parse in externals.items()}
+            for y in years}
 
 
-def _build_cube(args, config, out, sch, table):
+def _panel_base(config, sch, table):
+    """The panel's base population, the reference year's rows up to
+    panel.max_individuals, and its years."""
     panel_cfg = config["panel"]
-    model, _ = _load_model(config, out, sch, panel_cfg["model"])
     time_attr = sch.time_attribute
     if time_attr is None:
         raise CliError("panel construction needs a time attribute")
@@ -492,25 +486,32 @@ def _build_cube(args, config, out, sch, table):
     limit = panel_cfg["max_individuals"]
     if limit:
         base_idx = base_idx[: int(limit)]
-    base = schema_mod.take_rows(table, base_idx)
     years = panel_cfg["years"]
     if years is None:
         years = sorted(set(row_years.tolist()))
+    return schema_mod.take_rows(table, base_idx), [int(y) for y in years]
+
+
+def _build_cube(args, config, out, sch, base, years):
+    """The panel cube over the base population; its distance subset is movers.subset."""
+    panel_cfg = config["panel"]
+    model, _ = _load_model(config, out, sch, panel_cfg["model"])
     external = None
     if panel_cfg["external_table"]:
-        external = _load_external_table(panel_cfg["external_table"], sch, base)
-    subsets = panel_cfg["subsets"]
+        external = _load_external_table(panel_cfg["external_table"], sch, base, years)
+    subset = config["movers"]["subset"]
     return panel.build_panel(
         model, base, years, external,
         draws_per_cell=int(panel_cfg["draws_per_cell"]),
         seed=derive_seed(config["seed"], "panel"),
-        subsets=[tuple(s) for s in subsets] if subsets else None,
+        subset=tuple(subset) if subset else None,
         jobs=args.jobs,
     )
 
 
-def _trend_requests(config, sch):
-    """panel.trend_attributes and panel.trend_conditions, checked before any cell is sampled."""
+def _trend_requests(config, sch, base):
+    """panel.trend_attributes and panel.trend_conditions, checked before any cell is
+    sampled: each condition must match at least one individual of the base population."""
     panel_cfg = config["panel"]
     prefs = [a.name for a in sch.preference_attributes]
     conditionals = [a.name for a in sch.conditional_attributes]
@@ -523,13 +524,34 @@ def _trend_requests(config, sch):
         if not isinstance(cond, dict) or any(k not in conditionals for k in cond):
             raise CliError(f"panel.trend_conditions[{i}] must map conditional attributes to "
                            f"values, got {cond!r}")
+        matched = np.ones(len(base[sch.attributes[0].name]), dtype=bool)
+        for k, v in cond.items():
+            matched &= base[k] == v
+        if not matched.any():
+            raise CliError(f"panel.trend_conditions[{i}] {cond!r} matches no individual "
+                           f"of the base population")
     return trend_attrs, conditions
+
+
+def _mover_request(config, sch, years):
+    """movers.t_start and movers.t_end, defaulting to the first and last panel
+    years, and the distance subset, checked before any cell is sampled."""
+    movers_cfg = config["movers"]
+    t_start = years[0] if movers_cfg["t_start"] is None else int(movers_cfg["t_start"])
+    t_end = years[-1] if movers_cfg["t_end"] is None else int(movers_cfg["t_end"])
+    for key, year in (("movers.t_start", t_start), ("movers.t_end", t_end)):
+        if year not in years:
+            raise CliError(f"{key} {year} is not one of the panel years {years}")
+    if not movers_cfg["subset"] and panel.default_distance_subset(sch) is None:
+        raise CliError("movers.subset required: the full preference joint exceeds the bin cap")
+    return t_start, t_end
 
 
 def cmd_build_panel(args, config, out):
     sch, table = _load_table(config)
-    trend_attrs, conditions = _trend_requests(config, sch)
-    cube = _build_cube(args, config, out, sch, table)
+    base, years = _panel_base(config, sch, table)
+    trend_attrs, conditions = _trend_requests(config, sch, base)
+    cube = _build_cube(args, config, out, sch, base, years)
 
     panel_path = out / "panel.csv"
     rows = []
@@ -570,13 +592,10 @@ def cmd_build_panel(args, config, out):
 
 def cmd_classify_movers(args, config, out):
     sch, table = _load_table(config)
-    cube = _build_cube(args, config, out, sch, table)
-    movers_cfg = config["movers"]
-    t_start = cube.years[0] if movers_cfg["t_start"] is None else movers_cfg["t_start"]
-    t_end = cube.years[-1] if movers_cfg["t_end"] is None else movers_cfg["t_end"]
-    subset = movers_cfg["subset"]
-    report = panel.classify_movers(cube, int(t_start), int(t_end),
-                                   tuple(subset) if subset else None)
+    base, years = _panel_base(config, sch, table)
+    t_start, t_end = _mover_request(config, sch, years)
+    cube = _build_cube(args, config, out, sch, base, years)
+    report = panel.classify_movers(cube, t_start, t_end)
 
     movers_path = out / "movers.csv"
     fast, slow = set(report.fast_ids), set(report.slow_ids)
@@ -604,7 +623,7 @@ def cmd_classify_movers(args, config, out):
     print(f"classify-movers: {len(report.fast_ids)} fast / {len(report.slow_ids)} slow "
           f"of {len(report.ids)} -> {movers_path}")
     return [movers_path, marg_path], {
-        "t_start": int(t_start), "t_end": int(t_end),
+        "t_start": t_start, "t_end": t_end,
         "subset": list(report.subset),
         "n_fast": len(report.fast_ids), "n_slow": len(report.slow_ids),
     }

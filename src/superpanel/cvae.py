@@ -271,7 +271,6 @@ class GridResult:
     n_neurons: int
     latent_dim: int
     beta: float
-    srmse_by_subset: dict
     mean_srmse: float
     val_loss: float
     best_epoch: int
@@ -311,15 +310,13 @@ def _run_grid_cell(args):
     try:
         model = train(train_set, cfg, val_set)
     except TrainingDiverged:
-        return GridResult(cell_idx, nl, nnrn, dz, beta, {}, np.inf, np.inf, -1, diverged=True)
+        return GridResult(cell_idx, nl, nnrn, dz, beta, np.inf, np.inf, -1, diverged=True)
     by_subset = evaluate_srmse(
         model, val_set, eval_subsets, seed=derive_seed(master_seed, "grid-eval", cell_idx)
     )
-    mean_srmse = float(np.mean(list(by_subset.values())))
     return GridResult(
         cell_idx, nl, nnrn, dz, beta,
-        {"/".join(k): v for k, v in by_subset.items()},
-        mean_srmse,
+        float(np.mean(list(by_subset.values()))),
         min(v for _, v in model.training_history),
         model.best_epoch,
         diverged=False,

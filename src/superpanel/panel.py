@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cvae, metrics
 from .sampling import generate_population, _decode_with_noise
-from .schema import Schema, discretize_array, encode, encode_columns, record_columns, take_rows
+from .schema import Schema, category_columns, encode, encode_columns, record_columns, take_rows
 from .seeding import derive_rng, derive_seed, map_units
 
 
@@ -32,19 +32,19 @@ MIN_DRAWS_PER_CELL = 10  # distribution estimates below this are meaningless
 class PanelCube:
     """Per-(individual, year) preference distribution estimates.
 
-    subset_freqs maps each declared subset to an (N, T, n_bins) array;
-    attr_freqs holds single-attribute marginals for every preference
-    attribute, used by trend extraction. conditionals holds each
-    individual's base-year value of every conditional attribute, one
-    column per attribute.
+    subset_freqs is the (N, T, n_bins) joint of the distance subset, or
+    None when the cube has no subset; attr_freqs holds single-attribute
+    marginals for every preference attribute, used by trend extraction.
+    conditionals holds each individual's base-year value of every
+    conditional attribute, one column per attribute.
     """
 
     ids: tuple[str, ...]
     conditionals: dict
     years: tuple[int, ...]
     schema: Schema
-    subsets: tuple[tuple[str, ...], ...]
-    subset_freqs: dict
+    subset: tuple[str, ...] | None
+    subset_freqs: np.ndarray | None
     attr_freqs: dict
     draws_per_cell: int
     seed: int
@@ -61,34 +61,23 @@ def default_distance_subset(schema: Schema):
     return subset if n_bins <= metrics.DEFAULT_BIN_CAP else None
 
 
-def _year_columns(base_cols: dict, ids, schema: Schema, year: int, external_by_year) -> dict:
+def _year_columns(base_cols: dict, schema: Schema, year: int, external_by_year) -> dict:
     """Base-year conditional columns moved to ``year``: the time column set
-    to it and the external columns read from the table."""
+    to it and the external columns taken from the year's columns."""
     cols = dict(base_cols)
     t = schema.time_attribute
     if t is not None:
-        cols[t.name] = np.full(len(ids), year, dtype=cols[t.name].dtype)
-    externals = [a for a in schema.attributes if a.role == "external"]
-    if not externals:
-        return cols
-    if external_by_year is None or year not in external_by_year:
-        raise PanelError(f"missing external values for year {year}")
-    per_id = external_by_year[year]
-    for pid in ids:
-        if pid not in per_id:
-            raise PanelError(f"missing external values for individual {pid} in year {year}")
-    for attr in externals:
-        missing = [pid for pid in ids if attr.name not in per_id[pid]]
-        if missing:
-            raise PanelError(f"missing external attribute {attr.name} for {missing[0]}/{year}")
-        cols[attr.name] = np.array([per_id[pid][attr.name] for pid in ids],
-                                   dtype=cols[attr.name].dtype)
+        cols[t.name] = np.full_like(cols[t.name], year)
+    if any(a.role == "external" for a in schema.attributes):
+        if external_by_year is None or year not in external_by_year:
+            raise PanelError(f"missing external values for year {year}")
+        cols.update(external_by_year[year])
     return cols
 
 
 def _panel_year_block(args):
     """All cells of one year: per-individual subset and marginal frequencies."""
-    t_idx, year, model, ids, cond_rows, subsets, draws_per_cell, seed = args
+    year, model, ids, cond_rows, subset, draws_per_cell, seed = args
     schema = model.schema
     n, r = len(ids), draws_per_cell
     rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
@@ -103,22 +92,24 @@ def _panel_year_block(args):
     attr_out = {
         a.name: tabulate(cat_cols[a.name], a.n_categories) for a in schema.preference_attributes
     }
-    subset_out = {}
-    for s in subsets:
-        dims = metrics.subset_dims(schema, s)
-        subset_out[s] = tabulate(np.ravel_multi_index([cat_cols[a] for a in s], dims),
-                                 int(np.prod(dims)))
-    return t_idx, subset_out, attr_out
+    subset_out = None
+    if subset is not None:
+        dims = metrics.subset_dims(schema, subset)
+        subset_out = tabulate(np.ravel_multi_index([cat_cols[a] for a in subset], dims),
+                              int(np.prod(dims)))
+    return subset_out, attr_out
 
 
 def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
-                draws_per_cell: int, seed: int, subsets=None, jobs: int = 1) -> PanelCube:
+                draws_per_cell: int, seed: int, subset=None, jobs: int = 1) -> PanelCube:
     """Sample every (individual, year) cell and tabulate the draws.
 
     ``base`` is a column table; its row i is individual ``str(i)``, whose
     conditional values stay fixed apart from the time value and the
-    externals, which ``external_by_year`` maps year -> individual id ->
-    {attribute: value}.
+    externals, which ``external_by_year`` maps year -> {attribute: column
+    aligned with the base rows}. Each cell's draws are tabulated per
+    preference attribute and over one joint, the distance subset: ``subset``,
+    or ``default_distance_subset`` when it is None.
     Each cell owns an rng derived from (seed, individual id, year), so the
     cube is identical however the cells are scheduled; jobs > 1 spreads
     the per-year blocks over worker processes. Each year's cells go through
@@ -135,47 +126,31 @@ def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
     if not years:
         raise PanelError("no years requested")
     schema = model.schema
-    if subsets is None:
-        joint = default_distance_subset(schema)
-        subsets = (joint,) if joint is not None else ()
-    subsets = tuple(tuple(s) for s in subsets)
+    subset = default_distance_subset(schema) if subset is None else tuple(subset)
     pref_names = tuple(a.name for a in schema.preference_attributes)
-    bad = [name for s in subsets for name in s if name not in pref_names]
+    bad = [name for name in subset or () if name not in pref_names]
     if bad:
         raise PanelError(f"subset attribute {bad[0]!r} is not a preference attribute")
 
     # every year's conditional rows, so missing externals fail before any sampling
     cond_rows = [
-        encode_columns(_year_columns(base_cols, ids, schema, year, external_by_year),
+        encode_columns(_year_columns(base_cols, schema, year, external_by_year),
                        model.cond_layout, schema)
         for year in years
     ]
 
-    n, t_count, r = len(ids), len(years), draws_per_cell
-    subset_freqs = {
-        s: np.zeros((n, t_count, int(np.prod(metrics.subset_dims(schema, s))))) for s in subsets
-    }
-    attr_freqs = {
-        name: np.zeros((n, t_count, schema.attribute(name).n_categories)) for name in pref_names
-    }
-    args = [
-        (t_idx, year, model, ids, cond_rows[t_idx], subsets, r, seed)
-        for t_idx, year in enumerate(years)
-    ]
-    for t_idx, subset_out, attr_out in map_units(_panel_year_block, args, jobs):
-        for s in subsets:
-            subset_freqs[s][:, t_idx, :] = subset_out[s]
-        for name in pref_names:
-            attr_freqs[name][:, t_idx, :] = attr_out[name]
+    args = [(year, model, ids, rows, subset, draws_per_cell, seed)
+            for year, rows in zip(years, cond_rows)]
+    subset_outs, attr_outs = zip(*map_units(_panel_year_block, args, jobs))  # one per year
 
     return PanelCube(
         ids=ids,
         conditionals=base_cols,
         years=years,
         schema=schema,
-        subsets=subsets,
-        subset_freqs=subset_freqs,
-        attr_freqs=attr_freqs,
+        subset=subset,
+        subset_freqs=None if subset is None else np.stack(subset_outs, axis=1),
+        attr_freqs={name: np.stack([a[name] for a in attr_outs], axis=1) for name in pref_names},
         draws_per_cell=draws_per_cell,
         seed=seed,
     )
@@ -253,35 +228,25 @@ class MoverReport:
     distances: np.ndarray
     fast_ids: tuple[str, ...]
     slow_ids: tuple[str, ...]
-    decile_edges: np.ndarray
-    t_start: int
-    t_end: int
     subset: tuple[str, ...]
 
 
-def classify_movers(cube: PanelCube, t_start: int, t_end: int, subset=None) -> MoverReport:
+def classify_movers(cube: PanelCube, t_start: int, t_end: int) -> MoverReport:
     """Rank individuals by the distance their preference distribution moved.
 
     Distance is the standardized histogram error between the two years'
-    estimates over the declared subset. The slow group is the first
+    estimates over the cube's distance subset. The slow group is the first
     decile of the ascending ranking, the fast group the last; ties break
     on the stable (distance, id) order and both groups have exactly
     floor(N/10) members.
     """
-    if subset is None:
-        if not cube.subsets:
-            raise PanelError("cube has no stored subsets")
-        subset = cube.subsets[0]
-    subset = tuple(subset)
-    if subset not in cube.subset_freqs:
-        raise PanelError(f"subset {subset} not stored in cube")
     if t_start not in cube.years or t_end not in cube.years:
         raise PanelError("requested years not in cube")
     if cube.draws_per_cell < MIN_DRAWS_PER_CELL:
         raise PanelError("too few draws per cell for distance estimates")
     i_start = cube.years.index(t_start)
     i_end = cube.years.index(t_end)
-    freqs = cube.subset_freqs[subset]
+    freqs = cube.subset_freqs
     n_bins = freqs.shape[2]
     diff = freqs[:, i_end, :] - freqs[:, i_start, :]
     # SRMSE with reference frequencies summing to 1: rmse / (1 / n_bins)
@@ -297,10 +262,7 @@ def classify_movers(cube: PanelCube, t_start: int, t_end: int, subset=None) -> M
         distances=distances,
         fast_ids=fast,
         slow_ids=slow,
-        decile_edges=np.quantile(distances, np.linspace(0, 1, 11)),
-        t_start=t_start,
-        t_end=t_end,
-        subset=subset,
+        subset=cube.subset,
     )
 
 
@@ -313,15 +275,12 @@ def group_marginals(cube: PanelCube, ids) -> dict:
     members = np.isin(cube.ids, list(ids))
     if not members.any():
         raise PanelError("empty group")
+    group = take_rows(cube.conditionals, members)
     out = {}
     for attr in cube.schema.attributes:
         if attr.role != "socio":
             continue
-        col = cube.conditionals[attr.name][members]
-        if attr.kind == "numerical":
-            col = discretize_array(col, attr.bin_edges)
-        counts = np.bincount(col, minlength=attr.n_categories)
-        freqs = counts / counts.sum()
+        freqs = metrics.marginals(group, attr.name, cube.schema)
         out[attr.name] = {"frequencies": freqs, "mode": int(np.argmax(freqs))}
     return out
 
@@ -368,6 +327,9 @@ def _statistic_values(table, schema: Schema, stat: StatisticSpec) -> dict:
     time_attr = schema.time_attribute
     by_year = stat.per_year and time_attr is not None
     values = table[stat.attribute]
+    if stat.category is not None:  # a category's frequency is the mean of its indicator
+        cats = category_columns(table, (stat.attribute,), schema)[stat.attribute]
+        values = cats == stat.category
     selected = np.ones(len(values), dtype=bool)
     for k, v in stat.condition:
         selected &= table[k] == v
@@ -376,19 +338,8 @@ def _statistic_values(table, schema: Schema, stat: StatisticSpec) -> dict:
         groups = {y: selected & (years == y) for y in sorted(set(years[selected].tolist()))}
     else:
         groups = {None: selected}
-    attr = schema.attribute(stat.attribute)
-    out = {}
-    for year, mask in groups.items():
-        if not mask.any():
-            out[year] = math.nan
-        elif stat.category is not None:
-            cats = values[mask]
-            if attr.kind == "numerical":
-                cats = discretize_array(cats, attr.bin_edges)
-            out[year] = float(np.mean(cats == stat.category))
-        else:
-            out[year] = float(np.mean(values[mask]))
-    return out
+    return {year: float(np.mean(values[mask])) if mask.any() else math.nan
+            for year, mask in groups.items()}
 
 
 def _is_category(value, attr) -> bool:

@@ -120,12 +120,6 @@ class Schema:
                 return a
         raise SchemaError(f"unknown attribute {name!r}")
 
-    def index_of(self, name: str) -> int:
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise SchemaError(f"unknown attribute {name!r}")
-
     def to_dict(self) -> dict:
         attrs = []
         for a in self.attributes:

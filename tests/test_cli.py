@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superpanel import cli, cvae, panel
+from superpanel import cli, cvae, metrics, panel
 
 
 def run(argv):
@@ -60,6 +60,12 @@ def no_training(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a model was trained")
     monkeypatch.setattr(cvae, "train", refuse)
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail any panel build, for commands that must refuse their request first."""
+    monkeypatch.setattr(panel, "build_panel", lambda *a, **k: pytest.fail("panel.build_panel ran"))
 
 
 class TestSynthTrain:
@@ -180,6 +186,37 @@ class TestPanelCommands:
         manifest = json.loads((tmp_path / "classify_movers_manifest.json").read_text())
         assert (manifest["t_start"], manifest["t_end"]) == (1, 4)
 
+    def test_movers_subset_alone_sets_distance_subset(self, pipeline, tmp_path):
+        tmp, out, cfg = pipeline
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", 'movers.subset=["p_mode"]']) == 0
+        manifest = json.loads((tmp_path / "classify_movers_manifest.json").read_text())
+        assert manifest["subset"] == ["p_mode"]
+        assert "subsets" not in manifest["config"]["panel"]
+
+    @pytest.mark.parametrize("setting, named", [
+        ("movers.t_start=7", "movers.t_start 7 is not one of the panel years [0, 2, 4]"),
+        ("movers.t_end=3", "movers.t_end 3 is not one of the panel years [0, 2, 4]"),
+    ])
+    def test_bad_mover_years_fail_before_sampling(self, pipeline, tmp_path, capsys, no_sampling,
+                                                  setting, named):
+        tmp, out, cfg = pipeline
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}", "--set", setting]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "movers.csv").exists()
+
+    def test_distance_subset_over_bin_cap_fails_before_sampling(self, pipeline, tmp_path, capsys,
+                                                                monkeypatch, no_sampling):
+        """Without movers.subset the distance subset is the full preference joint,
+        which needs to fit the bin cap."""
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(metrics, "DEFAULT_BIN_CAP", 8)  # below the 3 x 3 joint
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}"]) == 1
+        assert "movers.subset required" in capsys.readouterr().err
+
     def test_bootstrap_outputs(self, pipeline):
         tmp, out, cfg = pipeline
         assert run(["bootstrap", "--config", str(cfg), "--out", str(out)]) == 0
@@ -193,7 +230,7 @@ class TestPanelCommands:
         tmp, out, cfg = pipeline
         assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"panel.model={out / 'model_full.json'}",
-                    "--set", 'panel.subsets=[["segment","p_mode"]]']) == 1
+                    "--set", 'movers.subset=["segment","p_mode"]']) == 1
         assert "'segment' is not a preference attribute" in capsys.readouterr().err
 
     def test_conditional_eval_subset_fails_before_training(self, pipeline, tmp_path, capsys,
@@ -243,12 +280,12 @@ class TestPanelCommands:
          "panel.trend_conditions[1] must map conditional attributes to values"),
         ('panel.trend_attributes=["p_mode", "segment"]',
          "panel.trend_attributes[1] 'segment' is not a preference attribute"),
+        ('panel.trend_conditions=[{"group": 1}, {"group": 5}]',
+         "panel.trend_conditions[1] {'group': 5} matches no individual"),
     ])
     def test_bad_trend_request_fails_before_sampling(self, pipeline, tmp_path, capsys,
-                                                     monkeypatch, setting, named):
+                                                     no_sampling, setting, named):
         tmp, out, cfg = pipeline
-        monkeypatch.setattr(panel, "build_panel",
-                            lambda *a, **k: pytest.fail("panel.build_panel ran"))
         assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"panel.model={out / 'model_full.json'}", "--set", setting]) == 1
         assert named in capsys.readouterr().err
@@ -392,7 +429,7 @@ class TestSetOverrides:
 
     @pytest.mark.parametrize("key", ["model.latnt_dim", "panel.draws_per_cel",
                                      "bootstrap.model.epoch", "out_dirr", "numeric_mode",
-                                     "generate.decode_mode"])
+                                     "generate.decode_mode", "panel.subsets"])
     def test_unknown_key_fails(self, tmp_path, capsys, key):
         cfg = base_config(tmp_path, tmp_path)
         code = run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -503,8 +540,9 @@ class TestManifestReRun:
 
 
 class TestExternalTable:
-    def _external_setup(self, tmp_path, key_mode, zones=(0, 1)):
-        """Tiny process with a zone and an external accessibility score."""
+    def _external_setup(self, tmp_path, key_mode, zones=(0, 1), skip=()):
+        """Tiny process with a zone and an external accessibility score; the
+        table has no row for a (key, year) pair in ``skip``."""
         from superpanel import oracle, schema as sm
 
         schema = sm.Schema(attributes=(
@@ -529,12 +567,14 @@ class TestExternalTable:
                 w.writerow(["zone", "year", "access"])
                 for year in range(3):
                     for zone in zones:
-                        w.writerow([zone, year, (zone + year) % 2])
+                        if (zone, year) not in skip:
+                            w.writerow([zone, year, (zone + year) % 2])
             else:
                 w.writerow(["individual_id", "year", "access"])
                 for year in range(3):
                     for pid in range(200):
-                        w.writerow([pid, year, (pid + year) % 2])
+                        if (pid, year) not in skip:
+                            w.writerow([pid, year, (pid + year) % 2])
         cfg = {
             "seed": 11,
             "schema": str(out / "schema.json"),
@@ -586,3 +626,23 @@ class TestExternalTable:
         assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "'individual_id'" in err and "'year'" not in err and "'access'" not in err
+
+    def test_missing_individual_named_before_sampling(self, tmp_path, capsys, no_sampling):
+        cfg, out = self._external_setup(tmp_path, "individual", skip={(3, 1)})
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "no external values for individual_id 3 in year 1" in err
+        assert "year 0" not in err and "year 2" not in err
+
+    def test_unrequested_partial_year_accepted(self, tmp_path):
+        """Zone 1 has no row in year 2, which the panel does not request."""
+        cfg, out = self._external_setup(tmp_path, "zone", skip={(1, 2)})
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out),
+                    "--set", "panel.years=[0, 1]"]) == 0
+        rows = read_csv(out / "panel.csv")
+        assert len(rows) - 1 == 20 * 2 * 2  # individuals x years x categories

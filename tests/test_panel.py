@@ -27,10 +27,10 @@ def small_cube(drift_setup):
 
 class TestBuildPanel:
     def test_every_cell_populated_and_normalized(self, small_cube):
-        for s in small_cube.subsets:
-            freqs = small_cube.subset_freqs[s]
-            assert freqs.shape[:2] == (60, 3)
-            assert np.allclose(freqs.sum(axis=2), 1.0)
+        assert small_cube.subset == ("p_mode", "p_trips")  # the default: every preference
+        freqs = small_cube.subset_freqs
+        assert freqs.shape[:2] == (60, 3)
+        assert np.allclose(freqs.sum(axis=2), 1.0)
         for name, freqs in small_cube.attr_freqs.items():
             assert np.allclose(freqs.sum(axis=2), 1.0)
 
@@ -38,15 +38,13 @@ class TestBuildPanel:
         spec, records, model, base = drift_setup
         again = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                                   draws_per_cell=200, seed=64)
-        for s in small_cube.subsets:
-            assert np.array_equal(small_cube.subset_freqs[s], again.subset_freqs[s])
+        assert np.array_equal(small_cube.subset_freqs, again.subset_freqs)
 
     def test_parallel_jobs_identical(self, drift_setup, small_cube):
         spec, records, model, base = drift_setup
         par = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                                 draws_per_cell=200, seed=64, jobs=2)
-        for s in small_cube.subsets:
-            assert np.array_equal(small_cube.subset_freqs[s], par.subset_freqs[s])
+        assert np.array_equal(small_cube.subset_freqs, par.subset_freqs)
 
     def test_draw_floor_enforced(self, drift_setup):
         spec, records, model, base = drift_setup
@@ -73,13 +71,13 @@ class TestBuildPanel:
         base = sm.record_columns(records[:2], ext_schema)
         with pytest.raises(panel.PanelError, match="external values for year 1"):
             panel.build_panel(model, base, [1], None, draws_per_cell=10, seed=70)
-        with pytest.raises(panel.PanelError, match="individual 1 in year 1"):
-            panel.build_panel(model, base, [1], {1: {"0": {"access": 0}}}, draws_per_cell=10,
-                              seed=70)
+        with pytest.raises(panel.PanelError, match="external values for year 1"):
+            panel.build_panel(model, base, [1], {0: {"access": np.array([0, 0])}},
+                              draws_per_cell=10, seed=70)
         # the table's values replace the base year's, and the year is moved
-        table = {1: {"0": {"access": 0}, "1": {"access": 0}}}
+        table = {1: {"access": np.array([0, 0])}}
         moved = panel._year_columns({"year": np.array([0, 0]), "access": np.array([0, 1])},
-                                    ("0", "1"), ext_schema, 1, table)
+                                    ext_schema, 1, table)
         assert moved["year"].tolist() == [1, 1] and moved["access"].tolist() == [0, 0]
         cube = panel.build_panel(model, base, [1], table, draws_per_cell=10, seed=70)
         assert cube.conditionals["access"].tolist() == [0, 1]
@@ -88,7 +86,7 @@ class TestBuildPanel:
         spec, records, model, base = drift_setup
         cube = panel.build_panel(model, sm.take_rows(base, [0]), years=[0], external_by_year=None,
                                  draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67)
-        assert cube.subset_freqs[cube.subsets[0]].shape[0] == 1
+        assert cube.subset_freqs.shape[0] == 1
 
 
 class TestCellDraws:
@@ -118,11 +116,11 @@ class TestCellDraws:
             cats[block.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1), block.width - 1)
             expected = np.bincount(cats[block.name], minlength=block.width) / r
             assert np.array_equal(small_cube.attr_freqs[block.name][i, t], expected)
-        for s in small_cube.subsets:
-            dims = metrics.subset_dims(spec.schema, s)
-            flat = np.ravel_multi_index([cats[a] for a in s], dims)
-            expected = np.bincount(flat, minlength=int(np.prod(dims))) / r
-            assert np.array_equal(small_cube.subset_freqs[s][i, t], expected)
+        s = small_cube.subset
+        dims = metrics.subset_dims(spec.schema, s)
+        flat = np.ravel_multi_index([cats[a] for a in s], dims)
+        expected = np.bincount(flat, minlength=int(np.prod(dims))) / r
+        assert np.array_equal(small_cube.subset_freqs[i, t], expected)
 
     def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
         """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
@@ -142,8 +140,7 @@ class TestCellDraws:
         monkeypatch.setattr(nn, "forward", spy)
         chunked = build()
         assert len(rows) == 2 * 23 and max(rows) <= 70
-        for s in whole.subsets:
-            assert np.array_equal(whole.subset_freqs[s], chunked.subset_freqs[s])
+        assert np.array_equal(whole.subset_freqs, chunked.subset_freqs)
         for name in whole.attr_freqs:
             assert np.array_equal(whole.attr_freqs[name], chunked.attr_freqs[name])
 
@@ -182,8 +179,8 @@ class TestAggregateTrend:
         freqs = np.array([[[0.25, 0.75]]])  # midpoints 5 and 20
         cube = panel.PanelCube(
             ids=("0",), conditionals={"year": np.array([0]), "g": np.array([0])},
-            years=(0,), schema=schema, subsets=(),
-            subset_freqs={}, attr_freqs={"dist": freqs}, draws_per_cell=100, seed=0,
+            years=(0,), schema=schema, subset=None,
+            subset_freqs=None, attr_freqs={"dist": freqs}, draws_per_cell=100, seed=0,
         )
         series = panel.aggregate_trend(cube, "dist")
         expected_mean = 0.25 * 5 + 0.75 * 20
@@ -218,7 +215,7 @@ class TestClassifyMovers:
         """Vectorized distances agree with the histogram metric pairwise."""
         report = panel.classify_movers(small_cube, 0, 4)
         subset = report.subset
-        freqs = small_cube.subset_freqs[subset]
+        freqs = small_cube.subset_freqs
         dims = metrics.subset_dims(small_cube.schema, subset)
         r = small_cube.draws_per_cell
         for i in (0, 7, 31):
