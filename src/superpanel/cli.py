@@ -208,8 +208,9 @@ def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     return model, model_path
 
 
-def _draw_count(config, key: str) -> int:
-    """The draw count at ``section.name``; below 1 it fails before any model loads or trains."""
+def _count(config, key: str) -> int:
+    """The draw or individual count at ``section.name``; below 1 it fails before
+    any model loads or trains."""
     section, name = key.split(".")
     value = int(config[section][name])
     if value < 1:
@@ -344,7 +345,7 @@ def cmd_train(args, config, out):
 def cmd_generate(args, config, out):
     sch, table = _load_table(config)
     gen_cfg = config["generate"]
-    draws = _draw_count(config, "generate.draws_per_profile")
+    draws = _count(config, "generate.draws_per_profile")
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
     population = sampling.generate_population(
         model, table, draws_per_profile=draws, seed=derive_seed(config["seed"], "generate"))
@@ -375,7 +376,7 @@ def cmd_evaluate(args, config, out):
     idx_train, idx_val = _split(config, len(whole[sch.attributes[0].name]))
     train, val = schema_mod.take_rows(whole, idx_train), schema_mod.take_rows(whole, idx_val)
     subsets = _eval_subsets(config, sch)
-    draws = _draw_count(config, "evaluate.draws_per_profile")
+    draws = _count(config, "evaluate.draws_per_profile")
 
     split_model, _ = _load_model(config, out, sch, out / "model_split.json")
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
@@ -483,9 +484,8 @@ def _panel_base(config, sch, table):
     base_idx = np.flatnonzero(row_years == ref_year)
     if not len(base_idx):
         raise CliError(f"no records in reference year {ref_year}")
-    limit = panel_cfg["max_individuals"]
-    if limit:
-        base_idx = base_idx[: int(limit)]
+    if panel_cfg["max_individuals"] is not None:
+        base_idx = base_idx[: _count(config, "panel.max_individuals")]
     years = panel_cfg["years"]
     if years is None:
         years = sorted(set(row_years.tolist()))
@@ -533,9 +533,10 @@ def _trend_requests(config, sch, base):
     return trend_attrs, conditions
 
 
-def _mover_request(config, sch, years):
+def _mover_request(config, sch, base, years):
     """movers.t_start and movers.t_end, defaulting to the first and last panel
-    years, and the distance subset, checked before any cell is sampled."""
+    years, the distance subset and the base population's size, checked before
+    any cell is sampled."""
     movers_cfg = config["movers"]
     t_start = years[0] if movers_cfg["t_start"] is None else int(movers_cfg["t_start"])
     t_end = years[-1] if movers_cfg["t_end"] is None else int(movers_cfg["t_end"])
@@ -544,6 +545,10 @@ def _mover_request(config, sch, years):
             raise CliError(f"{key} {year} is not one of the panel years {years}")
     if not movers_cfg["subset"] and panel.default_distance_subset(sch) is None:
         raise CliError("movers.subset required: the full preference joint exceeds the bin cap")
+    n = len(base[sch.attributes[0].name])
+    if n < 10:
+        raise CliError(f"classify-movers needs at least 10 base individuals for nonempty fast "
+                       f"and slow deciles; the base population has {n}")
     return t_start, t_end
 
 
@@ -593,7 +598,7 @@ def cmd_build_panel(args, config, out):
 def cmd_classify_movers(args, config, out):
     sch, table = _load_table(config)
     base, years = _panel_base(config, sch, table)
-    t_start, t_end = _mover_request(config, sch, years)
+    t_start, t_end = _mover_request(config, sch, base, years)
     cube = _build_cube(args, config, out, sch, base, years)
     report = panel.classify_movers(cube, t_start, t_end)
 
@@ -657,7 +662,7 @@ def cmd_bootstrap(args, config, out):
     sch, records, _ = _load_inputs(config)
     bs_cfg = config["bootstrap"]
     stats = _statistics(config)
-    samples = _draw_count(config, "bootstrap.samples_per_replicate")
+    samples = _count(config, "bootstrap.samples_per_replicate")
     model_cfg = _model_config(config, "bootstrap-base", bs_cfg["model"])
     summary = panel.bootstrap(
         records, sch, model_cfg,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, asdict, replace
 import numpy as np
 
 from . import metrics, nn
-from .schema import EncodedDataset, Schema, build_layout, schema_from_dict
+from .schema import EncodedDataset, Schema, schema_from_dict
 from .seeding import derive_rng, derive_seed, map_units
 
 LOG_FLOOR = 1e-12  # clamp inside log() so saturated softmax cannot emit -inf
@@ -82,37 +82,31 @@ class TrainedModel:
     decoder: nn.Network
     config: CvaeConfig
     schema: Schema
-    cond_layout: tuple
-    pref_layout: tuple
     training_history: list[tuple[float, float]]
     best_epoch: int
 
-    @property
-    def dim_v(self) -> int:
-        return self.decoder.out_dim
 
-    @property
-    def dim_c(self) -> int:
-        return self.encoder.in_dim - self.decoder.out_dim
+def network_shapes(schema: Schema, config: CvaeConfig) -> dict:
+    """The shapes of both networks, {name: (width chain, head segment widths)}.
+
+    The encoder maps v+c to 2*Dz through a linear head (no segments); the
+    decoder maps z+c to v through one softmax per preference attribute.
+    Both share the config's hidden widths. ``build_networks`` builds these
+    shapes and ``load_model`` holds a model file to them.
+    """
+    heads = tuple(a.n_categories for a in schema.preference_attributes)
+    dim_v, dim_c = sum(heads), sum(a.n_categories for a in schema.conditional_attributes)
+    hidden, d_z = list(config.hidden_layers), config.latent_dim
+    return {"encoder": ([dim_v + dim_c, *hidden, 2 * d_z], None),
+            "decoder": ([d_z + dim_c, *hidden, dim_v], heads)}
 
 
-def output_blocks(pref_layout) -> tuple[int, ...]:
-    """Segment widths of the decoder head: one softmax per preference attribute."""
-    return tuple(b.width for b in pref_layout)
-
-
-def build_networks(dim_v: int, dim_c: int, config: CvaeConfig, pref_layout) -> tuple[nn.Network, nn.Network]:
-    """Encoder (v+c -> 2*Dz) and decoder (z+c -> v) with shared hidden widths."""
-    hidden = list(config.hidden_layers)
-    enc_dims = [dim_v + dim_c] + hidden + [2 * config.latent_dim]
-    dec_dims = [config.latent_dim + dim_c] + hidden + [dim_v]
-    encoder = nn.init_weights(enc_dims, derive_seed(config.seed, "encoder-init"))
-    decoder = nn.init_weights(
-        dec_dims,
-        derive_seed(config.seed, "decoder-init"),
-        output_blocks=output_blocks(pref_layout),
+def build_networks(schema: Schema, config: CvaeConfig) -> tuple[nn.Network, nn.Network]:
+    """Freshly initialized encoder and decoder of ``network_shapes``."""
+    return tuple(
+        nn.init_weights(dims, derive_seed(config.seed, f"{name}-init"), head_blocks=heads)
+        for name, (dims, heads) in network_shapes(schema, config).items()
     )
-    return encoder, decoder
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +176,7 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
     """
     if dataset.n_rows == 0:
         raise ValueError("empty training set")
-    dim_v, dim_c = dataset.dim_v, dataset.dim_c
-    encoder, decoder = build_networks(dim_v, dim_c, config, dataset.pref_layout)
+    encoder, decoder = build_networks(dataset.schema, config)
     params = nn.pack([encoder, decoder])
     grads = np.empty_like(params)
     grad_views = nn.views([encoder, decoder], grads)
@@ -232,8 +225,6 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) 
         decoder=decoder,
         config=config,
         schema=dataset.schema,
-        cond_layout=dataset.cond_layout,
-        pref_layout=dataset.pref_layout,
         training_history=history,
         best_epoch=best_epoch,
     )
@@ -279,11 +270,10 @@ class GridResult:
 
 def _pref_histogram(ds: EncodedDataset, subset) -> metrics.JointHistogram:
     """Exact cross tabulation of an encoded set over a preference subset."""
-    cols = {
-        block.name: np.argmax(ds.preference[:, block.start : block.start + block.width],
-                              axis=1).astype(np.int64)
-        for block in ds.pref_layout if block.name in subset
-    }
+    attrs = ds.schema.preference_attributes
+    segments = np.split(ds.preference, np.cumsum([a.n_categories for a in attrs])[:-1], axis=1)
+    cols = {a.name: np.argmax(seg, axis=1).astype(np.int64)
+            for a, seg in zip(attrs, segments) if a.name in subset}
     return metrics.cross_tabulate_columns(cols, subset, ds.schema)
 
 
@@ -432,29 +422,24 @@ def load_model(path) -> TrainedModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed {key!r} field in model file: {exc}") from None
 
-    schema = field("schema", schema_from_dict)
-    cond_layout, dim_c = build_layout(schema, preference=False)
-    pref_layout, dim_v = build_layout(schema, preference=True)
     model = TrainedModel(
         encoder=field("encoder", _network_from_dict),
         decoder=field("decoder", _network_from_dict),
         config=field("config", lambda c: CvaeConfig(**c)),
-        schema=schema,
-        cond_layout=cond_layout,
-        pref_layout=pref_layout,
+        schema=field("schema", schema_from_dict),
         training_history=field("training_history", lambda h: [(t, v) for t, v in h]),
         best_epoch=field("best_epoch", int),
     )
-    # the sampler slices the decoder output by the schema's layout, so a
-    # network of other widths would draw wrong categories without failing
-    d_z = model.config.latent_dim
-    for key, net, expected in (("encoder", model.encoder, (dim_v + dim_c, 2 * d_z)),
-                               ("decoder", model.decoder, (d_z + dim_c, dim_v))):
-        if (net.in_dim, net.out_dim) != expected:
-            raise ValueError(f"{path}: {key!r} network is {net.in_dim} -> {net.out_dim} wide; "
-                             f"the schema and latent_dim need {expected[0]} -> {expected[1]}")
-    blocks, widths = model.decoder.layers[-1].blocks, output_blocks(pref_layout)
-    if blocks != widths:
-        raise ValueError(f"{path}: decoder head 'blocks' {list(blocks or ())} do not match "
-                         f"the schema's preference widths {list(widths)}")
+    # the sampler slices the decoder output by the schema's preference widths,
+    # so a network of other shapes would draw wrong categories without failing
+    for key, (dims, heads) in network_shapes(model.schema, model.config).items():
+        net = getattr(model, key)
+        widths = [net.in_dim] + [layer.out_dim for layer in net.layers]
+        if widths != dims:
+            raise ValueError(f"{path}: {key!r} network has layer widths {widths}; "
+                             f"the schema and config need {dims}")
+        blocks = net.layers[-1].blocks
+        if blocks != heads:
+            raise ValueError(f"{path}: {key} head 'blocks' {list(blocks or ())} do not match "
+                             f"the segment widths {list(heads or ())} the schema needs")
     return model

@@ -215,25 +215,25 @@ def pack(networks) -> np.ndarray:
     return flat
 
 
-def init_weights(dims, seed: int, output_blocks=None) -> Network:
+def init_weights(dims, seed: int, head_blocks=None) -> Network:
     """Seeded network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
 
     dims is the full dimension chain. Hidden layers are tanh and the last
-    layer is linear; pass output_blocks, the segment widths, to give the
+    layer is linear; pass head_blocks, the segment widths, to give the
     final layer the per-segment softmax head instead.
     """
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
     n_layers = len(dims) - 1
-    activations = ["tanh"] * (n_layers - 1) + ["softmax_blocks" if output_blocks else "linear"]
+    activations = ["tanh"] * (n_layers - 1) + ["softmax_blocks" if head_blocks else "linear"]
     rng = derive_rng(seed, "init-weights")
     layers = []
     for i in range(n_layers):
         fan_in, fan_out = dims[i], dims[i + 1]
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        blocks = tuple(output_blocks) if activations[i] == "softmax_blocks" else None
+        blocks = tuple(head_blocks) if activations[i] == "softmax_blocks" else None
         layers.append(
             DenseLayer(weights=w, biases=np.zeros(fan_out), activation=activations[i], blocks=blocks)
         )

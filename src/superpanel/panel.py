@@ -82,7 +82,7 @@ def _panel_year_block(args):
     n, r = len(ids), draws_per_cell
     rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
     draws = _decode_with_noise(model, cond_rows, r, rngs)
-    cat_cols = {block.name: col for block, col in zip(model.pref_layout, draws.T)}
+    cat_cols = {a.name: col for a, col in zip(schema.preference_attributes, draws.T)}
     cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
 
     def tabulate(flat, n_bins):
@@ -116,8 +116,9 @@ def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
     the sampling kernel in one call, which decodes them in cache-sized
     chunks, so the decoder's working memory does not grow with the cells.
     """
-    base_cols = {block.name: base[block.name] for block in model.cond_layout}
-    ids = tuple(str(i) for i in range(len(base_cols[model.cond_layout[0].name])))
+    schema = model.schema
+    base_cols = {a.name: base[a.name] for a in schema.conditional_attributes}
+    ids = tuple(str(i) for i in range(len(base_cols[schema.conditional_attributes[0].name])))
     if not ids:
         raise PanelError("base population is empty")
     if draws_per_cell < MIN_DRAWS_PER_CELL:
@@ -125,7 +126,6 @@ def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
     years = tuple(int(y) for y in years)
     if not years:
         raise PanelError("no years requested")
-    schema = model.schema
     subset = default_distance_subset(schema) if subset is None else tuple(subset)
     pref_names = tuple(a.name for a in schema.preference_attributes)
     bad = [name for name in subset or () if name not in pref_names]
@@ -135,7 +135,7 @@ def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
     # every year's conditional rows, so missing externals fail before any sampling
     cond_rows = [
         encode_columns(_year_columns(base_cols, schema, year, external_by_year),
-                       model.cond_layout, schema)
+                       schema.conditional_attributes)
         for year in years
     ]
 
@@ -244,6 +244,8 @@ def classify_movers(cube: PanelCube, t_start: int, t_end: int) -> MoverReport:
         raise PanelError("requested years not in cube")
     if cube.draws_per_cell < MIN_DRAWS_PER_CELL:
         raise PanelError("too few draws per cell for distance estimates")
+    if cube.subset_freqs is None:
+        raise PanelError("the cube has no distance subset to measure movers over")
     i_start = cube.years.index(t_start)
     i_end = cube.years.index(t_end)
     freqs = cube.subset_freqs

@@ -34,7 +34,7 @@ CHUNK_ROWS = 4096
 @dataclass
 class PreferenceDraws:
     profile_id: str
-    draws: np.ndarray  # (n_draws, n_pref) category indices, columns in pref_layout order
+    draws: np.ndarray  # (n_draws, n_pref) category indices, columns in preference order
 
 
 def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray):
@@ -46,7 +46,7 @@ def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndar
     block. The padding follows each segment's end: it leaves every partial
     sum as it was and adds 0 to each total.
     """
-    widths = [block.width for block in model.pref_layout]
+    widths = [a.n_categories for a in model.schema.preference_attributes]
     widest = max(widths)
     # the decoder's output columns are the segments in order
     slots = [j * widest + m for j, width in enumerate(widths) for m in range(width)]
@@ -72,7 +72,7 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     conditional row and one column per preference attribute.
     """
     r, d_z = draws_per_row, model.config.latent_dim
-    n, n_blocks = len(c_rows), len(model.pref_layout)
+    n, n_blocks = len(c_rows), len(model.schema.preference_attributes)
     out = np.empty((n * r, n_blocks), dtype=np.int64)
     if n * r == 0:
         return out
@@ -117,7 +117,7 @@ def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draw
     cond_matrix = np.atleast_2d(np.asarray(cond_matrix, dtype=float))
     rngs = [derive_rng(seed, "bulk-sample")] * len(cond_matrix)
     draws = _decode_with_noise(model, cond_matrix, draws_per_row, rngs)
-    return {block.name: col for block, col in zip(model.pref_layout, draws.T)}
+    return {a.name: col for a, col in zip(model.schema.preference_attributes, draws.T)}
 
 
 @dataclass
@@ -140,7 +140,7 @@ def generate_population(model: TrainedModel, table, draws_per_profile: int,
     reported as extrapolated.
     """
     schema = model.schema
-    c_rows = encode_columns(table, model.cond_layout, schema)
+    c_rows = encode_columns(table, schema.conditional_attributes)
     n, r = len(c_rows), draws_per_profile
     if n == 0:
         raise ValueError("the source table must be nonempty")
@@ -149,10 +149,10 @@ def generate_population(model: TrainedModel, table, draws_per_profile: int,
     if t is not None and t.kind == "numerical":
         outside = (table[t.name] < t.bin_edges[0]) | (table[t.name] >= t.bin_edges[-1])
         flagged = [str(i) for i in np.flatnonzero(outside)]
-    draws = np.empty((n * r, len(model.pref_layout)), dtype=np.int64)
+    draws = np.empty((n * r, len(schema.preference_attributes)), dtype=np.int64)
     for i in range(n):
         draws[i * r : (i + 1) * r] = sample(model, c_rows[i], str(i), r, seed).draws
-    pref = {block.name: col for block, col in zip(model.pref_layout, draws.T)}
+    pref = {a.name: col for a, col in zip(schema.preference_attributes, draws.T)}
     columns = {}
     for attr in schema.attributes:
         if attr.role != "preference":

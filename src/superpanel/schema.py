@@ -11,6 +11,7 @@ one-hot segments over their bins.
 """
 
 import csv
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
@@ -99,11 +100,13 @@ class Schema:
         if sum(1 for a in self.attributes if a.role == "time") > 1:
             raise SchemaError("at most one time attribute allowed")
 
-    @property
+    # the preference block V and the conditional block C: each attribute is one
+    # one-hot segment, n_categories wide, in this order; computed once per schema
+    @functools.cached_property
     def preference_attributes(self) -> tuple[AttributeSpec, ...]:
         return tuple(a for a in self.attributes if a.role == "preference")
 
-    @property
+    @functools.cached_property
     def conditional_attributes(self) -> tuple[AttributeSpec, ...]:
         return tuple(a for a in self.attributes if a.role != "preference")
 
@@ -317,86 +320,55 @@ def category_columns(table, subset, schema: Schema) -> dict[str, np.ndarray]:
 # Encoding
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Column span of one attribute's one-hot segment inside an encoded block."""
-
-    name: str
-    start: int
-    width: int
-
-
-def build_layout(schema: Schema, preference: bool):
-    """Column layout for the preference (V) or conditional (C) block."""
-    attrs = schema.preference_attributes if preference else schema.conditional_attributes
-    blocks = []
-    offset = 0
-    for a in attrs:
-        blocks.append(BlockLayout(a.name, offset, a.n_categories))
-        offset += a.n_categories
-    return tuple(blocks), offset
-
-
 @dataclass
 class EncodedDataset:
-    """Row-aligned encoded matrices plus the layouts used to build them."""
+    """Row-aligned encoded matrices: the schema's conditional and preference blocks."""
 
     conditional: np.ndarray
     preference: np.ndarray
     schema: Schema
-    cond_layout: tuple[BlockLayout, ...]
-    pref_layout: tuple[BlockLayout, ...]
 
     @property
     def n_rows(self) -> int:
         return self.conditional.shape[0]
-
-    @property
-    def dim_c(self) -> int:
-        return self.conditional.shape[1]
-
-    @property
-    def dim_v(self) -> int:
-        return self.preference.shape[1]
 
     def take(self, indices) -> "EncodedDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return replace(self, conditional=self.conditional[idx], preference=self.preference[idx])
 
 
-def encode_columns(cols, layout, schema: Schema) -> np.ndarray:
-    """One-hot matrix of one block from an attribute -> array table.
+def encode_columns(cols, attrs) -> np.ndarray:
+    """One-hot matrix of one block from an attribute -> array table: one
+    segment per attribute of ``attrs`` (a schema's conditional or preference
+    attributes), n_categories wide, in order.
 
     Every conditional or preference row in the package is written here:
     survey rows, generated populations and panel cells alike.
     """
-    n = len(cols[layout[0].name])
-    out = np.zeros((n, sum(b.width for b in layout)))
+    n = len(cols[attrs[0].name])
+    out = np.zeros((n, sum(a.n_categories for a in attrs)))
     rows = np.arange(n)
-    for block in layout:
-        col = cols[block.name]
-        attr = schema.attribute(block.name)
+    start = 0
+    for attr in attrs:
+        col, width = cols[attr.name], attr.n_categories
         if attr.kind == "numerical":
             col = discretize_array(col, attr.bin_edges)
-        bad = (col < 0) | (col >= block.width)
+        bad = (col < 0) | (col >= width)
         if bad.any():
-            raise ValueError(f"{block.name}: category {col[bad][0]} out of range "
-                             f"for cardinality {block.width}")
-        out[rows, block.start + col] = 1.0
+            raise ValueError(f"{attr.name}: category {col[bad][0]} out of range "
+                             f"for cardinality {width}")
+        out[rows, start + col] = 1.0
+        start += width
     return out
 
 
 def encode(records, schema: Schema) -> EncodedDataset:
     """Encode records into conditional and preference matrices."""
-    cond_layout, _ = build_layout(schema, preference=False)
-    pref_layout, _ = build_layout(schema, preference=True)
     cols = record_columns(records, schema)
     return EncodedDataset(
-        conditional=encode_columns(cols, cond_layout, schema),
-        preference=encode_columns(cols, pref_layout, schema),
+        conditional=encode_columns(cols, schema.conditional_attributes),
+        preference=encode_columns(cols, schema.preference_attributes),
         schema=schema,
-        cond_layout=cond_layout,
-        pref_layout=pref_layout,
     )
 
 

@@ -116,9 +116,9 @@ def drift_run(tmp_path_factory):
 def test_01_gradient_correctness():
     t0 = time.monotonic()
     data = tiny_encoded(5, seed=2)  # dim(V) = 6, dim(C) = 4
-    assert data.dim_v == 6 and data.dim_c == 4
+    assert data.preference.shape[1] == 6 and data.conditional.shape[1] == 4
     config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=0.7, epochs=1, seed=3)
-    encoder, decoder = cvae.build_networks(data.dim_v, data.dim_c, config, data.pref_layout)
+    encoder, decoder = cvae.build_networks(data.schema, config)
     eps = derive_rng(29, "acceptance-eps").standard_normal((5, 2))
 
     def loss_fn():

@@ -207,6 +207,16 @@ class TestPanelCommands:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "movers.csv").exists()
 
+    def test_too_few_individuals_for_deciles_fail_before_sampling(self, pipeline, tmp_path,
+                                                                  capsys, no_sampling):
+        """Below 10 base individuals a decile is empty, so no mover group can be profiled."""
+        tmp, out, cfg = pipeline
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", "panel.max_individuals=5"]) == 1
+        assert "at least 10 base individuals" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_distance_subset_over_bin_cap_fails_before_sampling(self, pipeline, tmp_path, capsys,
                                                                 monkeypatch, no_sampling):
         """Without movers.subset the distance subset is the full preference joint,
@@ -225,6 +235,17 @@ class TestPanelCommands:
         assert len(rows) > 1
         manifest = json.loads((out / "bootstrap_manifest.json").read_text())
         assert manifest["survivors"] == 2
+
+    def test_bootstrap_jobs_do_not_change_bytes(self, pipeline, tmp_path):
+        """Replicates run in worker processes write the serial run's CSV."""
+        tmp, out, cfg = pipeline
+        outputs = []
+        for jobs in ("1", "2"):
+            dest = tmp_path / f"jobs{jobs}"
+            assert run(["bootstrap", "--config", str(cfg), "--out", str(dest), "--jobs", jobs,
+                        "--set", "bootstrap.replicates=3"]) == 0
+            outputs.append((dest / "bootstrap.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_conditional_panel_subset_fails(self, pipeline, tmp_path, capsys):
         tmp, out, cfg = pipeline
@@ -408,6 +429,22 @@ class TestDrawCounts:
         assert run([command, "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"{key}=0"]) == 1
         assert f"{key} must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+
+
+    @pytest.mark.parametrize("command", ["build-panel", "classify-movers"])
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_max_individuals_below_one_fails_first(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                   command, limit):
+        """-1 would drop the last base individual and 0 read as no limit; both
+        fail naming the key before any model loads."""
+        tmp, out, cfg = pipeline
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was loaded")
+        monkeypatch.setattr(cvae, "load_model", refuse)
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.max_individuals={limit}"]) == 1
+        assert f"panel.max_individuals must be >= 1, got {limit}" in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == []
 
 

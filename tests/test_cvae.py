@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
 from test_nn import numeric_gradients, assert_grads_close, nan_buffer
+from test_schema import spans
 
 
 def tiny_schema():
@@ -36,10 +38,9 @@ def tiny_model(config=None, data=None, seed=1):
     data = data if data is not None else tiny_encoded()
     config = config or cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=0.7,
                                        epochs=1, batch_size=4, seed=seed)
-    encoder, decoder = cvae.build_networks(data.dim_v, data.dim_c, config, data.pref_layout)
+    encoder, decoder = cvae.build_networks(data.schema, config)
     return cvae.TrainedModel(
         encoder=encoder, decoder=decoder, config=config, schema=data.schema,
-        cond_layout=data.cond_layout, pref_layout=data.pref_layout,
         training_history=[], best_epoch=-1,
     )
 
@@ -60,10 +61,11 @@ class TestEncodeDecodeOps:
         data = tiny_encoded()
         model = tiny_model(data=data)
         d_z = model.config.latent_dim
-        assert model.encoder.in_dim == data.dim_v + data.dim_c
+        dim_c, dim_v = data.conditional.shape[1], data.preference.shape[1]
+        assert model.encoder.in_dim == dim_v + dim_c
         assert model.encoder.out_dim == 2 * d_z
-        assert model.decoder.in_dim == d_z + data.dim_c
-        assert model.decoder.out_dim == data.dim_v
+        assert model.decoder.in_dim == d_z + dim_c
+        assert model.decoder.out_dim == dim_v
 
     def test_decode_blocks_are_distributions(self):
         model = tiny_model()
@@ -137,9 +139,9 @@ class TestLoss:
             layer.weights[...] = 0.0
             layer.biases[...] = 0.0
         final = model.decoder.layers[-1]
-        for block in model.pref_layout:
-            idx = int(np.argmax(target[block.start : block.start + block.width]))
-            final.biases[block.start + idx] = 500.0  # softmax saturates to 1
+        for _, cols in spans(model.schema.preference_attributes):
+            idx = int(np.argmax(target[cols]))
+            final.biases[cols.start + idx] = 500.0  # softmax saturates to 1
         eps = np.zeros((1, 2))
         xent, _ = model_loss(model, data.preference[:1], data.conditional[:1], eps)
         assert xent == pytest.approx(0.0, abs=1e-9)
@@ -156,12 +158,12 @@ class TestFullGradient:
         """Every encoder and decoder parameter, fixed eps draws; the rows fill
         both bins of the numerical preference p3."""
         data = tiny_encoded(5, seed=2)
-        p3 = next(b for b in data.pref_layout if b.name == "p3")
-        assert data.schema.attribute("p3").kind == "numerical" and p3.width >= 2
-        assert np.all(data.preference[:, p3.start : p3.start + p3.width].sum(axis=0) > 0)
+        attr, p3 = next(s for s in spans(data.schema.preference_attributes) if s[0].name == "p3")
+        assert attr.kind == "numerical" and attr.n_categories >= 2
+        assert np.all(data.preference[:, p3].sum(axis=0) > 0)
         config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=0.7,
                                  epochs=1, seed=3)
-        encoder, decoder = cvae.build_networks(data.dim_v, data.dim_c, config, data.pref_layout)
+        encoder, decoder = cvae.build_networks(data.schema, config)
         eps = derive_rng(29, "fixed-eps").standard_normal((5, 2))
 
         def loss_fn():
@@ -333,3 +335,15 @@ class TestSerialization:
         v, c = data.preference[:3], data.conditional[:3]
         eps = np.zeros((3, 2))
         assert model_total(back, v, c, eps) == model_total(model, v, c, eps)
+
+    def test_hidden_widths_checked_against_config(self, tmp_path):
+        """A file whose config states hidden widths (4, 8) for layers built at
+        (8, 4) fails naming the encoder, the first network checked."""
+        config = cvae.CvaeConfig(hidden_layers=(8, 4), latent_dim=2, epochs=1, seed=21)
+        path = tmp_path / "model.json"
+        cvae.save_model(tiny_model(config=config), path)
+        payload = json.loads(path.read_text())
+        payload["config"]["hidden_layers"] = [4, 8]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'encoder' network has layer widths"):
+            cvae.load_model(path)

@@ -46,7 +46,7 @@ def assert_grads_close(analytic, numeric, rel_tol=1e-4, abs_floor=1e-8, abs_tol=
 
 
 def tiny_net(dims, seed=0, output_blocks=None):
-    return nn.init_weights(dims, seed=seed, output_blocks=output_blocks)
+    return nn.init_weights(dims, seed=seed, head_blocks=output_blocks)
 
 
 def nan_buffer(networks):
@@ -214,7 +214,7 @@ class TestBackward:
         assert_grads_close([analytic], [np.concatenate([g.ravel() for g in numeric])])
 
     def test_softmax_blocks_head_vs_finite_differences(self):
-        net = nn.init_weights([5, 6, 7], seed=13, output_blocks=SOFTMAX_HEAD)
+        net = nn.init_weights([5, 6, 7], seed=13, head_blocks=SOFTMAX_HEAD)
         rng = derive_rng(19, "fd2")
         x = rng.standard_normal(5)[None, :]
         target = np.zeros((1, 7))

@@ -5,6 +5,8 @@ from superpanel import cvae, metrics, nn, oracle, panel, sampling
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
+from test_schema import spans
+
 @pytest.fixture(scope="module")
 def drift_setup():
     spec = oracle.canned_spec("drift-split")
@@ -98,24 +100,24 @@ class TestCellDraws:
         year, r = small_cube.years[t], small_cube.draws_per_cell
         rng = derive_rng(small_cube.seed, "panel-cell", small_cube.ids[i], year)
         eps = rng.standard_normal((r, model.config.latent_dim))
-        blocks = model.pref_layout
+        blocks = spans(spec.schema.preference_attributes)
         uniforms = rng.random((r, len(blocks)))
-        cell = sm.encode_columns(sm.take_rows(base, [i]), model.cond_layout, spec.schema)[0]
+        conditional = spec.schema.conditional_attributes
+        cell = sm.encode_columns(sm.take_rows(base, [i]), conditional)[0]
         cols = dict(small_cube.conditionals)
         cols[spec.schema.time_attribute.name] = np.full(len(small_cube.ids), year)
-        c_row = sm.encode_columns(cols, model.cond_layout, spec.schema)[i]
+        c_row = sm.encode_columns(cols, conditional)[i]
         # only the time block differs from the base record's own row
-        moved = [b for b in model.cond_layout if not np.array_equal(
-            cell[b.start : b.start + b.width], c_row[b.start : b.start + b.width])]
-        assert [b.name for b in moved] == [spec.schema.time_attribute.name]
+        moved = [a for a, b in spans(conditional) if not np.array_equal(cell[b], c_row[b])]
+        assert [a.name for a in moved] == [spec.schema.time_attribute.name]
         dec = nn.forward(model.decoder, np.concatenate([eps, np.tile(c_row, (r, 1))], axis=1))[0]
         cats = {}
-        for j, block in enumerate(blocks):
-            cum = np.cumsum(dec[:, block.start : block.start + block.width], axis=1)
+        for j, (attr, block) in enumerate(blocks):
+            cum = np.cumsum(dec[:, block], axis=1)
             u = uniforms[:, j] * cum[:, -1]
-            cats[block.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1), block.width - 1)
-            expected = np.bincount(cats[block.name], minlength=block.width) / r
-            assert np.array_equal(small_cube.attr_freqs[block.name][i, t], expected)
+            cats[attr.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1), attr.n_categories - 1)
+            expected = np.bincount(cats[attr.name], minlength=attr.n_categories) / r
+            assert np.array_equal(small_cube.attr_freqs[attr.name][i, t], expected)
         s = small_cube.subset
         dims = metrics.subset_dims(spec.schema, s)
         flat = np.ravel_multi_index([cats[a] for a in s], dims)
@@ -222,6 +224,21 @@ class TestClassifyMovers:
             h0 = metrics.JointHistogram(subset, dims, freqs[i, 0], r)
             h4 = metrics.JointHistogram(subset, dims, freqs[i, 2], r)  # year 4 is index 2
             assert report.distances[i] == pytest.approx(metrics.srmse(h4, h0), abs=1e-12)
+
+    def test_cube_without_subset_rejected(self):
+        """A two-year cube built with no distance subset has nothing to rank movers over."""
+        schema = sm.Schema(attributes=(
+            sm.AttributeSpec("year", "time", "categorical", cardinality=2),
+            sm.AttributeSpec("g", "socio", "categorical", cardinality=1),
+            sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
+        ))
+        cube = panel.PanelCube(
+            ids=("0", "1"), conditionals={"year": np.array([0, 0]), "g": np.array([0, 0])},
+            years=(0, 1), schema=schema, subset=None, subset_freqs=None,
+            attr_freqs={"p": np.full((2, 2, 2), 0.5)}, draws_per_cell=100, seed=0,
+        )
+        with pytest.raises(panel.PanelError, match="no distance subset"):
+            panel.classify_movers(cube, 0, 1)
 
     def test_fast_distances_dominate_slow(self, small_cube):
         report = panel.classify_movers(small_cube, 0, 4)

@@ -7,6 +7,8 @@ from superpanel import cvae, nn, oracle, sampling
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
+from test_schema import spans
+
 
 @pytest.fixture(scope="module")
 def small_model():
@@ -25,7 +27,7 @@ def row_for(model, **values):
     cols = {"year": 0, "segment": 0}
     cols.update(values)
     return sm.encode_columns({k: np.array([v]) for k, v in cols.items()},
-                             model.cond_layout, model.schema)[0]
+                             model.schema.conditional_attributes)[0]
 
 
 def table_for(model, *segments):
@@ -34,44 +36,43 @@ def table_for(model, *segments):
             for a in model.schema.attributes}
 
 
-def resolve_per_block(layout, dec_out, uniforms):
+def resolve_per_block(attrs, dec_out, uniforms):
     """Reference category draw: one cumsum, compare and clamp per segment."""
     out = []
-    for j, block in enumerate(layout):
-        cum = np.cumsum(dec_out[:, block.start : block.start + block.width], axis=1)
+    for j, (attr, cols) in enumerate(spans(attrs)):
+        cum = np.cumsum(dec_out[:, cols], axis=1)
         u = uniforms[:, j] * cum[:, -1]
-        out.append(np.minimum(np.sum(u[:, None] >= cum, axis=1), block.width - 1))
+        out.append(np.minimum(np.sum(u[:, None] >= cum, axis=1), attr.n_categories - 1))
     return np.stack(out, axis=1)
 
 
 class TestKernel:
     def test_single_pass_matches_per_block(self, small_model):
         """Unnormalized segments of widths (2, 2, 4, 6) resolve as block by block."""
-        layout = small_model.pref_layout
-        assert [b.width for b in layout] == [2, 2, 4, 6]
+        attrs = small_model.schema.preference_attributes
+        assert [a.n_categories for a in attrs] == [2, 2, 4, 6]
         rng = np.random.default_rng(0)
-        dec_out = rng.random((5000, small_model.dim_v)) ** 3
-        uniforms = rng.random((5000, len(layout)))
+        dec_out = rng.random((5000, small_model.decoder.out_dim)) ** 3
+        uniforms = rng.random((5000, len(attrs)))
         got = sampling._resolve_samples(small_model, dec_out, uniforms)
         assert got.dtype == np.int64
-        assert np.array_equal(got, resolve_per_block(layout, dec_out, uniforms))
+        assert np.array_equal(got, resolve_per_block(attrs, dec_out, uniforms))
 
     def test_single_pass_matches_per_block_at_clamp_edge(self, small_model):
         """With the largest uniform, u * total reaches total for zero and
         subnormal segment totals; the padding does not move the clamp."""
-        layout = small_model.pref_layout
+        attrs = small_model.schema.preference_attributes
         rng = np.random.default_rng(1)
-        dec_out = rng.random((300, small_model.dim_v))
+        dec_out = rng.random((300, small_model.decoder.out_dim))
         dec_out[::3] = 0.0
         dec_out[1::3] = 5e-324  # the smallest subnormal
-        uniforms = np.full((300, len(layout)), 1 - 2.0 ** -53)
-        totals = np.stack([dec_out[:, b.start : b.start + b.width].sum(axis=1) for b in layout],
-                          axis=1)
+        uniforms = np.full((300, len(attrs)), 1 - 2.0 ** -53)
+        totals = np.stack([dec_out[:, cols].sum(axis=1) for _, cols in spans(attrs)], axis=1)
         edge = np.arange(300) % 3 < 2
         assert np.all((uniforms * totals >= totals)[edge])
         got = sampling._resolve_samples(small_model, dec_out, uniforms)
-        assert np.array_equal(got, resolve_per_block(layout, dec_out, uniforms))
-        assert np.array_equal(got[edge], np.tile([b.width - 1 for b in layout], (200, 1)))
+        assert np.array_equal(got, resolve_per_block(attrs, dec_out, uniforms))
+        assert np.array_equal(got[edge], np.tile([a.n_categories - 1 for a in attrs], (200, 1)))
 
     def test_chunk_size_does_not_change_draws(self, small_model, monkeypatch):
         """Chunks of 7 draws give per-profile and bulk draws equal to one chunk."""
@@ -111,7 +112,7 @@ class TestKernel:
     def test_no_rows_or_no_draws_give_empty_columns(self, small_model, n_rows, draws):
         rows = np.stack([row_for(small_model)] * 3)[:n_rows]
         cols = sampling.sample_preference_columns(small_model, rows, draws, seed=9)
-        assert list(cols) == [b.name for b in small_model.pref_layout]
+        assert list(cols) == [a.name for a in small_model.schema.preference_attributes]
         for col in cols.values():
             assert col.dtype == np.int64 and col.shape == (0,)
 
@@ -141,7 +142,7 @@ class TestKernel:
 class TestSample:
     def test_zero_draws_empty(self, small_model):
         draws = sampling.sample(small_model, row_for(small_model), "ind-0", 0, seed=1)
-        assert draws.draws.shape == (0, len(small_model.pref_layout))
+        assert draws.draws.shape == (0, len(small_model.schema.preference_attributes))
 
     def test_same_seed_identical(self, small_model):
         c_row = row_for(small_model)
@@ -151,7 +152,7 @@ class TestSample:
 
     def test_draw_values_valid_categories(self, small_model):
         draws = sampling.sample(small_model, row_for(small_model), "ind-0", 50, seed=3)
-        assert draws.draws.shape == (50, len(small_model.pref_layout))
+        assert draws.draws.shape == (50, len(small_model.schema.preference_attributes))
         for col, attr in zip(draws.draws.T, small_model.schema.preference_attributes):
             assert np.all((col >= 0) & (col < attr.n_categories))
 
@@ -169,9 +170,9 @@ class TestSample:
         eps = rng.standard_normal((n, small_model.config.latent_dim))
         dec = nn.forward(small_model.decoder,
                          np.concatenate([eps, np.tile(c_row, (n, 1))], axis=1))[0]
-        for block in small_model.pref_layout:
-            expected = dec[:, block.start : block.start + block.width].mean(axis=0)
-            got = np.bincount(cols[block.name], minlength=block.width) / n
+        for attr, block in spans(small_model.schema.preference_attributes):
+            expected = dec[:, block].mean(axis=0)
+            got = np.bincount(cols[attr.name], minlength=attr.n_categories) / n
             assert np.max(np.abs(got - expected)) < 0.01
 
 
@@ -197,7 +198,8 @@ class TestGeneratePopulation:
         alone = sampling.sample(small_model, row_for(small_model), "0", 4, seed=17)
         both = sampling.generate_population(small_model, table_for(small_model, 0, 0), 4,
                                             seed=17)
-        got = np.stack([both.columns[b.name][:4] for b in small_model.pref_layout], axis=1)
+        got = np.stack([both.columns[a.name][:4] for a in small_model.schema.preference_attributes],
+                       axis=1)
         assert np.array_equal(got, alone.draws)
 
     def test_empty_profiles_rejected(self, small_model):

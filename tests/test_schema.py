@@ -222,15 +222,31 @@ class TestOneHot:
 
     def test_encode_columns_onehot(self):
         """A column table encodes like the records it came from: one bit per
-        categorical and one for the bin of a numerical (clamped); the layout
+        categorical and one for the bin of a numerical (clamped); the block
         gives every attribute one segment as wide as its category count."""
         schema = mixed_schema()
         cols = {"t": np.array([2, 0]), "income": np.array([-3.0, 25.0])}
-        layout, width = sm.build_layout(schema, preference=False)
-        assert [(b.name, b.start, b.width) for b in layout] == [("t", 0, 3), ("income", 3, 3)]
-        assert width == 6
-        assert sm.encode_columns(cols, layout, schema).tolist() == [
+        attrs = schema.conditional_attributes
+        assert [(a.name, s.start, s.stop - s.start) for a, s in spans(attrs)] == [
+            ("t", 0, 3), ("income", 3, 3)]
+        assert sum(a.n_categories for a in attrs) == 6
+        assert sm.encode_columns(cols, attrs).tolist() == [
             [0.0, 0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]]
+
+    def test_blocks_computed_once_per_schema(self):
+        """Every encoder call reads the same attribute tuples; none rebuilds them."""
+        schema = mixed_schema()
+        assert schema.conditional_attributes is schema.conditional_attributes
+        assert schema.preference_attributes is schema.preference_attributes
+
+
+def spans(attrs):
+    """(attribute, column slice) of each one-hot segment of the block of ``attrs``."""
+    out, start = [], 0
+    for a in attrs:
+        out.append((a, slice(start, start + a.n_categories)))
+        start += a.n_categories
+    return out
 
 
 def mixed_schema():
@@ -246,11 +262,11 @@ def hot_values(ds, i):
     """Row i of an encoded set read back through the hot column of each segment:
     the category, or a numerical attribute's bin midpoint, in schema order."""
     values = {}
-    for layout, mat in ((ds.cond_layout, ds.conditional), (ds.pref_layout, ds.preference)):
-        for block in layout:
-            attr = ds.schema.attribute(block.name)
-            k = int(np.argmax(mat[i, block.start : block.start + block.width]))
-            values[block.name] = k if attr.kind == "categorical" else attr.bin_representative(k)
+    for attrs, mat in ((ds.schema.conditional_attributes, ds.conditional),
+                       (ds.schema.preference_attributes, ds.preference)):
+        for attr, cols in spans(attrs):
+            k = int(np.argmax(mat[i, cols]))
+            values[attr.name] = k if attr.kind == "categorical" else attr.bin_representative(k)
     return tuple(values[a.name] for a in ds.schema.attributes)
 
 
@@ -261,16 +277,18 @@ class TestEncodeDecode:
             sm.AttributeSpec("b", "preference", "categorical", cardinality=3),
         ])
         ds = sm.encode([sm.Record((1, 2))], schema)
-        assert ds.dim_c == 2 and ds.dim_v == 3
-        assert ds.dim_c + ds.dim_v == 5
+        dim_c, dim_v = ds.conditional.shape[1], ds.preference.shape[1]
+        assert dim_c == 2 and dim_v == 3
+        assert dim_c + dim_v == 5
 
     def test_onehot_blocks_sum_to_one(self):
         schema = mixed_schema()
         records = [sm.Record((0, 15.0, 1, 3.0)), sm.Record((2, 35.0, 0, 44.0))]
         ds = sm.encode(records, schema)
-        for layout, mat in ((ds.cond_layout, ds.conditional), (ds.pref_layout, ds.preference)):
-            for block in layout:
-                seg = mat[:, block.start : block.start + block.width]
+        for attrs, mat in ((schema.conditional_attributes, ds.conditional),
+                           (schema.preference_attributes, ds.preference)):
+            for _, cols in spans(attrs):
+                seg = mat[:, cols]
                 assert np.allclose(seg.sum(axis=1), 1.0)
                 assert set(np.unique(seg)) <= {0.0, 1.0}
 
@@ -291,7 +309,7 @@ class TestEncodeDecode:
     def test_numeric_outside_edges_roundtrip_to_end_bins(self):
         schema = mixed_schema()
         ds = sm.encode([sm.Record((1, -3.0, 0, 60.0))], schema)
-        assert ds.dim_c == 6 and ds.dim_v == 4  # every attribute one-hot
+        assert ds.conditional.shape[1] == 6 and ds.preference.shape[1] == 4  # every attribute one-hot
         back = hot_values(ds, 0)
         assert back[1] == 5.0  # clamped to [0, 10)
         assert back[3] == 27.5  # clamped to [5, 50)
@@ -327,8 +345,7 @@ class TestEncodeDecode:
                      (taken.preference, direct.preference)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-        assert (taken.cond_layout, taken.pref_layout) == (direct.cond_layout,
-                                                          direct.pref_layout)
+        assert taken.schema == direct.schema
 
 
 class TestSplit:
