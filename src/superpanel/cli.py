@@ -218,14 +218,25 @@ def _count(config, key: str) -> int:
     return value
 
 
+def _capped_subset(key: str, subset, sch) -> tuple[str, ...]:
+    """``subset``, or every preference attribute jointly when it is empty; refused
+    when its dense joint is over metrics.DEFAULT_BIN_CAP, read at call time, since
+    one panel year's tabulation is N x n_bins long."""
+    joint = tuple(subset or (a.name for a in sch.preference_attributes))
+    n_bins = int(np.prod(metrics.subset_dims(sch, joint)))
+    if n_bins > metrics.DEFAULT_BIN_CAP:
+        if not subset:
+            raise CliError(f"{key} required: the full preference joint exceeds the bin cap")
+        raise CliError(f"{key} {list(joint)} has {n_bins} bins, above the bin cap "
+                       f"{metrics.DEFAULT_BIN_CAP}")
+    return joint
+
+
 def _eval_subsets(config, sch) -> list[tuple[str, ...]]:
     subsets = config["eval_subsets"]
-    if subsets:
-        return [tuple(s) for s in subsets]
-    joint = panel.default_distance_subset(sch)
-    if joint is None:
-        raise CliError("eval_subsets required: the full preference joint exceeds the bin cap")
-    return [joint]
+    if not subsets:
+        return [_capped_subset("eval_subsets", None, sch)]
+    return [_capped_subset(f"eval_subsets[{i}]", s, sch) for i, s in enumerate(subsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +503,18 @@ def _panel_base(config, sch, table):
     return schema_mod.take_rows(table, base_idx), [int(y) for y in years]
 
 
-def _build_cube(args, config, out, sch, base, years):
-    """The panel cube over the base population; its distance subset is movers.subset."""
+def _build_cube(args, config, out, sch, base, years, subsets):
+    """The panel cube over the base population, tabulated over ``subsets``."""
     panel_cfg = config["panel"]
     model, _ = _load_model(config, out, sch, panel_cfg["model"])
     external = None
     if panel_cfg["external_table"]:
         external = _load_external_table(panel_cfg["external_table"], sch, base, years)
-    subset = config["movers"]["subset"]
     return panel.build_panel(
         model, base, years, external,
         draws_per_cell=int(panel_cfg["draws_per_cell"]),
         seed=derive_seed(config["seed"], "panel"),
-        subset=tuple(subset) if subset else None,
+        subsets=subsets,
         jobs=args.jobs,
     )
 
@@ -535,37 +545,40 @@ def _trend_requests(config, sch, base):
 
 def _mover_request(config, sch, base, years):
     """movers.t_start and movers.t_end, defaulting to the first and last panel
-    years, the distance subset and the base population's size, checked before
-    any cell is sampled."""
+    years, and the distance subset, movers.subset or every preference jointly;
+    they and the base population's size are checked before any cell is sampled."""
     movers_cfg = config["movers"]
     t_start = years[0] if movers_cfg["t_start"] is None else int(movers_cfg["t_start"])
     t_end = years[-1] if movers_cfg["t_end"] is None else int(movers_cfg["t_end"])
     for key, year in (("movers.t_start", t_start), ("movers.t_end", t_end)):
         if year not in years:
             raise CliError(f"{key} {year} is not one of the panel years {years}")
-    if not movers_cfg["subset"] and panel.default_distance_subset(sch) is None:
-        raise CliError("movers.subset required: the full preference joint exceeds the bin cap")
+    prefs = [a.name for a in sch.preference_attributes]
+    bad = [name for name in movers_cfg["subset"] or () if name not in prefs]
+    if bad:
+        raise CliError(f"movers.subset attribute {bad[0]!r} is not a preference attribute")
+    subset = _capped_subset("movers.subset", movers_cfg["subset"], sch)
     n = len(base[sch.attributes[0].name])
     if n < 10:
         raise CliError(f"classify-movers needs at least 10 base individuals for nonempty fast "
                        f"and slow deciles; the base population has {n}")
-    return t_start, t_end
+    return t_start, t_end, subset
 
 
 def cmd_build_panel(args, config, out):
     sch, table = _load_table(config)
     base, years = _panel_base(config, sch, table)
     trend_attrs, conditions = _trend_requests(config, sch, base)
-    cube = _build_cube(args, config, out, sch, base, years)
+    prefs = [a.name for a in sch.preference_attributes]
+    cube = _build_cube(args, config, out, sch, base, years, [(name,) for name in prefs])
 
     panel_path = out / "panel.csv"
     rows = []
-    for i, pid in enumerate(cube.ids):
+    for i in range(cube.n_individuals):
         for t_idx, year in enumerate(cube.years):
-            for name in (a.name for a in sch.preference_attributes):
-                freqs = cube.attr_freqs[name][i, t_idx]
-                for cat, f in enumerate(freqs):
-                    rows.append((pid, year, name, cat, float(f)))
+            for name in prefs:
+                for cat, f in enumerate(cube.joint((name,))[i, t_idx]):
+                    rows.append((str(i), year, name, cat, float(f)))
     write_csv(panel_path, ["individual_id", "year", "attribute", "category", "frequency"], rows)
 
     trend_rows = []
@@ -598,22 +611,19 @@ def cmd_build_panel(args, config, out):
 def cmd_classify_movers(args, config, out):
     sch, table = _load_table(config)
     base, years = _panel_base(config, sch, table)
-    t_start, t_end = _mover_request(config, sch, base, years)
-    cube = _build_cube(args, config, out, sch, base, years)
-    report = panel.classify_movers(cube, t_start, t_end)
+    t_start, t_end, subset = _mover_request(config, sch, base, years)
+    cube = _build_cube(args, config, out, sch, base, years, [subset])
+    report = panel.classify_movers(cube, t_start, t_end, subset)
 
     movers_path = out / "movers.csv"
-    fast, slow = set(report.fast_ids), set(report.slow_ids)
-    rows = [
-        (pid, float(report.distances[i]),
-         "fast" if pid in fast else ("slow" if pid in slow else "mid"))
-        for i, pid in enumerate(report.ids)
-    ]
+    groups = np.full(cube.n_individuals, "mid", dtype=object)
+    groups[report.fast], groups[report.slow] = "fast", "slow"
+    rows = [(str(i), float(d), g) for i, (d, g) in enumerate(zip(report.distances, groups))]
     write_csv(movers_path, ["individual_id", "distance", "group"], rows)
 
     marg_rows = []
-    fast_marg = panel.group_marginals(cube, report.fast_ids)
-    slow_marg = panel.group_marginals(cube, report.slow_ids)
+    fast_marg = panel.group_marginals(cube, report.fast)
+    slow_marg = panel.group_marginals(cube, report.slow)
     for name in fast_marg:
         f, s = fast_marg[name], slow_marg[name]
         for cat in range(len(f["frequencies"])):
@@ -625,12 +635,12 @@ def cmd_classify_movers(args, config, out):
     write_csv(marg_path,
               ["attribute", "category", "freq_fast", "freq_slow", "mode_fast", "mode_slow"],
               marg_rows)
-    print(f"classify-movers: {len(report.fast_ids)} fast / {len(report.slow_ids)} slow "
-          f"of {len(report.ids)} -> {movers_path}")
+    print(f"classify-movers: {len(report.fast)} fast / {len(report.slow)} slow "
+          f"of {cube.n_individuals} -> {movers_path}")
     return [movers_path, marg_path], {
         "t_start": t_start, "t_end": t_end,
         "subset": list(report.subset),
-        "n_fast": len(report.fast_ids), "n_slow": len(report.slow_ids),
+        "n_fast": len(report.fast), "n_slow": len(report.slow),
     }
 
 

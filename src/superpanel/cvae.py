@@ -438,6 +438,9 @@ def load_model(path) -> TrainedModel:
         if widths != dims:
             raise ValueError(f"{path}: {key!r} network has layer widths {widths}; "
                              f"the schema and config need {dims}")
+        want = nn.layer_activations(len(net.layers), heads)
+        if [layer.activation for layer in net.layers] != want:
+            raise ValueError(f"{path}: {key!r} network's layer 'activation' tags are not {want}")
         blocks = net.layers[-1].blocks
         if blocks != heads:
             raise ValueError(f"{path}: {key} head 'blocks' {list(blocks or ())} do not match "

@@ -215,6 +215,11 @@ def pack(networks) -> np.ndarray:
     return flat
 
 
+def layer_activations(n_layers: int, head_blocks=None) -> list[str]:
+    """tanh hidden layers, then a linear last layer, or the softmax head given its segments."""
+    return ["tanh"] * (n_layers - 1) + ["softmax_blocks" if head_blocks else "linear"]
+
+
 def init_weights(dims, seed: int, head_blocks=None) -> Network:
     """Seeded network with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases.
 
@@ -225,11 +230,10 @@ def init_weights(dims, seed: int, head_blocks=None) -> Network:
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least input and output dims")
-    n_layers = len(dims) - 1
-    activations = ["tanh"] * (n_layers - 1) + ["softmax_blocks" if head_blocks else "linear"]
+    activations = layer_activations(len(dims) - 1, head_blocks)
     rng = derive_rng(seed, "init-weights")
     layers = []
-    for i in range(n_layers):
+    for i in range(len(activations)):
         fan_in, fan_out = dims[i], dims[i + 1]
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = rng.uniform(-limit, limit, size=(fan_out, fan_in))

@@ -32,33 +32,28 @@ MIN_DRAWS_PER_CELL = 10  # distribution estimates below this are meaningless
 class PanelCube:
     """Per-(individual, year) preference distribution estimates.
 
-    subset_freqs is the (N, T, n_bins) joint of the distance subset, or
-    None when the cube has no subset; attr_freqs holds single-attribute
-    marginals for every preference attribute, used by trend extraction.
-    conditionals holds each individual's base-year value of every
-    conditional attribute, one column per attribute.
+    Individual i is base row i. freqs maps each tabulated subset, a tuple
+    of preference attributes, to its (N, T, n_bins) joint; a marginal is a
+    one-attribute subset. conditionals holds each individual's base-year
+    value of every conditional attribute, one column per attribute.
     """
 
-    ids: tuple[str, ...]
     conditionals: dict
     years: tuple[int, ...]
     schema: Schema
-    subset: tuple[str, ...] | None
-    subset_freqs: np.ndarray | None
-    attr_freqs: dict
+    freqs: dict
     draws_per_cell: int
-    seed: int
 
     @property
     def n_individuals(self) -> int:
-        return len(self.ids)
+        return len(next(iter(self.conditionals.values())))
 
-
-def default_distance_subset(schema: Schema):
-    """All preference attributes jointly when the dense joint fits the bin cap."""
-    subset = tuple(a.name for a in schema.preference_attributes)
-    n_bins = int(np.prod(metrics.subset_dims(schema, subset)))
-    return subset if n_bins <= metrics.DEFAULT_BIN_CAP else None
+    def joint(self, subset) -> np.ndarray:
+        """The (N, T, n_bins) joint over ``subset``, which the cube must hold."""
+        subset = tuple(subset)
+        if subset not in self.freqs:
+            raise PanelError(f"the cube holds no joint over {subset}")
+        return self.freqs[subset]
 
 
 def _year_columns(base_cols: dict, schema: Schema, year: int, external_by_year) -> dict:
@@ -76,41 +71,33 @@ def _year_columns(base_cols: dict, schema: Schema, year: int, external_by_year) 
 
 
 def _panel_year_block(args):
-    """All cells of one year: per-individual subset and marginal frequencies."""
-    year, model, ids, cond_rows, subset, draws_per_cell, seed = args
+    """All cells of one year: each subset's (n, n_bins) frequencies, in subsets order."""
+    year, model, cond_rows, subsets, draws_per_cell, seed = args
     schema = model.schema
-    n, r = len(ids), draws_per_cell
-    rngs = [derive_rng(seed, "panel-cell", pid, year) for pid in ids]
+    n, r = len(cond_rows), draws_per_cell
+    rngs = [derive_rng(seed, "panel-cell", str(i), year) for i in range(n)]
     draws = _decode_with_noise(model, cond_rows, r, rngs)
-    cat_cols = {a.name: col for a, col in zip(schema.preference_attributes, draws.T)}
-    cell = np.arange(n)[:, None]  # row i of a column reshaped to (n, r) holds cell i's draws
-
-    def tabulate(flat, n_bins):
-        keys = (cell * n_bins + flat.reshape(n, r)).ravel()
-        return np.bincount(keys, minlength=n * n_bins).reshape(n, n_bins) / r
-
-    attr_out = {
-        a.name: tabulate(cat_cols[a.name], a.n_categories) for a in schema.preference_attributes
-    }
-    subset_out = None
-    if subset is not None:
-        dims = metrics.subset_dims(schema, subset)
-        subset_out = tabulate(np.ravel_multi_index([cat_cols[a] for a in subset], dims),
-                              int(np.prod(dims)))
-    return subset_out, attr_out
+    # row i of a column reshaped to (n, r) holds cell i's draws
+    cat_cols = {a.name: col.reshape(n, r) for a, col in zip(schema.preference_attributes, draws.T)}
+    cell = np.arange(n)[:, None]
+    out = []
+    for subset in subsets:
+        dims = (n, *metrics.subset_dims(schema, subset))
+        keys = np.ravel_multi_index((cell, *(cat_cols[a] for a in subset)), dims)
+        out.append(np.bincount(keys.ravel(), minlength=int(np.prod(dims))).reshape(n, -1) / r)
+    return out
 
 
 def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
-                draws_per_cell: int, seed: int, subset=None, jobs: int = 1) -> PanelCube:
+                draws_per_cell: int, seed: int, subsets, jobs: int = 1) -> PanelCube:
     """Sample every (individual, year) cell and tabulate the draws.
 
-    ``base`` is a column table; its row i is individual ``str(i)``, whose
+    ``base`` is a column table; its row i is individual i, whose
     conditional values stay fixed apart from the time value and the
     externals, which ``external_by_year`` maps year -> {attribute: column
-    aligned with the base rows}. Each cell's draws are tabulated per
-    preference attribute and over one joint, the distance subset: ``subset``,
-    or ``default_distance_subset`` when it is None.
-    Each cell owns an rng derived from (seed, individual id, year), so the
+    aligned with the base rows}. Each cell's draws are tabulated over every
+    subset of ``subsets``, tuples of preference attributes.
+    Each cell owns an rng derived from (seed, str(i), year), so the
     cube is identical however the cells are scheduled; jobs > 1 spreads
     the per-year blocks over worker processes. Each year's cells go through
     the sampling kernel in one call, which decodes them in cache-sized
@@ -118,19 +105,14 @@ def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
     """
     schema = model.schema
     base_cols = {a.name: base[a.name] for a in schema.conditional_attributes}
-    ids = tuple(str(i) for i in range(len(base_cols[schema.conditional_attributes[0].name])))
-    if not ids:
+    if not len(base_cols[schema.conditional_attributes[0].name]):
         raise PanelError("base population is empty")
     if draws_per_cell < MIN_DRAWS_PER_CELL:
         raise PanelError(f"draws_per_cell below floor {MIN_DRAWS_PER_CELL}")
     years = tuple(int(y) for y in years)
     if not years:
         raise PanelError("no years requested")
-    subset = default_distance_subset(schema) if subset is None else tuple(subset)
-    pref_names = tuple(a.name for a in schema.preference_attributes)
-    bad = [name for name in subset or () if name not in pref_names]
-    if bad:
-        raise PanelError(f"subset attribute {bad[0]!r} is not a preference attribute")
+    subsets = [tuple(s) for s in subsets]
 
     # every year's conditional rows, so missing externals fail before any sampling
     cond_rows = [
@@ -139,20 +121,16 @@ def build_panel(model: cvae.TrainedModel, base, years, external_by_year,
         for year in years
     ]
 
-    args = [(year, model, ids, rows, subset, draws_per_cell, seed)
+    args = [(year, model, rows, subsets, draws_per_cell, seed)
             for year, rows in zip(years, cond_rows)]
-    subset_outs, attr_outs = zip(*map_units(_panel_year_block, args, jobs))  # one per year
-
+    by_year = map_units(_panel_year_block, args, jobs)
     return PanelCube(
-        ids=ids,
         conditionals=base_cols,
         years=years,
         schema=schema,
-        subset=subset,
-        subset_freqs=None if subset is None else np.stack(subset_outs, axis=1),
-        attr_freqs={name: np.stack([a[name] for a in attr_outs], axis=1) for name in pref_names},
+        freqs={s: np.stack([block[k] for block in by_year], axis=1)
+               for k, s in enumerate(subsets)},
         draws_per_cell=draws_per_cell,
-        seed=seed,
     )
 
 
@@ -190,7 +168,7 @@ def aggregate_trend(cube: PanelCube, attribute: str, condition=None) -> TrendSer
         mask &= cube.conditionals[k] == v
     if not mask.any():
         raise PanelError("condition matches no individuals")
-    freqs = cube.attr_freqs[attribute][mask]  # (n_sel, T, D)
+    freqs = cube.joint((attribute,))[mask]  # (n_sel, T, D)
     mix = freqs.mean(axis=0)  # (T, D)
     if attr.kind == "numerical":
         reps = np.array([attr.bin_representative(i) for i in range(attr.n_categories)])
@@ -224,58 +202,49 @@ def fit_slope(years, values) -> float:
 
 @dataclass
 class MoverReport:
-    ids: tuple[str, ...]
     distances: np.ndarray
-    fast_ids: tuple[str, ...]
-    slow_ids: tuple[str, ...]
+    fast: np.ndarray  # base-row positions
+    slow: np.ndarray
     subset: tuple[str, ...]
 
 
-def classify_movers(cube: PanelCube, t_start: int, t_end: int) -> MoverReport:
+def classify_movers(cube: PanelCube, t_start: int, t_end: int, subset) -> MoverReport:
     """Rank individuals by the distance their preference distribution moved.
 
     Distance is the standardized histogram error between the two years'
-    estimates over the cube's distance subset. The slow group is the first
-    decile of the ascending ranking, the fast group the last; ties break
-    on the stable (distance, id) order and both groups have exactly
-    floor(N/10) members.
+    estimates over the cube's joint of ``subset``. The slow group is the
+    first decile of the ascending ranking, the fast group the last; ties
+    break on the stable (distance, str(i)) order and both groups have
+    exactly floor(N/10) members.
     """
     if t_start not in cube.years or t_end not in cube.years:
         raise PanelError("requested years not in cube")
     if cube.draws_per_cell < MIN_DRAWS_PER_CELL:
         raise PanelError("too few draws per cell for distance estimates")
-    if cube.subset_freqs is None:
-        raise PanelError("the cube has no distance subset to measure movers over")
+    freqs = cube.joint(subset)
     i_start = cube.years.index(t_start)
     i_end = cube.years.index(t_end)
-    freqs = cube.subset_freqs
     n_bins = freqs.shape[2]
     diff = freqs[:, i_end, :] - freqs[:, i_start, :]
     # SRMSE with reference frequencies summing to 1: rmse / (1 / n_bins)
     distances = np.sqrt(np.sum(diff ** 2, axis=1) / n_bins) * n_bins
 
-    ids = cube.ids
-    order = sorted(range(len(ids)), key=lambda i: (distances[i], ids[i]))
-    k = len(ids) // 10
-    slow = tuple(ids[i] for i in order[:k])
-    fast = tuple(ids[i] for i in order[len(ids) - k :])
-    return MoverReport(
-        ids=ids,
-        distances=distances,
-        fast_ids=fast,
-        slow_ids=slow,
-        subset=cube.subset,
-    )
+    n = len(distances)
+    order = np.array(sorted(range(n), key=lambda i: (distances[i], str(i))), dtype=np.int64)
+    k = n // 10
+    return MoverReport(distances=distances, fast=order[n - k:], slow=order[:k],
+                       subset=tuple(subset))
 
 
-def group_marginals(cube: PanelCube, ids) -> dict:
-    """Socio-attribute frequency tables for a group of the cube's individuals.
+def group_marginals(cube: PanelCube, members) -> dict:
+    """Socio-attribute frequency tables for a group of the cube's individuals,
+    given by base-row position.
 
     Returns {attribute: {"frequencies": array, "mode": index}} in the
     shape used by the mover profile tables.
     """
-    members = np.isin(cube.ids, list(ids))
-    if not members.any():
+    members = np.asarray(members, dtype=np.int64)
+    if not members.size:
         raise PanelError("empty group")
     group = take_rows(cube.conditionals, members)
     out = {}

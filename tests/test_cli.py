@@ -227,6 +227,18 @@ class TestPanelCommands:
                     "--set", f"panel.model={out / 'model_full.json'}"]) == 1
         assert "movers.subset required" in capsys.readouterr().err
 
+    def test_movers_subset_over_bin_cap_fails_before_sampling(self, pipeline, tmp_path, capsys,
+                                                              monkeypatch, no_sampling):
+        """A given movers.subset is held to the bin cap too, read when the command runs."""
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(metrics, "DEFAULT_BIN_CAP", 8)  # below the 3 x 3 joint
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", 'movers.subset=["p_mode","p_trips"]']) == 1
+        assert ("movers.subset ['p_mode', 'p_trips'] has 9 bins, above the bin cap 8"
+                in capsys.readouterr().err)
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_bootstrap_outputs(self, pipeline):
         tmp, out, cfg = pipeline
         assert run(["bootstrap", "--config", str(cfg), "--out", str(out)]) == 0
@@ -247,9 +259,9 @@ class TestPanelCommands:
             outputs.append((dest / "bootstrap.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_conditional_panel_subset_fails(self, pipeline, tmp_path, capsys):
+    def test_conditional_panel_subset_fails(self, pipeline, tmp_path, capsys, no_sampling):
         tmp, out, cfg = pipeline
-        assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"panel.model={out / 'model_full.json'}",
                     "--set", 'movers.subset=["segment","p_mode"]']) == 1
         assert "'segment' is not a preference attribute" in capsys.readouterr().err
@@ -262,6 +274,18 @@ class TestPanelCommands:
                              '"betas": [1.0], "plan_only": false}',
                     "--set", 'eval_subsets=[["segment","p_mode"]]']) == 1
         assert "'segment' is not a preference attribute" in capsys.readouterr().err
+
+    def test_grid_eval_subset_over_bin_cap_fails_before_training(self, pipeline, tmp_path, capsys,
+                                                                 monkeypatch, no_training):
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(metrics, "DEFAULT_BIN_CAP", 8)  # below the 3 x 3 joint
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path), "--grid",
+                    "--set", 'grid={"n_layers": [1], "n_neurons": [8], "latent_dims": [2], '
+                             '"betas": [1.0], "plan_only": false}',
+                    "--set", 'eval_subsets=[["p_mode"],["p_mode","p_trips"]]']) == 1
+        assert ("eval_subsets[1] ['p_mode', 'p_trips'] has 9 bins, above the bin cap 8"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "leaderboard.csv").exists()
 
     @pytest.mark.parametrize("stat, named", [
         ({"attribute": "p_mode", "category": 7}, "category 7"),
@@ -389,11 +413,12 @@ class TestGenerate:
         assert run(["generate", "--config", str(cfg), "--out", str(tmp_path / "gen")]) == 1
         assert "format_version 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["decoder", "best_epoch", "blocks", "encoder"])
+    @pytest.mark.parametrize("field", ["decoder", "best_epoch", "blocks", "encoder",
+                                       "activation"])
     def test_malformed_model_fails(self, pipeline, tmp_path, capsys, field):
         """(kind, width) head blocks in a version 2 file, no best_epoch, head blocks
-        that split the schema's [3, 3] preference widths as [2, 4], or networks
-        sized for another latent_dim are refused."""
+        that split the schema's [3, 3] preference widths as [2, 4], networks
+        sized for another latent_dim, or a linear hidden layer are refused."""
         tmp, out, _ = pipeline
         payload = json.loads((out / "model_full.json").read_text())
         if field == "decoder":
@@ -403,6 +428,9 @@ class TestGenerate:
             payload["decoder"]["layers"][-1]["blocks"] = [2, 4]
         elif field == "encoder":
             payload["config"]["latent_dim"] += 1
+        elif field == "activation":
+            assert payload["decoder"]["layers"][0]["activation"] == "tanh"
+            payload["decoder"]["layers"][0]["activation"] = "linear"
         else:
             del payload["best_epoch"]
         bad = tmp_path / "model_bad.json"

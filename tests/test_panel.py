@@ -7,6 +7,10 @@ from superpanel.seeding import derive_rng
 
 from test_schema import spans
 
+JOINT = ("p_mode", "p_trips")  # every preference attribute of drift-split
+SUBSETS = [("p_mode",), ("p_trips",), JOINT]
+
+
 @pytest.fixture(scope="module")
 def drift_setup():
     spec = oracle.canned_spec("drift-split")
@@ -24,41 +28,41 @@ def drift_setup():
 def small_cube(drift_setup):
     spec, records, model, base = drift_setup
     return panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
-                             draws_per_cell=200, seed=64)
+                             draws_per_cell=200, seed=64, subsets=SUBSETS)
 
 
 class TestBuildPanel:
     def test_every_cell_populated_and_normalized(self, small_cube):
-        assert small_cube.subset == ("p_mode", "p_trips")  # the default: every preference
-        freqs = small_cube.subset_freqs
+        assert list(small_cube.freqs) == SUBSETS
+        freqs = small_cube.joint(JOINT)
         assert freqs.shape[:2] == (60, 3)
         assert np.allclose(freqs.sum(axis=2), 1.0)
-        for name, freqs in small_cube.attr_freqs.items():
+        for freqs in small_cube.freqs.values():
             assert np.allclose(freqs.sum(axis=2), 1.0)
 
     def test_determinism(self, drift_setup, small_cube):
         spec, records, model, base = drift_setup
         again = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
-                                  draws_per_cell=200, seed=64)
-        assert np.array_equal(small_cube.subset_freqs, again.subset_freqs)
+                                  draws_per_cell=200, seed=64, subsets=SUBSETS)
+        assert np.array_equal(small_cube.joint(JOINT), again.joint(JOINT))
 
     def test_parallel_jobs_identical(self, drift_setup, small_cube):
         spec, records, model, base = drift_setup
         par = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
-                                draws_per_cell=200, seed=64, jobs=2)
-        assert np.array_equal(small_cube.subset_freqs, par.subset_freqs)
+                                draws_per_cell=200, seed=64, subsets=SUBSETS, jobs=2)
+        assert np.array_equal(small_cube.joint(JOINT), par.joint(JOINT))
 
     def test_draw_floor_enforced(self, drift_setup):
         spec, records, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="floor"):
             panel.build_panel(model, base, years=[0], external_by_year=None,
-                              draws_per_cell=1, seed=65)
+                              draws_per_cell=1, seed=65, subsets=SUBSETS)
 
     def test_empty_population_rejected(self, drift_setup):
         spec, records, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="empty"):
             panel.build_panel(model, sm.take_rows(base, []), years=[0], external_by_year=None,
-                              draws_per_cell=50, seed=66)
+                              draws_per_cell=50, seed=66, subsets=SUBSETS)
 
     def test_missing_externals_rejected(self):
         ext_schema = sm.Schema(attributes=(
@@ -72,23 +76,26 @@ class TestBuildPanel:
         model = cvae.train(encoded, config, encoded)
         base = sm.record_columns(records[:2], ext_schema)
         with pytest.raises(panel.PanelError, match="external values for year 1"):
-            panel.build_panel(model, base, [1], None, draws_per_cell=10, seed=70)
+            panel.build_panel(model, base, [1], None, draws_per_cell=10, seed=70,
+                              subsets=[("p",)])
         with pytest.raises(panel.PanelError, match="external values for year 1"):
             panel.build_panel(model, base, [1], {0: {"access": np.array([0, 0])}},
-                              draws_per_cell=10, seed=70)
+                              draws_per_cell=10, seed=70, subsets=[("p",)])
         # the table's values replace the base year's, and the year is moved
         table = {1: {"access": np.array([0, 0])}}
         moved = panel._year_columns({"year": np.array([0, 0]), "access": np.array([0, 1])},
                                     ext_schema, 1, table)
         assert moved["year"].tolist() == [1, 1] and moved["access"].tolist() == [0, 0]
-        cube = panel.build_panel(model, base, [1], table, draws_per_cell=10, seed=70)
+        cube = panel.build_panel(model, base, [1], table, draws_per_cell=10, seed=70,
+                                 subsets=[("p",)])
         assert cube.conditionals["access"].tolist() == [0, 1]
 
     def test_single_individual_single_year_degenerate_draw(self, drift_setup):
         spec, records, model, base = drift_setup
         cube = panel.build_panel(model, sm.take_rows(base, [0]), years=[0], external_by_year=None,
-                                 draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67)
-        assert cube.subset_freqs.shape[0] == 1
+                                 draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67,
+                                 subsets=SUBSETS)
+        assert cube.joint(JOINT).shape[0] == 1
 
 
 class TestCellDraws:
@@ -98,14 +105,14 @@ class TestCellDraws:
         spec, records, model, base = drift_setup
         i, t = 7, 1
         year, r = small_cube.years[t], small_cube.draws_per_cell
-        rng = derive_rng(small_cube.seed, "panel-cell", small_cube.ids[i], year)
+        rng = derive_rng(64, "panel-cell", str(i), year)
         eps = rng.standard_normal((r, model.config.latent_dim))
         blocks = spans(spec.schema.preference_attributes)
         uniforms = rng.random((r, len(blocks)))
         conditional = spec.schema.conditional_attributes
         cell = sm.encode_columns(sm.take_rows(base, [i]), conditional)[0]
         cols = dict(small_cube.conditionals)
-        cols[spec.schema.time_attribute.name] = np.full(len(small_cube.ids), year)
+        cols[spec.schema.time_attribute.name] = np.full(small_cube.n_individuals, year)
         c_row = sm.encode_columns(cols, conditional)[i]
         # only the time block differs from the base record's own row
         moved = [a for a, b in spans(conditional) if not np.array_equal(cell[b], c_row[b])]
@@ -117,19 +124,20 @@ class TestCellDraws:
             u = uniforms[:, j] * cum[:, -1]
             cats[attr.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1), attr.n_categories - 1)
             expected = np.bincount(cats[attr.name], minlength=attr.n_categories) / r
-            assert np.array_equal(small_cube.attr_freqs[attr.name][i, t], expected)
-        s = small_cube.subset
+            assert np.array_equal(small_cube.joint((attr.name,))[i, t], expected)
+        s = JOINT
         dims = metrics.subset_dims(spec.schema, s)
         flat = np.ravel_multi_index([cats[a] for a in s], dims)
         expected = np.bincount(flat, minlength=int(np.prod(dims))) / r
-        assert np.array_equal(small_cube.subset_freqs[i, t], expected)
+        assert np.array_equal(small_cube.joint(JOINT)[i, t], expected)
 
     def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
         """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
         spec, records, model, base = drift_setup
         build = lambda: panel.build_panel(model, sm.take_rows(base, np.arange(45)),  # noqa: E731
                                           years=[0, 3],
-                                          external_by_year=None, draws_per_cell=30, seed=68)
+                                          external_by_year=None, draws_per_cell=30, seed=68,
+                                          subsets=SUBSETS)
         whole = build()
         rows = []
         forward = nn.forward
@@ -142,16 +150,15 @@ class TestCellDraws:
         monkeypatch.setattr(nn, "forward", spy)
         chunked = build()
         assert len(rows) == 2 * 23 and max(rows) <= 70
-        assert np.array_equal(whole.subset_freqs, chunked.subset_freqs)
-        for name in whole.attr_freqs:
-            assert np.array_equal(whole.attr_freqs[name], chunked.attr_freqs[name])
+        for subset in SUBSETS:
+            assert np.array_equal(whole.joint(subset), chunked.joint(subset))
 
 
 class TestAggregateTrend:
     def test_mixture_consistency_exact(self, small_cube):
         """Population trend equals the mean of per-individual estimates."""
         series = panel.aggregate_trend(small_cube, "p_mode")
-        manual = small_cube.attr_freqs["p_mode"].mean(axis=0)
+        manual = small_cube.joint(("p_mode",)).mean(axis=0)
         assert np.array_equal(series.category_probs, manual)
 
     def test_condition_filtering(self, small_cube):
@@ -180,9 +187,8 @@ class TestAggregateTrend:
         ))
         freqs = np.array([[[0.25, 0.75]]])  # midpoints 5 and 20
         cube = panel.PanelCube(
-            ids=("0",), conditionals={"year": np.array([0]), "g": np.array([0])},
-            years=(0,), schema=schema, subset=None,
-            subset_freqs=None, attr_freqs={"dist": freqs}, draws_per_cell=100, seed=0,
+            conditionals={"year": np.array([0]), "g": np.array([0])},
+            years=(0,), schema=schema, freqs={("dist",): freqs}, draws_per_cell=100,
         )
         series = panel.aggregate_trend(cube, "dist")
         expected_mean = 0.25 * 5 + 0.75 * 20
@@ -196,28 +202,30 @@ class TestAggregateTrend:
 
 class TestClassifyMovers:
     def test_decile_sizes(self, small_cube):
-        report = panel.classify_movers(small_cube, 0, 4)
-        assert len(report.fast_ids) == 6 == len(report.slow_ids)
-        assert set(report.fast_ids).isdisjoint(report.slow_ids)
+        report = panel.classify_movers(small_cube, 0, 4, JOINT)
+        assert len(report.fast) == 6 == len(report.slow)
+        assert set(report.fast).isdisjoint(report.slow)
 
     def test_distance_zero_when_years_equal(self, small_cube):
-        report = panel.classify_movers(small_cube, 2, 2)
+        report = panel.classify_movers(small_cube, 2, 2, JOINT)
         assert np.allclose(report.distances, 0.0)
-        # deciles still filled deterministically by id tie-break
-        assert len(report.fast_ids) == 6 == len(report.slow_ids)
-        again = panel.classify_movers(small_cube, 2, 2)
-        assert report.fast_ids == again.fast_ids and report.slow_ids == again.slow_ids
+        # deciles still filled deterministically by the str(i) tie-break
+        assert len(report.fast) == 6 == len(report.slow)
+        assert report.slow.tolist() == [0, 1, 10, 11, 12, 13]
+        assert report.fast.tolist() == [58, 59, 6, 7, 8, 9]
+        again = panel.classify_movers(small_cube, 2, 2, JOINT)
+        assert np.array_equal(report.fast, again.fast) and np.array_equal(report.slow, again.slow)
 
     def test_distance_symmetric_in_years(self, small_cube):
-        a = panel.classify_movers(small_cube, 0, 4)
-        b = panel.classify_movers(small_cube, 4, 0)
+        a = panel.classify_movers(small_cube, 0, 4, JOINT)
+        b = panel.classify_movers(small_cube, 4, 0, JOINT)
         assert np.allclose(a.distances, b.distances)
 
     def test_distance_matches_metric_srmse(self, small_cube):
         """Vectorized distances agree with the histogram metric pairwise."""
-        report = panel.classify_movers(small_cube, 0, 4)
+        report = panel.classify_movers(small_cube, 0, 4, JOINT)
         subset = report.subset
-        freqs = small_cube.subset_freqs
+        freqs = small_cube.joint(JOINT)
         dims = metrics.subset_dims(small_cube.schema, subset)
         r = small_cube.draws_per_cell
         for i in (0, 7, 31):
@@ -226,47 +234,45 @@ class TestClassifyMovers:
             assert report.distances[i] == pytest.approx(metrics.srmse(h4, h0), abs=1e-12)
 
     def test_cube_without_subset_rejected(self):
-        """A two-year cube built with no distance subset has nothing to rank movers over."""
+        """A two-year cube built without the distance subset has nothing to rank movers over."""
         schema = sm.Schema(attributes=(
             sm.AttributeSpec("year", "time", "categorical", cardinality=2),
             sm.AttributeSpec("g", "socio", "categorical", cardinality=1),
             sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
         ))
         cube = panel.PanelCube(
-            ids=("0", "1"), conditionals={"year": np.array([0, 0]), "g": np.array([0, 0])},
-            years=(0, 1), schema=schema, subset=None, subset_freqs=None,
-            attr_freqs={"p": np.full((2, 2, 2), 0.5)}, draws_per_cell=100, seed=0,
+            conditionals={"year": np.array([0, 0]), "g": np.array([0, 0])},
+            years=(0, 1), schema=schema, freqs={}, draws_per_cell=100,
         )
-        with pytest.raises(panel.PanelError, match="no distance subset"):
-            panel.classify_movers(cube, 0, 1)
+        with pytest.raises(panel.PanelError, match=r"holds no joint over \('p',\)"):
+            panel.classify_movers(cube, 0, 1, ("p",))
 
     def test_fast_distances_dominate_slow(self, small_cube):
-        report = panel.classify_movers(small_cube, 0, 4)
-        by_id = dict(zip(report.ids, report.distances))
-        assert min(by_id[i] for i in report.fast_ids) >= max(by_id[i] for i in report.slow_ids)
+        report = panel.classify_movers(small_cube, 0, 4, JOINT)
+        assert report.distances[report.fast].min() >= report.distances[report.slow].max()
 
     def test_missing_year_rejected(self, small_cube):
         with pytest.raises(panel.PanelError, match="years"):
-            panel.classify_movers(small_cube, 0, 3)
+            panel.classify_movers(small_cube, 0, 3, JOINT)
 
 
 class TestGroupMarginals:
     def test_whole_population_equals_population_marginals(self, drift_setup, small_cube):
         spec, records, model, base = drift_setup
-        out = panel.group_marginals(small_cube, small_cube.ids)
+        out = panel.group_marginals(small_cube, np.arange(small_cube.n_individuals))
         assert set(out) == {"group", "segment"}
         expected = metrics.marginals(base, "segment", spec.schema)
         assert np.allclose(out["segment"]["frequencies"], expected)
 
     def test_frequencies_sum_to_one_and_mode_flagged(self, small_cube):
-        out = panel.group_marginals(small_cube, small_cube.ids[:2])
+        out = panel.group_marginals(small_cube, [0, 1])
         for name, table in out.items():
             assert table["frequencies"].sum() == pytest.approx(1.0)
             assert table["mode"] == int(np.argmax(table["frequencies"]))
 
     def test_empty_group_rejected(self, small_cube):
         with pytest.raises(panel.PanelError, match="empty"):
-            panel.group_marginals(small_cube, ["nope"])
+            panel.group_marginals(small_cube, [])
 
 
 class TestBootstrap:
