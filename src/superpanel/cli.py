@@ -193,6 +193,13 @@ def _load_table(config):
     return sch, schema_mod.record_columns(records, sch)
 
 
+def _load_encoded(config):
+    """The config's schema, its survey encoded, and the dropped-row count. The
+    records are not kept past the encoding, so training holds only the matrices."""
+    sch, records, dropped = _load_inputs(config)
+    return sch, schema_mod.encode(records, sch), dropped
+
+
 def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     """Load a model file, relative paths falling back to the output directory.
 
@@ -276,9 +283,8 @@ def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.
 
 
 def cmd_train(args, config, out):
-    sch, records, dropped = _load_inputs(config)
-    idx_train, idx_val = _split(config, len(records))
-    encoded = schema_mod.encode(records, sch)
+    sch, encoded, dropped = _load_encoded(config)
+    idx_train, idx_val = _split(config, encoded.n_rows)
     train_set, val_set = encoded.take(idx_train), encoded.take(idx_val)
     outputs = []
     extra = {"dropped_rows": dropped}
@@ -392,26 +398,14 @@ def cmd_evaluate(args, config, out):
     split_model, _ = _load_model(config, out, sch, out / "model_split.json")
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
 
-    def synth_table(model, source, key):
-        seed = derive_seed(config["seed"], "evaluate", key)
-        return sampling.generate_population(model, source, draws, seed).columns
-
     def histogram(table, subset):
         return metrics.cross_tabulate_columns(schema_mod.category_columns(table, subset, sch),
                                               subset, sch)
 
-    synth_train = synth_table(split_model, train, "train")
-    synth_val = synth_table(split_model, val, "val")
-    synth_whole = synth_table(full_model, whole, "whole")
-
     summary_rows = []
     scatter_rows = []
-    pairs = [
-        ("train-vs-val", train, val),
-        ("model-vs-val", synth_val, val),
-        ("model-vs-whole", synth_whole, whole),
-    ]
-    for comparison, hat_table, ref_table in pairs:
+
+    def compare(comparison, hat_table, ref_table):
         for subset in subsets:
             hat, ref = histogram(hat_table, subset), histogram(ref_table, subset)
             report = metrics.compare(hat, ref)
@@ -419,15 +413,25 @@ def cmd_evaluate(args, config, out):
             summary_rows.append(summary)
             scatter_rows.extend(scatter)
 
-    overlap_rows = []
-    for name, a, b in [
-        ("train-vs-val", train, val),
-        ("model-split-vs-train", synth_train, train),
-        ("model-split-vs-val", synth_val, val),
-        ("model-full-vs-whole", synth_whole, whole),
-    ]:
-        fwd, rev = metrics.overlap_pair(a, b, sch)
-        overlap_rows.append((name, fwd, rev))
+    def synthetic_rows(model, source, key, comparison, overlap_name):
+        """Draw one synthetic population from source's profiles, compare it with
+        source and return its overlap row; the population dies on return."""
+        seed = derive_seed(config["seed"], "evaluate", key)
+        synth = sampling.generate_population(model, source, draws, seed).columns
+        if comparison:
+            compare(comparison, synth, source)
+        return (overlap_name, *metrics.overlap_pair(synth, source, sch))
+
+    # One synthetic population is alive at a time. Drawing them in the order
+    # train, val, whole keeps the rows of comparisons.csv, scatter.csv and
+    # overlap.csv in their order; each population has its own seed.
+    compare("train-vs-val", train, val)
+    overlap_rows = [
+        ("train-vs-val", *metrics.overlap_pair(train, val, sch)),
+        synthetic_rows(split_model, train, "train", None, "model-split-vs-train"),
+        synthetic_rows(split_model, val, "val", "model-vs-val", "model-split-vs-val"),
+        synthetic_rows(full_model, whole, "whole", "model-vs-whole", "model-full-vs-whole"),
+    ]
 
     comp_path = out / "comparisons.csv"
     write_csv(comp_path, ["comparison", "subset", "n_bins", "srmse", "corr", "r2"], summary_rows)
@@ -440,6 +444,19 @@ def cmd_evaluate(args, config, out):
         print(f"evaluate: {row[0]} subset={row[1]} n_bins={row[2]} srmse={row[3]:.4f} "
               f"corr={row[4]:.4f} r2={row[5]:.4f}")
     return [comp_path, scatter_path, overlap_path], {}
+
+
+def _external_cell(path, key_col, row, column, parse):
+    """One cell of an external table row, parsed; a missing or unparsable cell
+    is an error naming the file, the column and the row's (key, year)."""
+    text = row[column]
+    try:
+        return parse(text)
+    except (TypeError, ValueError):
+        problem = ("has no value" if text is None else
+                   f"holds {text!r}, not {'an integer' if parse is int else 'a number'}")
+        raise CliError(f"{path}: column {column!r} of {key_col} {row[key_col]} in year "
+                       f"{row['year']} {problem}") from None
 
 
 def _load_external_table(path, sch, base, years):
@@ -465,7 +482,8 @@ def _load_external_table(path, sch, base, years):
         if missing:
             raise CliError(f"{path}: external table has no column "
                            + ", ".join(repr(c) for c in missing))
-        rows = {(int(row["year"]), row[key_col]): row for row in reader}
+        rows = {(_external_cell(path, key_col, row, "year", int), row[key_col]): row
+                for row in reader}
     if key_col == "zone":
         geo = [a.name for a in sch.attributes if a.role == "geography"]
         if not geo:
@@ -477,7 +495,8 @@ def _load_external_table(path, sch, base, years):
     if missing:
         raise CliError(f"{path}: no external values for "
                        + ", ".join(f"{key_col} {k} in year {y}" for k, y in missing))
-    return {y: {name: np.array([parse(rows[y, k][name]) for k in keys], dtype=base[name].dtype)
+    return {y: {name: np.array([_external_cell(path, key_col, rows[y, k], name, parse)
+                                for k in keys], dtype=base[name].dtype)
                 for name, parse in externals.items()}
             for y in years}
 

@@ -135,11 +135,15 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
     # overflow during a diverging run surfaces as a non-finite loss that the
     # training loop reports; no need for numpy to warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        enc_out, enc_tape = nn.forward(encoder, np.concatenate([V, C], axis=1))
+        # the validation pass runs no backward, so it keeps no tape
+        keep_tape = grads is not None
+        enc_out, enc_tape = nn.forward(encoder, np.concatenate([V, C], axis=1),
+                                       keep_tape=keep_tape)
         mu, log_var = enc_out[:, :d_z], enc_out[:, d_z:]
         std = np.exp(0.5 * log_var)
         z = mu + std * eps
-        dec_out, dec_tape = nn.forward(decoder, np.concatenate([z, C], axis=1))
+        dec_out, dec_tape = nn.forward(decoder, np.concatenate([z, C], axis=1),
+                                       keep_tape=keep_tape)
 
         clamped = np.maximum(dec_out, LOG_FLOOR)
         xent = -float(np.sum(V * np.log(clamped)))

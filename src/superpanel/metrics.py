@@ -135,16 +135,29 @@ def marginals(table, attribute: str, schema: Schema) -> np.ndarray:
     return counts.astype(float) / len(col)
 
 
-def _category_tuples(table, schema: Schema) -> list[tuple]:
-    """A table's rows as full category tuples."""
+def _row_codes(table_a, table_b, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
+    """One int64 code per row of a and of b, equal exactly when two rows' full
+    category tuples are equal.
+
+    The code is a mixed-radix number over every attribute's category index,
+    built over the rows of both tables together. When the radix product would
+    pass 2**62, the partial codes are re-ranked to 0..k-1 (k distinct values),
+    so the codes stay collision-free for any schema.
+    """
     names = tuple(a.name for a in schema.attributes)
-    cols = category_columns(table, names, schema)
-    return list(zip(*(cols[n].tolist() for n in names)))
-
-
-def _share_in(rows, other_rows) -> float:
-    other = set(other_rows)
-    return 100.0 * sum(1 for row in rows if row in other) / len(rows)
+    cols_a, cols_b = (category_columns(t, names, schema) for t in (table_a, table_b))
+    n_a = len(cols_a[names[0]])
+    codes = np.zeros(n_a + len(cols_b[names[0]]), dtype=np.int64)
+    radix = 1
+    for attr in schema.attributes:
+        if radix * attr.n_categories > 2 ** 62:
+            distinct, codes = np.unique(codes, return_inverse=True)
+            radix = len(distinct)
+        codes *= attr.n_categories
+        codes[:n_a] += cols_a[attr.name]
+        codes[n_a:] += cols_b[attr.name]
+        radix *= attr.n_categories
+    return codes[:n_a], codes[n_a:]
 
 
 def overlap_pair(table_a, table_b, schema: Schema) -> tuple[float, float]:
@@ -152,9 +165,12 @@ def overlap_pair(table_a, table_b, schema: Schema) -> tuple[float, float]:
     rows in b that occur in a.
 
     Numerical attributes are compared in bin space so that generated bin
-    midpoints match the raw survey values that fall in the same bin.
+    midpoints match the raw survey values that fall in the same bin. Rows are
+    compared by their integer codes (``_row_codes``).
     """
-    rows_a, rows_b = _category_tuples(table_a, schema), _category_tuples(table_b, schema)
-    if not rows_a or not rows_b:
+    codes_a, codes_b = _row_codes(table_a, table_b, schema)
+    if not len(codes_a) or not len(codes_b):
         raise MetricError("overlap needs nonempty samples")
-    return _share_in(rows_a, rows_b), _share_in(rows_b, rows_a)
+    hits_a = int(np.count_nonzero(np.isin(codes_a, codes_b)))
+    hits_b = int(np.count_nonzero(np.isin(codes_b, codes_a)))
+    return 100.0 * hits_a / len(codes_a), 100.0 * hits_b / len(codes_b)

@@ -134,24 +134,29 @@ def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.nda
     return grad_pre
 
 
-def forward(network: Network, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+def forward(network: Network, x: np.ndarray, *,
+            keep_tape: bool = True) -> tuple[np.ndarray, ForwardTape | None]:
     """Apply the network to a vector or a batch of row vectors.
 
     Each layer's activation overwrites its own matmul result, so a layer
     allocates one array; the tape keeps the activated outputs, which is all
-    that backward reads. x itself is never written.
+    that backward reads. With keep_tape false the tape is None and each
+    layer's output is freed once the next layer is computed, for passes that
+    never run backward. x itself is never written.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != network.in_dim:
         raise DimensionError(f"input width {x.shape[-1]} != {network.in_dim}")
-    tape = ForwardTape()
+    tape = ForwardTape() if keep_tape else None
     y = x
     for layer in network.layers:
-        tape.inputs.append(y)
+        if tape is not None:
+            tape.inputs.append(y)
         y = y @ layer.weights.T
         y += layer.biases
         _activate(layer, y)
-        tape.outputs.append(y)
+        if tape is not None:
+            tape.outputs.append(y)
     return y, tape
 
 

@@ -1,12 +1,14 @@
 import argparse
 import csv
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from superpanel import cli, cvae, metrics, panel
+from superpanel import cli, cvae, metrics, panel, sampling
+from superpanel import schema as schema_mod
 
 
 def run(argv):
@@ -152,6 +154,43 @@ class TestEvaluate:
         rows = read_csv(out / "overlap.csv")
         model_train = [r for r in rows[1:] if r[0] == "model-split-vs-train"][0]
         assert float(model_train[1]) < 100.0
+
+
+class TestMemory:
+    """Commands drop what they no longer read before the next large allocation."""
+
+    def test_evaluate_holds_one_population_at_a_time(self, pipeline, monkeypatch):
+        _, out, cfg = pipeline
+        generate, populations = sampling.generate_population, []
+
+        def tracked(*args, **kwargs):
+            alive = [i for i, refs in enumerate(populations) if any(r() is not None for r in refs)]
+            assert not alive, f"populations {alive} still alive at draw {len(populations)}"
+            population = generate(*args, **kwargs)
+            populations.append([weakref.ref(col) for col in population.columns.values()])
+            return population
+
+        monkeypatch.setattr(sampling, "generate_population", tracked)
+        assert run(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(populations) == 3
+
+    def test_train_drops_records_before_training(self, pipeline, tmp_path, monkeypatch):
+        _, _, cfg = pipeline
+        ingest, train, records, alive = schema_mod.ingest_csv, cvae.train, [], []
+
+        def tracked_ingest(*args, **kwargs):
+            result = ingest(*args, **kwargs)
+            records.extend(weakref.ref(rec) for rec in result[0])
+            return result
+
+        def tracked_train(*args, **kwargs):
+            alive.append(sum(r() is not None for r in records))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(schema_mod, "ingest_csv", tracked_ingest)
+        monkeypatch.setattr(cvae, "train", tracked_train)
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert records and alive == [0, 0]
 
 
 class TestPanelCommands:
@@ -701,6 +740,29 @@ class TestExternalTable:
         err = capsys.readouterr().err
         assert "no external values for individual_id 3 in year 1" in err
         assert "year 0" not in err and "year 2" not in err
+
+    @pytest.mark.parametrize("cut, expected", [
+        (lambda row: row[:2], "column 'access' of individual_id 3 in year 1 has no value"),
+        (lambda row: [row[0], "one", row[2]],
+         "column 'year' of individual_id 3 in year one holds 'one', not an integer"),
+        (lambda row: [row[0], row[1], "high"],
+         "column 'access' of individual_id 3 in year 1 holds 'high', not an integer"),
+    ], ids=["short-row", "year-not-an-integer", "value-not-an-integer"])
+    def test_bad_cell_named(self, tmp_path, capsys, no_sampling, cut, expected):
+        """A short row or an unparsable cell is refused naming the file, the column
+        and the row's (key, year)."""
+        cfg, out = self._external_setup(tmp_path, "individual")
+        ext_path = tmp_path / "external.csv"
+        rows = read_csv(ext_path)
+        at = rows.index(["3", "1", "0"])
+        rows[at] = cut(rows[at])
+        with open(ext_path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {ext_path}: {expected}" in capsys.readouterr().err
 
     def test_unrequested_partial_year_accepted(self, tmp_path):
         """Zone 1 has no row in year 2, which the panel does not request."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,43 @@ class TestFullGradient:
         assert np.array_equal(grads, first)
         assert cvae.loss_and_grads(*args) == terms
         assert np.array_equal(grads, first)
+
+
+class TestValidationPass:
+    """The no-gradient pass of loss_and_grads keeps no tape."""
+
+    ROWS, HIDDEN = 4000, (64, 32)
+
+    def setup_method(self):
+        self.data = tiny_encoded(self.ROWS, seed=5)
+        config = cvae.CvaeConfig(hidden_layers=self.HIDDEN, latent_dim=2, seed=4)
+        self.model = tiny_model(config=config, data=self.data)
+        self.eps = derive_rng(37, "val-pass").standard_normal((self.ROWS, 2))
+
+    def loss(self, grads=None):
+        return cvae.loss_and_grads(self.model.encoder, self.model.decoder, self.data.preference,
+                                   self.data.conditional, self.eps, self.model.config.beta, grads)
+
+    def peak_bytes(self):
+        tracemalloc.start()
+        try:
+            self.loss()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_terms_bit_identical_to_gradient_pass(self):
+        grads = nan_buffer([self.model.encoder, self.model.decoder])
+        with_grads = self.loss(nn.views([self.model.encoder, self.model.decoder], grads))
+        assert self.loss() == with_grads
+
+    def test_peak_below_taped_pass_by_encoder_hidden_outputs(self, monkeypatch):
+        free = self.peak_bytes()
+        forward = nn.forward
+        monkeypatch.setattr(nn, "forward", lambda net, x, keep_tape=True: forward(net, x))
+        taped = self.peak_bytes()
+        encoder_hidden = self.ROWS * sum(self.HIDDEN) * 8
+        assert taped - free >= encoder_hidden, (taped, free)
 
 
 class TestTrain:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -263,6 +264,31 @@ class TestOverlap:
             rec_a, rec_b = [sm.Record(r) for r in rows_a], [sm.Record(r) for r in rows_b]
             assert mx.overlap_pair(*tables(schema, rec_a, rec_b), schema) == (
                 brute_overlap(rows_a, rows_b), brute_overlap(rows_b, rows_a))
+
+    def test_joint_past_int64_matches_brute_force(self, monkeypatch):
+        """24 attributes x 7 categories: 7**24 > 2**63, so the row codes are
+        re-ranked on the way; rows of b repeat rows of a so that both hit and miss."""
+        schema = sm.Schema(attributes=tuple(
+            sm.AttributeSpec(f"a{i}", "preference" if i % 2 else "socio", "categorical",
+                             cardinality=7) for i in range(24)))
+        assert 7 ** 24 > 2 ** 63
+        unique, reranks = np.unique, []
+
+        def spy(*args, **kwargs):  # np.isin calls np.unique too; count _row_codes' calls
+            reranks.append(sys._getframe(1).f_code.co_name == "_row_codes")
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        rng = derive_rng(43, "overlap-wide")
+        for _ in range(20):
+            na, nb = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+            rows_a = [tuple(int(v) for v in rng.integers(7, size=24)) for _ in range(na)]
+            rows_b = [rows_a[int(rng.integers(na))] if rng.random() < 0.5
+                      else tuple(int(v) for v in rng.integers(7, size=24)) for _ in range(nb)]
+            rec_a, rec_b = [sm.Record(r) for r in rows_a], [sm.Record(r) for r in rows_b]
+            assert mx.overlap_pair(*tables(schema, rec_a, rec_b), schema) == (
+                brute_overlap(rows_a, rows_b), brute_overlap(rows_b, rows_a))
+        assert sum(reranks) == 20  # one re-rank per call
 
     def test_pair_reports_both_directions(self):
         schema = two_attr_schema()

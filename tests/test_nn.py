@@ -115,6 +115,14 @@ class TestForward:
         assert np.array_equal(a, b)
         assert tape.inputs[0] is x and tape.outputs[-1] is a
 
+    def test_tape_free_output_bit_identical(self):
+        net = tiny_net([4, 6, 5, 7], seed=7, output_blocks=SOFTMAX_HEAD)
+        x = derive_rng(4, "tape-free").standard_normal((9, 4))
+        taped, tape = nn.forward(net, x)
+        free, no_tape = nn.forward(net, x, keep_tape=False)
+        assert no_tape is None and len(tape.outputs) == 3
+        assert np.array_equal(free, taped)
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):
