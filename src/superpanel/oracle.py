@@ -9,13 +9,13 @@ remaining categories rescaled proportionally; the shifted category's
 probability is therefore exactly base + year * per_year.
 
 Because every conditional is explicit, the exact joint preference
-distribution for any profile and year is computable by enumeration, which
-turns statistical claims about the trained model into checkable facts.
+distribution for any profile and year is the product of the preference
+tables read at that profile, which turns statistical claims about the
+trained model into checkable facts.
 """
 
 import json
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -41,12 +41,6 @@ class TableSpec:
     attribute: str
     parents: tuple[str, ...]
     probs: tuple[tuple[float, ...], ...]
-
-    def row_index(self, parent_values, parent_dims) -> int:
-        idx = 0
-        for v, d in zip(parent_values, parent_dims):
-            idx = idx * d + int(v)
-        return idx
 
 
 @dataclass(frozen=True)
@@ -91,31 +85,30 @@ class DgpSpec:
             for p in t.parents:
                 if order[p] >= order[t.attribute]:
                     raise DgpError(f"{t.attribute}: parent {p} must come earlier in the schema")
+                # the exact conditionals hold the profile fixed, so nothing in it
+                # may depend on a preference
+                if (self.schema.attribute(p).role == "preference"
+                        and self.schema.attribute(t.attribute).role != "preference"):
+                    raise DgpError(f"{t.attribute} is not a preference but its parent {p} is")
         for d in self.drifts:
-            self._drifted_row_check(d)
+            self._drift_check(d)
+        for name in dict.fromkeys(d.attribute for d in self.drifts):
+            for year in self.years:
+                probs = effective_table(self, self.table_for(name), year)
+                if not np.all((probs >= 0.0) & (probs <= 1.0)):
+                    raise DgpError(f"drift on {name} leaves [0,1] at year {year}")
 
-    def _drifted_row_check(self, drift: DriftSpec) -> None:
+    def _drift_check(self, drift: DriftSpec) -> None:
         table = self.table_for(drift.attribute)
         card = self.schema.attribute(drift.attribute).cardinality
         if not 0 <= drift.category < card:
             raise DgpError(f"drift category {drift.category} out of range")
-        when = dict(drift.when)
-        for name in when:
+        for name, value in drift.when:
             if name not in table.parents:
                 raise DgpError(f"drift filter {name} is not a parent of {drift.attribute}")
-        for row_values, row in self._table_rows(table):
-            if all(row_values.get(k) == v for k, v in when.items()):
-                for year in self.years:
-                    p = row[drift.category] + year * drift.per_year
-                    if not 0.0 <= p <= 1.0:
-                        raise DgpError(
-                            f"drift on {drift.attribute} leaves [0,1] at year {year}"
-                        )
-
-    def _table_rows(self, table: TableSpec):
-        dims = [self.schema.attribute(p).cardinality for p in table.parents]
-        for i, combo in enumerate(product(*[range(d) for d in dims])):
-            yield dict(zip(table.parents, combo)), table.probs[i]
+            if value not in range(self.schema.attribute(name).cardinality):
+                raise DgpError(f"drift filter {name}={value!r} on {drift.attribute} "
+                               f"is not a category of {name}")
 
     def table_for(self, attribute: str) -> TableSpec:
         for t in self.tables:
@@ -141,17 +134,17 @@ class DgpSpec:
 
 
 def dgp_from_dict(data: dict) -> DgpSpec:
-    return DgpSpec(
-        schema=schema_from_dict(data["schema"]),
-        tables=tuple(
+    try:
+        schema = schema_from_dict(data["schema"])
+        tables = tuple(
             TableSpec(
                 attribute=t["attribute"],
                 parents=tuple(t["parents"]),
                 probs=tuple(tuple(float(p) for p in row) for row in t["probs"]),
             )
             for t in data["tables"]
-        ),
-        drifts=tuple(
+        )
+        drifts = tuple(
             DriftSpec(
                 attribute=d["attribute"],
                 category=int(d["category"]),
@@ -159,14 +152,20 @@ def dgp_from_dict(data: dict) -> DgpSpec:
                 when=tuple(sorted(d.get("when", {}).items())),
             )
             for d in data.get("drifts", [])
-        ),
-        years=tuple(data.get("years", [0])),
-    )
+        )
+    except KeyError as exc:
+        raise DgpError(f"generating process: missing key {exc.args[0]!r}") from None
+    return DgpSpec(schema=schema, tables=tables, drifts=drifts,
+                   years=tuple(data.get("years", [0])))
 
 
 def load_dgp(path) -> DgpSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return dgp_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return dgp_from_dict(data)
+    except DgpError as exc:
+        raise DgpError(f"{path}: {exc}") from None
 
 
 def save_dgp(spec: DgpSpec, path) -> None:
@@ -176,31 +175,26 @@ def save_dgp(spec: DgpSpec, path) -> None:
 
 
 def effective_table(spec: DgpSpec, table: TableSpec, year: int) -> np.ndarray:
-    """Full table at one year, matching drifts applied row by row."""
-    dims = [spec.schema.attribute(p).cardinality for p in table.parents]
-    rows = np.array(table.probs, dtype=float)
-    my_drifts = [d for d in spec.drifts if d.attribute == table.attribute]
-    if not my_drifts:
-        return rows
-    for i, combo in enumerate(product(*[range(d) for d in dims])):
-        parent_values = dict(zip(table.parents, combo))
-        row = rows[i]
-        for drift in my_drifts:
-            if not all(parent_values.get(k) == v for k, v in dict(drift.when).items()):
-                continue
-            base = row[drift.category]
-            target = base + year * drift.per_year
-            rest = 1.0 - base
-            if rest > 0:
-                row[:] *= (1.0 - target) / rest
-            row[drift.category] = target
-    return rows
+    """The table at one year, shaped (*parent cardinalities, n_categories).
 
-
-def _effective_row(spec: DgpSpec, table: TableSpec, parent_values: dict, year: int) -> np.ndarray:
+    Each drift on the table, in declared order, sets its category to
+    target = base + year * per_year on the rows its filter selects and
+    scales those rows by (1 - target) / (1 - base) first.
+    """
     dims = [spec.schema.attribute(p).cardinality for p in table.parents]
-    row_idx = table.row_index([parent_values[p] for p in table.parents], dims) if dims else 0
-    return effective_table(spec, table, year)[row_idx]
+    probs = np.array(table.probs, dtype=float).reshape(*dims, -1)
+    for drift in spec.drifts:
+        if drift.attribute != table.attribute:
+            continue
+        when = dict(drift.when)
+        # basic indexing: a view, so the writes below land in probs
+        rows = probs[tuple(int(when[p]) if p in when else slice(None) for p in table.parents)]
+        base = rows[..., drift.category].copy()
+        target = base + year * drift.per_year
+        rest = 1.0 - base
+        rows *= np.divide(1.0 - target, rest, out=np.ones_like(rest), where=rest > 0)[..., None]
+        rows[..., drift.category] = target
+    return probs
 
 
 def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) -> list[Record]:
@@ -214,6 +208,10 @@ def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) 
     years = tuple(years) if years is not None else spec.years
     schema = spec.schema
     time_attr = schema.time_attribute
+    if time_attr is not None and any(time_attr.name in t.parents for t in spec.tables):
+        for year in years:
+            if int(year) not in range(time_attr.cardinality):
+                raise DgpError(f"year {year} is not a category of {time_attr.name}, a table parent")
     records: list[Record] = []
     for year in years:
         rng = derive_rng(seed, "dgp-year", int(year))
@@ -224,45 +222,44 @@ def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) 
             if time_attr is not None and attr.name == time_attr.name:
                 continue
             table = spec.table_for(attr.name)
-            rows = effective_table(spec, table, int(year))
-            if table.parents:
-                dims = [schema.attribute(p).cardinality for p in table.parents]
-                row_idx = np.ravel_multi_index([cols[p] for p in table.parents], dims)
-            else:
-                row_idx = np.zeros(n_per_year, dtype=np.int64)
-            probs = rows[row_idx]
-            cum = np.cumsum(probs, axis=1)
-            u = rng.random(n_per_year) * cum[:, -1]
-            cat = np.sum(u[:, None] >= cum, axis=1)
-            cols[attr.name] = np.minimum(cat, rows.shape[1] - 1).astype(np.int64)
+            cum = np.cumsum(effective_table(spec, table, int(year)), axis=-1)
+            cum = cum[tuple(cols[p] for p in table.parents)]
+            u = rng.random(n_per_year) * cum[..., -1]
+            cat = np.sum(u[:, None] >= cum, axis=-1)
+            cols[attr.name] = np.minimum(cat, cum.shape[-1] - 1).astype(np.int64)
         mat = np.stack([cols[a.name] for a in schema.attributes], axis=1)
-        records.extend(Record(tuple(int(v) for v in row)) for row in mat)
+        records.extend(Record(tuple(row)) for row in mat.tolist())
     return records
 
 
 def exact_conditional(spec: DgpSpec, profile_values: dict, year: int) -> JointHistogram:
     """Exact joint preference distribution for one profile at one year.
 
-    Enumerates every preference combination and multiplies the table
-    conditionals along the ancestral order.
+    A running product over the preferences in schema order: each table is
+    read at the profile's values, keeps one axis per preference parent and
+    multiplies the joint of the preferences before it.
     """
     schema = spec.schema
     pref = schema.preference_attributes
     subset = tuple(a.name for a in pref)
-    dims = tuple(a.cardinality for a in pref)
-    freqs = np.zeros(int(np.prod(dims)))
-    for flat, combo in enumerate(product(*[range(d) for d in dims])):
-        values = dict(profile_values)
-        if schema.time_attribute is not None:
-            values[schema.time_attribute.name] = int(year)
-        p = 1.0
-        for attr, cat in zip(pref, combo):
-            table = spec.table_for(attr.name)
-            row = _effective_row(spec, table, values, int(year))
-            p *= row[cat]
-            values[attr.name] = cat
-        freqs[flat] = p
-    return JointHistogram(subset=subset, dims=dims, frequencies=freqs, n_source=0)
+    axis = {name: i for i, name in enumerate(subset)}
+    values = dict(profile_values)
+    if schema.time_attribute is not None:
+        values[schema.time_attribute.name] = int(year)
+    joint = np.ones(())
+    for k, attr in enumerate(pref):
+        table = spec.table_for(attr.name)
+        missing = [p for p in table.parents if p not in axis and p not in values]
+        if missing:
+            raise DgpError(f"profile has no value for {missing[0]}, a parent of {attr.name}")
+        probs = effective_table(spec, table, int(year))[
+            tuple(slice(None) if p in axis else int(values[p]) for p in table.parents)]
+        parents = [axis[p] for p in table.parents if p in axis]
+        probs = probs.transpose(*np.argsort(parents), len(parents)).reshape(
+            [a.cardinality if j in parents else 1 for j, a in enumerate(pref[:k])] + [-1])
+        joint = joint[..., None] * probs
+    return JointHistogram(subset=subset, dims=joint.shape, frequencies=joint.reshape(-1),
+                          n_source=0)
 
 
 def exact_population_joint(spec: DgpSpec, profiles_values, year: int) -> JointHistogram:

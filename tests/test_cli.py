@@ -98,6 +98,21 @@ class TestSynthTrain:
                     "--out", str(tmp_path / "o")]) == 1
         assert f"{cfg}: a config file must hold a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", ["tables", "per_year"])
+    def test_dgp_file_missing_key_fails(self, tmp_path, capsys, drop):
+        from superpanel import oracle
+
+        dgp = oracle.canned_spec("drift-split").to_dict()
+        if drop == "tables":
+            del dgp["tables"]
+        else:
+            del dgp["drifts"][0]["per_year"]
+        spec_path = tmp_path / "dgp.json"
+        spec_path.write_text(json.dumps(dgp))
+        cfg = base_config(tmp_path, tmp_path, dgp={"spec_path": str(spec_path)})
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"{spec_path}: generating process: missing key '{drop}'" in capsys.readouterr().err
+
     def test_missing_inputs_fail_cleanly(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 1, "schema": "/nope.json", "data": "/nope.csv"}))
