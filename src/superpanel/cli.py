@@ -178,19 +178,23 @@ def _out_dir(args, config) -> Path:
     return path
 
 
-def _load_inputs(config):
+def _load_schema(config):
     if not config["schema"] or not config["data"]:
         raise CliError("config must point at 'schema' and 'data' files")
-    sch = schema_mod.load_schema(config["schema"])
+    return schema_mod.load_schema(config["schema"])
+
+
+def _load_inputs(config):
+    sch = _load_schema(config)
     records, dropped = schema_mod.ingest_csv(config["data"], sch)
     return sch, records, dropped
 
 
 def _load_table(config):
-    """The config's schema and its survey as a column table. The records are
-    not kept, so the stage that follows holds only the table."""
-    sch, records, _ = _load_inputs(config)
-    return sch, schema_mod.record_columns(records, sch)
+    """The config's schema and its survey read straight into a column table,
+    so the stage that follows builds no records."""
+    sch = _load_schema(config)
+    return sch, schema_mod.read_table(config["data"], sch)[0]
 
 
 def _load_encoded(config):

@@ -134,25 +134,31 @@ def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.nda
     return grad_pre
 
 
-def forward(network: Network, x: np.ndarray, *,
-            keep_tape: bool = True) -> tuple[np.ndarray, ForwardTape | None]:
+def forward(network: Network, x: np.ndarray, *, keep_tape: bool = True,
+            out=None) -> tuple[np.ndarray, ForwardTape | None]:
     """Apply the network to a vector or a batch of row vectors.
 
     Each layer's activation overwrites its own matmul result, so a layer
     allocates one array; the tape keeps the activated outputs, which is all
     that backward reads. With keep_tape false the tape is None and each
     layer's output is freed once the next layer is computed, for passes that
-    never run backward. x itself is never written.
+    never run backward. out, one array per layer shaped like its output,
+    receives the layer outputs instead, so repeated passes allocate nothing;
+    a tape would hold arrays the next pass overwrites, so out needs
+    keep_tape false. x itself is never written.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != network.in_dim:
         raise DimensionError(f"input width {x.shape[-1]} != {network.in_dim}")
+    if out is not None and keep_tape:
+        raise ValueError("out= buffers are overwritten by the next pass; "
+                         "pass keep_tape=False")
     tape = ForwardTape() if keep_tape else None
     y = x
-    for layer in network.layers:
+    for i, layer in enumerate(network.layers):
         if tape is not None:
             tape.inputs.append(y)
-        y = y @ layer.weights.T
+        y = y @ layer.weights.T if out is None else np.matmul(y, layer.weights.T, out=out[i])
         y += layer.biases
         _activate(layer, y)
         if tape is not None:

@@ -197,6 +197,14 @@ def effective_table(spec: DgpSpec, table: TableSpec, year: int) -> np.ndarray:
     return probs
 
 
+def _check_year(spec: DgpSpec, year) -> None:
+    """Refuse a year that is not a category of a categorical time attribute:
+    no table has a row for it, and ingest would drop its records."""
+    t = spec.schema.time_attribute
+    if t is not None and t.kind == "categorical" and year not in range(t.cardinality):
+        raise DgpError(f"year {year} is not a category of {t.name}")
+
+
 def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) -> list[Record]:
     """Ancestral sampling: n_per_year records for each requested year.
 
@@ -208,10 +216,8 @@ def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) 
     years = tuple(years) if years is not None else spec.years
     schema = spec.schema
     time_attr = schema.time_attribute
-    if time_attr is not None and any(time_attr.name in t.parents for t in spec.tables):
-        for year in years:
-            if int(year) not in range(time_attr.cardinality):
-                raise DgpError(f"year {year} is not a category of {time_attr.name}, a table parent")
+    for year in years:
+        _check_year(spec, year)
     records: list[Record] = []
     for year in years:
         rng = derive_rng(seed, "dgp-year", int(year))
@@ -243,6 +249,7 @@ def exact_conditional(spec: DgpSpec, profile_values: dict, year: int) -> JointHi
     pref = schema.preference_attributes
     subset = tuple(a.name for a in pref)
     axis = {name: i for i, name in enumerate(subset)}
+    _check_year(spec, year)
     values = dict(profile_values)
     if schema.time_attribute is not None:
         values[schema.time_attribute.name] = int(year)
@@ -252,6 +259,10 @@ def exact_conditional(spec: DgpSpec, profile_values: dict, year: int) -> JointHi
         missing = [p for p in table.parents if p not in axis and p not in values]
         if missing:
             raise DgpError(f"profile has no value for {missing[0]}, a parent of {attr.name}")
+        for p in table.parents:
+            if p not in axis and values[p] not in range(schema.attribute(p).cardinality):
+                raise DgpError(f"profile value {p}={values[p]!r} is not a category of {p}, "
+                               f"a parent of {attr.name}")
         probs = effective_table(spec, table, int(year))[
             tuple(slice(None) if p in axis else int(values[p]) for p in table.parents)]
         parents = [axis[p] for p in table.parents if p in axis]

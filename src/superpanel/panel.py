@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cvae, metrics
-from .sampling import generate_population, _decode_with_noise
+from .sampling import CHUNK_ROWS, generate_population, _decode_with_noise
 from .schema import Schema, category_columns, encode, encode_columns, record_columns, take_rows
 from .seeding import derive_rng, derive_seed, map_units
 
@@ -71,20 +71,34 @@ def _year_columns(base_cols: dict, schema: Schema, year: int, external_by_year) 
 
 
 def _panel_year_block(args):
-    """All cells of one year: each subset's (n, n_bins) frequencies, in subsets order."""
+    """All cells of one year: each subset's (n, n_bins) frequencies, in subsets order.
+
+    The year's draws are held in one array of the narrowest unsigned type
+    that holds every preference's categories, and each cell's generator
+    lives only while its rows are drawn. Cells are tabulated in slices of
+    about CHUNK_ROWS draws, so the keys never grow with the year's draws.
+    """
     year, model, cond_rows, subsets, draws_per_cell, seed = args
     schema = model.schema
+    prefs = schema.preference_attributes
     n, r = len(cond_rows), draws_per_cell
-    rngs = [derive_rng(seed, "panel-cell", str(i), year) for i in range(n)]
-    draws = _decode_with_noise(model, cond_rows, r, rngs)
-    # row i of a column reshaped to (n, r) holds cell i's draws
-    cat_cols = {a.name: col.reshape(n, r) for a, col in zip(schema.preference_attributes, draws.T)}
-    cell = np.arange(n)[:, None]
-    out = []
-    for subset in subsets:
-        dims = (n, *metrics.subset_dims(schema, subset))
-        keys = np.ravel_multi_index((cell, *(cat_cols[a] for a in subset)), dims)
-        out.append(np.bincount(keys.ravel(), minlength=int(np.prod(dims))).reshape(n, -1) / r)
+    widest = max(a.n_categories for a in prefs)
+    draws = np.empty((n * r, len(prefs)), dtype=np.min_scalar_type(widest - 1))
+    _decode_with_noise(model, cond_rows, r,
+                       (derive_rng(seed, "panel-cell", str(i), year) for i in range(n)), draws)
+    column = {a.name: j for j, a in enumerate(prefs)}
+    dims = [metrics.subset_dims(schema, s) for s in subsets]
+    out = [np.empty((n, int(np.prod(d)))) for d in dims]
+    step = max(1, CHUNK_ROWS // r)
+    for lo in range(0, n, step):
+        # row i of block[:, :, j] holds cell lo + i's draws of preference j
+        block = draws[lo * r : (lo + step) * r].reshape(-1, r, len(prefs))
+        cell = np.arange(len(block))[:, None]
+        for subset, d, freqs in zip(subsets, dims, out):
+            keys = np.ravel_multi_index((cell, *(block[:, :, column[a]] for a in subset)),
+                                        (len(block), *d))
+            counts = np.bincount(keys.ravel(), minlength=len(block) * freqs.shape[1])
+            freqs[lo : lo + len(block)] = counts.reshape(len(block), -1) / r
     return out
 
 

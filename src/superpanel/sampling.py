@@ -11,10 +11,12 @@ rows come from ``schema.encode_columns``, like every other encoded row.
 One kernel (``_decode_with_noise``) serves per-profile draws, bulk
 columns and the panel cube. It draws whole rows in cache-sized chunks of
 about ``CHUNK_ROWS`` draws, sends at most ``CHUNK_ROWS`` of them through
-one decoder pass and writes their categories into one int64 array
-allocated once, so its decoder working memory grows neither with the
-number of rows nor with the draws per row. Generated populations are
-column tables, like the survey tables they are drawn from.
+one decoder pass and writes their categories into the caller's array
+(int64 unless the caller passes a narrower one), so its decoder working
+memory grows neither with the number of rows nor with the draws per row.
+All passes of a call write their layer outputs into one set of buffers.
+Generated populations are column tables, like the survey tables they are
+drawn from.
 """
 
 from dataclasses import dataclass
@@ -27,8 +29,10 @@ from .schema import encode_columns
 from .seeding import derive_rng
 
 #: decoder draws pushed through one forward pass: small enough that a chunk's
-#: input, layer outputs and category arrays stay near cache size
-CHUNK_ROWS = 4096
+#: input, layer outputs and category arrays stay near cache size. On the
+#: panel-drift workload (2 shared cores) 2,048 peaked 3.5 MB below 4,096 with
+#: no resolved time change; 1,024 saved 1.5 MB more but took 5-15% longer.
+CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -59,40 +63,50 @@ def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndar
 
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,
-                       rngs) -> np.ndarray:
+                       rngs, out: np.ndarray | None = None) -> np.ndarray:
     """The sampling kernel: draws_per_row decoder draws for every conditional row.
 
-    rngs[i] is row i's generator (rows may share one); each row draws its
-    latent noise, then its category uniforms. Whole rows are drawn in
-    chunks of about CHUNK_ROWS draws, each built in one reused input
-    buffer, and decoded in slices of at most CHUNK_ROWS draws (a row with
-    more draws spans several slices); their categories are written into
-    one int64 array allocated once. Returns that (n_rows * draws_per_row,
-    n_pref) array of category indices, draws_per_row consecutive rows per
-    conditional row and one column per preference attribute.
+    rngs yields each row's generator in row order (rows may share one). It
+    is read as the rows are drawn, so a lazy iterable keeps one generator
+    alive at a time; each row draws its latent noise, then its category
+    uniforms. Whole rows are drawn in chunks of about CHUNK_ROWS draws,
+    each built in one reused input buffer, and decoded in slices of at most
+    CHUNK_ROWS draws (a row with more draws spans several slices), every
+    pass writing its layer outputs into one set of buffers allocated per
+    call. The categories are written into out, an (n_rows * draws_per_row,
+    n_pref) integer array, int64 and allocated here when not given:
+    draws_per_row consecutive rows per conditional row and one column per
+    preference attribute. Returns out.
     """
     r, d_z = draws_per_row, model.config.latent_dim
     n, n_blocks = len(c_rows), len(model.schema.preference_attributes)
-    out = np.empty((n * r, n_blocks), dtype=np.int64)
+    if out is None:
+        out = np.empty((n * r, n_blocks), dtype=np.int64)
     if n * r == 0:
         return out
     rows_per_chunk = min(n, max(1, CHUNK_ROWS // r))
     x = np.empty((rows_per_chunk, r, d_z + c_rows.shape[1]))
     uniforms = np.empty((rows_per_chunk, r, n_blocks))
+    # fresh layer outputs for every pass go back to the OS and are faulted in
+    # again: panel-drift's build-panel took 177k page faults against 10k, and
+    # 2.5-2.8 s against 1.8-2.0 s
+    layers = [np.empty((min(rows_per_chunk * r, CHUNK_ROWS), layer.out_dim))
+              for layer in model.decoder.layers]
+    rngs = iter(rngs)
     for lo in range(0, n, rows_per_chunk):
         k = min(rows_per_chunk, n - lo)
-        for i, rng in enumerate(rngs[lo : lo + k]):
+        for i, rng in zip(range(k), rngs):
             # latent draws from the unit prior are the eps themselves
             x[i, :, :d_z] = rng.standard_normal((r, d_z))
             rng.random(out=uniforms[i])
         x[:k, :, d_z:] = c_rows[lo : lo + k, None, :]
         x_k, u_k = x[:k].reshape(k * r, -1), uniforms[:k].reshape(k * r, n_blocks)
-        # several slices only when one row has more than CHUNK_ROWS draws;
-        # [0] drops the tape, so no hidden layer outlives its slice
+        # several slices only when one row has more than CHUNK_ROWS draws
         for a in range(0, k * r, CHUNK_ROWS):
             b = min(a + CHUNK_ROWS, k * r)
-            out[lo * r + a : lo * r + b] = _resolve_samples(
-                model, nn.forward(model.decoder, x_k[a:b])[0], u_k[a:b])
+            dec_out = nn.forward(model.decoder, x_k[a:b], keep_tape=False,
+                                 out=[y[: b - a] for y in layers])[0]
+            out[lo * r + a : lo * r + b] = _resolve_samples(model, dec_out, u_k[a:b])
     return out
 
 

@@ -3,13 +3,14 @@
 A survey column is declared as an :class:`AttributeSpec` with a role
 (time / geography / external / socio / preference) and a kind (categorical
 with a fixed number of categories, or numerical with sorted bin edges).
-Ingested records become a column table, one array per attribute, which
-every later stage works on. Rows are encoded into a conditional block
-``C`` (all non-preference attributes) and a preference block ``V``;
-categorical attributes become one-hot segments and numerical attributes
-one-hot segments over their bins.
+A survey CSV is read into a column table, one array per attribute, which
+every later stage works on; ``ingest_csv`` gives the same rows as records.
+Rows are encoded into a conditional block ``C`` (all non-preference
+attributes) and a preference block ``V``; categorical attributes become
+one-hot segments and numerical attributes one-hot segments over their bins.
 """
 
+import array
 import csv
 import functools
 import hashlib
@@ -219,13 +220,9 @@ def _parse_cell(text: str, attr: AttributeSpec):
     return None
 
 
-def ingest_csv(path, schema: Schema) -> tuple[list[Record], int]:
-    """Read a CSV with a header row into records.
-
-    Rows containing any missing or unparsable cell are dropped; the drop
-    count is returned alongside the surviving records. Extra columns not
-    named in the schema are ignored.
-    """
+def _read_columns(path, schema: Schema) -> tuple[list[array.array], int]:
+    """The one CSV parser: each attribute's parsed values in schema order,
+    int64 categories or float64 raw values, and the dropped-row count."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -236,29 +233,53 @@ def ingest_csv(path, schema: Schema) -> tuple[list[Record], int]:
         missing = [a.name for a in schema.attributes if a.name not in header]
         if missing:
             raise IngestError(f"{path}: header missing attributes {missing}")
-        col_of = {a.name: header.index(a.name) for a in schema.attributes}
-        records = []
+        positions = [header.index(a.name) for a in schema.attributes]
+        cols = [array.array("q" if a.kind == "categorical" else "d") for a in schema.attributes]
+        # a categorical column repeats a few texts: each is parsed once
+        parsed = [{} for _ in schema.attributes]
         dropped = 0
         for row in reader:
             if not row:
                 continue
             values = []
-            ok = True
-            for attr in schema.attributes:
-                i = col_of[attr.name]
-                cell = row[i] if i < len(row) else ""
-                v = _parse_cell(cell, attr)
+            for i, attr, seen in zip(positions, schema.attributes, parsed):
+                text = row[i] if i < len(row) else ""
+                v = seen.get(text)
                 if v is None:
-                    ok = False
-                    break
+                    v = _parse_cell(text, attr)
+                    if v is None:
+                        dropped += 1
+                        break
+                    if attr.kind == "categorical":
+                        seen[text] = v
                 values.append(v)
-            if ok:
-                records.append(Record(tuple(values)))
             else:
-                dropped += 1
-    if not records:
+                for col, v in zip(cols, values):
+                    col.append(v)
+    if not cols[0]:
         raise IngestError(f"{path}: no surviving rows after filtering")
-    return records, dropped
+    return cols, dropped
+
+
+def read_table(path, schema: Schema) -> tuple[dict[str, np.ndarray], int]:
+    """Read a CSV with a header row into a column table.
+
+    The table has one array per attribute in schema order, int64 categories
+    or float64 raw values, as ``record_columns`` builds them. Rows
+    containing any missing or unparsable cell are dropped; the drop count
+    is returned alongside the table. Blank lines are skipped and extra
+    columns not named in the schema are ignored.
+    """
+    cols, dropped = _read_columns(path, schema)
+    return {a.name: np.frombuffer(col, np.int64 if a.kind == "categorical" else np.float64)
+            for a, col in zip(schema.attributes, cols)}, dropped
+
+
+def ingest_csv(path, schema: Schema) -> tuple[list[Record], int]:
+    """Read a CSV with a header row into records, the rows of ``read_table``'s
+    table, and the count of dropped rows."""
+    cols, dropped = _read_columns(path, schema)
+    return [Record(values) for values in zip(*cols)], dropped
 
 
 def write_records_csv(path, table, schema: Schema) -> None:

@@ -113,6 +113,15 @@ class TestSynthTrain:
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert f"{spec_path}: generating process: missing key '{drop}'" in capsys.readouterr().err
 
+    def test_year_outside_time_categories_fails(self, tmp_path, capsys):
+        """No drift-split table reads the year, yet year 7 has no category: its
+        rows would be written and then dropped at ingest."""
+        cfg = base_config(tmp_path, tmp_path,
+                          dgp={"name": "drift-split", "n_per_year": 100, "years": [0, 7]})
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "year 7 is not a category of year" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "data.csv").exists()
+
     def test_missing_inputs_fail_cleanly(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 1, "schema": "/nope.json", "data": "/nope.csv"}))

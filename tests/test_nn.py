@@ -123,6 +123,25 @@ class TestForward:
         assert no_tape is None and len(tape.outputs) == 3
         assert np.array_equal(free, taped)
 
+    def test_out_buffers_bit_identical_and_reused(self):
+        """Layer outputs written into given arrays equal the allocating pass bit
+        for bit, also when the arrays are views of larger ones holding stale values."""
+        net = tiny_net([4, 6, 5, 7], seed=8, output_blocks=SOFTMAX_HEAD)
+        x = derive_rng(5, "out-buffers").standard_normal((9, 4))
+        fresh, _ = nn.forward(net, x, keep_tape=False)
+        bufs = [np.full((12, layer.out_dim), np.nan) for layer in net.layers]
+        for _ in range(2):
+            got, tape = nn.forward(net, x, keep_tape=False, out=[b[:9] for b in bufs])
+            assert tape is None and np.shares_memory(got, bufs[-1])
+            assert np.array_equal(got, fresh)
+
+    def test_out_buffers_refused_with_a_tape(self):
+        net = tiny_net([4, 6, 5, 7], seed=8, output_blocks=SOFTMAX_HEAD)
+        x = np.zeros((3, 4))
+        bufs = [np.empty((3, layer.out_dim)) for layer in net.layers]
+        with pytest.raises(ValueError, match="keep_tape=False"):
+            nn.forward(net, x, out=bufs)
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):

@@ -123,6 +123,14 @@ class TestGenerate:
         years = {r.values[0] for r in records}
         assert years == {2, 4}
 
+    @pytest.mark.parametrize("year", [-1, 7])
+    def test_year_outside_time_categories_refused(self, year):
+        """No drift-split table reads the year: its rows were written anyway and
+        dropped at ingest."""
+        spec = oracle.canned_spec("drift-split")
+        with pytest.raises(oracle.DgpError, match=f"year {year} is not a category of year"):
+            oracle.generate_dataset(spec, 10, years=(0, year), seed=1)
+
     def test_records_validate_against_schema(self):
         spec = oracle.canned_spec("static-corr")
         records = oracle.generate_dataset(spec, 100, seed=5)
@@ -158,6 +166,20 @@ class TestExactConditional:
         spec = oracle.canned_spec("drift-split")
         with pytest.raises(oracle.DgpError, match="no value for group, a parent of p_mode"):
             oracle.exact_conditional(spec, {"segment": 0}, year=0)
+
+    @pytest.mark.parametrize("group", [-1, 2])
+    def test_profile_value_outside_parent_named(self, group):
+        """-1 would wrap to group 1's row and 2 would be a bare IndexError."""
+        spec = oracle.canned_spec("drift-split")
+        with pytest.raises(oracle.DgpError,
+                           match=f"profile value group={group} is not a category of group"):
+            oracle.exact_conditional(spec, {"group": group, "segment": 0}, year=4)
+
+    def test_year_outside_time_categories_named(self):
+        """No table reads the year, but the drift arithmetic would extrapolate to it."""
+        spec = oracle.canned_spec("drift-split")
+        with pytest.raises(oracle.DgpError, match="year 9 is not a category of year"):
+            oracle.exact_conditional(spec, {"group": 1, "segment": 0}, year=9)
 
     def test_drift_linear_by_construction(self):
         spec = oracle.canned_spec("drift-split")

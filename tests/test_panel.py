@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,35 +103,39 @@ class TestBuildPanel:
 class TestCellDraws:
     def test_cell_recomputed_by_hand(self, drift_setup, small_cube):
         """A cell's generator yields the latent noise, then the category
-        uniforms; its decoded draws go through the cumulative-sum rule."""
+        uniforms; its decoded draws go through the cumulative-sum rule.
+        Cell 57 lies in a later tabulation slice than cell 7."""
         spec, records, model, base = drift_setup
-        i, t = 7, 1
+        t = 1
         year, r = small_cube.years[t], small_cube.draws_per_cell
-        rng = derive_rng(64, "panel-cell", str(i), year)
-        eps = rng.standard_normal((r, model.config.latent_dim))
+        assert 7 // max(1, panel.CHUNK_ROWS // r) < 57 // max(1, panel.CHUNK_ROWS // r)
         blocks = spans(spec.schema.preference_attributes)
-        uniforms = rng.random((r, len(blocks)))
         conditional = spec.schema.conditional_attributes
-        cell = sm.encode_columns(sm.take_rows(base, [i]), conditional)[0]
         cols = dict(small_cube.conditionals)
         cols[spec.schema.time_attribute.name] = np.full(small_cube.n_individuals, year)
-        c_row = sm.encode_columns(cols, conditional)[i]
-        # only the time block differs from the base record's own row
-        moved = [a for a, b in spans(conditional) if not np.array_equal(cell[b], c_row[b])]
-        assert [a.name for a in moved] == [spec.schema.time_attribute.name]
-        dec = nn.forward(model.decoder, np.concatenate([eps, np.tile(c_row, (r, 1))], axis=1))[0]
-        cats = {}
-        for j, (attr, block) in enumerate(blocks):
-            cum = np.cumsum(dec[:, block], axis=1)
-            u = uniforms[:, j] * cum[:, -1]
-            cats[attr.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1), attr.n_categories - 1)
-            expected = np.bincount(cats[attr.name], minlength=attr.n_categories) / r
-            assert np.array_equal(small_cube.joint((attr.name,))[i, t], expected)
-        s = JOINT
-        dims = metrics.subset_dims(spec.schema, s)
-        flat = np.ravel_multi_index([cats[a] for a in s], dims)
-        expected = np.bincount(flat, minlength=int(np.prod(dims))) / r
-        assert np.array_equal(small_cube.joint(JOINT)[i, t], expected)
+        for i in (7, 57):
+            rng = derive_rng(64, "panel-cell", str(i), year)
+            eps = rng.standard_normal((r, model.config.latent_dim))
+            uniforms = rng.random((r, len(blocks)))
+            cell = sm.encode_columns(sm.take_rows(base, [i]), conditional)[0]
+            c_row = sm.encode_columns(cols, conditional)[i]
+            # only the time block differs from the base record's own row
+            moved = [a for a, b in spans(conditional) if not np.array_equal(cell[b], c_row[b])]
+            assert [a.name for a in moved] == [spec.schema.time_attribute.name]
+            dec = nn.forward(model.decoder,
+                             np.concatenate([eps, np.tile(c_row, (r, 1))], axis=1))[0]
+            cats = {}
+            for j, (attr, block) in enumerate(blocks):
+                cum = np.cumsum(dec[:, block], axis=1)
+                u = uniforms[:, j] * cum[:, -1]
+                cats[attr.name] = np.minimum(np.sum(u[:, None] >= cum, axis=1),
+                                             attr.n_categories - 1)
+                expected = np.bincount(cats[attr.name], minlength=attr.n_categories) / r
+                assert np.array_equal(small_cube.joint((attr.name,))[i, t], expected)
+            dims = metrics.subset_dims(spec.schema, JOINT)
+            flat = np.ravel_multi_index([cats[a] for a in JOINT], dims)
+            expected = np.bincount(flat, minlength=int(np.prod(dims))) / r
+            assert np.array_equal(small_cube.joint(JOINT)[i, t], expected)
 
     def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
         """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
@@ -142,16 +148,90 @@ class TestCellDraws:
         rows = []
         forward = nn.forward
 
-        def spy(network, x):
+        def spy(network, x, **kwargs):
             rows.append(len(x))
-            return forward(network, x)
+            return forward(network, x, **kwargs)
 
+        # the kernel's passes and the panel's tabulation slices both shrink
         monkeypatch.setattr(sampling, "CHUNK_ROWS", 70)
+        monkeypatch.setattr(panel, "CHUNK_ROWS", 70)
         monkeypatch.setattr(nn, "forward", spy)
         chunked = build()
         assert len(rows) == 2 * 23 and max(rows) <= 70
         for subset in SUBSETS:
             assert np.array_equal(whole.joint(subset), chunked.joint(subset))
+
+
+class TestYearBuffer:
+    """One year's draws are held in the narrowest unsigned type, and its
+    working memory beyond them does not grow with the draws."""
+
+    @pytest.fixture(scope="class")
+    def wide_model(self):
+        """A tiny model whose first preference has 300 categories."""
+        schema = sm.Schema(attributes=(
+            sm.AttributeSpec("year", "time", "categorical", cardinality=2),
+            sm.AttributeSpec("p_wide", "preference", "categorical", cardinality=300),
+            sm.AttributeSpec("p_bit", "preference", "categorical", cardinality=2),
+        ))
+        spec = oracle.DgpSpec(schema=schema, years=(0, 1), tables=(
+            oracle.TableSpec("p_wide", (), (tuple([1 / 300] * 300),)),
+            oracle.TableSpec("p_bit", ("p_wide",), tuple((0.25, 0.75) for _ in range(300))),
+        ))
+        encoded = sm.encode(oracle.generate_dataset(spec, 200, seed=90), schema)
+        config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, epochs=1, seed=91)
+        return cvae.train(encoded, config, encoded)
+
+    def test_wide_preference_gets_uint16_cells_equal_int64_bincount(self, wide_model,
+                                                                   monkeypatch):
+        n, r, year, seed = 7, 60, 1, 92
+        base = {"year": np.zeros(n, dtype=np.int64)}
+        rows = sm.encode_columns({"year": np.full(n, year)},
+                                 wide_model.schema.conditional_attributes)
+        dtypes = []
+        decode = panel._decode_with_noise
+
+        def spy(model, c_rows, draws_per_row, rngs, out=None):
+            dtypes.append(out.dtype)
+            return decode(model, c_rows, draws_per_row, rngs, out)
+
+        monkeypatch.setattr(panel, "_decode_with_noise", spy)
+        subsets = [("p_wide",), ("p_wide", "p_bit")]
+        cube = panel.build_panel(wide_model, base, years=[year], external_by_year=None,
+                                 draws_per_cell=r, seed=seed, subsets=subsets)
+        assert dtypes == [np.uint16]
+        draws = sampling._decode_with_noise(
+            wide_model, rows, r, [derive_rng(seed, "panel-cell", str(i), year) for i in range(n)])
+        assert draws.dtype == np.int64 and draws[:, 0].max() > 255
+        for i in range(n):
+            cell = draws[i * r : (i + 1) * r]
+            wide = np.bincount(cell[:, 0], minlength=300) / r
+            joint = np.bincount(cell[:, 0] * 2 + cell[:, 1], minlength=600) / r
+            assert np.array_equal(cube.joint(("p_wide",))[i, 0], wide)
+            assert np.array_equal(cube.joint(("p_wide", "p_bit"))[i, 0], joint)
+
+    def test_peak_grows_by_a_byte_per_draw_and_preference(self, drift_setup, monkeypatch):
+        """Doubling R adds one uint8 per new draw and preference to a year's
+        traced peak, and about nothing else: no int64 draws or keys. Chunks
+        hold 1,200 draws at both R, so the decoder buffers are the same size."""
+        spec, records, model, base = drift_setup
+        n, n_pref = 200, len(spec.schema.preference_attributes)
+        rows = np.resize(sm.encode_columns(base, spec.schema.conditional_attributes),
+                         (n, model.decoder.in_dim - model.config.latent_dim))
+        monkeypatch.setattr(sampling, "CHUNK_ROWS", 1200)
+        monkeypatch.setattr(panel, "CHUNK_ROWS", 1200)
+        peaks = {}
+        for r in (300, 600):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                panel._panel_year_block((2, model, rows, SUBSETS, r, 93))
+                peaks[r] = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        added_draws = n * 300 * n_pref
+        assert peaks[600] - peaks[300] <= 1.2 * added_draws, (peaks, added_draws)
 
 
 class TestAggregateTrend:

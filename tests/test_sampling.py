@@ -94,9 +94,9 @@ class TestKernel:
         passes = []
         forward = sampling.nn.forward
 
-        def counted(net, x):
+        def counted(net, x, **kwargs):
             passes.append(len(x))
-            return forward(net, x)
+            return forward(net, x, **kwargs)
 
         monkeypatch.setattr(sampling.nn, "forward", counted)
         cols = sampling.sample_preference_columns(small_model, row_for(small_model), draws, seed=3)

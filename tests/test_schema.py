@@ -155,6 +155,28 @@ class TestIngest:
         for name, col in sm.record_columns(back, schema).items():
             assert col.dtype == table[name].dtype and col.tolist() == table[name].tolist()
 
+    @pytest.mark.parametrize("make, text, n_dropped", [
+        (lambda: make_schema([
+            sm.AttributeSpec("s", "socio", "categorical", cardinality=2, labels=("no", "yes")),
+            sm.AttributeSpec("p", "preference", "categorical", cardinality=2),
+        ]), "s,p\nyes,0\nno,1\nmaybe,1\n1,1\n", 1),
+        (lambda: mixed_schema(), "t,income,p1,dist\n0,3.5,1,2.0\n1,nan,0,1\n2,-1e300,1,inf\n"
+                                 "2,0.30000000000000004,0,49.99999999999999\n1,x,0,1\n", 3),
+        (minimal_schema, "s,p\n0,1\n\n1\n1,2,extra\n,\n", 2),
+        (minimal_schema, "p,s\nx,1\n9,0\n-1,1\n 2 , 1 \n1.0,0\n0,1\n", 4),
+    ], ids=["labels", "numericals", "blank-or-short-rows", "bad-cells"])
+    def test_table_equals_columns_of_the_records(self, tmp_path, make, text, n_dropped):
+        """read_table's table and drop count are those of ingest_csv's records."""
+        schema = make()
+        path = self.write(tmp_path, text)
+        table, dropped = sm.read_table(path, schema)
+        records, records_dropped = sm.ingest_csv(path, schema)
+        expected = sm.record_columns(records, schema)
+        assert dropped == records_dropped == n_dropped
+        assert list(table) == list(expected)
+        for name, col in expected.items():
+            assert table[name].dtype == col.dtype and table[name].tolist() == col.tolist()
+
     def test_survey_scale_clean_file_preserves_count(self, tmp_path):
         """67,419 already-clean rows across 46 columns survive unchanged."""
         import csv as csv_mod
