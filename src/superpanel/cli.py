@@ -87,7 +87,15 @@ def _apply_set(config: dict, assignment: str) -> None:
     _deep_update(node, {parts[-1]: value})
 
 
-def _check_keys(config: dict, known: dict, prefix: str = "") -> None:
+def _json_type(value) -> str | None:
+    """A config value's JSON type; ints and floats are both numbers, a bool is not one."""
+    return {bool: "a boolean", int: "a number", float: "a number", str: "a string",
+            list: "a list", tuple: "a list"}.get(type(value))
+
+
+def _check_keys(config: dict, known: dict, prefix: str = "", nullable: bool = False) -> None:
+    """Every key is known and keeps the JSON type of its default, where the
+    default has one; ``nullable`` lets null through, for overrides that inherit."""
     for key, value in config.items():
         if key not in known:
             raise CliError(f"unknown config key {prefix + key!r}")
@@ -95,14 +103,18 @@ def _check_keys(config: dict, known: dict, prefix: str = "") -> None:
             if not isinstance(value, dict):
                 raise CliError(f"config key {prefix + key!r} must be a section (a JSON object), "
                                f"got {value!r}")
-            _check_keys(value, known[key], f"{prefix}{key}.")
+            _check_keys(value, known[key], f"{prefix}{key}.", nullable)
+        elif ((want := _json_type(known[key])) and _json_type(value) != want
+              and not (nullable and value is None)):
+            raise CliError(f"config key {prefix + key!r} must be {want}, "
+                           f"got {json.dumps(value)}")
 
 
 def _check_config(config: dict) -> None:
     _check_keys(config, DEFAULT_CONFIG)
     if config["bootstrap"]["model"] is not None:  # null, or a section of model overrides
         _check_keys({"model": config["bootstrap"]["model"]}, {"model": DEFAULT_CONFIG["model"]},
-                    "bootstrap.")
+                    "bootstrap.", nullable=True)
 
 
 def load_config(args) -> dict:
@@ -184,24 +196,11 @@ def _load_schema(config):
     return schema_mod.load_schema(config["schema"])
 
 
-def _load_inputs(config):
-    sch = _load_schema(config)
-    records, dropped = schema_mod.ingest_csv(config["data"], sch)
-    return sch, records, dropped
-
-
 def _load_table(config):
-    """The config's schema and its survey read straight into a column table,
-    so the stage that follows builds no records."""
+    """The config's schema, its survey read straight into a column table, and
+    the dropped-row count."""
     sch = _load_schema(config)
-    return sch, schema_mod.read_table(config["data"], sch)[0]
-
-
-def _load_encoded(config):
-    """The config's schema, its survey encoded, and the dropped-row count. The
-    records are not kept past the encoding, so training holds only the matrices."""
-    sch, records, dropped = _load_inputs(config)
-    return sch, schema_mod.encode(records, sch), dropped
+    return (sch, *schema_mod.read_table(config["data"], sch))
 
 
 def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
@@ -259,19 +258,19 @@ def cmd_synth(args, config, out):
     spec = (oracle.load_dgp(dgp_cfg["spec_path"]) if dgp_cfg["spec_path"]
             else oracle.canned_spec(dgp_cfg["name"]))
     years = dgp_cfg["years"] or list(spec.years)
-    records = oracle.generate_dataset(
+    table = oracle.generate_dataset(
         spec, int(dgp_cfg["n_per_year"]), years,
         seed=derive_seed(config["seed"], "synth"),
     )
+    n_records = len(table[spec.schema.attributes[0].name])
     schema_path = out / "schema.json"
     data_path = out / "data.csv"
     spec_path = out / "dgp.json"
     schema_mod.save_schema(spec.schema, schema_path)
-    schema_mod.write_records_csv(data_path, schema_mod.record_columns(records, spec.schema),
-                                 spec.schema)
+    schema_mod.write_records_csv(data_path, table, spec.schema)
     oracle.save_dgp(spec, spec_path)
-    print(f"synth: wrote {len(records)} records to {data_path}")
-    return [schema_path, data_path, spec_path], {"n_records": len(records)}
+    print(f"synth: wrote {n_records} records to {data_path}")
+    return [schema_path, data_path, spec_path], {"n_records": n_records}
 
 
 def _split(config, n_rows):
@@ -287,7 +286,9 @@ def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.
 
 
 def cmd_train(args, config, out):
-    sch, encoded, dropped = _load_encoded(config)
+    sch, table, dropped = _load_table(config)
+    encoded = schema_mod.encode_table(table, sch)
+    del table  # training holds only the matrices
     idx_train, idx_val = _split(config, encoded.n_rows)
     train_set, val_set = encoded.take(idx_train), encoded.take(idx_val)
     outputs = []
@@ -364,7 +365,7 @@ def cmd_train(args, config, out):
 
 
 def cmd_generate(args, config, out):
-    sch, table = _load_table(config)
+    sch, table, _ = _load_table(config)
     gen_cfg = config["generate"]
     draws = _count(config, "generate.draws_per_profile")
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
@@ -393,7 +394,7 @@ def _histogram_rows(comparison, report, hat, ref):
 
 
 def cmd_evaluate(args, config, out):
-    sch, whole = _load_table(config)
+    sch, whole, _ = _load_table(config)
     idx_train, idx_val = _split(config, len(whole[sch.attributes[0].name]))
     train, val = schema_mod.take_rows(whole, idx_train), schema_mod.take_rows(whole, idx_val)
     subsets = _eval_subsets(config, sch)
@@ -589,7 +590,7 @@ def _mover_request(config, sch, base, years):
 
 
 def cmd_build_panel(args, config, out):
-    sch, table = _load_table(config)
+    sch, table, _ = _load_table(config)
     base, years = _panel_base(config, sch, table)
     trend_attrs, conditions = _trend_requests(config, sch, base)
     prefs = [a.name for a in sch.preference_attributes]
@@ -632,7 +633,7 @@ def cmd_build_panel(args, config, out):
 
 
 def cmd_classify_movers(args, config, out):
-    sch, table = _load_table(config)
+    sch, table, _ = _load_table(config)
     base, years = _panel_base(config, sch, table)
     t_start, t_end, subset = _mover_request(config, sch, base, years)
     cube = _build_cube(args, config, out, sch, base, years, [subset])
@@ -692,7 +693,8 @@ def _statistics(config) -> list[panel.StatisticSpec]:
 
 
 def cmd_bootstrap(args, config, out):
-    sch, records, _ = _load_inputs(config)
+    sch = _load_schema(config)
+    records, _ = schema_mod.ingest_csv(config["data"], sch)
     bs_cfg = config["bootstrap"]
     stats = _statistics(config)
     samples = _count(config, "bootstrap.samples_per_replicate")
@@ -755,6 +757,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
+        if args.jobs < 1:
+            raise CliError(f"--jobs must be >= 1, got {args.jobs}")
         config = load_config(args)
         out = _out_dir(args, config)
         outputs, extra = args.fn(args, config, out)

@@ -377,17 +377,12 @@ def _network_to_dict(net: nn.Network) -> dict:
 
 
 def _network_from_dict(data: dict) -> nn.Network:
-    layers = []
-    for entry in data["layers"]:
-        layers.append(
-            nn.DenseLayer(
-                weights=np.array(entry["weights"], dtype=float),
-                biases=np.array(entry["biases"], dtype=float),
-                activation=entry["activation"],
-                blocks=tuple(int(w) for w in entry["blocks"]) if entry["blocks"] else None,
-            )
-        )
-    return nn.Network(layers=layers)
+    return nn.Network(layers=[
+        nn.DenseLayer(weights=np.array(entry["weights"], dtype=float),
+                      biases=np.array(entry["biases"], dtype=float),
+                      activation=entry["activation"],
+                      blocks=tuple(int(w) for w in entry["blocks"]) if entry["blocks"] else None)
+        for entry in data["layers"]])
 
 
 def save_model(model: TrainedModel, path) -> None:

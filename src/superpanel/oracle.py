@@ -6,7 +6,8 @@ probability tables over their parents (earlier attributes in schema
 order). Optional drift entries shift one category's probability linearly
 in the year value for table rows matching a parent filter, with the
 remaining categories rescaled proportionally; the shifted category's
-probability is therefore exactly base + year * per_year.
+probability is therefore exactly base + year * per_year. A generated data
+set is a column table, the one reading its CSV back gives.
 
 Because every conditional is explicit, the exact joint preference
 distribution for any profile and year is the product of the preference
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import JointHistogram, cross_tabulate_columns
-from .schema import (AttributeSpec, Record, Schema, category_columns, record_columns,
-                     schema_from_dict)
+from .schema import AttributeSpec, Schema, category_columns, record_columns, schema_from_dict
 from .seeding import derive_rng
 
 
@@ -205,8 +205,10 @@ def _check_year(spec: DgpSpec, year) -> None:
         raise DgpError(f"year {year} is not a category of {t.name}")
 
 
-def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) -> list[Record]:
-    """Ancestral sampling: n_per_year records for each requested year.
+def generate_dataset(spec: DgpSpec, n_per_year: int, years=None,
+                     seed: int = 0) -> dict[str, np.ndarray]:
+    """Ancestral sampling: n_per_year rows for each requested year, as a column
+    table like ``schema.read_table``'s with the years in the order requested.
 
     Sampling is vectorized per attribute within a year; each year owns its
     derived stream, so any subset of years reproduces exactly.
@@ -214,28 +216,25 @@ def generate_dataset(spec: DgpSpec, n_per_year: int, years=None, seed: int = 0) 
     if n_per_year < 0:
         raise ValueError("n_per_year must be >= 0")
     years = tuple(years) if years is not None else spec.years
-    schema = spec.schema
-    time_attr = schema.time_attribute
     for year in years:
         _check_year(spec, year)
-    records: list[Record] = []
-    for year in years:
+    n = n_per_year
+    table = {a.name: np.empty(n * len(years), np.int64 if a.kind == "categorical" else np.float64)
+             for a in spec.schema.attributes}
+    for i, year in enumerate(years):
         rng = derive_rng(seed, "dgp-year", int(year))
-        cols: dict[str, np.ndarray] = {}
-        if time_attr is not None:
-            cols[time_attr.name] = np.full(n_per_year, int(year), dtype=np.int64)
-        for attr in schema.attributes:
-            if time_attr is not None and attr.name == time_attr.name:
+        cols = {name: col[i * n:(i + 1) * n] for name, col in table.items()}
+        # schema order: a table's parents, the year among them, are drawn first
+        for attr in spec.schema.attributes:
+            if attr.role == "time":
+                cols[attr.name][:] = int(year)
                 continue
-            table = spec.table_for(attr.name)
-            cum = np.cumsum(effective_table(spec, table, int(year)), axis=-1)
-            cum = cum[tuple(cols[p] for p in table.parents)]
-            u = rng.random(n_per_year) * cum[..., -1]
-            cat = np.sum(u[:, None] >= cum, axis=-1)
-            cols[attr.name] = np.minimum(cat, cum.shape[-1] - 1).astype(np.int64)
-        mat = np.stack([cols[a.name] for a in schema.attributes], axis=1)
-        records.extend(Record(tuple(row)) for row in mat.tolist())
-    return records
+            table_spec = spec.table_for(attr.name)
+            cum = np.cumsum(effective_table(spec, table_spec, int(year)), axis=-1)
+            cum = cum[tuple(cols[p] for p in table_spec.parents)]
+            u = rng.random(n) * cum[..., -1]
+            cols[attr.name][:] = np.minimum(np.sum(u[:, None] >= cum, axis=-1), cum.shape[-1] - 1)
+    return table
 
 
 def exact_conditional(spec: DgpSpec, profile_values: dict, year: int) -> JointHistogram:

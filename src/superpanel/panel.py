@@ -408,22 +408,13 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
 
     rows = []
     for stat in stats:
-        for source in ("model", "data"):
-            per_rep = []
-            for _, model_stats, data_stats in survivors:
-                per_rep.append((model_stats if source == "model" else data_stats)[stat.name])
+        for source, pos in (("model", 1), ("data", 2)):  # a result is (rep, model, data)
+            per_rep = [result[pos][stat.name] for result in survivors]
             years = sorted({y for d in per_rep for y in d}, key=lambda y: (y is None, y))
             for year in years:
                 vals = np.array([d.get(year, math.nan) for d in per_rep])
                 vals = vals[~np.isnan(vals)]
-                if vals.size < 2:
-                    continue
-                rows.append(
-                    (stat.name, source, year, float(vals.mean()), float(vals.std(ddof=1)))
-                )
-    return BootstrapSummary(
-        n_replicates=n_replicates,
-        survivors=len(survivors),
-        diverged=diverged,
-        rows=rows,
-    )
+                if vals.size >= 2:
+                    rows.append((stat.name, source, year, float(vals.mean()),
+                                 float(vals.std(ddof=1))))
+    return BootstrapSummary(n_replicates, len(survivors), diverged, rows)

@@ -3,11 +3,13 @@
 A survey column is declared as an :class:`AttributeSpec` with a role
 (time / geography / external / socio / preference) and a kind (categorical
 with a fixed number of categories, or numerical with sorted bin edges).
-A survey CSV is read into a column table, one array per attribute, which
-every later stage works on; ``ingest_csv`` gives the same rows as records.
-Rows are encoded into a conditional block ``C`` (all non-preference
-attributes) and a preference block ``V``; categorical attributes become
-one-hot segments and numerical attributes one-hot segments over their bins.
+A data set is a column table, one array per attribute, which ``read_table``
+reads from a survey CSV, ``oracle.generate_dataset`` draws, and every later
+stage works on. ``encode_table`` encodes it into a conditional block ``C``
+(all non-preference attributes) and a preference block ``V``; categorical
+attributes become one-hot segments and numerical attributes one-hot
+segments over their bins. ``ingest_csv`` and ``encode`` are the same for
+rows held as :class:`Record` objects.
 """
 
 import array
@@ -265,10 +267,10 @@ def read_table(path, schema: Schema) -> tuple[dict[str, np.ndarray], int]:
     """Read a CSV with a header row into a column table.
 
     The table has one array per attribute in schema order, int64 categories
-    or float64 raw values, as ``record_columns`` builds them. Rows
-    containing any missing or unparsable cell are dropped; the drop count
-    is returned alongside the table. Blank lines are skipped and extra
-    columns not named in the schema are ignored.
+    or float64 raw values, as ``oracle.generate_dataset`` and ``record_columns``
+    build them. Rows containing any missing or unparsable cell are dropped;
+    the drop count is returned alongside the table. Blank lines are skipped
+    and extra columns not named in the schema are ignored.
     """
     cols, dropped = _read_columns(path, schema)
     return {a.name: np.frombuffer(col, np.int64 if a.kind == "categorical" else np.float64)
@@ -383,14 +385,18 @@ def encode_columns(cols, attrs) -> np.ndarray:
     return out
 
 
-def encode(records, schema: Schema) -> EncodedDataset:
-    """Encode records into conditional and preference matrices."""
-    cols = record_columns(records, schema)
+def encode_table(table, schema: Schema) -> EncodedDataset:
+    """Encode a column table into conditional and preference matrices."""
     return EncodedDataset(
-        conditional=encode_columns(cols, schema.conditional_attributes),
-        preference=encode_columns(cols, schema.preference_attributes),
+        conditional=encode_columns(table, schema.conditional_attributes),
+        preference=encode_columns(table, schema.preference_attributes),
         schema=schema,
     )
+
+
+def encode(records, schema: Schema) -> EncodedDataset:
+    """Encode records into conditional and preference matrices."""
+    return encode_table(record_columns(records, schema), schema)
 
 
 # ---------------------------------------------------------------------------

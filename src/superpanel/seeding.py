@@ -34,11 +34,13 @@ def derive_rng(master_seed: int, *keys) -> np.random.Generator:
 
 
 def map_units(fn, args, jobs: int) -> list:
-    """[fn(a) for a in args], spread over ``jobs`` worker processes when jobs > 1.
+    """[fn(a) for a in args] on min(jobs, len(args)) worker processes, or in this
+    process when that is one; a pool starts all its workers at once.
 
     Results come back in argument order, so output does not depend on jobs.
     """
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]

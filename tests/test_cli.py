@@ -7,8 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superpanel import cli, cvae, metrics, panel, sampling
+from superpanel import cli, cvae, metrics, oracle, panel, sampling
 from superpanel import schema as schema_mod
+from superpanel.seeding import derive_seed
+
+from test_oracle import numerical_time_spec, reference_generate
 
 
 def run(argv):
@@ -84,6 +87,29 @@ class TestSynthTrain:
         cfg2 = base_config(tmp_path, out2)
         assert run(["synth", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out2 / "data.csv").read_bytes() == (out / "data.csv").read_bytes()
+
+    @pytest.mark.parametrize("process", ["static-corr", "drift-split", "numerical-time"])
+    def test_synth_data_matches_record_path(self, tmp_path, process):
+        """data.csv is, byte for byte, the brute-force reference sample written
+        row by row as records, then through record_columns."""
+        if process == "numerical-time":
+            spec = numerical_time_spec()
+            oracle.save_dgp(spec, tmp_path / "spec.json")
+            dgp = {"spec_path": str(tmp_path / "spec.json"), "n_per_year": 150}
+        else:
+            spec = oracle.canned_spec(process)
+            dgp = {"name": process, "n_per_year": 150}
+        cfg = base_config(tmp_path, tmp_path, dgp=dgp)
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        reference = reference_generate(spec, 150, derive_seed(424242, "synth"))
+        records = [schema_mod.Record(row) for row in zip(*(col.tolist()
+                                                           for col in reference.values()))]
+        schema_mod.write_records_csv(tmp_path / "want.csv",
+                                     schema_mod.record_columns(records, spec.schema), spec.schema)
+        got = (tmp_path / "o" / "data.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        if process == "numerical-time":
+            assert got.splitlines()[1].startswith(b"0.0,")
 
     def test_seed_required(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -198,23 +224,36 @@ class TestMemory:
         assert run(["evaluate", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(populations) == 3
 
-    def test_train_drops_records_before_training(self, pipeline, tmp_path, monkeypatch):
+    def test_train_reads_a_table_and_drops_it_before_training(self, pipeline, tmp_path,
+                                                              monkeypatch):
+        """train builds no Record, never calls ingest_csv, and holds none of
+        read_table's columns when a model fit starts."""
         _, _, cfg = pipeline
-        ingest, train, records, alive = schema_mod.ingest_csv, cvae.train, [], []
+        read, train, init = schema_mod.read_table, cvae.train, schema_mod.Record.__init__
+        columns, alive, built = [], [], []
 
-        def tracked_ingest(*args, **kwargs):
-            result = ingest(*args, **kwargs)
-            records.extend(weakref.ref(rec) for rec in result[0])
-            return result
+        def tracked_read(*args, **kwargs):
+            table, dropped = read(*args, **kwargs)
+            columns.extend(weakref.ref(col) for col in table.values())
+            return table, dropped
 
         def tracked_train(*args, **kwargs):
-            alive.append(sum(r() is not None for r in records))
+            alive.append(sum(r() is not None for r in columns))
             return train(*args, **kwargs)
 
-        monkeypatch.setattr(schema_mod, "ingest_csv", tracked_ingest)
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(schema_mod, "read_table", tracked_read)
+        monkeypatch.setattr(schema_mod, "ingest_csv",
+                            lambda *a, **k: pytest.fail("train called ingest_csv"))
+        monkeypatch.setattr(schema_mod.Record, "__init__", counted_init)
         monkeypatch.setattr(cvae, "train", tracked_train)
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert records and alive == [0, 0]
+        assert len(columns) == 5 and alive == [0, 0] and built == []
+        manifest = json.loads((tmp_path / "train_manifest.json").read_text())
+        assert manifest["dropped_rows"] == 0
 
 
 class TestPanelCommands:
@@ -598,6 +637,44 @@ class TestSetOverrides:
                    + [a for s in sets for a in ("--set", s)])
         assert code == 1
         assert f"config key '{key}' must be a section" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, assignment, want", [
+        (["evaluate"], "evaluate.draws_per_profile=null", "a number"),
+        (["train"], "model.beta=null", "a number"),
+        (["train"], "model.hidden_layers=null", "a list"),
+        (["train"], "split_fraction=null", "a number"),
+        (["synth"], "dgp.n_per_year=null", "a number"),
+        (["bootstrap"], "bootstrap.replicates=null", "a number"),
+        (["train", "--grid"], "grid.betas=0.5", "a list"),
+        (["train"], "model.epochs=true", "a number"),
+        (["synth"], "dgp.name=3", "a string"),
+        (["train", "--grid"], "grid.plan_only=1", "a boolean"),
+        (["bootstrap"], "bootstrap.model.epochs=[2]", "a number"),
+    ])
+    def test_value_of_wrong_type_fails(self, pipeline, tmp_path, capsys, no_training,
+                                       command, assignment, want):
+        _, _, cfg = pipeline
+        key, value = assignment.split("=")
+        code = run(command + ["--config", str(cfg), "--out", str(tmp_path / "o"),
+                              "--set", assignment])
+        assert code == 1
+        assert f"config key '{key}' must be {want}, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_number_types_stand_in_and_null_model_override_inherits(self, tmp_path):
+        config = cli.load_config(argparse.Namespace(config=None, seed=1, set=[
+            "model.beta=1", "model.epochs=3.0", "split_fraction=1e-1",
+            "bootstrap.model.beta=null", "bootstrap.model.latent_dim=4"]))
+        model_cfg = cli._model_config(config, "bootstrap-base", config["bootstrap"]["model"])
+        assert (model_cfg.beta, model_cfg.epochs, model_cfg.latent_dim) == (1.0, 3, 4)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_fails(self, tmp_path, capsys, jobs):
+        cfg = base_config(tmp_path, tmp_path)
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--jobs", jobs]) == 1
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [424242, None])
     def test_set_through_value_fails(self, tmp_path, capsys, seed):

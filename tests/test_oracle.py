@@ -8,6 +8,9 @@ from superpanel import oracle
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
+from test_schema import table_records
+
+
 def copy_pair_spec():
     """Two preference attributes where the second copies the first with
     probability 0.9; hand-checkable correlation case."""
@@ -96,32 +99,65 @@ class TestSpecValidation:
         assert back == spec
 
 
+def numerical_time_spec():
+    """copy_pair_spec's tables under a numerical time attribute, over three years."""
+    spec = copy_pair_spec()
+    schema = sm.Schema(attributes=(
+        sm.AttributeSpec("year", "time", "numerical", bin_edges=(-0.5, 0.5, 1.5, 2.5)),
+        *spec.schema.attributes))
+    return oracle.DgpSpec(schema=schema, tables=spec.tables, years=(0, 1, 2))
+
+
+def assert_tables_equal(got, want, schema):
+    """Same columns in schema order, same dtypes, same values."""
+    assert list(got) == [a.name for a in schema.attributes] == list(want)
+    for name in got:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
 class TestGenerate:
     def test_zero_records(self):
-        assert oracle.generate_dataset(copy_pair_spec(), 0, seed=1) == []
+        """Zero rows a year, or no years, give zero-length columns."""
+        spec = copy_pair_spec()
+        for n, years in ((0, None), (10, ())):
+            table = oracle.generate_dataset(spec, n, years=years, seed=1)
+            assert list(table) == ["c", "x", "y"]
+            assert all(col.shape == (0,) and col.dtype == np.int64 for col in table.values())
 
     def test_deterministic(self):
         spec = copy_pair_spec()
         a = oracle.generate_dataset(spec, 50, seed=2)
         b = oracle.generate_dataset(spec, 50, seed=2)
-        assert a == b
+        assert_tables_equal(a, b, spec.schema)
 
     def test_empirical_frequencies_match_tables(self):
         """Law of large numbers against the declared conditionals."""
         spec = copy_pair_spec()
-        records = oracle.generate_dataset(spec, 100_000, seed=3)
-        xs = np.array([r.values[1] for r in records])
-        ys = np.array([r.values[2] for r in records])
+        table = oracle.generate_dataset(spec, 100_000, seed=3)
+        xs, ys = table["x"], table["y"]
         assert abs(xs.mean() - 0.5) < 0.01
         for xv, p_y1 in ((0, 0.1), (1, 0.9)):
             sel = ys[xs == xv]
             assert abs(sel.mean() - p_y1) < 0.01
 
     def test_year_column_set(self):
+        """The years are stacked in the order requested."""
         spec = oracle.canned_spec("drift-split")
-        records = oracle.generate_dataset(spec, 10, years=(2, 4), seed=4)
-        years = {r.values[0] for r in records}
-        assert years == {2, 4}
+        assert set(oracle.generate_dataset(spec, 10, years=(2, 4), seed=4)["year"]) == {2, 4}
+        table = oracle.generate_dataset(spec, 10, years=(4, 2), seed=4)
+        assert table["year"].tolist() == [4] * 10 + [2] * 10
+        # each year owns its stream, so its rows do not depend on the others
+        alone = oracle.generate_dataset(spec, 10, years=(2,), seed=4)
+        assert_tables_equal(sm.take_rows(table, np.arange(10, 20)), alone, spec.schema)
+
+    def test_numerical_time_holds_float_years(self):
+        """A numerical time attribute is float64, as read_table gives it."""
+        spec = numerical_time_spec()
+        table = oracle.generate_dataset(spec, 4, seed=4)
+        assert table["year"].dtype == np.float64
+        assert table["year"].tolist() == [0.0] * 4 + [1.0] * 4 + [2.0] * 4
+        assert all(table[a.name].dtype == np.int64 for a in spec.schema.attributes[1:])
 
     @pytest.mark.parametrize("year", [-1, 7])
     def test_year_outside_time_categories_refused(self, year):
@@ -131,13 +167,12 @@ class TestGenerate:
         with pytest.raises(oracle.DgpError, match=f"year {year} is not a category of year"):
             oracle.generate_dataset(spec, 10, years=(0, year), seed=1)
 
-    def test_records_validate_against_schema(self):
+    def test_table_validates_against_schema(self):
         spec = oracle.canned_spec("static-corr")
-        records = oracle.generate_dataset(spec, 100, seed=5)
-        assert all(len(rec.values) == len(spec.schema.attributes)
-                   and all(type(v) is int for v in rec.values) for rec in records)
-        for attr, col in zip(spec.schema.attributes,
-                             sm.record_columns(records, spec.schema).values()):
+        table = oracle.generate_dataset(spec, 100, seed=5)
+        assert list(table) == [a.name for a in spec.schema.attributes]
+        assert all(col.dtype == np.int64 and col.shape == (500,) for col in table.values())
+        for attr, col in zip(spec.schema.attributes, table.values()):
             assert np.all((col >= 0) & (col < attr.n_categories)), attr.name
 
 
@@ -200,11 +235,12 @@ class TestExactConditional:
         """Generated data restricted to one profile agrees with the exact
         joint within 3 sigma of the multinomial noise."""
         spec = oracle.canned_spec("drift-split")
-        records = oracle.generate_dataset(spec, 100_000, years=(3,), seed=6)
-        sel = [r for r in records if r.values[1] == 1 and r.values[2] == 0]
-        emp = mx.cross_tabulate(sel, ("p_mode", "p_trips"), spec.schema)
+        table = oracle.generate_dataset(spec, 100_000, years=(3,), seed=6)
+        sel = sm.take_rows(table, np.flatnonzero((table["group"] == 1) & (table["segment"] == 0)))
+        subset = ("p_mode", "p_trips")
+        emp = mx.cross_tabulate_columns(sel, subset, spec.schema)
         exact = oracle.exact_conditional(spec, {"group": 1, "segment": 0}, year=3)
-        n = len(sel)
+        n = len(sel["year"])
         for e_emp, e_true in zip(emp.frequencies, exact.frequencies):
             sigma = np.sqrt(e_true * (1 - e_true) / n)
             assert abs(e_emp - e_true) <= 3 * sigma + 1e-9
@@ -212,15 +248,15 @@ class TestExactConditional:
     def test_drift_slope_recovered_from_data(self):
         """Fitted slope of the drifting category across years within 3 sigma."""
         spec = oracle.canned_spec("drift-split")
-        records = oracle.generate_dataset(spec, 50_000, seed=7)
+        table = oracle.generate_dataset(spec, 50_000, seed=7)
         years = np.array(spec.years, dtype=float)
         freqs = []
         ns = []
         for year in spec.years:
-            sel = [r for r in records if r.values[0] == year and r.values[1] == 1]
-            vals = np.array([r.values[3] == 0 for r in sel])
+            sel = (table["year"] == year) & (table["group"] == 1)
+            vals = table["p_mode"][sel] == 0
             freqs.append(vals.mean())
-            ns.append(len(sel))
+            ns.append(int(sel.sum()))
         x = years - years.mean()
         slope = float(np.sum(x * (np.array(freqs) - np.mean(freqs))) / np.sum(x * x))
         # variance of the LS slope from independent binomial year estimates
@@ -233,7 +269,7 @@ class TestExactConditional:
 class TestBaseline:
     def test_output_sums_to_one(self):
         spec = copy_pair_spec()
-        records = oracle.generate_dataset(spec, 5000, seed=8)
+        records = table_records(oracle.generate_dataset(spec, 5000, seed=8), spec.schema)
         base = oracle.baseline_independent(records, ("x", "y"), spec.schema)
         assert base.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -248,7 +284,7 @@ class TestBaseline:
             oracle.TableSpec("x", (), ((0.4, 0.6),)),
             oracle.TableSpec("y", (), ((0.7, 0.3),)),
         ))
-        records = oracle.generate_dataset(spec, 50_000, seed=9)
+        records = table_records(oracle.generate_dataset(spec, 50_000, seed=9), schema)
         empirical = mx.cross_tabulate(records, ("x", "y"), schema)
         base = oracle.baseline_independent(records, ("x", "y"), schema)
         assert mx.srmse(base, empirical) < 0.05
@@ -257,7 +293,7 @@ class TestBaseline:
         """On the 0.9-copy table the independent product misses the joint
         by a hand-computable margin while the exact conditional matches."""
         spec = copy_pair_spec()
-        records = oracle.generate_dataset(spec, 100_000, seed=10)
+        records = table_records(oracle.generate_dataset(spec, 100_000, seed=10), spec.schema)
         empirical = mx.cross_tabulate(records, ("x", "y"), spec.schema)
         base = oracle.baseline_independent(records, ("x", "y"), spec.schema)
         exact = oracle.exact_population_joint(spec, [{"c": 0}], year=0)
@@ -299,9 +335,10 @@ def reference_row(spec, table, values, year):
 
 
 def reference_generate(spec, n_per_year, seed):
-    """Ancestral sampling, gathering each record's table row by its flat index."""
+    """Ancestral sampling, gathering each row's table row by its flat index; the
+    years' rows are stacked into a table of int64 categories and float64 raw values."""
     schema = spec.schema
-    records = []
+    blocks = []
     for year in spec.years:
         rng = derive_rng(seed, "dgp-year", year)
         cols = {"year": np.full(n_per_year, year, dtype=np.int64)}
@@ -317,9 +354,10 @@ def reference_generate(spec, n_per_year, seed):
             u = rng.random(n_per_year) * cum[:, -1]
             cat = np.sum(u[:, None] >= cum, axis=1)
             cols[attr.name] = np.minimum(cat, rows.shape[1] - 1).astype(np.int64)
-        mat = np.stack([cols[a.name] for a in schema.attributes], axis=1)
-        records.extend(sm.Record(tuple(int(v) for v in row)) for row in mat)
-    return records
+        blocks.append(cols)
+    return {a.name: np.concatenate([b[a.name] for b in blocks]).astype(
+                np.int64 if a.kind == "categorical" else np.float64)
+            for a in schema.attributes}
 
 
 def reference_conditional(spec, profile_values, year):
@@ -391,7 +429,8 @@ class TestAgainstReference:
                                           for p in (*table.parents, table.attribute))
                 assert np.array_equal(got.reshape(-1, got.shape[-1]),
                                       reference_table(spec, table, year))
-        assert oracle.generate_dataset(spec, 200, seed=seed) == reference_generate(spec, 200, seed)
+        assert_tables_equal(oracle.generate_dataset(spec, 200, seed=seed),
+                            reference_generate(spec, 200, seed), spec.schema)
         for profile in conditional_profiles(spec):
             for year in spec.years:
                 assert np.array_equal(oracle.exact_conditional(spec, profile, year).frequencies,
@@ -407,7 +446,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("name", oracle.CANNED_SPECS)
     def test_canned_specs(self, name):
         spec = oracle.canned_spec(name)
-        assert oracle.generate_dataset(spec, 300, seed=5) == reference_generate(spec, 300, 5)
+        assert_tables_equal(oracle.generate_dataset(spec, 300, seed=5),
+                            reference_generate(spec, 300, 5), spec.schema)
         for profile in conditional_profiles(spec):
             for year in spec.years:
                 assert np.array_equal(oracle.exact_conditional(spec, profile, year).frequencies,

@@ -7,7 +7,7 @@ from superpanel import cvae, metrics, nn, oracle, panel, sampling
 from superpanel import schema as sm
 from superpanel.seeding import derive_rng
 
-from test_schema import spans
+from test_schema import spans, table_records
 
 JOINT = ("p_mode", "p_trips")  # every preference attribute of drift-split
 SUBSETS = [("p_mode",), ("p_trips",), JOINT]
@@ -16,19 +16,19 @@ SUBSETS = [("p_mode",), ("p_trips",), JOINT]
 @pytest.fixture(scope="module")
 def drift_setup():
     spec = oracle.canned_spec("drift-split")
-    records = oracle.generate_dataset(spec, 800, seed=61)
-    encoded = sm.encode(records, spec.schema)
-    idx_tr, idx_va = sm.split_indices(len(records), 0.8, seed=62)
+    table = oracle.generate_dataset(spec, 800, seed=61)
+    encoded = sm.encode_table(table, spec.schema)
+    idx_tr, idx_va = sm.split_indices(encoded.n_rows, 0.8, seed=62)
     config = cvae.CvaeConfig(hidden_layers=(32, 16), latent_dim=3, beta=5.0,
                              batch_size=64, epochs=15, seed=63)
     model = cvae.train(encoded.take(idx_tr), config, encoded.take(idx_va))
-    base = sm.record_columns([r for r in records if r.values[0] == 0][:60], spec.schema)
-    return spec, records, model, base
+    base = sm.take_rows(table, np.flatnonzero(table["year"] == 0)[:60])
+    return spec, table, model, base
 
 
 @pytest.fixture(scope="module")
 def small_cube(drift_setup):
-    spec, records, model, base = drift_setup
+    spec, table, model, base = drift_setup
     return panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                              draws_per_cell=200, seed=64, subsets=SUBSETS)
 
@@ -43,25 +43,25 @@ class TestBuildPanel:
             assert np.allclose(freqs.sum(axis=2), 1.0)
 
     def test_determinism(self, drift_setup, small_cube):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         again = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                                   draws_per_cell=200, seed=64, subsets=SUBSETS)
         assert np.array_equal(small_cube.joint(JOINT), again.joint(JOINT))
 
     def test_parallel_jobs_identical(self, drift_setup, small_cube):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         par = panel.build_panel(model, base, years=[0, 2, 4], external_by_year=None,
                                 draws_per_cell=200, seed=64, subsets=SUBSETS, jobs=2)
         assert np.array_equal(small_cube.joint(JOINT), par.joint(JOINT))
 
     def test_draw_floor_enforced(self, drift_setup):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="floor"):
             panel.build_panel(model, base, years=[0], external_by_year=None,
                               draws_per_cell=1, seed=65, subsets=SUBSETS)
 
     def test_empty_population_rejected(self, drift_setup):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         with pytest.raises(panel.PanelError, match="empty"):
             panel.build_panel(model, sm.take_rows(base, []), years=[0], external_by_year=None,
                               draws_per_cell=50, seed=66, subsets=SUBSETS)
@@ -93,7 +93,7 @@ class TestBuildPanel:
         assert cube.conditionals["access"].tolist() == [0, 1]
 
     def test_single_individual_single_year_degenerate_draw(self, drift_setup):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         cube = panel.build_panel(model, sm.take_rows(base, [0]), years=[0], external_by_year=None,
                                  draws_per_cell=panel.MIN_DRAWS_PER_CELL, seed=67,
                                  subsets=SUBSETS)
@@ -105,7 +105,7 @@ class TestCellDraws:
         """A cell's generator yields the latent noise, then the category
         uniforms; its decoded draws go through the cumulative-sum rule.
         Cell 57 lies in a later tabulation slice than cell 7."""
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         t = 1
         year, r = small_cube.years[t], small_cube.draws_per_cell
         assert 7 // max(1, panel.CHUNK_ROWS // r) < 57 // max(1, panel.CHUNK_ROWS // r)
@@ -139,7 +139,7 @@ class TestCellDraws:
 
     def test_chunk_size_does_not_change_cube(self, drift_setup, monkeypatch):
         """Chunks of 70 draws split neither 45 individuals nor R=30 evenly."""
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         build = lambda: panel.build_panel(model, sm.take_rows(base, np.arange(45)),  # noqa: E731
                                           years=[0, 3],
                                           external_by_year=None, draws_per_cell=30, seed=68,
@@ -178,7 +178,7 @@ class TestYearBuffer:
             oracle.TableSpec("p_wide", (), (tuple([1 / 300] * 300),)),
             oracle.TableSpec("p_bit", ("p_wide",), tuple((0.25, 0.75) for _ in range(300))),
         ))
-        encoded = sm.encode(oracle.generate_dataset(spec, 200, seed=90), schema)
+        encoded = sm.encode_table(oracle.generate_dataset(spec, 200, seed=90), schema)
         config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, epochs=1, seed=91)
         return cvae.train(encoded, config, encoded)
 
@@ -214,7 +214,7 @@ class TestYearBuffer:
         """Doubling R adds one uint8 per new draw and preference to a year's
         traced peak, and about nothing else: no int64 draws or keys. Chunks
         hold 1,200 draws at both R, so the decoder buffers are the same size."""
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         n, n_pref = 200, len(spec.schema.preference_attributes)
         rows = np.resize(sm.encode_columns(base, spec.schema.conditional_attributes),
                          (n, model.decoder.in_dim - model.config.latent_dim))
@@ -338,7 +338,7 @@ class TestClassifyMovers:
 
 class TestGroupMarginals:
     def test_whole_population_equals_population_marginals(self, drift_setup, small_cube):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         out = panel.group_marginals(small_cube, np.arange(small_cube.n_individuals))
         assert set(out) == {"group", "segment"}
         expected = metrics.marginals(base, "segment", spec.schema)
@@ -357,7 +357,8 @@ class TestGroupMarginals:
 
 class TestBootstrap:
     def test_smoke_and_shapes(self, drift_setup):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
+        records = table_records(table, spec.schema)
         config = cvae.CvaeConfig(hidden_layers=(16,), latent_dim=2, beta=1.0,
                                  batch_size=64, epochs=3, seed=0)
         stats = [panel.StatisticSpec(attribute="p_mode", category=0, per_year=True)]
@@ -370,7 +371,7 @@ class TestBootstrap:
             assert np.isfinite(mean) and np.isfinite(std) and std >= 0
 
     def test_constant_statistic_zero_std(self, drift_setup):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
         config = cvae.CvaeConfig(hidden_layers=(8,), latent_dim=2, beta=1.0,
                                  batch_size=64, epochs=2, seed=0)
         consts = sm.Schema(attributes=(
@@ -386,7 +387,8 @@ class TestBootstrap:
         assert all(r[4] == 0.0 for r in data_rows)  # frequency of the only category
 
     def test_replicate_floor(self, drift_setup):
-        spec, records, model, base = drift_setup
+        spec, table, model, base = drift_setup
+        records = table_records(table, spec.schema)
         config = cvae.CvaeConfig(epochs=1, seed=0)
         with pytest.raises(panel.PanelError, match="replicates"):
             panel.bootstrap(records[:100], spec.schema, config, n_replicates=1,
@@ -446,8 +448,9 @@ class TestStatisticValues:
         assert panel._statistic_values(table, schema, per_year) == {}
 
     def test_matches_record_loop(self, drift_setup):
-        spec, records, _, _ = drift_setup
+        spec, table, _, _ = drift_setup
         schema = spec.schema
+        records = table_records(table, schema)
         pos = {a.name: i for i, a in enumerate(schema.attributes)}
         for stat in (panel.StatisticSpec("p_mode", 0),
                      panel.StatisticSpec("p_trips", 2, (("group", 1),), per_year=False),
@@ -459,5 +462,4 @@ class TestStatisticValues:
                 groups.setdefault(v[pos["year"]] if stat.per_year else None, []).append(v)
             want = {y: float(np.mean([v[pos[stat.attribute]] == stat.category for v in vs]))
                     for y, vs in groups.items()}
-            assert panel._statistic_values(sm.record_columns(records, schema), schema,
-                                           stat) == want
+            assert panel._statistic_values(table, schema, stat) == want

@@ -14,9 +14,8 @@ from test_schema import spans
 def small_model():
     """Lightly trained model on the correlated stationary process."""
     spec = oracle.canned_spec("static-corr")
-    records = oracle.generate_dataset(spec, 400, seed=51)
-    encoded = sm.encode(records, spec.schema)
-    idx_tr, idx_va = sm.split_indices(len(records), 0.8, seed=52)
+    encoded = sm.encode_table(oracle.generate_dataset(spec, 400, seed=51), spec.schema)
+    idx_tr, idx_va = sm.split_indices(encoded.n_rows, 0.8, seed=52)
     config = cvae.CvaeConfig(hidden_layers=(16,), latent_dim=3, beta=1.0,
                              batch_size=64, epochs=5, seed=53)
     return cvae.train(encoded.take(idx_tr), config, encoded.take(idx_va))
@@ -120,7 +119,7 @@ class TestKernel:
         """The kernel's traced peak beyond the columns it returns is the same
         for 50 and for 2,000 conditional rows x 500 draws."""
         spec = oracle.canned_spec("static-corr")
-        encoded = sm.encode(oracle.generate_dataset(spec, 40, seed=54), spec.schema)
+        encoded = sm.encode_table(oracle.generate_dataset(spec, 40, seed=54), spec.schema)
         config = cvae.CvaeConfig(hidden_layers=(4,), latent_dim=1, epochs=1, seed=55)
         model = cvae.train(encoded, config, encoded)
         extra = []
@@ -223,9 +222,9 @@ class TestGeneratePopulation:
         assert pop.extrapolated_ids == ["1", "2"]
 
     def test_conditional_rows_match_encode(self, small_model, monkeypatch):
-        """Each record is sampled under its row of encode(records).conditional,
+        """Each row is sampled under its row of encode_table(table).conditional,
         bit for bit, with its index as profile id; conditionals are copied."""
-        records = oracle.generate_dataset(oracle.canned_spec("static-corr"), 5, seed=19)
+        table = oracle.generate_dataset(oracle.canned_spec("static-corr"), 5, seed=19)
         calls = []
         original = sampling.sample
 
@@ -234,10 +233,9 @@ class TestGeneratePopulation:
             return original(model, c_row, profile_id, *args, **kwargs)
 
         monkeypatch.setattr(sampling, "sample", spy)
-        table = sm.record_columns(records, small_model.schema)
         pop = sampling.generate_population(small_model, table, 2, seed=20)
-        expected = sm.encode(records, small_model.schema).conditional
-        assert [pid for pid, _ in calls] == [str(i) for i in range(len(records))]
+        expected = sm.encode_table(table, small_model.schema).conditional
+        assert [pid for pid, _ in calls] == [str(i) for i in range(len(table["year"]))]
         assert np.array_equal(np.stack([row for _, row in calls]), expected)
         for attr in small_model.schema.conditional_attributes:
             assert np.array_equal(pop.columns[attr.name], np.repeat(table[attr.name], 2))
