@@ -19,6 +19,6 @@ from .cvae import CvaeConfig, TrainedModel, GridSpec, train, grid_search
 from .sampling import PreferenceDraws, sample, generate_population
 from .metrics import JointHistogram, ComparisonReport, cross_tabulate, srmse, pearson, r2, marginals
 from .panel import PanelCube, MoverReport, BootstrapSummary, StatisticSpec, build_panel, aggregate_trend, classify_movers, group_marginals, bootstrap
-from .oracle import DgpSpec, TableSpec, DriftSpec, canned_spec, generate_dataset, exact_conditional, baseline_independent
+from .oracle import DgpSpec, TableSpec, DriftSpec, canned_spec, generate_dataset, exact_panel, baseline_independent
 
 __version__ = "0.1.0"

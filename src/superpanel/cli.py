@@ -93,6 +93,11 @@ def _json_type(value) -> str | None:
             list: "a list", tuple: "a list"}.get(type(value))
 
 
+def _fractional(value) -> bool:
+    """A number with a fractional part, which int() would truncate."""
+    return isinstance(value, float) and not value.is_integer()
+
+
 def _check_keys(config: dict, known: dict, prefix: str = "", nullable: bool = False) -> None:
     """Every key is known and keeps the JSON type of its default, where the
     default has one; ``nullable`` lets null through, for overrides that inherit."""
@@ -107,6 +112,9 @@ def _check_keys(config: dict, known: dict, prefix: str = "", nullable: bool = Fa
         elif ((want := _json_type(known[key])) and _json_type(value) != want
               and not (nullable and value is None)):
             raise CliError(f"config key {prefix + key!r} must be {want}, "
+                           f"got {json.dumps(value)}")
+        elif type(known[key]) is int and _fractional(value):
+            raise CliError(f"config key {prefix + key!r} must be a whole number, "
                            f"got {json.dumps(value)}")
 
 
@@ -222,7 +230,10 @@ def _count(config, key: str) -> int:
     """The draw or individual count at ``section.name``; below 1 it fails before
     any model loads or trains."""
     section, name = key.split(".")
-    value = int(config[section][name])
+    value = config[section][name]
+    if _fractional(value):
+        raise CliError(f"{key} must be a whole number, got {value!r}")
+    value = int(value)
     if value < 1:
         raise CliError(f"{key} must be >= 1, got {value}")
     return value
@@ -472,13 +483,15 @@ def _load_external_table(path, sch, base, years):
     str(i), or by zone (a column "zone"), resolved through each base row's
     geography value, which is how per-zone accessibility scores attach to
     individuals. A key of the base population with no row in a requested
-    year is an error naming it; other years are not checked.
+    year is an error naming it; other years are not checked. A repeated
+    (key, year) row, and a table for a schema with no external attribute,
+    are errors too.
     """
     # each external attribute's name -> the parser of its cells
     externals = {a.name: float if a.kind == "numerical" else int
                  for a in sch.attributes if a.role == "external"}
     if not externals:
-        return None
+        raise CliError(f"panel.external_table {path}: the schema has no external attribute")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         fields = reader.fieldnames or []
@@ -487,8 +500,12 @@ def _load_external_table(path, sch, base, years):
         if missing:
             raise CliError(f"{path}: external table has no column "
                            + ", ".join(repr(c) for c in missing))
-        rows = {(_external_cell(path, key_col, row, "year", int), row[key_col]): row
-                for row in reader}
+        rows = {}
+        for row in reader:
+            year, key = _external_cell(path, key_col, row, "year", int), row[key_col]
+            if (year, key) in rows:
+                raise CliError(f"{path}: {key_col} {key} in year {year} has more than one row")
+            rows[year, key] = row
     if key_col == "zone":
         geo = [a.name for a in sch.attributes if a.role == "geography"]
         if not geo:
@@ -685,10 +702,13 @@ def _statistics(config) -> list[panel.StatisticSpec]:
         if not isinstance(condition, dict):
             raise CliError(f"bootstrap.statistics[{i}] 'condition' must be an object of "
                            f"attribute: category pairs, got {condition!r}")
+        per_year = s.get("per_year", True)
+        if not isinstance(per_year, bool):
+            raise CliError(f"bootstrap.statistics[{i}] 'per_year' must be true or false, "
+                           f"got {json.dumps(per_year)}")
         stats.append(panel.StatisticSpec(
             attribute=s["attribute"], category=s.get("category"),
-            condition=tuple(sorted(condition.items())),
-            per_year=bool(s.get("per_year", True))))
+            condition=tuple(sorted(condition.items())), per_year=per_year))
     return stats
 
 

@@ -46,6 +46,13 @@ class TrainingDiverged(RuntimeError):
         self.epoch = epoch
 
 
+def _whole(name: str, value) -> int:
+    """An int field's value; a number with a fractional part is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CvaeConfig:
     hidden_layers: tuple[int, ...] = (64, 32)
@@ -62,8 +69,9 @@ class CvaeConfig:
         # JSON configs and --set overrides give ints for floats and lists for tuples
         for f in fields(self):
             value = getattr(self, f.name)
-            object.__setattr__(self, f.name, tuple(int(h) for h in value)
-                               if f.name == "hidden_layers" else f.type(value))
+            object.__setattr__(self, f.name, tuple(_whole(f.name, h) for h in value)
+                               if f.name == "hidden_layers"
+                               else _whole(f.name, value) if f.type is int else f.type(value))
         if any(h < 1 for h in self.hidden_layers):
             raise ValueError(f"hidden_layers widths must be >= 1, got {list(self.hidden_layers)}")
         if self.latent_dim < 1:

@@ -9,10 +9,10 @@ remaining categories rescaled proportionally; the shifted category's
 probability is therefore exactly base + year * per_year. A generated data
 set is a column table, the one reading its CSV back gives.
 
-Because every conditional is explicit, the exact joint preference
-distribution for any profile and year is the product of the preference
-tables read at that profile, which turns statistical claims about the
-trained model into checkable facts.
+Because every conditional is explicit, ``exact_panel`` gives the exact
+joint preference distribution of every (individual, year) cell of a base
+population, the product of the preference tables read at each row, which
+turns statistical claims about the trained model into checkable facts.
 """
 
 import json
@@ -237,48 +237,45 @@ def generate_dataset(spec: DgpSpec, n_per_year: int, years=None,
     return table
 
 
-def exact_conditional(spec: DgpSpec, profile_values: dict, year: int) -> JointHistogram:
-    """Exact joint preference distribution for one profile at one year.
+def exact_panel(spec: DgpSpec, base: dict, years) -> np.ndarray:
+    """Exact joint over every preference, (N, T, n_bins): base row i at each
+    year, bins in C order over the preferences in schema order.
 
-    A running product over the preferences in schema order: each table is
-    read at the profile's values, keeps one axis per preference parent and
-    multiplies the joint of the preferences before it.
+    Each year is a running product over the preferences in schema order:
+    each table is read at the base's columns for its conditional parents
+    and at the year for the time attribute, keeps one axis per preference
+    parent and multiplies the joint of the preferences before it.
     """
-    schema = spec.schema
+    schema, years = spec.schema, [int(y) for y in years]
     pref = schema.preference_attributes
-    subset = tuple(a.name for a in pref)
-    axis = {name: i for i, name in enumerate(subset)}
-    _check_year(spec, year)
-    values = dict(profile_values)
-    if schema.time_attribute is not None:
-        values[schema.time_attribute.name] = int(year)
-    joint = np.ones(())
-    for k, attr in enumerate(pref):
-        table = spec.table_for(attr.name)
-        missing = [p for p in table.parents if p not in axis and p not in values]
-        if missing:
-            raise DgpError(f"profile has no value for {missing[0]}, a parent of {attr.name}")
-        for p in table.parents:
-            if p not in axis and values[p] not in range(schema.attribute(p).cardinality):
-                raise DgpError(f"profile value {p}={values[p]!r} is not a category of {p}, "
+    axis = {a.name: j for j, a in enumerate(pref)}
+    time = schema.time_attribute.name if schema.time_attribute is not None else None
+    for year in years:
+        _check_year(spec, year)
+    for attr in pref:
+        for p in spec.table_for(attr.name).parents:
+            if p in axis or p == time:
+                continue
+            if p not in base:
+                raise DgpError(f"base has no column for {p}, a parent of {attr.name}")
+            col = np.asarray(base[p])
+            bad = col[(col < 0) | (col >= schema.attribute(p).cardinality)]
+            if len(bad):
+                raise DgpError(f"base value {p}={bad[0].item()!r} is not a category of {p}, "
                                f"a parent of {attr.name}")
-        probs = effective_table(spec, table, int(year))[
-            tuple(slice(None) if p in axis else int(values[p]) for p in table.parents)]
-        parents = [axis[p] for p in table.parents if p in axis]
-        probs = probs.transpose(*np.argsort(parents), len(parents)).reshape(
-            [a.cardinality if j in parents else 1 for j, a in enumerate(pref[:k])] + [-1])
-        joint = joint[..., None] * probs
-    return JointHistogram(subset=subset, dims=joint.shape, frequencies=joint.reshape(-1),
-                          n_source=0)
-
-
-def exact_population_joint(spec: DgpSpec, profiles_values, year: int) -> JointHistogram:
-    """Mixture of exact conditionals over a pool of profiles."""
-    hists = [exact_conditional(spec, pv, year) for pv in profiles_values]
-    freqs = np.mean([h.frequencies for h in hists], axis=0)
-    first = hists[0]
-    return JointHistogram(subset=first.subset, dims=first.dims, frequencies=freqs,
-                          n_source=len(hists))
+    n = len(next(iter(base.values()), ()))
+    cube = np.empty((n, len(years), int(np.prod([a.cardinality for a in pref]))))
+    for t, year in enumerate(years):
+        joint = np.ones(n)
+        for k, attr in enumerate(pref):
+            table = spec.table_for(attr.name)
+            # row axis first, then one axis per earlier preference
+            idx = tuple(np.arange(pref[axis[p]].cardinality).reshape(-1, *[1] * (k - 1 - axis[p]))
+                        if p in axis else np.reshape(year if p == time else base[p], (-1, *[1] * k))
+                        for p in table.parents)
+            joint = joint[..., None] * effective_table(spec, table, year)[idx]
+        cube[:, t] = joint.reshape(n, -1)
+    return cube
 
 
 def baseline_independent(records, subset, schema: Schema) -> JointHistogram:

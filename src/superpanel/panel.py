@@ -353,8 +353,9 @@ def _bootstrap_replicate(args):
     n = encoded.n_rows
     resample_idx = rng.integers(0, n, size=n)
 
-    data_stats = {s.name: _statistic_values(take_rows(table, resample_idx), schema, s)
-                  for s in stats}
+    resample = take_rows(table, resample_idx)
+    data_stats = {s.name: _statistic_values(resample, schema, s) for s in stats}
+    del resample  # not held through the refit
 
     rep_cfg = replace(config, seed=derive_seed(seed, "bootstrap-train", rep_idx))
     split_at = min(max(1, int(round(n * 0.9))), n - 1)

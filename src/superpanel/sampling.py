@@ -41,25 +41,31 @@ class PreferenceDraws:
     draws: np.ndarray  # (n_draws, n_pref) category indices, columns in preference order
 
 
-def _resolve_samples(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray):
-    """Category indices, (rows, blocks): block j's index is drawn from its softmax
-    segment by uniforms[:, j].
+def _category_sampler(model: TrainedModel):
+    """The sampler of the decoder head's categories: resolve(dec_out, uniforms)
+    returns the category indices, (rows, blocks), block j's index drawn from
+    its softmax segment by uniforms[:, j].
 
     The segments are gathered into one zero-padded (rows, blocks, widest)
     array, so one cumsum, one compare-and-sum and one clamp serve every
     block. The padding follows each segment's end: it leaves every partial
-    sum as it was and adds 0 to each total.
+    sum as it was and adds 0 to each total. The layout is worked out once,
+    for every decoder pass of a kernel call.
     """
     widths = [a.n_categories for a in model.schema.preference_attributes]
-    widest = max(widths)
+    widest, last = max(widths), np.array(widths) - 1
     # the decoder's output columns are the segments in order
-    slots = [j * widest + m for j, width in enumerate(widths) for m in range(width)]
-    padded = np.zeros((len(dec_out), len(widths), widest))
-    padded.reshape(len(dec_out), -1)[:, slots] = dec_out
-    cum = np.cumsum(padded, axis=2, out=padded)
-    u = uniforms * cum[:, :, -1]  # renormalize against fp drift
-    idx = np.sum(u[:, :, None] >= cum, axis=2)
-    return np.minimum(idx, np.array(widths) - 1, out=idx)
+    slots = np.array([j * widest + m for j, width in enumerate(widths) for m in range(width)])
+
+    def resolve(dec_out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        padded = np.zeros((len(dec_out), len(widths), widest))
+        padded.reshape(len(dec_out), -1)[:, slots] = dec_out
+        cum = np.cumsum(padded, axis=2, out=padded)
+        u = uniforms * cum[:, :, -1]  # renormalize against fp drift
+        idx = np.sum(u[:, :, None] >= cum, axis=2)
+        return np.minimum(idx, last, out=idx)
+
+    return resolve
 
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,
@@ -92,6 +98,7 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     # 2.5-2.8 s against 1.8-2.0 s
     layers = [np.empty((min(rows_per_chunk * r, CHUNK_ROWS), layer.out_dim))
               for layer in model.decoder.layers]
+    resolve = _category_sampler(model)
     rngs = iter(rngs)
     for lo in range(0, n, rows_per_chunk):
         k = min(rows_per_chunk, n - lo)
@@ -106,7 +113,7 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
             b = min(a + CHUNK_ROWS, k * r)
             dec_out = nn.forward(model.decoder, x_k[a:b], keep_tape=False,
                                  out=[y[: b - a] for y in layers])[0]
-            out[lo * r + a : lo * r + b] = _resolve_samples(model, dec_out, u_k[a:b])
+            out[lo * r + a : lo * r + b] = resolve(dec_out, u_k[a:b])
     return out
 
 

@@ -227,8 +227,8 @@ def test_04_dgp_recovery(static_run):
 
     # confirm the premise first: the exact oracle is close to the held-out
     # tabulation while the independent-marginals baseline is far away
-    profiles = [{"segment": r.values[1], "year": r.values[0]} for r in val_records]
-    exact = oracle.exact_population_joint(spec, profiles[:1000], year=0)
+    truth = oracle.exact_panel(spec, sm.record_columns(val_records[:1000], spec.schema), [0])
+    exact = metrics.JointHistogram(subset, val_hist.dims, truth[:, 0].mean(axis=0), 1000)
     s_exact = metrics.srmse(exact, val_hist)
     baseline = oracle.baseline_independent(train_records, subset, spec.schema)
     s_base = metrics.srmse(baseline, val_hist)

@@ -409,6 +409,11 @@ class TestPanelCommands:
                                                 "'catgory'"),
         ({"attribute": "p_mode", "category": 0, "condition": [["segment", 0]]},
          "bootstrap.statistics[1] 'condition' must be an object"),
+        # bool("false") is True: the string would write per-year rows
+        ({"attribute": "p_mode", "category": 0, "per_year": "false"},
+         "bootstrap.statistics[1] 'per_year' must be true or false, got \"false\""),
+        ({"attribute": "p_mode", "category": 0, "per_year": 0},
+         "bootstrap.statistics[1] 'per_year' must be true or false, got 0"),
     ])
     def test_malformed_bootstrap_statistic_fails(self, pipeline, tmp_path, capsys, no_training,
                                                  stat, named):
@@ -578,6 +583,36 @@ class TestDrawCounts:
         assert list(tmp_path.glob("*.csv")) == []
 
 
+class TestWholeNumbers:
+    @pytest.mark.parametrize("command, assignment, named", [
+        # a key whose default is an int
+        ("train", "model.epochs=2.7", "config key 'model.epochs' must be a whole number, got 2.7"),
+        ("synth", "dgp.n_per_year=10.5",
+         "config key 'dgp.n_per_year' must be a whole number, got 10.5"),
+        ("build-panel", "panel.draws_per_cell=20.5",
+         "config key 'panel.draws_per_cell' must be a whole number, got 20.5"),
+        ("bootstrap", "bootstrap.replicates=2.5",
+         "config key 'bootstrap.replicates' must be a whole number, got 2.5"),
+        ("bootstrap", "bootstrap.model.epochs=1.5",
+         "config key 'bootstrap.model.epochs' must be a whole number, got 1.5"),
+        ("train", "model.epochs=NaN", "config key 'model.epochs' must be a whole number, got NaN"),
+        # a CvaeConfig int field the config keys do not check entry by entry
+        ("train", "model.hidden_layers=[16, 8.5]", "hidden_layers must be a whole number, got 8.5"),
+        # a count whose default is null
+        ("build-panel", "panel.max_individuals=3.5",
+         "panel.max_individuals must be a whole number, got 3.5"),
+    ])
+    def test_fractional_int_fails(self, pipeline, tmp_path, capsys, monkeypatch, no_training,
+                                  command, assignment, named):
+        """int() would truncate: model.epochs=2.7 would train 2 epochs and exit 0."""
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(cvae, "load_model", lambda *a, **k: pytest.fail("a model was loaded"))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", assignment]) == 1
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
+
+
 class TestSetOverrides:
     def test_set_deep_override(self, tmp_path):
         out = tmp_path / "o"
@@ -664,9 +699,11 @@ class TestSetOverrides:
     def test_number_types_stand_in_and_null_model_override_inherits(self, tmp_path):
         config = cli.load_config(argparse.Namespace(config=None, seed=1, set=[
             "model.beta=1", "model.epochs=3.0", "split_fraction=1e-1",
-            "bootstrap.model.beta=null", "bootstrap.model.latent_dim=4"]))
+            "bootstrap.model.beta=null", "bootstrap.model.latent_dim=4",
+            "panel.max_individuals=3.0"]))
         model_cfg = cli._model_config(config, "bootstrap-base", config["bootstrap"]["model"])
         assert (model_cfg.beta, model_cfg.epochs, model_cfg.latent_dim) == (1.0, 3, 4)
+        assert cli._count(config, "panel.max_individuals") == 3
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_fails(self, tmp_path, capsys, jobs):
@@ -864,6 +901,35 @@ class TestExternalTable:
         capsys.readouterr()
         assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error: {ext_path}: {expected}" in capsys.readouterr().err
+
+    def test_repeated_key_year_named(self, tmp_path, capsys, no_sampling):
+        """The first repeat is named; a later row would otherwise replace an earlier one."""
+        cfg, out = self._external_setup(tmp_path, "individual")
+        ext_path = tmp_path / "external.csv"
+        with open(ext_path, "a", newline="") as fh:
+            csv.writer(fh).writerows([["7", "2", "0"], ["3", "1", "1"], ["7", "2", "1"]])
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {ext_path}: individual_id 7 in year 2 has more than one row" in err
+        assert "individual_id 3" not in err
+
+    def test_table_without_external_attribute_fails(self, tmp_path, capsys, no_sampling):
+        """drift-split has no external attribute, so the table would go unread."""
+        cfg, out = self._external_setup(tmp_path, "individual")
+        doc = json.loads(cfg.read_text())
+        doc["dgp"] = {"name": "drift-split", "n_per_year": 150}
+        doc["eval_subsets"] = None
+        cfg.write_text(json.dumps(doc))
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["build-panel", "--config", str(cfg), "--out", str(out)]) == 1
+        assert (f"panel.external_table {tmp_path / 'external.csv'}: the schema has no "
+                f"external attribute") in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
 
     def test_unrequested_partial_year_accepted(self, tmp_path):
         """Zone 1 has no row in year 2, which the panel does not request."""

@@ -343,6 +343,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             cvae.CvaeConfig(learning_rate=rate)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.7), ("latent_dim", 1.5), ("batch_size", 64.5), ("seed", -0.5),
+        ("hidden_layers", (16, 8.5)),
+    ])
+    def test_fractional_int_field_rejected(self, field, value):
+        """int() would truncate 2.7 epochs to 2."""
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            cvae.CvaeConfig(**{field: value})
+
     def test_fields_coerced_to_declared_types(self):
         cfg = cvae.CvaeConfig(hidden_layers=[16, 8.0], latent_dim=2.0, beta=5, learning_rate=1,
                               rho=1, epsilon=0, batch_size="32", epochs=3.0, seed=True)

@@ -66,7 +66,7 @@ class TestSpecValidation:
             )
 
     def test_preference_parent_of_non_preference_rejected(self):
-        """generate_dataset would draw c after x, which exact_conditional ignores."""
+        """generate_dataset would draw c after x, which exact_panel ignores."""
         schema = sm.Schema(attributes=(
             sm.AttributeSpec("x", "preference", "categorical", cardinality=2),
             sm.AttributeSpec("c", "socio", "categorical", cardinality=2),
@@ -176,7 +176,27 @@ class TestGenerate:
             assert np.all((col >= 0) & (col < attr.n_categories)), attr.name
 
 
+def profile(**values):
+    """One base row: a column table of length 1."""
+    return {name: np.array([value]) for name, value in values.items()}
+
+
+def exact_joint(spec, values, year):
+    """The truth cube's one cell for one profile at one year, as a JointHistogram."""
+    return truth_histogram(spec, oracle.exact_panel(spec, profile(**values), [year])[0, 0])
+
+
+def truth_histogram(spec, freqs):
+    """Frequencies over every preference, in schema order, as a JointHistogram."""
+    pref = spec.schema.preference_attributes
+    return mx.JointHistogram(subset=tuple(a.name for a in pref),
+                             dims=tuple(a.cardinality for a in pref), frequencies=freqs,
+                             n_source=0)
+
+
 class TestExactConditional:
+    """Each cell of the truth cube is one profile's exact conditional at one year."""
+
     def test_independent_attributes_product_of_marginals(self):
         schema = sm.Schema(attributes=(
             sm.AttributeSpec("c", "socio", "categorical", cardinality=2),
@@ -188,47 +208,60 @@ class TestExactConditional:
             oracle.TableSpec("x", (), ((0.3, 0.7),)),
             oracle.TableSpec("y", (), ((0.2, 0.5, 0.3),)),
         ))
-        joint = oracle.exact_conditional(spec, {"c": 0}, year=0)
+        joint = exact_joint(spec, {"c": 0}, year=0)
         expected = np.outer([0.3, 0.7], [0.2, 0.5, 0.3]).ravel()
         assert np.allclose(joint.frequencies, expected)
 
     def test_sums_to_one(self):
         spec = oracle.canned_spec("static-corr")
-        joint = oracle.exact_conditional(spec, {"segment": 1, "year": 0}, year=0)
+        joint = exact_joint(spec, {"segment": 1, "year": 0}, year=0)
         assert joint.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_shape_rows_years_bins(self):
+        """Row i, year t is that row's joint at years[t]; the base's own year is ignored."""
+        spec = oracle.canned_spec("drift-split")
+        base = {"year": np.array([3, 0, 0]), "group": np.array([1, 0, 1]),
+                "segment": np.array([0, 2, 1])}
+        cube = oracle.exact_panel(spec, base, [4, 0])
+        assert cube.shape == (3, 2, 9)
+        for i in range(3):
+            for t, year in enumerate((4, 0)):
+                values = {"group": base["group"][i], "segment": base["segment"][i]}
+                assert np.array_equal(cube[i, t], exact_joint(spec, values, year).frequencies)
+        assert oracle.exact_panel(spec, base, []).shape == (3, 0, 9)
 
     def test_profile_missing_parent_named(self):
         spec = oracle.canned_spec("drift-split")
-        with pytest.raises(oracle.DgpError, match="no value for group, a parent of p_mode"):
-            oracle.exact_conditional(spec, {"segment": 0}, year=0)
+        with pytest.raises(oracle.DgpError, match="no column for group, a parent of p_mode"):
+            exact_joint(spec, {"segment": 0}, year=0)
 
     @pytest.mark.parametrize("group", [-1, 2])
     def test_profile_value_outside_parent_named(self, group):
         """-1 would wrap to group 1's row and 2 would be a bare IndexError."""
         spec = oracle.canned_spec("drift-split")
         with pytest.raises(oracle.DgpError,
-                           match=f"profile value group={group} is not a category of group"):
-            oracle.exact_conditional(spec, {"group": group, "segment": 0}, year=4)
+                           match=f"base value group={group} is not a category of group"):
+            exact_joint(spec, {"group": group, "segment": 0}, year=4)
 
     def test_year_outside_time_categories_named(self):
         """No table reads the year, but the drift arithmetic would extrapolate to it."""
         spec = oracle.canned_spec("drift-split")
         with pytest.raises(oracle.DgpError, match="year 9 is not a category of year"):
-            oracle.exact_conditional(spec, {"group": 1, "segment": 0}, year=9)
+            exact_joint(spec, {"group": 1, "segment": 0}, year=9)
 
     def test_drift_linear_by_construction(self):
         spec = oracle.canned_spec("drift-split")
         p0 = spec.table_for("p_mode").probs[1][0]  # row for group=1
         delta = spec.drifts[0].per_year
         for year in spec.years:
-            joint = oracle.exact_conditional(spec, {"group": 1, "segment": 0}, year=year)
+            joint = exact_joint(spec, {"group": 1, "segment": 0}, year=year)
             p_mode0 = joint.marginal("p_mode")[0]
             assert p_mode0 == pytest.approx(p0 + year * delta, abs=1e-12)
 
     def test_static_group_untouched_by_drift(self):
         spec = oracle.canned_spec("drift-split")
-        first = oracle.exact_conditional(spec, {"group": 0, "segment": 1}, year=0)
-        last = oracle.exact_conditional(spec, {"group": 0, "segment": 1}, year=4)
+        first = exact_joint(spec, {"group": 0, "segment": 1}, year=0)
+        last = exact_joint(spec, {"group": 0, "segment": 1}, year=4)
         assert np.allclose(first.frequencies, last.frequencies)
 
     def test_matches_empirical_at_scale(self):
@@ -239,7 +272,7 @@ class TestExactConditional:
         sel = sm.take_rows(table, np.flatnonzero((table["group"] == 1) & (table["segment"] == 0)))
         subset = ("p_mode", "p_trips")
         emp = mx.cross_tabulate_columns(sel, subset, spec.schema)
-        exact = oracle.exact_conditional(spec, {"group": 1, "segment": 0}, year=3)
+        exact = exact_joint(spec, {"group": 1, "segment": 0}, year=3)
         n = len(sel["year"])
         for e_emp, e_true in zip(emp.frequencies, exact.frequencies):
             sigma = np.sqrt(e_true * (1 - e_true) / n)
@@ -296,7 +329,8 @@ class TestBaseline:
         records = table_records(oracle.generate_dataset(spec, 100_000, seed=10), spec.schema)
         empirical = mx.cross_tabulate(records, ("x", "y"), spec.schema)
         base = oracle.baseline_independent(records, ("x", "y"), spec.schema)
-        exact = oracle.exact_population_joint(spec, [{"c": 0}], year=0)
+        truth = oracle.exact_panel(spec, profile(c=0), [0])
+        exact = truth_histogram(spec, truth[:, 0].mean(axis=0))
         # true joint diag 0.45/off 0.05; independent product is 0.25 everywhere:
         # srmse = sqrt(4 * 0.2^2 / 4) / (1/4) = 0.8
         assert mx.srmse(base, empirical) == pytest.approx(0.8, abs=0.02)
@@ -415,8 +449,20 @@ def conditional_profiles(spec):
         yield dict(zip((a.name for a in conds), combo))
 
 
+def assert_panel_matches_reference(spec):
+    """One exact_panel call over a table of every conditional profile equals
+    the enumeration at every profile and year."""
+    profiles = list(conditional_profiles(spec))
+    base = {name: np.array([p[name] for p in profiles]) for name in profiles[0]}
+    cube = oracle.exact_panel(spec, base, spec.years)
+    assert cube.shape[:2] == (len(profiles), len(spec.years))
+    for i, values in enumerate(profiles):
+        for t, year in enumerate(spec.years):
+            assert np.array_equal(cube[i, t], reference_conditional(spec, values, year))
+
+
 class TestAgainstReference:
-    """effective_table, generate_dataset and exact_conditional equal the
+    """effective_table, generate_dataset and exact_panel equal the
     brute-force enumeration bit for bit."""
 
     @pytest.mark.parametrize("seed", range(12))
@@ -431,10 +477,7 @@ class TestAgainstReference:
                                       reference_table(spec, table, year))
         assert_tables_equal(oracle.generate_dataset(spec, 200, seed=seed),
                             reference_generate(spec, 200, seed), spec.schema)
-        for profile in conditional_profiles(spec):
-            for year in spec.years:
-                assert np.array_equal(oracle.exact_conditional(spec, profile, year).frequencies,
-                                      reference_conditional(spec, profile, year))
+        assert_panel_matches_reference(spec)
 
     @pytest.mark.parametrize("year", [-1, 5])
     def test_year_outside_a_table_parent_refused(self, year):
@@ -448,7 +491,4 @@ class TestAgainstReference:
         spec = oracle.canned_spec(name)
         assert_tables_equal(oracle.generate_dataset(spec, 300, seed=5),
                             reference_generate(spec, 300, 5), spec.schema)
-        for profile in conditional_profiles(spec):
-            for year in spec.years:
-                assert np.array_equal(oracle.exact_conditional(spec, profile, year).frequencies,
-                                      reference_conditional(spec, profile, year))
+        assert_panel_matches_reference(spec)

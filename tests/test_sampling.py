@@ -53,7 +53,7 @@ class TestKernel:
         rng = np.random.default_rng(0)
         dec_out = rng.random((5000, small_model.decoder.out_dim)) ** 3
         uniforms = rng.random((5000, len(attrs)))
-        got = sampling._resolve_samples(small_model, dec_out, uniforms)
+        got = sampling._category_sampler(small_model)(dec_out, uniforms)
         assert got.dtype == np.int64
         assert np.array_equal(got, resolve_per_block(attrs, dec_out, uniforms))
 
@@ -69,7 +69,7 @@ class TestKernel:
         totals = np.stack([dec_out[:, cols].sum(axis=1) for _, cols in spans(attrs)], axis=1)
         edge = np.arange(300) % 3 < 2
         assert np.all((uniforms * totals >= totals)[edge])
-        got = sampling._resolve_samples(small_model, dec_out, uniforms)
+        got = sampling._category_sampler(small_model)(dec_out, uniforms)
         assert np.array_equal(got, resolve_per_block(attrs, dec_out, uniforms))
         assert np.array_equal(got[edge], np.tile([a.n_categories - 1 for a in attrs], (200, 1)))
 
