@@ -226,14 +226,18 @@ def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     return model, model_path
 
 
+def _whole(key: str, value) -> int:
+    """int(value), refused when that would truncate a fractional part."""
+    if _fractional(value):
+        raise CliError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _count(config, key: str) -> int:
     """The draw or individual count at ``section.name``; below 1 it fails before
     any model loads or trains."""
     section, name = key.split(".")
-    value = config[section][name]
-    if _fractional(value):
-        raise CliError(f"{key} must be a whole number, got {value!r}")
-    value = int(value)
+    value = _whole(key, config[section][name])
     if value < 1:
         raise CliError(f"{key} must be >= 1, got {value}")
     return value
@@ -541,7 +545,8 @@ def _panel_base(config, sch, table):
     years = panel_cfg["years"]
     if years is None:
         years = sorted(set(row_years.tolist()))
-    return schema_mod.take_rows(table, base_idx), [int(y) for y in years]
+    return (schema_mod.take_rows(table, base_idx),
+            [_whole(f"panel.years[{i}]", y) for i, y in enumerate(years)])
 
 
 def _build_cube(args, config, out, sch, base, years, subsets):
@@ -589,8 +594,9 @@ def _mover_request(config, sch, base, years):
     years, and the distance subset, movers.subset or every preference jointly;
     they and the base population's size are checked before any cell is sampled."""
     movers_cfg = config["movers"]
-    t_start = years[0] if movers_cfg["t_start"] is None else int(movers_cfg["t_start"])
-    t_end = years[-1] if movers_cfg["t_end"] is None else int(movers_cfg["t_end"])
+    t_start, t_end = movers_cfg["t_start"], movers_cfg["t_end"]
+    t_start = years[0] if t_start is None else _whole("movers.t_start", t_start)
+    t_end = years[-1] if t_end is None else _whole("movers.t_end", t_end)
     for key, year in (("movers.t_start", t_start), ("movers.t_end", t_end)):
         if year not in years:
             raise CliError(f"{key} {year} is not one of the panel years {years}")

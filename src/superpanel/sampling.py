@@ -8,17 +8,21 @@ randomness is derived from (master seed, profile id), so sampling many
 profiles in parallel or serially yields identical output. Conditional
 rows come from ``schema.encode_columns``, like every other encoded row.
 
-One kernel (``_decode_with_noise``) serves per-profile draws, bulk
-columns and the panel cube. It draws whole rows in cache-sized chunks of
-about ``CHUNK_ROWS`` draws, sends at most ``CHUNK_ROWS`` of them through
-one decoder pass and writes their categories into the caller's array
-(int64 unless the caller passes a narrower one), so its decoder working
-memory grows neither with the number of rows nor with the draws per row.
-All passes of a call write their layer outputs into one set of buffers.
-Generated populations are column tables, like the survey tables they are
-drawn from.
+Every draw goes through one decoder pass (``_decode_pass``): the decoder,
+then the categories its softmax segments give the uniforms. The kernel
+(``_decode_with_noise``) serves bulk columns and the panel cube. It draws
+whole rows in cache-sized chunks of about ``CHUNK_ROWS`` draws, sends at
+most ``CHUNK_ROWS`` of them through one pass and writes their categories
+into the caller's array (int64 unless the caller passes a narrower one),
+so its decoder working memory grows neither with the number of rows nor
+with the draws per row. All passes of a call write their layer outputs
+into one set of buffers. ``sample`` draws one profile as the kernel would,
+in its stream order and slices, straight into arrays of its own: a
+profile of a few draws pays for no chunk plan and no buffers. Generated
+populations are column tables, like the survey tables they are drawn from.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,31 +45,42 @@ class PreferenceDraws:
     draws: np.ndarray  # (n_draws, n_pref) category indices, columns in preference order
 
 
-def _category_sampler(model: TrainedModel):
-    """The sampler of the decoder head's categories: resolve(dec_out, uniforms)
-    returns the category indices, (rows, blocks), block j's index drawn from
-    its softmax segment by uniforms[:, j].
+@functools.lru_cache(maxsize=16)
+def _head_layout(widths: tuple[int, ...]):
+    """(slots, widest, last) of a decoder head with these segment widths:
+    slots places its output columns in a zero-padded (blocks, widest) row and
+    last holds each block's largest category."""
+    widest = max(widths)
+    last = np.array(widths) - 1
+    slots = np.array([j * widest + m for j, width in enumerate(widths) for m in range(width)])
+    last.setflags(write=False)
+    slots.setflags(write=False)
+    return slots, widest, last
+
+
+def _resolve(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The category indices of the decoder head's output, (rows, blocks),
+    block j's index drawn from its softmax segment by uniforms[:, j].
 
     The segments are gathered into one zero-padded (rows, blocks, widest)
     array, so one cumsum, one compare-and-sum and one clamp serve every
     block. The padding follows each segment's end: it leaves every partial
-    sum as it was and adds 0 to each total. The layout is worked out once,
-    for every decoder pass of a kernel call.
+    sum as it was and adds 0 to each total.
     """
-    widths = [a.n_categories for a in model.schema.preference_attributes]
-    widest, last = max(widths), np.array(widths) - 1
-    # the decoder's output columns are the segments in order
-    slots = np.array([j * widest + m for j, width in enumerate(widths) for m in range(width)])
+    slots, widest, last = _head_layout(tuple(model.decoder.layers[-1].blocks))
+    padded = np.zeros((len(dec_out), len(last), widest))
+    padded.reshape(len(dec_out), -1)[:, slots] = dec_out
+    cum = np.cumsum(padded, axis=2, out=padded)
+    u = uniforms * cum[:, :, -1]  # renormalize against fp drift
+    idx = (u[:, :, None] >= cum).sum(axis=2)
+    return np.minimum(idx, last, out=idx)
 
-    def resolve(dec_out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        padded = np.zeros((len(dec_out), len(widths), widest))
-        padded.reshape(len(dec_out), -1)[:, slots] = dec_out
-        cum = np.cumsum(padded, axis=2, out=padded)
-        u = uniforms * cum[:, :, -1]  # renormalize against fp drift
-        idx = np.sum(u[:, :, None] >= cum, axis=2)
-        return np.minimum(idx, last, out=idx)
 
-    return resolve
+def _decode_pass(model: TrainedModel, x: np.ndarray, uniforms: np.ndarray,
+                 layers=None) -> np.ndarray:
+    """One decoder pass over the input rows x and the categories it draws with
+    uniforms; layers, one buffer per decoder layer, receive its layer outputs."""
+    return _resolve(model, nn.forward(model.decoder, x, keep_tape=False, out=layers)[0], uniforms)
 
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,
@@ -98,7 +113,6 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
     # 2.5-2.8 s against 1.8-2.0 s
     layers = [np.empty((min(rows_per_chunk * r, CHUNK_ROWS), layer.out_dim))
               for layer in model.decoder.layers]
-    resolve = _category_sampler(model)
     rngs = iter(rngs)
     for lo in range(0, n, rows_per_chunk):
         k = min(rows_per_chunk, n - lo)
@@ -111,20 +125,31 @@ def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: i
         # several slices only when one row has more than CHUNK_ROWS draws
         for a in range(0, k * r, CHUNK_ROWS):
             b = min(a + CHUNK_ROWS, k * r)
-            dec_out = nn.forward(model.decoder, x_k[a:b], keep_tape=False,
-                                 out=[y[: b - a] for y in layers])[0]
-            out[lo * r + a : lo * r + b] = resolve(dec_out, u_k[a:b])
+            out[lo * r + a : lo * r + b] = _decode_pass(model, x_k[a:b], u_k[a:b],
+                                                         [y[: b - a] for y in layers])
     return out
 
 
 def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int,
            seed: int) -> PreferenceDraws:
-    """Draw preference realizations for one encoded conditional row."""
+    """Draw preference realizations for one encoded conditional row: the
+    kernel's draws for the row and the profile's generator, drawn without its
+    chunk plan and buffers."""
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
-    return PreferenceDraws(profile_id, _decode_with_noise(
-        model, np.asarray(c_row, dtype=float)[None, :], n_draws,
-        [derive_rng(seed, "profile", profile_id)]))
+    c_row = np.asarray(c_row, dtype=float)
+    d_z, n_blocks = model.config.latent_dim, len(model.schema.preference_attributes)
+    rng = derive_rng(seed, "profile", profile_id)
+    x = np.empty((n_draws, d_z + len(c_row)))
+    # latent draws from the unit prior are the eps themselves
+    x[:, :d_z] = rng.standard_normal((n_draws, d_z))
+    x[:, d_z:] = c_row
+    uniforms = rng.random((n_draws, n_blocks))
+    draws = np.empty((n_draws, n_blocks), dtype=np.int64)
+    for a in range(0, n_draws, CHUNK_ROWS):
+        draws[a : a + CHUNK_ROWS] = _decode_pass(model, x[a : a + CHUNK_ROWS],
+                                                 uniforms[a : a + CHUNK_ROWS])
+    return PreferenceDraws(profile_id, draws)
 
 
 def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draws_per_row: int,

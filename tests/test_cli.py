@@ -288,6 +288,17 @@ class TestPanelCommands:
         manifest = json.loads((tmp_path / "classify_movers_manifest.json").read_text())
         assert (manifest["t_start"], manifest["t_end"]) == (1, 4)
 
+    def test_whole_float_years_pass(self, pipeline, tmp_path):
+        """2.0 is a whole number: the years it names are the int years."""
+        tmp, out, cfg = pipeline
+        assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", "panel.years=[0, 2.0, 4]",
+                    "--set", 'movers={"t_start": 2.0, "t_end": 4.0}']) == 0
+        manifest = json.loads((tmp_path / "classify_movers_manifest.json").read_text())
+        assert [manifest["t_start"], manifest["t_end"]] == [2, 4]
+        assert type(manifest["t_start"]) is int and type(manifest["t_end"]) is int
+
     def test_movers_subset_alone_sets_distance_subset(self, pipeline, tmp_path):
         tmp, out, cfg = pipeline
         assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
@@ -601,6 +612,10 @@ class TestWholeNumbers:
         # a count whose default is null
         ("build-panel", "panel.max_individuals=3.5",
          "panel.max_individuals must be a whole number, got 3.5"),
+        # years, whose defaults are null
+        ("build-panel", "panel.years=[0, 2.5, 4]", "panel.years[1] must be a whole number, got 2.5"),
+        ("classify-movers", "movers.t_start=0.7", "movers.t_start must be a whole number, got 0.7"),
+        ("classify-movers", "movers.t_end=4.5", "movers.t_end must be a whole number, got 4.5"),
     ])
     def test_fractional_int_fails(self, pipeline, tmp_path, capsys, monkeypatch, no_training,
                                   command, assignment, named):

@@ -53,7 +53,7 @@ class TestKernel:
         rng = np.random.default_rng(0)
         dec_out = rng.random((5000, small_model.decoder.out_dim)) ** 3
         uniforms = rng.random((5000, len(attrs)))
-        got = sampling._category_sampler(small_model)(dec_out, uniforms)
+        got = sampling._resolve(small_model, dec_out, uniforms)
         assert got.dtype == np.int64
         assert np.array_equal(got, resolve_per_block(attrs, dec_out, uniforms))
 
@@ -69,7 +69,7 @@ class TestKernel:
         totals = np.stack([dec_out[:, cols].sum(axis=1) for _, cols in spans(attrs)], axis=1)
         edge = np.arange(300) % 3 < 2
         assert np.all((uniforms * totals >= totals)[edge])
-        got = sampling._category_sampler(small_model)(dec_out, uniforms)
+        got = sampling._resolve(small_model, dec_out, uniforms)
         assert np.array_equal(got, resolve_per_block(attrs, dec_out, uniforms))
         assert np.array_equal(got[edge], np.tile([a.n_categories - 1 for a in attrs], (200, 1)))
 
@@ -106,6 +106,27 @@ class TestKernel:
         assert passes[-1] == draws
         for name, col in whole.items():
             assert np.array_equal(cols[name], col)
+
+    @pytest.mark.parametrize("n_draws", [0, 1, 5, sampling.CHUNK_ROWS, sampling.CHUNK_ROWS + 1,
+                                         3 * sampling.CHUNK_ROWS + 5])
+    def test_sample_is_the_kernel(self, small_model, monkeypatch, n_draws):
+        """A profile's draws are the kernel's for its row and generator, bit for
+        bit, and no decoder pass takes more than CHUNK_ROWS of them."""
+        c = row_for(small_model, segment=1, year=2)
+        passes = []
+        forward = sampling.nn.forward
+
+        def counted(net, x, **kwargs):
+            passes.append(len(x))
+            return forward(net, x, **kwargs)
+
+        monkeypatch.setattr(sampling.nn, "forward", counted)
+        got = sampling.sample(small_model, c, "p7", n_draws, seed=5).draws
+        assert max(passes, default=0) <= sampling.CHUNK_ROWS and sum(passes) == n_draws
+        want = sampling._decode_with_noise(small_model, c[None], n_draws,
+                                           [derive_rng(5, "profile", "p7")])
+        assert got.dtype == want.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_rows, draws", [(0, 5), (3, 0)])
     def test_no_rows_or_no_draws_give_empty_columns(self, small_model, n_rows, draws):
