@@ -227,9 +227,10 @@ def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
 
 
 def _whole(key: str, value) -> int:
-    """int(value), refused when that would truncate a fractional part."""
-    if _fractional(value):
-        raise CliError(f"{key} must be a whole number, got {value!r}")
+    """int(value) of a JSON number, refused when that would truncate a
+    fractional part; a boolean or a string is not a number."""
+    if _json_type(value) != "a number" or _fractional(value):
+        raise CliError(f"{key} must be a whole number, got {json.dumps(value)}")
     return int(value)
 
 
@@ -304,8 +305,8 @@ def cmd_train(args, config, out):
     sch, table, dropped = _load_table(config)
     encoded = schema_mod.encode_table(table, sch)
     del table  # training holds only the matrices
+    # both fits read rows of the one encoding by index
     idx_train, idx_val = _split(config, encoded.n_rows)
-    train_set, val_set = encoded.take(idx_train), encoded.take(idx_val)
     outputs = []
     extra = {"dropped_rows": dropped}
 
@@ -328,7 +329,7 @@ def cmd_train(args, config, out):
         if grid_cfg["plan_only"]:
             return outputs, {"plan_only": True}
         best_cfg, leaderboard = cvae.grid_search(
-            train_set, val_set, grid, _eval_subsets(config, sch),
+            encoded.take(idx_train), encoded.take(idx_val), grid, _eval_subsets(config, sch),
             seed=config["seed"], base=base, jobs=args.jobs,
         )
         lb_path = out / "leaderboard.csv"
@@ -344,7 +345,7 @@ def cmd_train(args, config, out):
         split_cfg = _model_config(config, "train-split")
 
     try:
-        model_split = cvae.train(train_set, split_cfg, val_set)
+        model_split = cvae.train(encoded, split_cfg, encoded, rows=idx_train, val_rows=idx_val)
     except cvae.TrainingDiverged as exc:
         raise CliError(f"training diverged: {exc}") from exc
     split_path = out / "model_split.json"
@@ -355,7 +356,7 @@ def cmd_train(args, config, out):
     # the checkpoint epoch
     full_cfg = replace(split_cfg, seed=derive_seed(config["seed"], "train-full"))
     try:
-        model_full = cvae.train(encoded, full_cfg, val_set)
+        model_full = cvae.train(encoded, full_cfg, encoded, val_rows=idx_val)
     except cvae.TrainingDiverged as exc:
         raise CliError(f"full-data training diverged: {exc}") from exc
     full_path = out / "model_full.json"

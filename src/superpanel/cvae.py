@@ -18,15 +18,23 @@ analytic Gaussian divergence from the unit prior
 The encoder is parameterized by log-variance, so exp(log_var) is the
 latent variance and the divergence above is the exact closed form.
 
-Training works on one parameter vector and one gradient vector: both
-networks are packed into one buffer (nn.pack), loss_and_grads returns
+Training works on one parameter vector and one gradient vector per model:
+both networks are packed into one buffer (nn.pack), loss_and_grads returns
 (xent, kl) and overwrites a buffer of the same layout with the gradient of
-the total, through views that train builds once, and one nn.rmsprop_step
+the total, through views built once per fit, and one nn.rmsprop_step
 updates the parameters.
+
+Models of one shape and config that differ only in seed train as a stack
+(train_stack): row k of one (K, P) buffer is model k's nn.pack layout,
+nn.bind views it as stacked networks, and each loss_and_grads call runs all
+K batches at once, returning per-model (xent, kl). Each model keeps its own
+generators, optimizer step, checkpoint and divergence, so it is bit-identical
+to the same model trained alone; train is the stack of one.
 """
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields, asdict, replace
 
 import numpy as np
@@ -36,6 +44,13 @@ from .schema import EncodedDataset, Schema, schema_from_dict
 from .seeding import derive_rng, derive_seed, map_units
 
 LOG_FLOOR = 1e-12  # clamp inside log() so saturated softmax cannot emit -inf
+#: Bound on the arrays a stacked training step allocates afresh, in floats:
+#: the rows of every batch of the stack times the widest of them, a network's
+#: input or output (each layer's output and gradients go to buffers reused
+#: from step to step), stay below it. 8,192 floats are 64 KiB, from which on
+#: glibc's free() consolidates the heap and returns its top to the OS, so
+#: each step would fault its pages in afresh.
+STACK_FLOATS = 8_192
 #: version 2: every preference is a softmax segment; head blocks are widths
 MODEL_FORMAT_VERSION = 2
 
@@ -121,40 +136,59 @@ def build_networks(schema: Schema, config: CvaeConfig) -> tuple[nn.Network, nn.N
 # Forward pieces
 
 
-def kl_divergence(mu: np.ndarray, log_var: np.ndarray) -> float:
-    """Closed-form divergence of N(mu, exp(log_var)) from the unit Gaussian."""
-    return float(-0.5 * np.sum(1.0 + log_var - mu ** 2 - np.exp(log_var)))
+def _batch_sum(x: np.ndarray, lead) -> np.ndarray:
+    """Sum over each batch's rows and columns, one sum per leading index."""
+    return x.reshape(*lead, -1).sum(-1)
+
+
+def kl_divergence(mu: np.ndarray, log_var: np.ndarray):
+    """Closed-form divergence of N(mu, exp(log_var)) from the unit Gaussian,
+    summed over a batch's rows, one sum per batch of a stack."""
+    return -0.5 * _batch_sum(1.0 + log_var - mu ** 2 - np.exp(log_var), mu.shape[:-2])
+
+
+def _forward(network: nn.Network, x: np.ndarray, keep_tape: bool, out):
+    """nn.forward; given out, the layer outputs land in those arrays and the
+    tape is built over them, for a backward that runs before the next pass."""
+    if out is None:
+        return nn.forward(network, x, keep_tape=keep_tape)
+    y, _ = nn.forward(network, x, keep_tape=False, out=out)
+    return y, nn.ForwardTape([x, *out[:-1]], list(out))
 
 
 def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: np.ndarray,
-                   eps: np.ndarray, beta: float, grads=None):
+                   eps: np.ndarray, beta: float, grads=None, work=None):
     """Batch loss terms (xent, kl) and, given grads, their exact gradients.
 
     V, C and eps are 2-D float arrays, one eps draw per record. grads is
     nn.views([encoder, decoder], buffer) of a buffer laid out as nn.pack
     lays out the parameters; every entry of the buffer is overwritten with
     the gradient of xent + beta * kl. With grads None (validation) only the
-    loss terms are computed.
+    loss terms are computed. Stacked networks (nn.bind) take (K, rows, ...)
+    arrays and a (K, P) buffer's views, and return (K,) arrays of terms.
+    work, nn.step_buffers of the encoder and of the decoder for these rows,
+    receives the layer outputs and gradients of a gradient pass.
     """
-    if V.shape[0] == 0:
+    if V.shape[-2] == 0:
         raise ValueError("empty batch")
-    d_z = eps.shape[1]
+    d_z, lead = eps.shape[-1], V.shape[:-2]
 
     # overflow during a diverging run surfaces as a non-finite loss that the
     # training loop reports; no need for numpy to warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         # the validation pass runs no backward, so it keeps no tape
         keep_tape = grads is not None
-        enc_out, enc_tape = nn.forward(encoder, np.concatenate([V, C], axis=1),
-                                       keep_tape=keep_tape)
-        mu, log_var = enc_out[:, :d_z], enc_out[:, d_z:]
+        (enc_outs, enc_grads), (dec_outs, dec_grads) = work or ((None, None), (None, None))
+        enc_out, enc_tape = _forward(encoder, np.concatenate([V, C], axis=-1), keep_tape,
+                                     enc_outs)
+        mu, log_var = enc_out[..., :d_z], enc_out[..., d_z:]
         std = np.exp(0.5 * log_var)
         z = mu + std * eps
-        dec_out, dec_tape = nn.forward(decoder, np.concatenate([z, C], axis=1),
-                                       keep_tape=keep_tape)
+        dec_out, dec_tape = _forward(decoder, np.concatenate([z, C], axis=-1), keep_tape,
+                                     dec_outs)
 
         clamped = np.maximum(dec_out, LOG_FLOOR)
-        xent = -float(np.sum(V * np.log(clamped)))
+        xent = -_batch_sum(V * np.log(clamped), lead)
         kl = kl_divergence(mu, log_var)
         if grads is None:
             return xent, kl
@@ -162,12 +196,12 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
         enc_views, dec_views = grads
         # clamped entries sit on a flat segment of log
         grad_dec_out = np.where(dec_out >= LOG_FLOOR, -V / clamped, 0.0)
-        grad_z = nn.backward(decoder, dec_tape, grad_dec_out, dec_views)[:, :d_z]
+        grad_z = nn.backward(decoder, dec_tape, grad_dec_out, dec_views, out=dec_grads)[..., :d_z]
 
         grad_mu = grad_z + beta * mu
         grad_log_var = grad_z * (0.5 * std * eps) + beta * (-0.5) * (1.0 - np.exp(log_var))
-        nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=1),
-                    enc_views, input_grad=False)
+        nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=-1),
+                    enc_views, input_grad=False, out=enc_grads)
     return xent, kl
 
 
@@ -175,71 +209,138 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
 # Training
 
 
-def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset) -> TrainedModel:
+def stack_size(schema: Schema, config: CvaeConfig) -> int:
+    """The most models of ``config``'s shape whose stacked step stays below
+    STACK_FLOATS: rows of the stack's batches x the widest network input or
+    output. Hidden widths do not count; their arrays are reused."""
+    widest = max(max(dims[0], dims[-1]) for dims, _ in network_shapes(schema, config).values())
+    return max(1, (STACK_FLOATS - 1) // (config.batch_size * widest))
+
+
+def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) -> list:
+    """Train one model per config, as a stack, on rows of one encoding.
+
+    Model k trains on the rows rows[k] of ``data`` and validates on the rows
+    val_rows[k] of ``val_data`` (``data`` by default), so no subset is
+    copied; each batch is gathered by index. The configs may differ only in
+    seed and the training row sets only in their rows, not their counts.
+    Each model is what ``train`` makes of it alone, bit for bit: it keeps its
+    own train-loop generator (a permutation each epoch, then each batch's eps
+    draws), its own validation eps, RMSprop step and best-validation
+    checkpoint. Returns, per model, the TrainedModel, whose networks are
+    views of its row of the stack's parameter buffer, or the TrainingDiverged
+    that stopped it when its loss went non-finite; the others train on.
+    """
+    configs, rows = list(configs), [np.asarray(r, dtype=np.int64) for r in rows]
+    config, k_models = configs[0], len(configs)
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("stacked configs may differ only in seed")
+    if not len(rows) == len(val_rows) == k_models:
+        raise ValueError("need one training and one validation row set per config")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("stacked training row sets must have one row count")
+    if n == 0:
+        raise ValueError("empty training set")
+    val_data = data if val_data is None else val_data
+
+    models = [build_networks(data.schema, c) for c in configs]
+    params = np.empty((k_models, nn.parameter_count(models[0])))
+    for model, row in zip(models, params):
+        nn.pack(model, out=row)
+    # a stack of one runs on 2-D arrays, whose numpy calls cost a little less
+    stack = slice(None) if k_models > 1 else 0
+    encoder, decoder = nn.bind(models[0], params[stack])
+    grads = np.empty_like(params)
+    grad_views = nn.views(models[0], grads[stack])
+    states = [nn.OptimizerState(np.zeros_like(row), c.learning_rate, c.rho, c.epsilon)
+              for row, c in zip(params, configs)]
+    best_params = params.copy()
+
+    gens = [derive_rng(c.seed, "train-loop") for c in configs]
+    val_eps = [derive_rng(c.seed, "val-eps").standard_normal((len(r), config.latent_dim))
+               for c, r in zip(configs, val_rows)]
+    eps = np.empty((k_models, config.batch_size, config.latent_dim))
+    order = np.empty((k_models, n), dtype=np.int64)
+    work = [nn.step_buffers(net, eps[stack].shape[:-1]) for net in (encoder, decoder)]
+
+    live = list(range(k_models))
+    failed: dict[int, TrainingDiverged] = {}
+    history: list[list[tuple[float, float]]] = [[] for _ in configs]
+    best_val = [np.inf] * k_models
+    best_epoch = [-1] * k_models
+    for epoch in range(config.epochs):
+        for k in live:
+            order[k] = rows[k][gens[k].permutation(n)]
+        epoch_total = [0.0] * k_models
+        for start in range(0, n, config.batch_size):
+            idx = order[stack, start : start + config.batch_size]
+            b = idx.shape[-1]
+            for k in live:
+                gens[k].standard_normal(out=eps[k, :b])
+            xent, kl = loss_and_grads(encoder, decoder, data.preference[idx],
+                                      data.conditional[idx], eps[stack, :b], config.beta,
+                                      grad_views,
+                                      work if b == config.batch_size else _first_rows(work, b))
+            totals = (xent + config.beta * kl).reshape(k_models).tolist()
+            for k in live:
+                if math.isfinite(totals[k]):
+                    epoch_total[k] += totals[k]
+                else:  # a diverged model stops stepping
+                    failed[k] = TrainingDiverged(epoch)
+            if failed:
+                live = [k for k in live if k not in failed]
+            for k in live:
+                nn.rmsprop_step(params[k], grads[k], states[k])
+        for k in live:
+            enc, dec = models[k]
+            xent, kl = loss_and_grads(enc, dec, val_data.preference[val_rows[k]],
+                                      val_data.conditional[val_rows[k]], val_eps[k],
+                                      config.beta)
+            val_total = xent + config.beta * kl
+            if not np.isfinite(val_total):
+                failed[k] = TrainingDiverged(epoch, "validation loss")
+                continue
+            val_loss = float(val_total / len(val_rows[k]))
+            history[k].append((epoch_total[k] / n, val_loss))
+            if val_loss < best_val[k]:
+                best_val[k], best_epoch[k] = val_loss, epoch
+                best_params[k] = params[k]
+        live = [k for k in live if k not in failed]
+        if not live:
+            break
+
+    params[live] = best_params[live]
+    return [failed.get(k) or TrainedModel(encoder=enc, decoder=dec, config=c,
+                                          schema=data.schema, training_history=history[k],
+                                          best_epoch=best_epoch[k])
+            for k, ((enc, dec), c) in enumerate(zip(models, configs))]
+
+
+def _first_rows(work, b: int):
+    """nn.step_buffers of full batches cut to their first b rows."""
+    return [([a[..., :b, :] for a in outs], [(g[..., :b, :], h[..., :b, :]) for g, h in pairs])
+            for outs, pairs in work]
+
+
+def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset, *,
+          rows=None, val_rows=None) -> TrainedModel:
     """Mini-batch RMSprop training with best-validation checkpoint restore.
 
     Batches are reshuffled every epoch from the config seed. The recorded
     history holds per-record train and validation losses; the returned
     parameters are the snapshot from the epoch with the lowest validation
     loss. Validation eps draws are fixed once per run so the checkpoint
-    comparison is apples to apples across epochs. All parameters live in
-    one packed buffer and the gradients in one matching buffer, so a step
-    is one RMSprop pass and the checkpoint one copy.
+    comparison is apples to apples across epochs. rows and val_rows pick the
+    rows of dataset and val_set to use, all of them by default. This is
+    ``train_stack`` with one model; a non-finite loss raises TrainingDiverged.
     """
-    if dataset.n_rows == 0:
-        raise ValueError("empty training set")
-    encoder, decoder = build_networks(dataset.schema, config)
-    params = nn.pack([encoder, decoder])
-    grads = np.empty_like(params)
-    grad_views = nn.views([encoder, decoder], grads)
-    state = nn.OptimizerState(np.zeros_like(params), config.learning_rate, config.rho,
-                              config.epsilon)
-
-    rng = derive_rng(config.seed, "train-loop")
-    val_eps = derive_rng(config.seed, "val-eps").standard_normal(
-        (val_set.n_rows, config.latent_dim)
-    )
-
-    n = dataset.n_rows
-    history: list[tuple[float, float]] = []
-    best_val = np.inf
-    best_epoch = -1
-    best_params = None
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            eps = rng.standard_normal((len(idx), config.latent_dim))
-            xent, kl = loss_and_grads(encoder, decoder, dataset.preference[idx],
-                                      dataset.conditional[idx], eps, config.beta, grad_views)
-            total = xent + config.beta * kl
-            if not np.isfinite(total):
-                raise TrainingDiverged(epoch)
-            epoch_total += total
-            nn.rmsprop_step(params, grads, state)
-        train_loss = epoch_total / n
-        xent, kl = loss_and_grads(encoder, decoder, val_set.preference, val_set.conditional,
-                                  val_eps, config.beta)
-        val_total = xent + config.beta * kl
-        if not np.isfinite(val_total):
-            raise TrainingDiverged(epoch, "validation loss")
-        val_loss = val_total / val_set.n_rows
-        history.append((train_loss, val_loss))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_epoch = epoch
-            best_params = params.copy()
-
-    params[...] = best_params
-    return TrainedModel(
-        encoder=encoder,
-        decoder=decoder,
-        config=config,
-        schema=dataset.schema,
-        training_history=history,
-        best_epoch=best_epoch,
-    )
+    rows = np.arange(dataset.n_rows) if rows is None else rows
+    val_rows = np.arange(val_set.n_rows) if val_rows is None else val_rows
+    (model,) = train_stack(dataset, [config], [rows], [val_rows], val_set)
+    if isinstance(model, TrainingDiverged):
+        raise model
+    return model
 
 
 # ---------------------------------------------------------------------------

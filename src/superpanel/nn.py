@@ -12,6 +12,15 @@ Training packs every parameter into one contiguous buffer (``pack``), so
 one RMSprop pass of a few ufunc calls over one array updates them all;
 ``backward`` writes gradients into the views of a matching buffer
 (``views``), laid out as ``pack`` lays out the parameters.
+
+A layer's weights may carry leading stack axes, (..., out, in) with biases
+(..., out): a stack of K networks of one shape, run on a (K, rows, in)
+input, each slice on its own rows. ``bind`` makes such a stack of views of a
+(K, P) buffer whose row k is network k's ``pack`` layout. Every numpy call
+then serves the whole stack, and each slice's result is bit-identical to
+the same network run alone. ``step_buffers`` holds the arrays a training
+step writes (each layer's output for ``forward``'s ``out=``, its gradients
+for ``backward``'s ``out=``), so repeated steps allocate none of them.
 """
 
 import math
@@ -30,8 +39,8 @@ class DimensionError(ValueError):
 
 @dataclass
 class DenseLayer:
-    weights: np.ndarray  # (out_dim, in_dim)
-    biases: np.ndarray  # (out_dim,)
+    weights: np.ndarray  # (..., out_dim, in_dim)
+    biases: np.ndarray  # (..., out_dim)
     activation: str
     blocks: tuple[int, ...] | None = None  # segment widths, for softmax_blocks
     softmax_index: tuple = field(init=False, repr=False, compare=False, default=None)
@@ -39,7 +48,7 @@ class DenseLayer:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.biases = np.asarray(self.biases, dtype=float)
-        if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
+        if self.weights.ndim < 2 or self.biases.shape != self.weights.shape[:-1]:
             raise DimensionError("weight/bias shapes inconsistent")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -59,11 +68,11 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
 
 @dataclass
@@ -119,24 +128,29 @@ def _activate(layer: DenseLayer, pre: np.ndarray) -> None:
         pre /= np.add.reduceat(pre, starts, axis=-1)[..., block_of]
 
 
-def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient through f given the activated output (pre-activation not needed)."""
+def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.ndarray,
+                         out=None) -> np.ndarray:
+    """Gradient through f given the activated output (pre-activation not needed),
+    written into out when given (a linear layer passes grad_out through)."""
     if layer.activation == "tanh":
-        grad_pre = output * output
+        grad_pre = np.multiply(output, output, out=out)
         np.subtract(1.0, grad_pre, out=grad_pre)
         grad_pre *= grad_out
         return grad_pre
     if layer.activation == "linear":
         return grad_out
     starts, block_of = layer.softmax_index
-    grad_pre = grad_out - np.add.reduceat(grad_out * output, starts, axis=-1)[..., block_of]
+    grad_pre = np.subtract(grad_out,
+                           np.add.reduceat(grad_out * output, starts, axis=-1)[..., block_of],
+                           out=out)
     grad_pre *= output
     return grad_pre
 
 
 def forward(network: Network, x: np.ndarray, *, keep_tape: bool = True,
             out=None) -> tuple[np.ndarray, ForwardTape | None]:
-    """Apply the network to a vector or a batch of row vectors.
+    """Apply the network to a vector or a batch of row vectors; a stacked
+    network takes a (..., rows, in) batch, one slice per network.
 
     Each layer's activation overwrites its own matmul result, so a layer
     allocates one array; the tape keeps the activated outputs, which is all
@@ -158,8 +172,9 @@ def forward(network: Network, x: np.ndarray, *, keep_tape: bool = True,
     for i, layer in enumerate(network.layers):
         if tape is not None:
             tape.inputs.append(y)
-        y = y @ layer.weights.T if out is None else np.matmul(y, layer.weights.T, out=out[i])
-        y += layer.biases
+        w, b = layer.weights.swapaxes(-1, -2), layer.biases
+        y = y @ w if out is None else np.matmul(y, w, out=out[i])
+        y += b if b.ndim == 1 else b[..., None, :]
         _activate(layer, y)
         if tape is not None:
             tape.outputs.append(y)
@@ -167,12 +182,16 @@ def forward(network: Network, x: np.ndarray, *, keep_tape: bool = True,
 
 
 def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray, grads,
-             input_grad: bool = True) -> np.ndarray | None:
+             input_grad: bool = True, out=None) -> np.ndarray | None:
     """Chain-rule gradients of a scalar loss given dL/doutput for a batch of rows.
 
     The parameter gradients, summed over the rows, are written into grads,
-    the network's (weight views, bias views) from ``views``. Returns the
+    the network's (weight views, bias views) from ``views``; a stacked
+    network sums each slice's rows into its own slice of grads. Returns the
     input gradient, with the batch shape, or None when input_grad is false.
+    out, per layer the (activation gradient, input gradient) pair of
+    ``step_buffers``, receives those intermediate gradients instead of new
+    arrays; the returned input gradient is then out[0][1].
     """
     if len(tape.outputs) != len(network.layers):
         raise DimensionError("tape does not match network")
@@ -182,42 +201,70 @@ def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray, g
     grad = output_gradient
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
-        grad_pre = _activation_backward(layer, tape.outputs[i], grad)
-        np.matmul(grad_pre.T, tape.inputs[i], out=weight_grads[i])
-        np.add.reduce(grad_pre, axis=0, out=bias_grads[i])
-        grad = grad_pre @ layer.weights if i or input_grad else None
+        grad_buf, input_buf = (None, None) if out is None else out[i]
+        grad_pre = _activation_backward(layer, tape.outputs[i], grad, grad_buf)
+        np.matmul(grad_pre.swapaxes(-1, -2), tape.inputs[i], out=weight_grads[i])
+        np.add.reduce(grad_pre, axis=-2, out=bias_grads[i])
+        grad = np.matmul(grad_pre, layer.weights, out=input_buf) if i or input_grad else None
     return grad
 
 
-def _parameter_count(networks) -> int:
+def step_buffers(network: Network, rows_shape) -> tuple[list, list]:
+    """The arrays one training step of network writes over inputs of
+    rows_shape, (rows,) or (K, rows) for a stack: each layer's output, for
+    forward's out=, and each layer's (activation gradient, input gradient)
+    pair, for backward's out=. Reused from step to step, they are allocated
+    once, and the first b rows of each serve a batch of b rows."""
+    return ([np.empty((*rows_shape, layer.out_dim)) for layer in network.layers],
+            [(np.empty((*rows_shape, layer.out_dim)), np.empty((*rows_shape, layer.in_dim)))
+             for layer in network.layers])
+
+
+def parameter_count(networks) -> int:
+    """Entries of the buffer ``pack`` lays the networks' parameters out in."""
     return sum(layer.weights.size + layer.out_dim for net in networks for layer in net.layers)
 
 
 def views(networks, buffer: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
     """Per network, (weight views, bias views) of buffer laid out W0, b0, W1, b1, ...
-    network after network, as ``pack`` lays out the parameters."""
-    if buffer.shape != (_parameter_count(networks),):
+    network after network, as ``pack`` lays out the parameters.
+
+    A (..., P) buffer holds one such layout per row; its views carry the
+    leading axes, weights (..., out, in) and biases (..., out).
+    """
+    if buffer.shape[-1:] != (parameter_count(networks),):
         raise DimensionError("buffer size does not match the networks' parameters")
+    lead = buffer.shape[:-1]
     out, offset = [], 0
     for net in networks:
         weights, biases = [], []
         for layer in net.layers:
             end = offset + layer.weights.size
-            weights.append(buffer[offset:end].reshape(layer.weights.shape))
-            biases.append(buffer[end : end + layer.out_dim])
+            weights.append(buffer[..., offset:end].reshape(*lead, *layer.weights.shape))
+            biases.append(buffer[..., end : end + layer.out_dim])
             offset = end + layer.out_dim
         out.append((weights, biases))
     return out
 
 
-def pack(networks) -> np.ndarray:
+def bind(networks, buffer: np.ndarray) -> list[Network]:
+    """Networks shaped like ``networks`` whose parameters are the views of
+    buffer; a (K, P) buffer gives each a stack of K, network k in row k."""
+    return [Network([DenseLayer(w, b, layer.activation, layer.blocks)
+                     for layer, w, b in zip(net.layers, weights, biases)])
+            for net, (weights, biases) in zip(networks, views(networks, buffer))]
+
+
+def pack(networks, out: np.ndarray | None = None) -> np.ndarray:
     """Move every weight and bias of networks into one contiguous buffer.
 
     Each layer's weights and biases become views of the returned buffer,
     in Network.parameters() order, network after network, with their values
     unchanged. One optimizer pass over the buffer then updates them all.
+    out, a one-dimensional buffer of the right size such as one row of a
+    stack's buffer, receives them instead of a new array.
     """
-    flat = np.empty(_parameter_count(networks))
+    flat = np.empty(parameter_count(networks)) if out is None else out
     for net, (weights, biases) in zip(networks, views(networks, flat)):
         for layer, w, b in zip(net.layers, weights, biases):
             w[...] = layer.weights

@@ -347,31 +347,39 @@ def _check_statistic(schema: Schema, stat: StatisticSpec) -> None:
                              f"{cond.name}'s {cond.n_categories} categories")
 
 
-def _bootstrap_replicate(args):
-    (rep_idx, table, encoded, schema, config, stats, samples_per_replicate, seed) = args
-    rng = derive_rng(seed, "bootstrap-resample", rep_idx)
+def _bootstrap_stack(args):
+    """One stack of replicates: each resamples the survey, the stack refits
+    as one ``cvae.train_stack``, and each surviving model generates its pool.
+    Returns (replicate, model statistics or None if it diverged, data
+    statistics) per replicate; every draw is keyed by the replicate alone."""
+    (reps, table, encoded, schema, config, stats, samples_per_replicate, seed) = args
     n = encoded.n_rows
-    resample_idx = rng.integers(0, n, size=n)
-
-    resample = take_rows(table, resample_idx)
-    data_stats = {s.name: _statistic_values(resample, schema, s) for s in stats}
-    del resample  # not held through the refit
-
-    rep_cfg = replace(config, seed=derive_seed(seed, "bootstrap-train", rep_idx))
     split_at = min(max(1, int(round(n * 0.9))), n - 1)
-    try:
-        model = cvae.train(encoded.take(resample_idx[:split_at]), rep_cfg,
-                           encoded.take(resample_idx[split_at:]))
-    except cvae.TrainingDiverged:
-        return rep_idx, None, data_stats
+    resamples, data_stats = [], []
+    for rep_idx in reps:
+        resample_idx = derive_rng(seed, "bootstrap-resample", rep_idx).integers(0, n, size=n)
+        resample = take_rows(table, resample_idx)
+        data_stats.append({s.name: _statistic_values(resample, schema, s) for s in stats})
+        del resample  # not held through the refit
+        resamples.append(resample_idx)
+
+    fits = cvae.train_stack(
+        encoded, [replace(config, seed=derive_seed(seed, "bootstrap-train", r)) for r in reps],
+        [idx[:split_at] for idx in resamples], [idx[split_at:] for idx in resamples])
 
     m = min(samples_per_replicate, n)
-    synth = generate_population(
-        model, take_rows(table, resample_idx[:m]), draws_per_profile=1,
-        seed=derive_seed(seed, "bootstrap-generate", rep_idx),
-    )
-    model_stats = {s.name: _statistic_values(synth.columns, schema, s) for s in stats}
-    return rep_idx, model_stats, data_stats
+    results = []
+    for rep_idx, resample_idx, model, data in zip(reps, resamples, fits, data_stats):
+        if isinstance(model, cvae.TrainingDiverged):
+            results.append((rep_idx, None, data))
+            continue
+        synth = generate_population(
+            model, take_rows(table, resample_idx[:m]), draws_per_profile=1,
+            seed=derive_seed(seed, "bootstrap-generate", rep_idx),
+        )
+        results.append((rep_idx, {s.name: _statistic_values(synth.columns, schema, s)
+                                  for s in stats}, data))
+    return results
 
 
 def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: int,
@@ -386,6 +394,10 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
     The summary reports the mean and standard deviation of each statistic
     across surviving replicates for both sources. Every statistic is
     checked against the schema before any replicate trains.
+
+    Replicates refit in balanced stacks of at most ``cvae.stack_size``
+    models, at least ``jobs`` stacks, which jobs > 1 spreads over worker
+    processes; a replicate's results do not depend on its stack.
     """
     if n_replicates < 2:
         raise PanelError("need at least 2 replicates")
@@ -396,11 +408,13 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
         _check_statistic(schema, stat)
     # the survey is encoded once; a replicate's rows are taken from it by index
     table, encoded = record_columns(records, schema), encode(records, schema)
+    n_stacks = max(-(-n_replicates // cvae.stack_size(schema, config)), min(jobs, n_replicates))
     args = [
-        (b, table, encoded, schema, config, stats, samples_per_replicate, seed)
-        for b in range(n_replicates)
+        (range(i * n_replicates // n_stacks, (i + 1) * n_replicates // n_stacks), table, encoded,
+         schema, config, stats, samples_per_replicate, seed)
+        for i in range(n_stacks)
     ]
-    results = map_units(_bootstrap_replicate, args, jobs)
+    results = [r for stack in map_units(_bootstrap_stack, args, jobs) for r in stack]
 
     diverged = tuple(r[0] for r in results if r[1] is None)
     survivors = [r for r in results if r[1] is not None]

@@ -65,6 +65,7 @@ def no_training(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a model was trained")
     monkeypatch.setattr(cvae, "train", refuse)
+    monkeypatch.setattr(cvae, "train_stack", refuse)
 
 
 @pytest.fixture
@@ -361,16 +362,22 @@ class TestPanelCommands:
         manifest = json.loads((out / "bootstrap_manifest.json").read_text())
         assert manifest["survivors"] == 2
 
-    def test_bootstrap_jobs_do_not_change_bytes(self, pipeline, tmp_path):
-        """Replicates run in worker processes write the serial run's CSV."""
+    def test_bootstrap_jobs_do_not_change_bytes(self, pipeline, tmp_path, monkeypatch):
+        """Replicates stacked and spread over worker processes in different ways
+        write the CSV of a serial run that trains each replicate alone. Nine
+        replicates fill two stacks at --jobs 1 and 2 and three at --jobs 3."""
         tmp, out, cfg = pipeline
+        model = cvae.CvaeConfig(hidden_layers=(16,), latent_dim=2, batch_size=64)
+        assert cvae.stack_size(schema_mod.load_schema(out / "schema.json"), model) < 9
         outputs = []
-        for jobs in ("1", "2"):
-            dest = tmp_path / f"jobs{jobs}"
+        for jobs, stack_floats in (("1", 1), ("1", cvae.STACK_FLOATS), ("2", cvae.STACK_FLOATS),
+                                   ("3", cvae.STACK_FLOATS)):
+            monkeypatch.setattr(cvae, "STACK_FLOATS", stack_floats)
+            dest = tmp_path / f"jobs{jobs}-{stack_floats}"
             assert run(["bootstrap", "--config", str(cfg), "--out", str(dest), "--jobs", jobs,
-                        "--set", "bootstrap.replicates=3"]) == 0
+                        "--set", "bootstrap.replicates=9"]) == 0
             outputs.append((dest / "bootstrap.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_conditional_panel_subset_fails(self, pipeline, tmp_path, capsys, no_sampling):
         tmp, out, cfg = pipeline
@@ -616,10 +623,21 @@ class TestWholeNumbers:
         ("build-panel", "panel.years=[0, 2.5, 4]", "panel.years[1] must be a whole number, got 2.5"),
         ("classify-movers", "movers.t_start=0.7", "movers.t_start must be a whole number, got 0.7"),
         ("classify-movers", "movers.t_end=4.5", "movers.t_end must be a whole number, got 4.5"),
+        # int(True) is 1: [true, 2] would build years [1, 2]
+        ("build-panel", "panel.years=[true, 2]", "panel.years[0] must be a whole number, got true"),
+        ("build-panel", 'panel.years=[0, "a"]', 'panel.years[1] must be a whole number, got "a"'),
+        ("classify-movers", "movers.t_start=false",
+         "movers.t_start must be a whole number, got false"),
+        ("classify-movers", 'movers.t_end="4"', 'movers.t_end must be a whole number, got "4"'),
+        ("build-panel", "panel.max_individuals=true",
+         "panel.max_individuals must be a whole number, got true"),
+        ("classify-movers", 'panel.max_individuals="40"',
+         'panel.max_individuals must be a whole number, got "40"'),
     ])
     def test_fractional_int_fails(self, pipeline, tmp_path, capsys, monkeypatch, no_training,
                                   command, assignment, named):
-        """int() would truncate: model.epochs=2.7 would train 2 epochs and exit 0."""
+        """int() would truncate or coerce: model.epochs=2.7 would train 2 epochs
+        and exit 0, and panel.years=[true, 2] would build years [1, 2]."""
         tmp, out, cfg = pipeline
         monkeypatch.setattr(cvae, "load_model", lambda *a, **k: pytest.fail("a model was loaded"))
         assert run([command, "--config", str(cfg), "--out", str(tmp_path),

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,6 +278,123 @@ class TestTrain:
                                  learning_rate=1e9, batch_size=8, epochs=3, seed=12)
         with pytest.raises(cvae.TrainingDiverged, match="epoch"):
             cvae.train(data, config, data)
+
+
+def reference_train(dataset, config, val_set):
+    """The one-model training loop that train_stack replaced, on take copies,
+    kept as the reference its fits must equal bit for bit."""
+    encoder, decoder = cvae.build_networks(dataset.schema, config)
+    params = nn.pack([encoder, decoder])
+    grads = np.empty_like(params)
+    grad_views = nn.views([encoder, decoder], grads)
+    state = nn.OptimizerState(np.zeros_like(params), config.learning_rate, config.rho,
+                              config.epsilon)
+    rng = derive_rng(config.seed, "train-loop")
+    val_eps = derive_rng(config.seed, "val-eps").standard_normal((val_set.n_rows,
+                                                                  config.latent_dim))
+    n, history, best_val, best_epoch, best_params = dataset.n_rows, [], np.inf, -1, None
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            eps = rng.standard_normal((len(idx), config.latent_dim))
+            xent, kl = cvae.loss_and_grads(encoder, decoder, dataset.preference[idx],
+                                           dataset.conditional[idx], eps, config.beta,
+                                           grad_views)
+            epoch_total += xent + config.beta * kl
+            nn.rmsprop_step(params, grads, state)
+        xent, kl = cvae.loss_and_grads(encoder, decoder, val_set.preference,
+                                       val_set.conditional, val_eps, config.beta)
+        val_loss = (xent + config.beta * kl) / val_set.n_rows
+        history.append((epoch_total / n, val_loss))
+        if val_loss < best_val:
+            best_val, best_epoch, best_params = val_loss, epoch, params.copy()
+    params[...] = best_params
+    return encoder, decoder, history, best_epoch
+
+
+def assert_same_fit(model, encoder, decoder, history, best_epoch):
+    for net, want in ((model.encoder, encoder), (model.decoder, decoder)):
+        for a, b in zip(net.parameters(), want.parameters()):
+            assert np.array_equal(a, b)
+    assert model.training_history == history and model.best_epoch == best_epoch
+
+
+def stack_setup(k):
+    """One 60-row encoding, k configs differing in seed, and per model a
+    different resample of 37 training rows (a partial last batch of 5) and
+    11 validation rows."""
+    data = tiny_encoded(60, seed=21)
+    base = cvae.CvaeConfig(hidden_layers=(8, 6), latent_dim=2, beta=0.7, batch_size=8,
+                           epochs=4, learning_rate=0.01)
+    configs = [replace(base, seed=100 + j) for j in range(k)]
+    draws = [derive_rng(22, "stack-rows", j).integers(0, 60, size=48) for j in range(k)]
+    return data, configs, [d[:37] for d in draws], [d[37:] for d in draws]
+
+
+class TestTrainStack:
+    def test_train_equals_reference_loop(self):
+        data, (config,), (rows,), (val_rows,) = stack_setup(1)
+        model = cvae.train(data, config, data, rows=rows, val_rows=val_rows)
+        assert_same_fit(model, *reference_train(data.take(rows), config, data.take(val_rows)))
+        assert_same_fit(cvae.train(data.take(rows), config, data.take(val_rows)),
+                        *reference_train(data.take(rows), config, data.take(val_rows)))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_stacked_fits_equal_solo_fits(self, k):
+        data, configs, rows, val_rows = stack_setup(k)
+        fits = cvae.train_stack(data, configs, rows, val_rows)
+        assert len(fits) == k
+        for fit, config, r, v in zip(fits, configs, rows, val_rows):
+            solo = cvae.train(data, config, data, rows=r, val_rows=v)
+            assert_same_fit(fit, solo.encoder, solo.decoder, solo.training_history,
+                            solo.best_epoch)
+
+    def test_nan_weights_diverge_alone(self, monkeypatch):
+        data, configs, rows, val_rows = stack_setup(3)
+        solo = [cvae.train(data, c, data, rows=r, val_rows=v)
+                for c, r, v in zip(configs, rows, val_rows)]
+        build = cvae.build_networks
+
+        def nan_second(schema, config):
+            encoder, decoder = build(schema, config)
+            if config.seed == configs[1].seed:
+                encoder.layers[0].weights[...] = np.nan
+            return encoder, decoder
+
+        steps = []
+        step = nn.rmsprop_step
+        monkeypatch.setattr(cvae, "build_networks", nan_second)
+        monkeypatch.setattr(nn, "rmsprop_step", lambda *a: steps.append(1) or step(*a))
+        fits = cvae.train_stack(data, configs, rows, val_rows)
+        # its first batch loss is NaN, so it never steps: 4 epochs x 5 batches for the others
+        assert isinstance(fits[1], cvae.TrainingDiverged) and fits[1].epoch == 0
+        assert "validation" not in str(fits[1]) and len(steps) == 2 * 4 * 5
+        for j in (0, 2):
+            assert_same_fit(fits[j], solo[j].encoder, solo[j].decoder,
+                            solo[j].training_history, solo[j].best_epoch)
+
+    def test_configs_differing_beyond_seed_refused(self):
+        data, configs, rows, val_rows = stack_setup(2)
+        configs[1] = replace(configs[1], beta=0.5)
+        with pytest.raises(ValueError, match="only in seed"):
+            cvae.train_stack(data, configs, rows, val_rows)
+
+    def test_row_counts_must_match(self):
+        data, configs, rows, val_rows = stack_setup(2)
+        with pytest.raises(ValueError, match="one row count"):
+            cvae.train_stack(data, configs, [rows[0], rows[1][:30]], val_rows)
+
+    def test_stack_size_bounds_the_widest_input_or_output(self):
+        """The encoder's input, 6 + 4 wide, is the widest array a step of
+        tiny_schema's model allocates afresh; hidden widths do not count, a
+        latent width does (the encoder's output is twice as wide)."""
+        config = cvae.CvaeConfig(hidden_layers=(32, 16), latent_dim=3, batch_size=64)
+        k = cvae.stack_size(tiny_schema(), config)
+        assert k * 64 * 10 < cvae.STACK_FLOATS <= (k + 1) * 64 * 10
+        assert cvae.stack_size(tiny_schema(), replace(config, hidden_layers=(20_000,))) == k
+        assert cvae.stack_size(tiny_schema(), replace(config, latent_dim=4_096)) == 1
 
 
 class TestGridSearch:

@@ -306,6 +306,56 @@ class TestPacking:
         assert np.array_equal(buffer, np.concatenate(
             [a.ravel() for w, b in zip(*views) for a in (w, b)]))
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stack_slices_bit_identical_to_each_network_alone(self, k):
+        """A stack bound to a (K, P) buffer runs forward and backward on a
+        (K, rows, in) batch; slice k equals network k run alone, bit for bit,
+        and its gradients land in row k laid out as pack lays it out."""
+        shapes = [([5, 6, 4], None), ([3, 6, 7], SOFTMAX_HEAD)]
+        alone = [[tiny_net(dims, seed=10 * j + i, output_blocks=heads)
+                  for i, (dims, heads) in enumerate(shapes)] for j in range(k)]
+        buffer = np.empty((k, nn.parameter_count(alone[0])))
+        for nets, row in zip(alone, buffer):
+            nn.pack(nets, out=row)
+        stacked = nn.bind(alone[0], buffer)
+        assert stacked[0].layers[0].weights.shape == (k, 6, 5)
+        assert all(np.shares_memory(p, buffer) for net in stacked for p in net.parameters())
+        rng = derive_rng(43, "stack")
+        grads = np.full_like(buffer, np.nan)
+        for i, (dims, _) in enumerate(shapes):
+            x = rng.standard_normal((k, 9, dims[0]))
+            g = rng.standard_normal((k, 9, dims[-1]))
+            y, tape = nn.forward(stacked[i], x)
+            input_grad = nn.backward(stacked[i], tape, g, nn.views(alone[0], grads)[i])
+            for j in range(k):
+                y_j, tape_j = nn.forward(alone[j][i], x[j])
+                _, (w_j, b_j), input_grad_j = run_backward(alone[j][i], tape_j, g[j])
+                w, b = nn.views(alone[0], grads[j])[i]
+                assert np.array_equal(y[j], y_j)
+                assert np.array_equal(input_grad[j], input_grad_j)
+                assert all(np.array_equal(a, c) for a, c in zip(w + b, w_j + b_j))
+        assert not np.isnan(grads).any()
+
+    def test_step_buffers_hold_a_step_bit_identical_to_fresh_arrays(self):
+        """forward and backward writing into step_buffers, the tape built over
+        them, give the fresh arrays' outputs and gradients bit for bit, twice
+        over the same buffers, and a batch of fewer rows uses their first rows."""
+        net = tiny_net([5, 6, 4, 7], seed=9, output_blocks=SOFTMAX_HEAD)
+        outs, pairs = nn.step_buffers(net, (8,))
+        rng = derive_rng(47, "step-buffers")
+        for rows in (8, 8, 5):
+            x, g = rng.standard_normal((rows, 5)), rng.standard_normal((rows, 7))
+            y, tape = nn.forward(net, x)
+            fresh, _, input_grad = run_backward(net, tape, g)
+            cut = [a[:rows] for a in outs]
+            nn.forward(net, x, keep_tape=False, out=cut)
+            buffer = nan_buffer([net])
+            (views,) = nn.views([net], buffer)
+            got = nn.backward(net, nn.ForwardTape([x, *cut[:-1]], cut), g, views,
+                              out=[(a[:rows], c[:rows]) for a, c in pairs])
+            assert np.array_equal(cut[-1], y) and np.array_equal(buffer, fresh)
+            assert np.array_equal(got, input_grad) and np.shares_memory(got, pairs[0][1])
+
     def test_rmsprop_on_flat_buffer_equals_per_array_reference(self):
         nets = [tiny_net([5, 4, 2], seed=5), tiny_net([3, 4, 7], seed=6, output_blocks=SOFTMAX_HEAD)]
         flat = nn.pack(nets)
