@@ -144,10 +144,7 @@ def load_config(args) -> dict:
         config["seed"] = args.seed
     if config["seed"] is None:
         raise CliError("a seed is required (config 'seed' or --seed); wall-clock seeding is not supported")
-    try:
-        config["seed"] = int(config["seed"])
-    except TypeError:  # e.g. a null seed that --set seed.x=1 turned into a section
-        raise CliError(f"seed must be an integer, got {config['seed']!r}") from None
+    config["seed"] = _whole("seed", config["seed"])
     return config
 
 
@@ -234,6 +231,17 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _years(key: str, years) -> list[int]:
+    """The years listed at ``key``, whole numbers each listed once."""
+    out = []
+    for i, year in enumerate(years):
+        year = _whole(f"{key}[{i}]", year)
+        if year in out:
+            raise CliError(f"{key} lists year {year} more than once")
+        out.append(year)
+    return out
+
+
 def _count(config, key: str) -> int:
     """The draw or individual count at ``section.name``; below 1 it fails before
     any model loads or trains."""
@@ -273,7 +281,7 @@ def cmd_synth(args, config, out):
     dgp_cfg = config["dgp"]
     spec = (oracle.load_dgp(dgp_cfg["spec_path"]) if dgp_cfg["spec_path"]
             else oracle.canned_spec(dgp_cfg["name"]))
-    years = dgp_cfg["years"] or list(spec.years)
+    years = _years("dgp.years", dgp_cfg["years"]) if dgp_cfg["years"] else list(spec.years)
     table = oracle.generate_dataset(
         spec, int(dgp_cfg["n_per_year"]), years,
         seed=derive_seed(config["seed"], "synth"),
@@ -287,6 +295,20 @@ def cmd_synth(args, config, out):
     oracle.save_dgp(spec, spec_path)
     print(f"synth: wrote {n_records} records to {data_path}")
     return [schema_path, data_path, spec_path], {"n_records": n_records}
+
+
+def _grid_spec(grid_cfg) -> cvae.GridSpec:
+    """The grid.* lists: whole numbers for the network shapes, JSON numbers for betas."""
+    def entries(name, check):
+        return tuple(check(f"grid.{name}[{i}]", v) for i, v in enumerate(grid_cfg[name]))
+
+    def number(key, value):
+        if _json_type(value) != "a number":
+            raise CliError(f"{key} must be a number, got {json.dumps(value)}")
+        return value
+
+    return cvae.GridSpec(entries("n_layers", _whole), entries("n_neurons", _whole),
+                         entries("latent_dims", _whole), entries("betas", number))
 
 
 def _split(config, n_rows):
@@ -311,8 +333,7 @@ def cmd_train(args, config, out):
     extra = {"dropped_rows": dropped}
 
     if args.grid:
-        grid_cfg = config["grid"]
-        grid = cvae.GridSpec(**{f.name: tuple(grid_cfg[f.name]) for f in fields(cvae.GridSpec)})
+        grid = _grid_spec(config["grid"])
         base = _model_config(config, "grid-base")
         cells = grid.cells()
         print(f"grid plan: {len(cells)} cells")
@@ -326,7 +347,7 @@ def cmd_train(args, config, out):
         write_csv(plan_path, ["cell", "n_layers", "n_neurons", "hidden", "latent_dim", "beta"],
                   plan_rows)
         outputs.append(plan_path)
-        if grid_cfg["plan_only"]:
+        if config["grid"]["plan_only"]:
             return outputs, {"plan_only": True}
         best_cfg, leaderboard = cvae.grid_search(
             encoded.take(idx_train), encoded.take(idx_val), grid, _eval_subsets(config, sch),
@@ -544,10 +565,8 @@ def _panel_base(config, sch, table):
     if panel_cfg["max_individuals"] is not None:
         base_idx = base_idx[: _count(config, "panel.max_individuals")]
     years = panel_cfg["years"]
-    if years is None:
-        years = sorted(set(row_years.tolist()))
     return (schema_mod.take_rows(table, base_idx),
-            [_whole(f"panel.years[{i}]", y) for i, y in enumerate(years)])
+            sorted(set(row_years.tolist())) if years is None else _years("panel.years", years))
 
 
 def _build_cube(args, config, out, sch, base, years, subsets):
@@ -583,7 +602,7 @@ def _trend_requests(config, sch, base):
                            f"values, got {cond!r}")
         matched = np.ones(len(base[sch.attributes[0].name]), dtype=bool)
         for k, v in cond.items():
-            matched &= base[k] == v
+            matched &= base[k] == _whole(f"panel.trend_conditions[{i}].{k}", v)
         if not matched.any():
             raise CliError(f"panel.trend_conditions[{i}] {cond!r} matches no individual "
                            f"of the base population")

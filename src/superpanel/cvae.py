@@ -20,9 +20,9 @@ latent variance and the divergence above is the exact closed form.
 
 Training works on one parameter vector and one gradient vector per model:
 both networks are packed into one buffer (nn.pack), loss_and_grads returns
-(xent, kl) and overwrites a buffer of the same layout with the gradient of
-the total, through views built once per fit, and one nn.rmsprop_step
-updates the parameters.
+(xent, kl) and overwrites a buffer of that layout with the gradient of the
+total, writing each layer's outputs and gradients into nn.step_buffers made
+once per fit, and one nn.rmsprop_step updates the parameters.
 
 Models of one shape and config that differ only in seed train as a stack
 (train_stack): row k of one (K, P) buffer is model k's nn.pack layout,
@@ -147,15 +147,6 @@ def kl_divergence(mu: np.ndarray, log_var: np.ndarray):
     return -0.5 * _batch_sum(1.0 + log_var - mu ** 2 - np.exp(log_var), mu.shape[:-2])
 
 
-def _forward(network: nn.Network, x: np.ndarray, keep_tape: bool, out):
-    """nn.forward; given out, the layer outputs land in those arrays and the
-    tape is built over them, for a backward that runs before the next pass."""
-    if out is None:
-        return nn.forward(network, x, keep_tape=keep_tape)
-    y, _ = nn.forward(network, x, keep_tape=False, out=out)
-    return y, nn.ForwardTape([x, *out[:-1]], list(out))
-
-
 def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: np.ndarray,
                    eps: np.ndarray, beta: float, grads=None, work=None):
     """Batch loss terms (xent, kl) and, given grads, their exact gradients.
@@ -167,25 +158,29 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
     loss terms are computed. Stacked networks (nn.bind) take (K, rows, ...)
     arrays and a (K, P) buffer's views, and return (K,) arrays of terms.
     work, nn.step_buffers of the encoder and of the decoder for these rows,
-    receives the layer outputs and gradients of a gradient pass.
+    receives the layer outputs and gradients of a gradient pass; without it
+    a gradient pass allocates them for the call.
     """
     if V.shape[-2] == 0:
         raise ValueError("empty batch")
     d_z, lead = eps.shape[-1], V.shape[:-2]
+    if grads is not None and work is None:
+        work = [nn.step_buffers(net, V.shape[:-1]) for net in (encoder, decoder)]
 
     # overflow during a diverging run surfaces as a non-finite loss that the
     # training loop reports; no need for numpy to warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        # the validation pass runs no backward, so it keeps no tape
-        keep_tape = grads is not None
+        # the validation pass runs no backward, so it keeps no layer outputs
         (enc_outs, enc_grads), (dec_outs, dec_grads) = work or ((None, None), (None, None))
-        enc_out, enc_tape = _forward(encoder, np.concatenate([V, C], axis=-1), keep_tape,
-                                     enc_outs)
+        enc_in = np.concatenate([V, C], axis=-1)
+        enc_out = nn.forward(encoder, enc_in, out=enc_outs)
+        if grads is None:
+            del enc_in  # only backward reads it again
         mu, log_var = enc_out[..., :d_z], enc_out[..., d_z:]
         std = np.exp(0.5 * log_var)
         z = mu + std * eps
-        dec_out, dec_tape = _forward(decoder, np.concatenate([z, C], axis=-1), keep_tape,
-                                     dec_outs)
+        dec_in = np.concatenate([z, C], axis=-1)
+        dec_out = nn.forward(decoder, dec_in, out=dec_outs)
 
         clamped = np.maximum(dec_out, LOG_FLOOR)
         xent = -_batch_sum(V * np.log(clamped), lead)
@@ -196,11 +191,12 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
         enc_views, dec_views = grads
         # clamped entries sit on a flat segment of log
         grad_dec_out = np.where(dec_out >= LOG_FLOOR, -V / clamped, 0.0)
-        grad_z = nn.backward(decoder, dec_tape, grad_dec_out, dec_views, out=dec_grads)[..., :d_z]
+        grad_z = nn.backward(decoder, dec_in, dec_outs, grad_dec_out, dec_views,
+                             out=dec_grads)[..., :d_z]
 
         grad_mu = grad_z + beta * mu
         grad_log_var = grad_z * (0.5 * std * eps) + beta * (-0.5) * (1.0 - np.exp(log_var))
-        nn.backward(encoder, enc_tape, np.concatenate([grad_mu, grad_log_var], axis=-1),
+        nn.backward(encoder, enc_in, enc_outs, np.concatenate([grad_mu, grad_log_var], axis=-1),
                     enc_views, input_grad=False, out=enc_grads)
     return xent, kl
 

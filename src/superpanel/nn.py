@@ -19,8 +19,8 @@ input, each slice on its own rows. ``bind`` makes such a stack of views of a
 (K, P) buffer whose row k is network k's ``pack`` layout. Every numpy call
 then serves the whole stack, and each slice's result is bit-identical to
 the same network run alone. ``step_buffers`` holds the arrays a training
-step writes (each layer's output for ``forward``'s ``out=``, its gradients
-for ``backward``'s ``out=``), so repeated steps allocate none of them.
+step writes (each layer's output, which ``forward`` writes and ``backward``
+reads, and its gradients), so repeated steps allocate none of them.
 """
 
 import math
@@ -101,14 +101,6 @@ class Network:
         return out
 
 
-@dataclass
-class ForwardTape:
-    """Cached per-layer inputs and activated outputs from one forward pass."""
-
-    inputs: list[np.ndarray] = field(default_factory=list)
-    outputs: list[np.ndarray] = field(default_factory=list)
-
-
 def softmax(v: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for stability."""
     v = np.asarray(v, dtype=float)
@@ -147,63 +139,53 @@ def _activation_backward(layer: DenseLayer, output: np.ndarray, grad_out: np.nda
     return grad_pre
 
 
-def forward(network: Network, x: np.ndarray, *, keep_tape: bool = True,
-            out=None) -> tuple[np.ndarray, ForwardTape | None]:
+def forward(network: Network, x: np.ndarray, out=None) -> np.ndarray:
     """Apply the network to a vector or a batch of row vectors; a stacked
     network takes a (..., rows, in) batch, one slice per network.
 
     Each layer's activation overwrites its own matmul result, so a layer
-    allocates one array; the tape keeps the activated outputs, which is all
-    that backward reads. With keep_tape false the tape is None and each
-    layer's output is freed once the next layer is computed, for passes that
-    never run backward. out, one array per layer shaped like its output,
-    receives the layer outputs instead, so repeated passes allocate nothing;
-    a tape would hold arrays the next pass overwrites, so out needs
-    keep_tape false. x itself is never written.
+    allocates one array, freed once the next layer's exists. out, one array
+    per layer shaped like its output, receives the layer outputs instead, so
+    repeated passes allocate nothing and backward can read them. x itself is
+    never written.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != network.in_dim:
         raise DimensionError(f"input width {x.shape[-1]} != {network.in_dim}")
-    if out is not None and keep_tape:
-        raise ValueError("out= buffers are overwritten by the next pass; "
-                         "pass keep_tape=False")
-    tape = ForwardTape() if keep_tape else None
     y = x
     for i, layer in enumerate(network.layers):
-        if tape is not None:
-            tape.inputs.append(y)
         w, b = layer.weights.swapaxes(-1, -2), layer.biases
-        y = y @ w if out is None else np.matmul(y, w, out=out[i])
+        y = np.matmul(y, w, out=None if out is None else out[i])
         y += b if b.ndim == 1 else b[..., None, :]
         _activate(layer, y)
-        if tape is not None:
-            tape.outputs.append(y)
-    return y, tape
+    return y
 
 
-def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray, grads,
+def backward(network: Network, x: np.ndarray, outputs, output_gradient: np.ndarray, grads,
              input_grad: bool = True, out=None) -> np.ndarray | None:
     """Chain-rule gradients of a scalar loss given dL/doutput for a batch of rows.
 
-    The parameter gradients, summed over the rows, are written into grads,
-    the network's (weight views, bias views) from ``views``; a stacked
-    network sums each slice's rows into its own slice of grads. Returns the
-    input gradient, with the batch shape, or None when input_grad is false.
-    out, per layer the (activation gradient, input gradient) pair of
-    ``step_buffers``, receives those intermediate gradients instead of new
-    arrays; the returned input gradient is then out[0][1].
+    x is the forward pass's input and outputs the layer outputs it wrote
+    into ``forward``'s out=. The parameter gradients, summed over the rows,
+    are written into grads, the network's (weight views, bias views) from
+    ``views``; a stacked network sums each slice's rows into its own slice
+    of grads. Returns the input gradient, with the batch shape, or None when
+    input_grad is false. out, per layer the (activation gradient, input
+    gradient) pair of ``step_buffers``, receives those intermediate
+    gradients instead of new arrays; the returned input gradient is then
+    out[0][1].
     """
-    if len(tape.outputs) != len(network.layers):
-        raise DimensionError("tape does not match network")
-    if output_gradient.shape != tape.outputs[-1].shape:
+    if len(outputs) != len(network.layers):
+        raise DimensionError("layer outputs do not match network")
+    if output_gradient.shape != outputs[-1].shape:
         raise DimensionError("output gradient shape mismatch")
     weight_grads, bias_grads = grads
     grad = output_gradient
     for i in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[i]
         grad_buf, input_buf = (None, None) if out is None else out[i]
-        grad_pre = _activation_backward(layer, tape.outputs[i], grad, grad_buf)
-        np.matmul(grad_pre.swapaxes(-1, -2), tape.inputs[i], out=weight_grads[i])
+        grad_pre = _activation_backward(layer, outputs[i], grad, grad_buf)
+        np.matmul(grad_pre.swapaxes(-1, -2), outputs[i - 1] if i else x, out=weight_grads[i])
         np.add.reduce(grad_pre, axis=-2, out=bias_grads[i])
         grad = np.matmul(grad_pre, layer.weights, out=input_buf) if i or input_grad else None
     return grad
@@ -212,9 +194,10 @@ def backward(network: Network, tape: ForwardTape, output_gradient: np.ndarray, g
 def step_buffers(network: Network, rows_shape) -> tuple[list, list]:
     """The arrays one training step of network writes over inputs of
     rows_shape, (rows,) or (K, rows) for a stack: each layer's output, for
-    forward's out=, and each layer's (activation gradient, input gradient)
-    pair, for backward's out=. Reused from step to step, they are allocated
-    once, and the first b rows of each serve a batch of b rows."""
+    forward's out= and backward's outputs, and each layer's (activation
+    gradient, input gradient) pair, for backward's out=. Reused from step to
+    step, they are allocated once, and the first b rows of each serve a
+    batch of b rows."""
     return ([np.empty((*rows_shape, layer.out_dim)) for layer in network.layers],
             [(np.empty((*rows_shape, layer.out_dim)), np.empty((*rows_shape, layer.in_dim)))
              for layer in network.layers])

@@ -328,7 +328,8 @@ def _statistic_values(table, schema: Schema, stat: StatisticSpec) -> dict:
 
 
 def _is_category(value, attr) -> bool:
-    return isinstance(value, (int, np.integer)) and 0 <= value < attr.n_categories
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < attr.n_categories)
 
 
 def _check_statistic(schema: Schema, stat: StatisticSpec) -> None:

@@ -80,7 +80,7 @@ def _decode_pass(model: TrainedModel, x: np.ndarray, uniforms: np.ndarray,
                  layers=None) -> np.ndarray:
     """One decoder pass over the input rows x and the categories it draws with
     uniforms; layers, one buffer per decoder layer, receive its layer outputs."""
-    return _resolve(model, nn.forward(model.decoder, x, keep_tape=False, out=layers)[0], uniforms)
+    return _resolve(model, nn.forward(model.decoder, x, out=layers), uniforms)
 
 
 def _decode_with_noise(model: TrainedModel, c_rows: np.ndarray, draws_per_row: int,

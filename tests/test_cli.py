@@ -411,6 +411,9 @@ class TestPanelCommands:
         ({"attribute": "p_mode", "category": 7}, "category 7"),
         ({"attribute": "p_mode", "category": "1"}, "category '1'"),
         ({"attribute": "p_mode", "category": 0, "condition": {"segment": 9}}, "value 9"),
+        # int(True) is 1: these would be read as category 1
+        ({"attribute": "p_mode", "category": True}, "category True"),
+        ({"attribute": "p_mode", "category": 0, "condition": {"segment": True}}, "value True"),
     ])
     def test_bad_bootstrap_statistic_fails(self, pipeline, tmp_path, capsys, no_training,
                                            stat, named):
@@ -452,6 +455,13 @@ class TestPanelCommands:
          "panel.trend_attributes[1] 'segment' is not a preference attribute"),
         ('panel.trend_conditions=[{"group": 1}, {"group": 5}]',
          "panel.trend_conditions[1] {'group': 5} matches no individual"),
+        # True == 1: it would match group 1 and write the label group=True
+        ('panel.trend_conditions=[{"group": 1}, {"group": true}]',
+         "panel.trend_conditions[1].group must be a whole number, got true"),
+        ('panel.trend_conditions=[{"group": 0.5}]',
+         "panel.trend_conditions[0].group must be a whole number, got 0.5"),
+        ('panel.trend_conditions=[{"group": "1"}]',
+         'panel.trend_conditions[0].group must be a whole number, got "1"'),
     ])
     def test_bad_trend_request_fails_before_sampling(self, pipeline, tmp_path, capsys,
                                                      no_sampling, setting, named):
@@ -633,6 +643,21 @@ class TestWholeNumbers:
          "panel.max_individuals must be a whole number, got true"),
         ("classify-movers", 'panel.max_individuals="40"',
          'panel.max_individuals must be a whole number, got "40"'),
+        # the seed, whose default is null: 2.5 would run with seed 2, true with seed 1
+        ("synth", "seed=2.5", "seed must be a whole number, got 2.5"),
+        ("synth", "seed=true", "seed must be a whole number, got true"),
+        ("synth", "dgp.years=[true, 2]", "dgp.years[0] must be a whole number, got true"),
+        ("synth", "dgp.years=[0, 1.5]", "dgp.years[1] must be a whole number, got 1.5"),
+        # grid entries: 1.5 layers is a TypeError, 8.5 neurons trains width 8
+        ("train --grid", "grid.n_layers=[1.5]", "grid.n_layers[0] must be a whole number, got 1.5"),
+        ("train --grid", "grid.n_layers=[true]",
+         "grid.n_layers[0] must be a whole number, got true"),
+        ("train --grid", "grid.n_neurons=[16, 8.5]",
+         "grid.n_neurons[1] must be a whole number, got 8.5"),
+        ("train --grid", "grid.latent_dims=[2.5]",
+         "grid.latent_dims[0] must be a whole number, got 2.5"),
+        ("train --grid", "grid.betas=[true]", "grid.betas[0] must be a number, got true"),
+        ("train --grid", 'grid.betas=[0.5, "a"]', 'grid.betas[1] must be a number, got "a"'),
     ])
     def test_fractional_int_fails(self, pipeline, tmp_path, capsys, monkeypatch, no_training,
                                   command, assignment, named):
@@ -640,10 +665,31 @@ class TestWholeNumbers:
         and exit 0, and panel.years=[true, 2] would build years [1, 2]."""
         tmp, out, cfg = pipeline
         monkeypatch.setattr(cvae, "load_model", lambda *a, **k: pytest.fail("a model was loaded"))
-        assert run([command, "--config", str(cfg), "--out", str(tmp_path),
+        assert run([*command.split(), "--config", str(cfg), "--out", str(tmp_path),
                     "--set", assignment]) == 1
         assert named in capsys.readouterr().err
         assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
+
+    def test_repeated_dgp_year_fails_before_synthesis(self, pipeline, tmp_path, capsys,
+                                                      monkeypatch):
+        """[0, 0] would write year 0's rows twice."""
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(oracle, "generate_dataset",
+                            lambda *a, **k: pytest.fail("a dataset was synthesized"))
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", "dgp.years=[0, 0]"]) == 1
+        assert "dgp.years lists year 0 more than once" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
+
+    def test_repeated_panel_year_fails_before_sampling(self, pipeline, tmp_path, capsys,
+                                                       no_sampling):
+        """[0, 0, 4] would sample and write year 0's cells twice."""
+        tmp, out, cfg = pipeline
+        assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", "panel.years=[0, 0, 4]"]) == 1
+        assert "panel.years lists year 0 more than once" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
 
 
 class TestSetOverrides:
@@ -753,7 +799,7 @@ class TestSetOverrides:
                     "--set", "seed.x=1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert ("'seed.x'" if seed else "seed must be an integer") in err
+        assert ("'seed.x'" if seed else "seed must be a whole number") in err
 
 
 class TestReadmeConfig:

@@ -73,7 +73,7 @@ class TestEncodeDecodeOps:
         model = tiny_model()
         rng = derive_rng(5, "dec")
         out = nn.forward(model.decoder, np.concatenate([rng.standard_normal(2),
-                                                        rng.random(4)])[None, :])[0][0]
+                                                        rng.random(4)])[None, :])[0]
         for lo in (0, 2, 4):
             assert abs(out[lo : lo + 2].sum() - 1.0) < 1e-12
 
@@ -82,7 +82,7 @@ class TestEncodeDecodeOps:
         for layer in model.decoder.layers:
             layer.weights[...] = 0.0
             layer.biases[...] = 0.0
-        out, _ = nn.forward(model.decoder, np.zeros((1, 6)))
+        out = nn.forward(model.decoder, np.zeros((1, 6)))
         assert np.allclose(out, 1 / 2)
 
 
@@ -200,7 +200,7 @@ class TestFullGradient:
 
 
 class TestValidationPass:
-    """The no-gradient pass of loss_and_grads keeps no tape."""
+    """The no-gradient pass of loss_and_grads keeps no layer outputs."""
 
     ROWS, HIDDEN = 4000, (64, 32)
 
@@ -210,14 +210,17 @@ class TestValidationPass:
         self.model = tiny_model(config=config, data=self.data)
         self.eps = derive_rng(37, "val-pass").standard_normal((self.ROWS, 2))
 
+    def networks(self):
+        return [self.model.encoder, self.model.decoder]
+
     def loss(self, grads=None):
         return cvae.loss_and_grads(self.model.encoder, self.model.decoder, self.data.preference,
                                    self.data.conditional, self.eps, self.model.config.beta, grads)
 
-    def peak_bytes(self):
+    def peak_bytes(self, grads=None):
         tracemalloc.start()
         try:
-            self.loss()
+            self.loss(grads)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -227,13 +230,17 @@ class TestValidationPass:
         with_grads = self.loss(nn.views([self.model.encoder, self.model.decoder], grads))
         assert self.loss() == with_grads
 
-    def test_peak_below_taped_pass_by_encoder_hidden_outputs(self, monkeypatch):
-        free = self.peak_bytes()
-        forward = nn.forward
-        monkeypatch.setattr(nn, "forward", lambda net, x, keep_tape=True: forward(net, x))
-        taped = self.peak_bytes()
+    def test_peak_below_gradient_pass_by_encoder_hidden_outputs(self):
+        """The gradient pass holds every layer output for backward; the
+        validation pass peaks below it by at least the encoder's hidden
+        outputs, and below the bytes of all layer outputs held at once."""
+        grads = nn.views(self.networks(), nan_buffer(self.networks()))
+        free, gradient = self.peak_bytes(), self.peak_bytes(grads)
         encoder_hidden = self.ROWS * sum(self.HIDDEN) * 8
-        assert taped - free >= encoder_hidden, (taped, free)
+        every_output = self.ROWS * 8 * sum(layer.out_dim for net in self.networks()
+                                           for layer in net.layers)
+        assert gradient - free >= encoder_hidden, (gradient, free)
+        assert free < every_output, (free, every_output)
 
 
 class TestTrain:

@@ -54,12 +54,18 @@ def nan_buffer(networks):
     return np.full(sum(p.size for net in networks for p in net.parameters()), np.nan)
 
 
-def run_backward(net, tape, output_gradient):
+def forward_outputs(net, x):
+    """forward writing into nn.step_buffers' layer outputs: (output, layer outputs)."""
+    outputs, _ = nn.step_buffers(net, x.shape[:-1])
+    return nn.forward(net, x, out=outputs), outputs
+
+
+def run_backward(net, x, outputs, output_gradient):
     """backward into a fresh buffer: (flat gradient buffer, (weight views, bias views),
     input gradient)."""
     buffer = nan_buffer([net])
     (grads,) = nn.views([net], buffer)
-    return buffer, grads, nn.backward(net, tape, output_gradient, grads)
+    return buffer, grads, nn.backward(net, x, outputs, output_gradient, grads)
 
 
 SOFTMAX_HEAD = (3, 2, 2)  # segment widths
@@ -69,20 +75,20 @@ class TestForward:
     def test_zero_network_tanh_zero_output(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "tanh")
         net = nn.Network([layer])
-        y, _ = nn.forward(net, np.array([1.0, -2.0]))
+        y = nn.forward(net, np.array([1.0, -2.0]))
         assert np.all(y == 0.0)
 
     def test_identity_linear(self):
         layer = nn.DenseLayer(np.eye(4), np.zeros(4), "linear")
         net = nn.Network([layer])
         x = np.array([0.5, -1.0, 2.0, 0.0])
-        y, _ = nn.forward(net, x)
+        y = nn.forward(net, x)
         assert np.array_equal(y, x)
 
     def test_hand_matrix_arithmetic(self):
         layer = nn.DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]),
                               np.array([0.5, -0.5]), "linear")
-        y, _ = nn.forward(nn.Network([layer]), np.array([1.0, 1.0]))
+        y = nn.forward(nn.Network([layer]), np.array([1.0, 1.0]))
         assert np.allclose(y, [3.5, 6.5])
 
     def test_dimension_mismatch(self):
@@ -93,54 +99,39 @@ class TestForward:
     def test_batch_matches_per_row(self):
         net = tiny_net([4, 5, 3], seed=2)
         x = derive_rng(0, "batch").standard_normal((6, 4))
-        batch_y, _ = nn.forward(net, x)
+        batch_y = nn.forward(net, x)
         for i in range(6):
-            row_y, _ = nn.forward(net, x[i])
+            row_y = nn.forward(net, x[i])
             assert np.allclose(batch_y[i], row_y)
 
     def test_deterministic(self):
         net = tiny_net([3, 3], seed=5)
         x = np.array([0.1, 0.2, 0.3])
-        a, _ = nn.forward(net, x)
-        b, _ = nn.forward(net, x)
+        a = nn.forward(net, x)
+        b = nn.forward(net, x)
         assert np.array_equal(a, b)
 
     def test_input_untouched_and_repeatable_through_in_place_layers(self):
         net = tiny_net([4, 6, 5, 7], seed=6, output_blocks=SOFTMAX_HEAD)
         x = derive_rng(3, "in-place").standard_normal((9, 4))
         before = x.copy()
-        a, tape = nn.forward(net, x)
-        b, _ = nn.forward(net, x)
+        a, outputs = forward_outputs(net, x)
+        b = nn.forward(net, x)
         assert np.array_equal(x, before)
         assert np.array_equal(a, b)
-        assert tape.inputs[0] is x and tape.outputs[-1] is a
-
-    def test_tape_free_output_bit_identical(self):
-        net = tiny_net([4, 6, 5, 7], seed=7, output_blocks=SOFTMAX_HEAD)
-        x = derive_rng(4, "tape-free").standard_normal((9, 4))
-        taped, tape = nn.forward(net, x)
-        free, no_tape = nn.forward(net, x, keep_tape=False)
-        assert no_tape is None and len(tape.outputs) == 3
-        assert np.array_equal(free, taped)
+        assert outputs[-1] is a
 
     def test_out_buffers_bit_identical_and_reused(self):
         """Layer outputs written into given arrays equal the allocating pass bit
         for bit, also when the arrays are views of larger ones holding stale values."""
         net = tiny_net([4, 6, 5, 7], seed=8, output_blocks=SOFTMAX_HEAD)
         x = derive_rng(5, "out-buffers").standard_normal((9, 4))
-        fresh, _ = nn.forward(net, x, keep_tape=False)
+        fresh = nn.forward(net, x)
         bufs = [np.full((12, layer.out_dim), np.nan) for layer in net.layers]
         for _ in range(2):
-            got, tape = nn.forward(net, x, keep_tape=False, out=[b[:9] for b in bufs])
-            assert tape is None and np.shares_memory(got, bufs[-1])
+            got = nn.forward(net, x, out=[b[:9] for b in bufs])
+            assert np.shares_memory(got, bufs[-1])
             assert np.array_equal(got, fresh)
-
-    def test_out_buffers_refused_with_a_tape(self):
-        net = tiny_net([4, 6, 5, 7], seed=8, output_blocks=SOFTMAX_HEAD)
-        x = np.zeros((3, 4))
-        bufs = [np.empty((3, layer.out_dim)) for layer in net.layers]
-        with pytest.raises(ValueError, match="keep_tape=False"):
-            nn.forward(net, x, out=bufs)
 
 
 class TestSoftmax:
@@ -198,10 +189,10 @@ class TestSoftmaxBlocksHead:
         x = rng.standard_normal(shape) * 10
         g = rng.standard_normal(shape)
         net = self.head()
-        y, tape = nn.forward(net, x)
+        y, outputs = forward_outputs(net, x)
         assert y.shape == shape
         assert np.allclose(y, self.reference(x), rtol=0, atol=1e-15)
-        _, _, input_grad = run_backward(net, tape, g)
+        _, _, input_grad = run_backward(net, x, outputs, g)
         assert np.allclose(input_grad, self.reference_backward(y, g), rtol=0, atol=1e-15)
 
 
@@ -209,8 +200,8 @@ class TestBackward:
     def test_zero_output_gradient(self):
         net = tiny_net([3, 4, 2], seed=3)
         x = np.array([[0.3, -0.2, 0.9]])
-        _, tape = nn.forward(net, x)
-        buffer, _, _ = run_backward(net, tape, np.zeros((1, 2)))
+        _, outputs = forward_outputs(net, x)
+        buffer, _, _ = run_backward(net, x, outputs, np.zeros((1, 2)))
         assert np.all(buffer == 0.0)
 
     def test_textbook_linear_layer(self):
@@ -220,8 +211,8 @@ class TestBackward:
         net = nn.Network([layer])
         x = np.array([[1.5, -0.5]])
         t = np.array([[1.0, 0.0]])
-        y, tape = nn.forward(net, x)
-        _, (weight_grads, bias_grads), _ = run_backward(net, tape, y - t)
+        y, outputs = forward_outputs(net, x)
+        _, (weight_grads, bias_grads), _ = run_backward(net, x, outputs, y - t)
         assert np.allclose(weight_grads[0], np.outer(y - t, x))
         assert np.allclose(bias_grads[0], (y - t)[0])
 
@@ -232,11 +223,11 @@ class TestBackward:
         t = rng.standard_normal(4)[None, :]
 
         def loss_fn():
-            y, _ = nn.forward(net, x)
+            y = nn.forward(net, x)
             return 0.5 * float(np.sum((y - t) ** 2))
 
-        y, tape = nn.forward(net, x)
-        analytic, _, _ = run_backward(net, tape, y - t)
+        y, outputs = forward_outputs(net, x)
+        analytic, _, _ = run_backward(net, x, outputs, y - t)
         numeric = numeric_gradients(loss_fn, net.parameters())
         assert_grads_close([analytic], [np.concatenate([g.ravel() for g in numeric])])
 
@@ -248,12 +239,12 @@ class TestBackward:
         target[0, [1, 4, 5]] = 1.0  # one-hot in each block
 
         def loss_fn():
-            y, _ = nn.forward(net, x)
+            y = nn.forward(net, x)
             return -float(np.sum(target * np.log(y)))
 
-        y, tape = nn.forward(net, x)
+        y, outputs = forward_outputs(net, x)
         grad_out = -target / y
-        analytic, _, _ = run_backward(net, tape, grad_out)
+        analytic, _, _ = run_backward(net, x, outputs, grad_out)
         numeric = numeric_gradients(loss_fn, net.parameters())
         assert_grads_close([analytic], [np.concatenate([g.ravel() for g in numeric])])
 
@@ -262,13 +253,13 @@ class TestBackward:
         rng = derive_rng(23, "sum")
         x = rng.standard_normal((5, 4))
         g_out = rng.standard_normal((5, 3))
-        _, tape = nn.forward(net, x)
-        _, (batched_w, batched_b), _ = run_backward(net, tape, g_out)
+        _, outputs = forward_outputs(net, x)
+        _, (batched_w, batched_b), _ = run_backward(net, x, outputs, g_out)
         summed_w = np.zeros_like(net.layers[0].weights)
         summed_b = np.zeros_like(net.layers[0].biases)
         for i in range(5):
-            _, tape_i = nn.forward(net, x[i : i + 1])
-            _, (w, b), _ = run_backward(net, tape_i, g_out[i : i + 1])
+            _, outputs_i = forward_outputs(net, x[i : i + 1])
+            _, (w, b), _ = run_backward(net, x[i : i + 1], outputs_i, g_out[i : i + 1])
             summed_w += w[0]
             summed_b += b[0]
         assert np.allclose(batched_w[0], summed_w)
@@ -293,11 +284,11 @@ class TestPacking:
         nn.pack([net])
         rng = derive_rng(37, "views")
         x, g = rng.standard_normal((6, 5)), rng.standard_normal((6, 7))
-        _, tape = nn.forward(net, x)
+        _, outputs = forward_outputs(net, x)
         buffer = nan_buffer([net])
         (views,) = nn.views([net], buffer)
-        assert nn.backward(net, tape, g, views, input_grad=False) is None
-        again, _, input_grad = run_backward(net, tape, g)
+        assert nn.backward(net, x, outputs, g, views, input_grad=False) is None
+        again, _, input_grad = run_backward(net, x, outputs, g)
         assert input_grad.shape == x.shape
         for a in views[0] + views[1]:
             assert np.shares_memory(a, buffer)
@@ -325,11 +316,11 @@ class TestPacking:
         for i, (dims, _) in enumerate(shapes):
             x = rng.standard_normal((k, 9, dims[0]))
             g = rng.standard_normal((k, 9, dims[-1]))
-            y, tape = nn.forward(stacked[i], x)
-            input_grad = nn.backward(stacked[i], tape, g, nn.views(alone[0], grads)[i])
+            y, outputs = forward_outputs(stacked[i], x)
+            input_grad = nn.backward(stacked[i], x, outputs, g, nn.views(alone[0], grads)[i])
             for j in range(k):
-                y_j, tape_j = nn.forward(alone[j][i], x[j])
-                _, (w_j, b_j), input_grad_j = run_backward(alone[j][i], tape_j, g[j])
+                y_j, outputs_j = forward_outputs(alone[j][i], x[j])
+                _, (w_j, b_j), input_grad_j = run_backward(alone[j][i], x[j], outputs_j, g[j])
                 w, b = nn.views(alone[0], grads[j])[i]
                 assert np.array_equal(y[j], y_j)
                 assert np.array_equal(input_grad[j], input_grad_j)
@@ -337,21 +328,21 @@ class TestPacking:
         assert not np.isnan(grads).any()
 
     def test_step_buffers_hold_a_step_bit_identical_to_fresh_arrays(self):
-        """forward and backward writing into step_buffers, the tape built over
-        them, give the fresh arrays' outputs and gradients bit for bit, twice
-        over the same buffers, and a batch of fewer rows uses their first rows."""
+        """forward and backward writing into one set of step_buffers give the
+        outputs and gradients of fresh buffers bit for bit, twice over the same
+        buffers, and a batch of fewer rows uses their first rows."""
         net = tiny_net([5, 6, 4, 7], seed=9, output_blocks=SOFTMAX_HEAD)
         outs, pairs = nn.step_buffers(net, (8,))
         rng = derive_rng(47, "step-buffers")
         for rows in (8, 8, 5):
             x, g = rng.standard_normal((rows, 5)), rng.standard_normal((rows, 7))
-            y, tape = nn.forward(net, x)
-            fresh, _, input_grad = run_backward(net, tape, g)
+            y, outputs = forward_outputs(net, x)
+            fresh, _, input_grad = run_backward(net, x, outputs, g)
             cut = [a[:rows] for a in outs]
-            nn.forward(net, x, keep_tape=False, out=cut)
+            nn.forward(net, x, out=cut)
             buffer = nan_buffer([net])
             (views,) = nn.views([net], buffer)
-            got = nn.backward(net, nn.ForwardTape([x, *cut[:-1]], cut), g, views,
+            got = nn.backward(net, x, cut, g, views,
                               out=[(a[:rows], c[:rows]) for a, c in pairs])
             assert np.array_equal(cut[-1], y) and np.array_equal(buffer, fresh)
             assert np.array_equal(got, input_grad) and np.shares_memory(got, pairs[0][1])

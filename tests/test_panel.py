@@ -123,7 +123,7 @@ class TestCellDraws:
             moved = [a for a, b in spans(conditional) if not np.array_equal(cell[b], c_row[b])]
             assert [a.name for a in moved] == [spec.schema.time_attribute.name]
             dec = nn.forward(model.decoder,
-                             np.concatenate([eps, np.tile(c_row, (r, 1))], axis=1))[0]
+                             np.concatenate([eps, np.tile(c_row, (r, 1))], axis=1))
             cats = {}
             for j, (attr, block) in enumerate(blocks):
                 cum = np.cumsum(dec[:, block], axis=1)

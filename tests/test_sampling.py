@@ -189,7 +189,7 @@ class TestSample:
         rng = derive_rng(7, "bulk-sample")
         eps = rng.standard_normal((n, small_model.config.latent_dim))
         dec = nn.forward(small_model.decoder,
-                         np.concatenate([eps, np.tile(c_row, (n, 1))], axis=1))[0]
+                         np.concatenate([eps, np.tile(c_row, (n, 1))], axis=1))
         for attr, block in spans(small_model.schema.preference_attributes):
             expected = dec[:, block].mean(axis=0)
             got = np.bincount(cols[attr.name], minlength=attr.n_categories) / n
