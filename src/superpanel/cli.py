@@ -22,6 +22,57 @@ import numpy as np
 from . import cvae, metrics, oracle, panel, sampling, schema as schema_mod
 from .seeding import derive_seed
 
+
+class CliError(RuntimeError):
+    pass
+
+
+def _fail(key: str, kind: str, value):
+    raise CliError(f"{key} must be {kind}, got {json.dumps(value)}")
+
+
+def _whole(key: str, value) -> int:
+    """int(value) of a JSON number, refused when that would truncate a
+    fractional part; a boolean is not a number."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        _fail(key, "a whole number", value)
+    return int(value)
+
+
+def _count(key: str, value) -> int:
+    if _whole(key, value) < 1:
+        _fail(key, ">= 1", value)
+    return int(value)
+
+
+def _typed(kind: str, *types):
+    """The check of a value whose type is one of ``types``."""
+    def check(key: str, value):
+        if type(value) not in types:
+            _fail(key, kind, value)
+        return value
+    return check
+
+
+_number, _string, _boolean = (_typed("a number", int, float), _typed("a string", str),
+                              _typed("a boolean", bool))
+
+
+def _list(entry=None):
+    """The check of a list (or a tuple default) whose entries each pass ``entry``."""
+    def check(key: str, value) -> list:
+        _typed("a list", list, tuple)(key, value)
+        return [entry(f"{key}[{i}]", v) if entry else v for i, v in enumerate(value)]
+    return check
+
+
+def _years(key: str, value) -> list[int]:
+    years = _list(_whole)(key, value)
+    if len(set(years)) < len(years):
+        _fail(key, "a list of whole numbers each listed once", value)
+    return years
+
+
 DEFAULT_CONFIG = {
     "seed": None,
     "out_dir": None,
@@ -54,17 +105,42 @@ DEFAULT_CONFIG = {
 }
 
 
-class CliError(RuntimeError):
-    pass
+def _model_overrides(key: str, value) -> dict:
+    """bootstrap.model: model keys, each checked as under model or null to inherit it."""
+    _check_keys({"model": value}, {"model": DEFAULT_CONFIG["model"]},
+                {"model": CHECKS["model"]}, "bootstrap.", nullable=True)
+    return value
 
 
-def _deep_update(base: dict, override: dict) -> dict:
+#: The check of each key whose default does not give it: a null default, a count
+#: (a whole number >= 1) or a list's entries. Every other key keeps its default's
+#: type: an int is a whole number, a float a number, a string a string, a bool a boolean.
+CHECKS = {
+    "seed": _whole,
+    "out_dir": _string,
+    "schema": _string,
+    "data": _string,
+    "dgp": {"spec_path": _string, "years": _years},
+    "model": {"hidden_layers": _list(_whole)},
+    "grid": {"n_layers": _list(_whole), "n_neurons": _list(_whole),
+             "latent_dims": _list(_whole), "betas": _list(_number)},
+    "eval_subsets": _list(_list(_string)),
+    "generate": {"draws_per_profile": _count},
+    "evaluate": {"draws_per_profile": _count},
+    "panel": {"years": _years, "external_table": _string, "max_individuals": _count,
+              "trend_attributes": _list(_string), "trend_conditions": _list()},
+    "movers": {"t_start": _whole, "t_end": _whole, "subset": _list(_string)},
+    "bootstrap": {"samples_per_replicate": _count, "statistics": _list(),
+                  "model": _model_overrides},
+}
+
+
+def _deep_update(base: dict, override: dict) -> None:
     for k, v in override.items():
         if isinstance(v, dict) and isinstance(base.get(k), dict):
             _deep_update(base[k], v)
         else:
             base[k] = v
-    return base
 
 
 def _apply_set(config: dict, assignment: str) -> None:
@@ -87,42 +163,24 @@ def _apply_set(config: dict, assignment: str) -> None:
     _deep_update(node, {parts[-1]: value})
 
 
-def _json_type(value) -> str | None:
-    """A config value's JSON type; ints and floats are both numbers, a bool is not one."""
-    return {bool: "a boolean", int: "a number", float: "a number", str: "a string",
-            list: "a list", tuple: "a list"}.get(type(value))
-
-
-def _fractional(value) -> bool:
-    """A number with a fractional part, which int() would truncate."""
-    return isinstance(value, float) and not value.is_integer()
-
-
-def _check_keys(config: dict, known: dict, prefix: str = "", nullable: bool = False) -> None:
-    """Every key is known and keeps the JSON type of its default, where the
-    default has one; ``nullable`` lets null through, for overrides that inherit."""
+def _check_keys(config: dict, known: dict, checks: dict, prefix: str = "",
+                nullable: bool = False) -> None:
+    """Every key is known and passes its check, which stores the checked value.
+    Null passes where the default is null, and everywhere under ``nullable``,
+    for overrides that inherit."""
     for key, value in config.items():
+        name = prefix + key
         if key not in known:
-            raise CliError(f"unknown config key {prefix + key!r}")
+            raise CliError(f"unknown config key {name!r}")
         if isinstance(known[key], dict):
             if not isinstance(value, dict):
-                raise CliError(f"config key {prefix + key!r} must be a section (a JSON object), "
+                raise CliError(f"config key {name!r} must be a section (a JSON object), "
                                f"got {value!r}")
-            _check_keys(value, known[key], f"{prefix}{key}.", nullable)
-        elif ((want := _json_type(known[key])) and _json_type(value) != want
-              and not (nullable and value is None)):
-            raise CliError(f"config key {prefix + key!r} must be {want}, "
-                           f"got {json.dumps(value)}")
-        elif type(known[key]) is int and _fractional(value):
-            raise CliError(f"config key {prefix + key!r} must be a whole number, "
-                           f"got {json.dumps(value)}")
-
-
-def _check_config(config: dict) -> None:
-    _check_keys(config, DEFAULT_CONFIG)
-    if config["bootstrap"]["model"] is not None:  # null, or a section of model overrides
-        _check_keys({"model": config["bootstrap"]["model"]}, {"model": DEFAULT_CONFIG["model"]},
-                    "bootstrap.", nullable=True)
+            _check_keys(value, known[key], checks.get(key, {}), f"{name}.", nullable)
+        elif value is not None or not (nullable or known[key] is None):
+            check = checks.get(key) or {bool: _boolean, int: _whole, float: _number,
+                                        str: _string}[type(known[key])]
+            config[key] = check(name, value)
 
 
 def load_config(args) -> dict:
@@ -136,34 +194,22 @@ def load_config(args) -> dict:
             raise CliError(f"{args.config}: a config file must hold a JSON object, "
                            f"got {type(loaded).__name__}")
         _deep_update(config, loaded)
-        _check_config(config)
+        _check_keys(config, DEFAULT_CONFIG, CHECKS)
     for assignment in args.set or []:
         _apply_set(config, assignment)
-        _check_config(config)
+        _check_keys(config, DEFAULT_CONFIG, CHECKS)
     if args.seed is not None:
         config["seed"] = args.seed
     if config["seed"] is None:
         raise CliError("a seed is required (config 'seed' or --seed); wall-clock seeding is not supported")
-    config["seed"] = _whole("seed", config["seed"])
     return config
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, outputs, started: float,
@@ -223,35 +269,6 @@ def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     return model, model_path
 
 
-def _whole(key: str, value) -> int:
-    """int(value) of a JSON number, refused when that would truncate a
-    fractional part; a boolean or a string is not a number."""
-    if _json_type(value) != "a number" or _fractional(value):
-        raise CliError(f"{key} must be a whole number, got {json.dumps(value)}")
-    return int(value)
-
-
-def _years(key: str, years) -> list[int]:
-    """The years listed at ``key``, whole numbers each listed once."""
-    out = []
-    for i, year in enumerate(years):
-        year = _whole(f"{key}[{i}]", year)
-        if year in out:
-            raise CliError(f"{key} lists year {year} more than once")
-        out.append(year)
-    return out
-
-
-def _count(config, key: str) -> int:
-    """The draw or individual count at ``section.name``; below 1 it fails before
-    any model loads or trains."""
-    section, name = key.split(".")
-    value = _whole(key, config[section][name])
-    if value < 1:
-        raise CliError(f"{key} must be >= 1, got {value}")
-    return value
-
-
 def _capped_subset(key: str, subset, sch) -> tuple[str, ...]:
     """``subset``, or every preference attribute jointly when it is empty; refused
     when its dense joint is over metrics.DEFAULT_BIN_CAP, read at call time, since
@@ -281,9 +298,8 @@ def cmd_synth(args, config, out):
     dgp_cfg = config["dgp"]
     spec = (oracle.load_dgp(dgp_cfg["spec_path"]) if dgp_cfg["spec_path"]
             else oracle.canned_spec(dgp_cfg["name"]))
-    years = _years("dgp.years", dgp_cfg["years"]) if dgp_cfg["years"] else list(spec.years)
     table = oracle.generate_dataset(
-        spec, int(dgp_cfg["n_per_year"]), years,
+        spec, dgp_cfg["n_per_year"], dgp_cfg["years"] or list(spec.years),
         seed=derive_seed(config["seed"], "synth"),
     )
     n_records = len(table[spec.schema.attributes[0].name])
@@ -297,23 +313,9 @@ def cmd_synth(args, config, out):
     return [schema_path, data_path, spec_path], {"n_records": n_records}
 
 
-def _grid_spec(grid_cfg) -> cvae.GridSpec:
-    """The grid.* lists: whole numbers for the network shapes, JSON numbers for betas."""
-    def entries(name, check):
-        return tuple(check(f"grid.{name}[{i}]", v) for i, v in enumerate(grid_cfg[name]))
-
-    def number(key, value):
-        if _json_type(value) != "a number":
-            raise CliError(f"{key} must be a number, got {json.dumps(value)}")
-        return value
-
-    return cvae.GridSpec(entries("n_layers", _whole), entries("n_neurons", _whole),
-                         entries("latent_dims", _whole), entries("betas", number))
-
-
 def _split(config, n_rows):
     """(idx_train, idx_val): the seeded train/validation split of the survey rows."""
-    return schema_mod.split_indices(n_rows, float(config["split_fraction"]), config["seed"])
+    return schema_mod.split_indices(n_rows, config["split_fraction"], config["seed"])
 
 
 def _model_config(config, seed_key: str, overrides: dict | None = None) -> cvae.CvaeConfig:
@@ -333,7 +335,7 @@ def cmd_train(args, config, out):
     extra = {"dropped_rows": dropped}
 
     if args.grid:
-        grid = _grid_spec(config["grid"])
+        grid = cvae.GridSpec(*(config["grid"][f.name] for f in fields(cvae.GridSpec)))
         base = _model_config(config, "grid-base")
         cells = grid.cells()
         print(f"grid plan: {len(cells)} cells")
@@ -404,10 +406,9 @@ def cmd_train(args, config, out):
 def cmd_generate(args, config, out):
     sch, table, _ = _load_table(config)
     gen_cfg = config["generate"]
-    draws = _count(config, "generate.draws_per_profile")
     model, model_path = _load_model(config, out, sch, gen_cfg["model"])
-    population = sampling.generate_population(
-        model, table, draws_per_profile=draws, seed=derive_seed(config["seed"], "generate"))
+    population = sampling.generate_population(model, table, gen_cfg["draws_per_profile"],
+                                              seed=derive_seed(config["seed"], "generate"))
     synth_path = out / "synthetic.csv"
     schema_mod.write_records_csv(synth_path, population.columns, sch)
     n_generated = len(population.columns[sch.attributes[0].name])
@@ -435,7 +436,6 @@ def cmd_evaluate(args, config, out):
     idx_train, idx_val = _split(config, len(whole[sch.attributes[0].name]))
     train, val = schema_mod.take_rows(whole, idx_train), schema_mod.take_rows(whole, idx_val)
     subsets = _eval_subsets(config, sch)
-    draws = _count(config, "evaluate.draws_per_profile")
 
     split_model, _ = _load_model(config, out, sch, out / "model_split.json")
     full_model, _ = _load_model(config, out, sch, out / "model_full.json")
@@ -459,7 +459,8 @@ def cmd_evaluate(args, config, out):
         """Draw one synthetic population from source's profiles, compare it with
         source and return its overlap row; the population dies on return."""
         seed = derive_seed(config["seed"], "evaluate", key)
-        synth = sampling.generate_population(model, source, draws, seed).columns
+        synth = sampling.generate_population(
+            model, source, config["evaluate"]["draws_per_profile"], seed).columns
         if comparison:
             compare(comparison, synth, source)
         return (overlap_name, *metrics.overlap_pair(synth, source, sch))
@@ -556,17 +557,14 @@ def _panel_base(config, sch, table):
     time_attr = sch.time_attribute
     if time_attr is None:
         raise CliError("panel construction needs a time attribute")
-    ref_year = int(panel_cfg["reference_year"])
     # truncated toward zero, as int() truncates a raw numerical time value
     row_years = table[time_attr.name].astype(np.int64)
-    base_idx = np.flatnonzero(row_years == ref_year)
+    base_idx = np.flatnonzero(row_years == panel_cfg["reference_year"])
     if not len(base_idx):
-        raise CliError(f"no records in reference year {ref_year}")
-    if panel_cfg["max_individuals"] is not None:
-        base_idx = base_idx[: _count(config, "panel.max_individuals")]
+        raise CliError(f"no records in reference year {panel_cfg['reference_year']}")
     years = panel_cfg["years"]
-    return (schema_mod.take_rows(table, base_idx),
-            sorted(set(row_years.tolist())) if years is None else _years("panel.years", years))
+    return (schema_mod.take_rows(table, base_idx[: panel_cfg["max_individuals"]]),
+            sorted(set(row_years.tolist())) if years is None else years)
 
 
 def _build_cube(args, config, out, sch, base, years, subsets):
@@ -578,7 +576,7 @@ def _build_cube(args, config, out, sch, base, years, subsets):
         external = _load_external_table(panel_cfg["external_table"], sch, base, years)
     return panel.build_panel(
         model, base, years, external,
-        draws_per_cell=int(panel_cfg["draws_per_cell"]),
+        draws_per_cell=panel_cfg["draws_per_cell"],
         seed=derive_seed(config["seed"], "panel"),
         subsets=subsets,
         jobs=args.jobs,
@@ -614,9 +612,8 @@ def _mover_request(config, sch, base, years):
     years, and the distance subset, movers.subset or every preference jointly;
     they and the base population's size are checked before any cell is sampled."""
     movers_cfg = config["movers"]
-    t_start, t_end = movers_cfg["t_start"], movers_cfg["t_end"]
-    t_start = years[0] if t_start is None else _whole("movers.t_start", t_start)
-    t_end = years[-1] if t_end is None else _whole("movers.t_end", t_end)
+    t_start = years[0] if movers_cfg["t_start"] is None else movers_cfg["t_start"]
+    t_end = years[-1] if movers_cfg["t_end"] is None else movers_cfg["t_end"]
     for key, year in (("movers.t_start", t_start), ("movers.t_end", t_end)):
         if year not in years:
             raise CliError(f"{key} {year} is not one of the panel years {years}")
@@ -714,7 +711,7 @@ def cmd_classify_movers(args, config, out):
 def _statistics(config) -> list[panel.StatisticSpec]:
     """bootstrap.statistics as specs; an entry needs an attribute and only StatisticSpec keys."""
     entries = config["bootstrap"]["statistics"]
-    if not entries or not isinstance(entries, list):
+    if not entries:
         raise CliError("bootstrap.statistics must be a nonempty list of statistics")
     known = [f.name for f in fields(panel.StatisticSpec)]
     stats = []
@@ -742,15 +739,13 @@ def cmd_bootstrap(args, config, out):
     sch = _load_schema(config)
     records, _ = schema_mod.ingest_csv(config["data"], sch)
     bs_cfg = config["bootstrap"]
-    stats = _statistics(config)
-    samples = _count(config, "bootstrap.samples_per_replicate")
     model_cfg = _model_config(config, "bootstrap-base", bs_cfg["model"])
     summary = panel.bootstrap(
         records, sch, model_cfg,
-        n_replicates=int(bs_cfg["replicates"]),
-        statistics=stats,
+        n_replicates=bs_cfg["replicates"],
+        statistics=_statistics(config),
         seed=derive_seed(config["seed"], "bootstrap"),
-        samples_per_replicate=samples,
+        samples_per_replicate=bs_cfg["samples_per_replicate"],
         jobs=args.jobs,
     )
     bs_path = out / "bootstrap.csv"
@@ -803,8 +798,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
-        if args.jobs < 1:
-            raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+        _count("--jobs", args.jobs)
         config = load_config(args)
         out = _out_dir(args, config)
         outputs, extra = args.fn(args, config, out)

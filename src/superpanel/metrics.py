@@ -13,7 +13,7 @@ import numpy as np
 
 from .schema import Schema, category_columns, record_columns
 
-#: guard against accidentally materializing astronomically large joints
+#: guard against accidentally materializing astronomically large joints; read at call time
 DEFAULT_BIN_CAP = 1_000_000
 
 
@@ -60,17 +60,16 @@ def subset_dims(schema: Schema, subset) -> tuple[int, ...]:
     return tuple(schema.attribute(name).n_categories for name in subset)
 
 
-def cross_tabulate_columns(
-    columns: dict[str, np.ndarray], subset, schema: Schema, bin_cap: int = DEFAULT_BIN_CAP
-) -> JointHistogram:
+def cross_tabulate_columns(columns: dict[str, np.ndarray], subset,
+                           schema: Schema) -> JointHistogram:
     """Dense normalized cross tabulation from pre-extracted index columns."""
     subset = tuple(subset)
     if not subset:
         raise MetricError("empty subset")
     dims = subset_dims(schema, subset)
     n_bins = int(np.prod(dims))
-    if n_bins > bin_cap:
-        raise MetricError(f"joint over {subset} has {n_bins} bins, above cap {bin_cap}")
+    if n_bins > DEFAULT_BIN_CAP:
+        raise MetricError(f"joint over {subset} has {n_bins} bins, above cap {DEFAULT_BIN_CAP}")
     idx = [np.asarray(columns[name], dtype=np.int64) for name in subset]
     n = idx[0].shape[0]
     if n == 0:
@@ -80,10 +79,10 @@ def cross_tabulate_columns(
     return JointHistogram(subset=subset, dims=dims, frequencies=counts / n, n_source=n)
 
 
-def cross_tabulate(records, subset, schema: Schema, bin_cap: int = DEFAULT_BIN_CAP) -> JointHistogram:
+def cross_tabulate(records, subset, schema: Schema) -> JointHistogram:
     """Dense normalized cross tabulation of a record list over a subset."""
     cols = category_columns(record_columns(records, schema), subset, schema)
-    return cross_tabulate_columns(cols, subset, schema, bin_cap)
+    return cross_tabulate_columns(cols, subset, schema)
 
 
 def srmse(pi_hat: JointHistogram, pi: JointHistogram) -> float:

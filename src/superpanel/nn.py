@@ -44,6 +44,7 @@ class DenseLayer:
     activation: str
     blocks: tuple[int, ...] | None = None  # segment widths, for softmax_blocks
     softmax_index: tuple = field(init=False, repr=False, compare=False, default=None)
+    head_layout: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -62,7 +63,12 @@ class DenseLayer:
             # where each block starts and the block of each column: the
             # segments of the reduceat calls in the head
             block_of = np.repeat(np.arange(len(self.blocks)), self.blocks)
-            self.softmax_index = (np.flatnonzero(np.diff(block_of, prepend=-1)), block_of)
+            starts = np.flatnonzero(np.diff(block_of, prepend=-1))
+            self.softmax_index = (starts, block_of)
+            # sampling's (slots, widest, last): each column's slot in a (blocks, widest) row
+            widest = max(self.blocks)
+            self.head_layout = (block_of * widest + np.arange(self.out_dim) - starts[block_of],
+                                widest, np.array(self.blocks) - 1)
         elif self.blocks:
             raise ValueError("blocks only apply to softmax_blocks activation")
 

@@ -22,7 +22,6 @@ profile of a few draws pays for no chunk plan and no buffers. Generated
 populations are column tables, like the survey tables they are drawn from.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +44,6 @@ class PreferenceDraws:
     draws: np.ndarray  # (n_draws, n_pref) category indices, columns in preference order
 
 
-@functools.lru_cache(maxsize=16)
-def _head_layout(widths: tuple[int, ...]):
-    """(slots, widest, last) of a decoder head with these segment widths:
-    slots places its output columns in a zero-padded (blocks, widest) row and
-    last holds each block's largest category."""
-    widest = max(widths)
-    last = np.array(widths) - 1
-    slots = np.array([j * widest + m for j, width in enumerate(widths) for m in range(width)])
-    last.setflags(write=False)
-    slots.setflags(write=False)
-    return slots, widest, last
-
-
 def _resolve(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """The category indices of the decoder head's output, (rows, blocks),
     block j's index drawn from its softmax segment by uniforms[:, j].
@@ -67,7 +53,7 @@ def _resolve(model: TrainedModel, dec_out: np.ndarray, uniforms: np.ndarray) -> 
     block. The padding follows each segment's end: it leaves every partial
     sum as it was and adds 0 to each total.
     """
-    slots, widest, last = _head_layout(tuple(model.decoder.layers[-1].blocks))
+    slots, widest, last = model.decoder.layers[-1].head_layout
     padded = np.zeros((len(dec_out), len(last), widest))
     padded.reshape(len(dec_out), -1)[:, slots] = dec_out
     cum = np.cumsum(padded, axis=2, out=padded)

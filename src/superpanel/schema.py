@@ -286,12 +286,10 @@ def ingest_csv(path, schema: Schema) -> tuple[list[Record], int]:
 
 def write_records_csv(path, table, schema: Schema) -> None:
     """Write a column table in the ingestion CSV format (deterministic text)."""
-    cols = [map(str if a.kind == "categorical" else repr, table[a.name].tolist())
-            for a in schema.attributes]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in schema.attributes])
-        writer.writerows(zip(*cols))
+        writer.writerows(zip(*(table[a.name].tolist() for a in schema.attributes)))
 
 
 # ---------------------------------------------------------------------------

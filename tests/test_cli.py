@@ -614,18 +614,19 @@ class TestDrawCounts:
 class TestWholeNumbers:
     @pytest.mark.parametrize("command, assignment, named", [
         # a key whose default is an int
-        ("train", "model.epochs=2.7", "config key 'model.epochs' must be a whole number, got 2.7"),
+        ("train", "model.epochs=2.7", "model.epochs must be a whole number, got 2.7"),
         ("synth", "dgp.n_per_year=10.5",
-         "config key 'dgp.n_per_year' must be a whole number, got 10.5"),
+         "dgp.n_per_year must be a whole number, got 10.5"),
         ("build-panel", "panel.draws_per_cell=20.5",
-         "config key 'panel.draws_per_cell' must be a whole number, got 20.5"),
+         "panel.draws_per_cell must be a whole number, got 20.5"),
         ("bootstrap", "bootstrap.replicates=2.5",
-         "config key 'bootstrap.replicates' must be a whole number, got 2.5"),
+         "bootstrap.replicates must be a whole number, got 2.5"),
         ("bootstrap", "bootstrap.model.epochs=1.5",
-         "config key 'bootstrap.model.epochs' must be a whole number, got 1.5"),
-        ("train", "model.epochs=NaN", "config key 'model.epochs' must be a whole number, got NaN"),
-        # a CvaeConfig int field the config keys do not check entry by entry
-        ("train", "model.hidden_layers=[16, 8.5]", "hidden_layers must be a whole number, got 8.5"),
+         "bootstrap.model.epochs must be a whole number, got 1.5"),
+        ("train", "model.epochs=NaN", "model.epochs must be a whole number, got NaN"),
+        # a list entry, named by its index
+        ("train", "model.hidden_layers=[16, 8.5]",
+         "model.hidden_layers[1] must be a whole number, got 8.5"),
         # a count whose default is null
         ("build-panel", "panel.max_individuals=3.5",
          "panel.max_individuals must be a whole number, got 3.5"),
@@ -658,6 +659,13 @@ class TestWholeNumbers:
          "grid.latent_dims[0] must be a whole number, got 2.5"),
         ("train --grid", "grid.betas=[true]", "grid.betas[0] must be a number, got true"),
         ("train --grid", 'grid.betas=[0.5, "a"]', 'grid.betas[1] must be a number, got "a"'),
+        # list entries of the wrong type: a string subset would be read letter by letter
+        ("evaluate", "eval_subsets=[3]", "eval_subsets[0] must be a list, got 3"),
+        ("evaluate", 'eval_subsets=["p_mode"]', 'eval_subsets[0] must be a list, got "p_mode"'),
+        ("classify-movers", "movers.subset=[3]", "movers.subset[0] must be a string, got 3"),
+        # every key is checked when the config loads, whatever the command reads
+        ("synth", "panel.years=[0, 0]",
+         "panel.years must be a list of whole numbers each listed once, got [0, 0]"),
     ])
     def test_fractional_int_fails(self, pipeline, tmp_path, capsys, monkeypatch, no_training,
                                   command, assignment, named):
@@ -667,7 +675,8 @@ class TestWholeNumbers:
         monkeypatch.setattr(cvae, "load_model", lambda *a, **k: pytest.fail("a model was loaded"))
         assert run([*command.split(), "--config", str(cfg), "--out", str(tmp_path),
                     "--set", assignment]) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
 
     def test_repeated_dgp_year_fails_before_synthesis(self, pipeline, tmp_path, capsys,
@@ -678,7 +687,8 @@ class TestWholeNumbers:
                             lambda *a, **k: pytest.fail("a dataset was synthesized"))
         assert run(["synth", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", "dgp.years=[0, 0]"]) == 1
-        assert "dgp.years lists year 0 more than once" in capsys.readouterr().err
+        assert ("dgp.years must be a list of whole numbers each listed once, got [0, 0]"
+                in capsys.readouterr().err)
         assert list(tmp_path.glob("*.csv")) == [] and list(tmp_path.glob("*.json")) == []
 
     def test_repeated_panel_year_fails_before_sampling(self, pipeline, tmp_path, capsys,
@@ -688,7 +698,8 @@ class TestWholeNumbers:
         assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"panel.model={out / 'model_full.json'}",
                     "--set", "panel.years=[0, 0, 4]"]) == 1
-        assert "panel.years lists year 0 more than once" in capsys.readouterr().err
+        assert ("panel.years must be a list of whole numbers each listed once, got [0, 0, 4]"
+                in capsys.readouterr().err)
         assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -753,27 +764,43 @@ class TestSetOverrides:
         assert f"config key '{key}' must be a section" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, assignment, want", [
-        (["evaluate"], "evaluate.draws_per_profile=null", "a number"),
+        (["evaluate"], "evaluate.draws_per_profile=null", "a whole number"),
         (["train"], "model.beta=null", "a number"),
         (["train"], "model.hidden_layers=null", "a list"),
         (["train"], "split_fraction=null", "a number"),
-        (["synth"], "dgp.n_per_year=null", "a number"),
-        (["bootstrap"], "bootstrap.replicates=null", "a number"),
+        (["synth"], "dgp.n_per_year=null", "a whole number"),
+        (["bootstrap"], "bootstrap.replicates=null", "a whole number"),
         (["train", "--grid"], "grid.betas=0.5", "a list"),
-        (["train"], "model.epochs=true", "a number"),
+        (["train"], "model.epochs=true", "a whole number"),
         (["synth"], "dgp.name=3", "a string"),
         (["train", "--grid"], "grid.plan_only=1", "a boolean"),
-        (["bootstrap"], "bootstrap.model.epochs=[2]", "a number"),
+        (["bootstrap"], "bootstrap.model.epochs=[2]", "a whole number"),
+        # keys whose default is null: an int would be iterated, a string read letter by letter
+        (["synth"], "dgp.years=3", "a list"),
+        (["build-panel"], "panel.years=3", "a list"),
+        (["build-panel"], "panel.trend_attributes=3", "a list"),
+        (["build-panel"], "panel.trend_conditions=3", "a list"),
+        (["classify-movers"], "movers.subset=3", "a list"),
+        (["classify-movers"], 'movers.subset="p_mode"', "a list"),
+        (["evaluate"], "eval_subsets=3", "a list"),
+        # paths: open(3) would read file descriptor 3
+        (["train"], "schema=3", "a string"),
+        (["train"], "data=3", "a string"),
+        (["synth"], "dgp.spec_path=3", "a string"),
+        # without --out, Path(3) would be a TypeError
+        (["synth"], "out_dir=3", "a string"),
     ])
-    def test_value_of_wrong_type_fails(self, pipeline, tmp_path, capsys, no_training,
+    def test_value_of_wrong_type_fails(self, pipeline, tmp_path, capsys, monkeypatch, no_training,
                                        command, assignment, want):
         _, _, cfg = pipeline
+        monkeypatch.chdir(tmp_path)
         key, value = assignment.split("=")
-        code = run(command + ["--config", str(cfg), "--out", str(tmp_path / "o"),
-                              "--set", assignment])
+        out = [] if key == "out_dir" else ["--out", str(tmp_path / "o")]
+        code = run(command + ["--config", str(cfg), *out, "--set", assignment])
         assert code == 1
-        assert f"config key '{key}' must be {want}, got {value}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        err = capsys.readouterr().err
+        assert f"{key} must be {want}, got {value}" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_number_types_stand_in_and_null_model_override_inherits(self, tmp_path):
         config = cli.load_config(argparse.Namespace(config=None, seed=1, set=[
@@ -782,7 +809,18 @@ class TestSetOverrides:
             "panel.max_individuals=3.0"]))
         model_cfg = cli._model_config(config, "bootstrap-base", config["bootstrap"]["model"])
         assert (model_cfg.beta, model_cfg.epochs, model_cfg.latent_dim) == (1.0, 3, 4)
-        assert cli._count(config, "panel.max_individuals") == 3
+        assert config["panel"]["max_individuals"] == 3 and config["model"]["epochs"] == 3
+        assert type(config["panel"]["max_individuals"]) is type(config["model"]["epochs"]) is int
+
+    def test_every_null_default_has_a_check(self):
+        """A null default gives no type, so cli.CHECKS must name the key's check."""
+        def unchecked(known, checks, prefix=""):
+            for key, default in known.items():
+                if isinstance(default, dict):
+                    yield from unchecked(default, checks.get(key, {}), f"{prefix}{key}.")
+                elif default is None and key not in checks:
+                    yield prefix + key
+        assert list(unchecked(cli.DEFAULT_CONFIG, cli.CHECKS)) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_fails(self, tmp_path, capsys, jobs):

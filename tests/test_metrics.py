@@ -113,10 +113,11 @@ class TestCrossTabulate:
         assert len(h.frequencies) == 6
         assert h.frequencies[0] == 1.0
 
-    def test_bin_cap_enforced(self):
+    def test_bin_cap_enforced(self, monkeypatch):
         schema = two_attr_schema()
+        monkeypatch.setattr(mx, "DEFAULT_BIN_CAP", 5)
         with pytest.raises(mx.MetricError, match="above cap"):
-            mx.cross_tabulate([sm.Record((0, 0, 0))], ("x", "y"), schema, bin_cap=5)
+            mx.cross_tabulate([sm.Record((0, 0, 0))], ("x", "y"), schema)
 
     def test_empty_records_error(self):
         with pytest.raises(mx.MetricError):
