@@ -255,13 +255,14 @@ def _load_table(config):
 
 
 def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
-    """Load a model file, relative paths falling back to the output directory.
+    """Load a model file; a relative path that does not exist is read under the
+    output directory when the file is there, so a missing file is named as given.
 
     The model must have been trained on the config's schema: sampling with
     one schema and tabulating with another would mix up categories.
     """
     model_path = Path(path)
-    if not model_path.is_absolute() and not model_path.exists():
+    if not model_path.is_absolute() and not model_path.exists() and (out / path).exists():
         model_path = out / model_path
     model = cvae.load_model(model_path)
     if model.schema.content_hash() != sch.content_hash():
@@ -269,25 +270,17 @@ def _load_model(config, out: Path, sch, path) -> tuple[cvae.TrainedModel, Path]:
     return model, model_path
 
 
-def _capped_subset(key: str, subset, sch) -> tuple[str, ...]:
-    """``subset``, or every preference attribute jointly when it is empty; refused
-    when its dense joint is over metrics.DEFAULT_BIN_CAP, read at call time, since
-    one panel year's tabulation is N x n_bins long."""
-    joint = tuple(subset or (a.name for a in sch.preference_attributes))
-    n_bins = int(np.prod(metrics.subset_dims(sch, joint)))
-    if n_bins > metrics.DEFAULT_BIN_CAP:
-        if not subset:
-            raise CliError(f"{key} required: the full preference joint exceeds the bin cap")
-        raise CliError(f"{key} {list(joint)} has {n_bins} bins, above the bin cap "
-                       f"{metrics.DEFAULT_BIN_CAP}")
-    return joint
+def _preference_subset(key: str, subset, sch, joint: bool) -> tuple[str, ...]:
+    """``subset``, or every preference attribute when it is empty, by the subset rule."""
+    return metrics.check_subset(key, subset or [a.name for a in sch.preference_attributes],
+                                sch, "preference", joint)
 
 
 def _eval_subsets(config, sch) -> list[tuple[str, ...]]:
     subsets = config["eval_subsets"]
     if not subsets:
-        return [_capped_subset("eval_subsets", None, sch)]
-    return [_capped_subset(f"eval_subsets[{i}]", s, sch) for i, s in enumerate(subsets)]
+        return [_preference_subset("eval_subsets", None, sch, True)]
+    return [_preference_subset(f"eval_subsets[{i}]", s, sch, True) for i, s in enumerate(subsets)]
 
 
 # ---------------------------------------------------------------------------
@@ -584,26 +577,20 @@ def _build_cube(args, config, out, sch, base, years, subsets):
 
 
 def _trend_requests(config, sch, base):
-    """panel.trend_attributes and panel.trend_conditions, checked before any cell is
-    sampled: each condition must match at least one individual of the base population."""
+    """panel.trend_attributes, every preference attribute by default, and each
+    panel.trend_conditions entry's label and mask over the base population, checked
+    before any cell is sampled: each condition must match at least one individual."""
     panel_cfg = config["panel"]
-    prefs = [a.name for a in sch.preference_attributes]
-    conditionals = [a.name for a in sch.conditional_attributes]
-    trend_attrs = panel_cfg["trend_attributes"] or prefs
-    conditions = panel_cfg["trend_conditions"] or [{}]
-    for i, name in enumerate(trend_attrs):
-        if name not in prefs:
-            raise CliError(f"panel.trend_attributes[{i}] {name!r} is not a preference attribute")
-    for i, cond in enumerate(conditions):
-        if not isinstance(cond, dict) or any(k not in conditionals for k in cond):
-            raise CliError(f"panel.trend_conditions[{i}] must map conditional attributes to "
-                           f"values, got {cond!r}")
-        matched = np.ones(len(base[sch.attributes[0].name]), dtype=bool)
-        for k, v in cond.items():
-            matched &= base[k] == _whole(f"panel.trend_conditions[{i}].{k}", v)
-        if not matched.any():
+    trend_attrs = _preference_subset("panel.trend_attributes", panel_cfg["trend_attributes"],
+                                     sch, False)
+    conditions = []
+    for i, cond in enumerate(panel_cfg["trend_conditions"] or [{}]):
+        mask = schema_mod.condition_mask(f"panel.trend_conditions[{i}]", cond, sch,
+                                         "conditional", base)
+        if not mask.any():
             raise CliError(f"panel.trend_conditions[{i}] {cond!r} matches no individual "
                            f"of the base population")
+        conditions.append((",".join(f"{k}={v}" for k, v in sorted(cond.items())) or "all", mask))
     return trend_attrs, conditions
 
 
@@ -617,11 +604,10 @@ def _mover_request(config, sch, base, years):
     for key, year in (("movers.t_start", t_start), ("movers.t_end", t_end)):
         if year not in years:
             raise CliError(f"{key} {year} is not one of the panel years {years}")
-    prefs = [a.name for a in sch.preference_attributes]
-    bad = [name for name in movers_cfg["subset"] or () if name not in prefs]
-    if bad:
-        raise CliError(f"movers.subset attribute {bad[0]!r} is not a preference attribute")
-    subset = _capped_subset("movers.subset", movers_cfg["subset"], sch)
+    if t_start == t_end:
+        raise CliError(f"movers.t_start and movers.t_end are both {t_start}: a distance "
+                       f"needs two years")
+    subset = _preference_subset("movers.subset", movers_cfg["subset"], sch, True)
     n = len(base[sch.attributes[0].name])
     if n < 10:
         raise CliError(f"classify-movers needs at least 10 base individuals for nonempty fast "
@@ -646,10 +632,9 @@ def cmd_build_panel(args, config, out):
     write_csv(panel_path, ["individual_id", "year", "attribute", "category", "frequency"], rows)
 
     trend_rows = []
-    for cond in conditions:
-        cond_label = ",".join(f"{k}={v}" for k, v in sorted(cond.items())) or "all"
+    for cond_label, mask in conditions:
         for name in trend_attrs:
-            series = panel.aggregate_trend(cube, name, cond or None)
+            series = panel.aggregate_trend(cube, name, mask)
             for t_idx, year in enumerate(series.years):
                 if series.kind == "numeric":
                     trend_rows.append((cond_label, name, "numeric", year, "mean",
@@ -708,42 +693,44 @@ def cmd_classify_movers(args, config, out):
     }
 
 
-def _statistics(config) -> list[panel.StatisticSpec]:
-    """bootstrap.statistics as specs; an entry needs an attribute and only StatisticSpec keys."""
+def _statistics(config, sch) -> list[panel.StatisticSpec]:
+    """bootstrap.statistics as specs; an entry needs an attribute and only StatisticSpec
+    keys, and is checked against the schema before the survey is read."""
     entries = config["bootstrap"]["statistics"]
     if not entries:
         raise CliError("bootstrap.statistics must be a nonempty list of statistics")
     known = [f.name for f in fields(panel.StatisticSpec)]
+    no_rows = schema_mod.record_columns((), sch)  # conditions are only checked here
     stats = []
     for i, s in enumerate(entries):
+        key = f"bootstrap.statistics[{i}]"
         if not isinstance(s, dict) or "attribute" not in s:
-            raise CliError(f"bootstrap.statistics[{i}] has no 'attribute' key")
+            raise CliError(f"{key} has no 'attribute' key")
         unknown = [k for k in s if k not in known]
         if unknown:
-            raise CliError(f"bootstrap.statistics[{i}] has an unknown key {unknown[0]!r}")
+            raise CliError(f"{key} has an unknown key {unknown[0]!r}")
         condition = s.get("condition") or {}
-        if not isinstance(condition, dict):
-            raise CliError(f"bootstrap.statistics[{i}] 'condition' must be an object of "
-                           f"attribute: category pairs, got {condition!r}")
+        schema_mod.condition_mask(f"{key}.condition", condition, sch, None, no_rows)
         per_year = s.get("per_year", True)
         if not isinstance(per_year, bool):
-            raise CliError(f"bootstrap.statistics[{i}] 'per_year' must be true or false, "
-                           f"got {json.dumps(per_year)}")
+            raise CliError(f"{key} 'per_year' must be true or false, got {json.dumps(per_year)}")
         stats.append(panel.StatisticSpec(
             attribute=s["attribute"], category=s.get("category"),
             condition=tuple(sorted(condition.items())), per_year=per_year))
+        panel.check_statistic(key, sch, stats[-1])
     return stats
 
 
 def cmd_bootstrap(args, config, out):
     sch = _load_schema(config)
+    statistics = _statistics(config, sch)
     records, _ = schema_mod.ingest_csv(config["data"], sch)
     bs_cfg = config["bootstrap"]
     model_cfg = _model_config(config, "bootstrap-base", bs_cfg["model"])
     summary = panel.bootstrap(
         records, sch, model_cfg,
         n_replicates=bs_cfg["replicates"],
-        statistics=_statistics(config),
+        statistics=statistics,
         seed=derive_seed(config["seed"], "bootstrap"),
         samples_per_replicate=bs_cfg["samples_per_replicate"],
         jobs=args.jobs,

@@ -444,13 +444,10 @@ def grid_search(
     cells = grid.cells()
     if not cells:
         raise ValueError("empty grid")
-    prefs = {a.name for a in train_set.schema.preference_attributes}
-    bad = [n for s in eval_subsets for n in s if n not in prefs]
-    if bad:
-        raise ValueError(f"eval subset attribute {bad[0]!r} is not a preference attribute")
+    subsets = [metrics.check_subset(f"eval_subsets[{i}]", s, train_set.schema, "preference", True)
+               for i, s in enumerate(eval_subsets)]
     args = [
-        (i, nl, nnrn, dz, beta, train_set, val_set, [tuple(s) for s in eval_subsets],
-         base, seed)
+        (i, nl, nnrn, dz, beta, train_set, val_set, subsets, base, seed)
         for i, (nl, nnrn, dz, beta) in enumerate(cells)
     ]
     results = map_units(_run_grid_cell, args, jobs)

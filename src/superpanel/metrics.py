@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import Schema, category_columns, record_columns
+from .schema import Schema, category_columns, named_attribute, record_columns
 
 #: guard against accidentally materializing astronomically large joints; read at call time
 DEFAULT_BIN_CAP = 1_000_000
@@ -60,16 +60,31 @@ def subset_dims(schema: Schema, subset) -> tuple[int, ...]:
     return tuple(schema.attribute(name).n_categories for name in subset)
 
 
+def check_subset(key: str, names, schema: Schema, role: str | None,
+                 joint: bool) -> tuple[str, ...]:
+    """``names``: attributes of ``role`` (see ``schema.named_attribute``), at least one
+    and each listed once, whose dense joint, or each one alone unless ``joint``, fits
+    DEFAULT_BIN_CAP, read at call time, since one panel year's tabulation is N x n_bins
+    long; refused naming ``key``, the config key the names came from."""
+    names = tuple(names)
+    dims = [named_attribute(f"{key}[{i}]", name, schema, role).n_categories
+            for i, name in enumerate(names)]
+    if not names or len(set(names)) < len(names):
+        raise MetricError(f"{key} must list attributes, each once, got {list(names)}")
+    n_bins = math.prod(dims) if joint else max(dims)
+    if n_bins > DEFAULT_BIN_CAP:
+        raise MetricError(f"{key} {list(names)} has {n_bins} bins, above the bin cap "
+                          f"{DEFAULT_BIN_CAP}")
+    return names
+
+
 def cross_tabulate_columns(columns: dict[str, np.ndarray], subset,
                            schema: Schema) -> JointHistogram:
-    """Dense normalized cross tabulation from pre-extracted index columns."""
-    subset = tuple(subset)
-    if not subset:
-        raise MetricError("empty subset")
+    """Dense normalized cross tabulation from pre-extracted index columns over
+    ``subset``, which ``check_subset`` holds to its rule for any role."""
+    subset = check_subset("subset", subset, schema, None, True)
     dims = subset_dims(schema, subset)
     n_bins = int(np.prod(dims))
-    if n_bins > DEFAULT_BIN_CAP:
-        raise MetricError(f"joint over {subset} has {n_bins} bins, above cap {DEFAULT_BIN_CAP}")
     idx = [np.asarray(columns[name], dtype=np.int64) for name in subset]
     n = idx[0].shape[0]
     if n == 0:

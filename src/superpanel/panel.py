@@ -17,7 +17,8 @@ import numpy as np
 
 from . import cvae, metrics
 from .sampling import CHUNK_ROWS, generate_population, _decode_with_noise
-from .schema import Schema, category_columns, encode, encode_columns, record_columns, take_rows
+from .schema import (Schema, category_columns, condition_mask, encode, encode_columns,
+                     is_category, named_attribute, record_columns, take_rows)
 from .seeding import derive_rng, derive_seed, map_units
 
 
@@ -163,9 +164,10 @@ class TrendSeries:
     n_individuals: int = 0
 
 
-def aggregate_trend(cube: PanelCube, attribute: str, condition=None) -> TrendSeries:
-    """Per-year series over the individuals whose base-year conditional
-    values match every {attribute: value} pair of the condition.
+def aggregate_trend(cube: PanelCube, attribute: str, members=None) -> TrendSeries:
+    """Per-year series over the individuals ``members`` selects, a boolean
+    mask over the base rows such as ``schema.condition_mask`` gives (every
+    individual when None), of a preference attribute the cube tabulates.
 
     Numerical (binned) attributes yield the mean and standard deviation of
     the sampled values via bin midpoints; categorical attributes yield
@@ -173,16 +175,11 @@ def aggregate_trend(cube: PanelCube, attribute: str, condition=None) -> TrendSer
     of the per-individual distribution estimates.
     """
     attr = cube.schema.attribute(attribute)
-    if attr.role != "preference":
-        raise PanelError(f"{attribute} is not a preference attribute")
-    mask = np.ones(cube.n_individuals, dtype=bool)
-    for k, v in (condition or {}).items():
-        if k not in cube.conditionals:
-            raise PanelError(f"condition on {k!r}: not a conditional attribute")
-        mask &= cube.conditionals[k] == v
-    if not mask.any():
-        raise PanelError("condition matches no individuals")
-    freqs = cube.joint((attribute,))[mask]  # (n_sel, T, D)
+    freqs = cube.joint((attribute,))  # (N, T, D)
+    if members is not None:
+        freqs = freqs[members]
+    if not len(freqs):
+        raise PanelError("the mask selects no individuals")
     mix = freqs.mean(axis=0)  # (T, D)
     if attr.kind == "numerical":
         reps = np.array([attr.bin_representative(i) for i in range(attr.n_categories)])
@@ -191,11 +188,11 @@ def aggregate_trend(cube: PanelCube, attribute: str, condition=None) -> TrendSer
         var = np.maximum(second - mean ** 2, 0.0)
         return TrendSeries(
             attribute=attribute, years=cube.years, kind="numeric",
-            mean=mean, std=np.sqrt(var), n_individuals=int(mask.sum()),
+            mean=mean, std=np.sqrt(var), n_individuals=len(freqs),
         )
     return TrendSeries(
         attribute=attribute, years=cube.years, kind="categorical",
-        category_probs=mix, n_individuals=int(mask.sum()),
+        category_probs=mix, n_individuals=len(freqs),
     )
 
 
@@ -315,9 +312,8 @@ def _statistic_values(table, schema: Schema, stat: StatisticSpec) -> dict:
     if stat.category is not None:  # a category's frequency is the mean of its indicator
         cats = category_columns(table, (stat.attribute,), schema)[stat.attribute]
         values = cats == stat.category
-    selected = np.ones(len(values), dtype=bool)
-    for k, v in stat.condition:
-        selected &= table[k] == v
+    selected = condition_mask(f"statistic {stat.name}.condition", dict(stat.condition), schema,
+                              None, table)
     if by_year:
         years = table[time_attr.name].astype(np.int64)
         groups = {y: selected & (years == y) for y in sorted(set(years[selected].tolist()))}
@@ -327,25 +323,16 @@ def _statistic_values(table, schema: Schema, stat: StatisticSpec) -> dict:
             for year, mask in groups.items()}
 
 
-def _is_category(value, attr) -> bool:
-    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and 0 <= value < attr.n_categories)
-
-
-def _check_statistic(schema: Schema, stat: StatisticSpec) -> None:
-    """Refuse a mean of a categorical attribute, or a category or condition
-    value that is not one of its attribute's categories."""
-    attr = schema.attribute(stat.attribute)
+def check_statistic(key: str, schema: Schema, stat: StatisticSpec) -> None:
+    """Refuse, naming ``key``, an attribute the schema lacks, a mean of a categorical
+    attribute, or a category that is not one of its attribute's; the condition is
+    ``schema.condition_mask``'s to check."""
+    attr = named_attribute(f"{key}.attribute", stat.attribute, schema, None)
     if stat.category is None and attr.kind != "numerical":
-        raise PanelError(f"statistic {stat.name}: a mean needs a numerical attribute")
-    if stat.category is not None and not _is_category(stat.category, attr):
-        raise PanelError(f"statistic {stat.name}: category {stat.category!r} is not one of "
-                         f"{attr.name}'s {attr.n_categories} categories")
-    for k, v in stat.condition:
-        cond = schema.attribute(k)
-        if cond.kind == "categorical" and not _is_category(v, cond):
-            raise PanelError(f"statistic {stat.name}: condition value {v!r} is not one of "
-                             f"{cond.name}'s {cond.n_categories} categories")
+        raise PanelError(f"{key}: a mean needs a numerical attribute, not {attr.name}")
+    if stat.category is not None and not is_category(stat.category, attr):
+        raise PanelError(f"{key}.category must be one of {attr.name}'s {attr.n_categories} "
+                         f"category indices, got {stat.category!r}")
 
 
 def _bootstrap_stack(args):
@@ -394,7 +381,8 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
     are also computed directly on the resample (the data-only reference).
     The summary reports the mean and standard deviation of each statistic
     across surviving replicates for both sources. Every statistic is
-    checked against the schema before any replicate trains.
+    checked against the schema before any replicate trains, its condition
+    when each stack tabulates its first resample.
 
     Replicates refit in balanced stacks of at most ``cvae.stack_size``
     models, at least ``jobs`` stacks, which jobs > 1 spreads over worker
@@ -406,7 +394,7 @@ def bootstrap(records, schema: Schema, config: cvae.CvaeConfig, n_replicates: in
     if not stats:
         raise PanelError("no statistics declared")
     for stat in stats:
-        _check_statistic(schema, stat)
+        check_statistic(f"statistic {stat.name}", schema, stat)
     # the survey is encoded once; a replicate's rows are taken from it by index
     table, encoded = record_columns(records, schema), encode(records, schema)
     n_stacks = max(-(-n_replicates // cvae.stack_size(schema, config)), min(jobs, n_replicates))

@@ -337,6 +337,40 @@ def category_columns(table, subset, schema: Schema) -> dict[str, np.ndarray]:
     return cols
 
 
+def is_category(value, attr: AttributeSpec) -> bool:
+    """An index of one of the attribute's categories, its bins when numerical; not a bool."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and 0 <= value < attr.n_categories)
+
+
+def named_attribute(key: str, name, schema: Schema, role: str | None) -> AttributeSpec:
+    """The attribute ``name``, of ``role`` unless it is None: "preference", or
+    "conditional" for every other role; refused naming ``key``, the config key."""
+    attr = next((a for a in schema.attributes if a.name == name), None)
+    if attr is None or role and (attr.role == "preference") != (role == "preference"):
+        raise SchemaError(f"{key} {name!r} is not {f'a {role}' if role else 'an'} attribute "
+                          f"of the schema")
+    return attr
+
+
+def condition_mask(key: str, condition, schema: Schema, role: str | None,
+                   table) -> np.ndarray:
+    """The rows of ``table`` that match ``condition``, a JSON object mapping attributes
+    of ``role`` (see ``named_attribute``) to category indices, a numerical attribute's
+    being its bin, for raw values and bin midpoints alike; refused naming ``key``."""
+    if not isinstance(condition, dict):
+        raise SchemaError(f"{key} must be an object mapping attributes to category indices, "
+                          f"got {condition!r}")
+    mask = np.ones(len(next(iter(table.values()))), dtype=bool)
+    for name, value in condition.items():
+        attr = named_attribute(key, name, schema, role)
+        if not is_category(value, attr):
+            raise SchemaError(f"{key}.{name} must be one of {name}'s {attr.n_categories} "
+                              f"category indices, got {value!r}")
+        mask &= category_columns(table, (name,), schema)[name] == value
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 

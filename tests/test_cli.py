@@ -206,6 +206,15 @@ class TestEvaluate:
         model_train = [r for r in rows[1:] if r[0] == "model-split-vs-train"][0]
         assert float(model_train[1]) < 100.0
 
+    def test_missing_model_named_once(self, pipeline, tmp_path, capsys, monkeypatch):
+        """A relative --out with no model in it names the file under it, not under it twice."""
+        tmp, out, cfg = pipeline
+        monkeypatch.chdir(tmp_path)
+        assert run(["evaluate", "--config", str(cfg), "--out", "o"]) == 1
+        err = capsys.readouterr().err
+        assert "No such file or directory: 'o/model_split.json'" in err
+        assert not (tmp_path / "o" / "comparisons.csv").exists()
+
 
 class TestMemory:
     """Commands drop what they no longer read before the next large allocation."""
@@ -312,6 +321,9 @@ class TestPanelCommands:
     @pytest.mark.parametrize("setting, named", [
         ("movers.t_start=7", "movers.t_start 7 is not one of the panel years [0, 2, 4]"),
         ("movers.t_end=3", "movers.t_end 3 is not one of the panel years [0, 2, 4]"),
+        # every distance would be 0.0 and str(i) order alone would pick the deciles
+        ('movers={"t_start": 2, "t_end": 2}',
+         "movers.t_start and movers.t_end are both 2: a distance needs two years"),
     ])
     def test_bad_mover_years_fail_before_sampling(self, pipeline, tmp_path, capsys, no_sampling,
                                                   setting, named):
@@ -339,7 +351,8 @@ class TestPanelCommands:
         monkeypatch.setattr(metrics, "DEFAULT_BIN_CAP", 8)  # below the 3 x 3 joint
         assert run(["classify-movers", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"panel.model={out / 'model_full.json'}"]) == 1
-        assert "movers.subset required" in capsys.readouterr().err
+        assert ("movers.subset ['p_mode', 'p_trips'] has 9 bins, above the bin cap 8"
+                in capsys.readouterr().err)
 
     def test_movers_subset_over_bin_cap_fails_before_sampling(self, pipeline, tmp_path, capsys,
                                                               monkeypatch, no_sampling):
@@ -408,20 +421,26 @@ class TestPanelCommands:
         assert not (tmp_path / "leaderboard.csv").exists()
 
     @pytest.mark.parametrize("stat, named", [
-        ({"attribute": "p_mode", "category": 7}, "category 7"),
-        ({"attribute": "p_mode", "category": "1"}, "category '1'"),
-        ({"attribute": "p_mode", "category": 0, "condition": {"segment": 9}}, "value 9"),
+        ({"attribute": "p_mode", "category": 7},
+         "bootstrap.statistics[0].category must be one of p_mode's 3 category indices, got 7"),
+        ({"attribute": "p_mode", "category": "1"},
+         "bootstrap.statistics[0].category must be one of p_mode's 3 category indices, got '1'"),
+        ({"attribute": "p_mode", "category": 0, "condition": {"segment": 9}},
+         "bootstrap.statistics[0].condition.segment must be one of segment's 3 category "
+         "indices, got 9"),
         # int(True) is 1: these would be read as category 1
-        ({"attribute": "p_mode", "category": True}, "category True"),
-        ({"attribute": "p_mode", "category": 0, "condition": {"segment": True}}, "value True"),
+        ({"attribute": "p_mode", "category": True},
+         "bootstrap.statistics[0].category must be one of p_mode's 3 category indices, got True"),
+        ({"attribute": "p_mode", "category": 0, "condition": {"segment": True}},
+         "bootstrap.statistics[0].condition.segment must be one of segment's 3 category "
+         "indices, got True"),
     ])
     def test_bad_bootstrap_statistic_fails(self, pipeline, tmp_path, capsys, no_training,
                                            stat, named):
         tmp, out, cfg = pipeline
         assert run(["bootstrap", "--config", str(cfg), "--out", str(tmp_path),
                     "--set", f"bootstrap.statistics={json.dumps([stat])}"]) == 1
-        err = capsys.readouterr().err
-        assert "statistic p_mode:" in err and named in err
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "bootstrap.csv").exists()
 
     @pytest.mark.parametrize("stat, named", [
@@ -429,7 +448,8 @@ class TestPanelCommands:
         ({"attribute": "p_mode", "catgory": 0}, "bootstrap.statistics[1] has an unknown key "
                                                 "'catgory'"),
         ({"attribute": "p_mode", "category": 0, "condition": [["segment", 0]]},
-         "bootstrap.statistics[1] 'condition' must be an object"),
+         "bootstrap.statistics[1].condition must be an object mapping attributes to category "
+         "indices, got [['segment', 0]]"),
         # bool("false") is True: the string would write per-year rows
         ({"attribute": "p_mode", "category": 0, "per_year": "false"},
          "bootstrap.statistics[1] 'per_year' must be true or false, got \"false\""),
@@ -448,20 +468,23 @@ class TestPanelCommands:
 
     @pytest.mark.parametrize("setting, named", [
         ('panel.trend_conditions=[["group", 1]]',
-         "panel.trend_conditions[0] must map conditional attributes to values"),
+         "panel.trend_conditions[0] must be an object mapping attributes to category indices"),
         ('panel.trend_conditions=[{"group": 1}, {"p_mode": 0}]',
-         "panel.trend_conditions[1] must map conditional attributes to values"),
+         "panel.trend_conditions[1] 'p_mode' is not a conditional attribute"),
         ('panel.trend_attributes=["p_mode", "segment"]',
          "panel.trend_attributes[1] 'segment' is not a preference attribute"),
         ('panel.trend_conditions=[{"group": 1}, {"group": 5}]',
-         "panel.trend_conditions[1] {'group': 5} matches no individual"),
+         "panel.trend_conditions[1].group must be one of group's 2 category indices, got 5"),
+        # the base population is the reference year's rows
+        ('panel.trend_conditions=[{"group": 1}, {"year": 2}]',
+         "panel.trend_conditions[1] {'year': 2} matches no individual"),
         # True == 1: it would match group 1 and write the label group=True
         ('panel.trend_conditions=[{"group": 1}, {"group": true}]',
-         "panel.trend_conditions[1].group must be a whole number, got true"),
+         "panel.trend_conditions[1].group must be one of group's 2 category indices, got True"),
         ('panel.trend_conditions=[{"group": 0.5}]',
-         "panel.trend_conditions[0].group must be a whole number, got 0.5"),
+         "panel.trend_conditions[0].group must be one of group's 2 category indices, got 0.5"),
         ('panel.trend_conditions=[{"group": "1"}]',
-         'panel.trend_conditions[0].group must be a whole number, got "1"'),
+         "panel.trend_conditions[0].group must be one of group's 2 category indices, got '1'"),
     ])
     def test_bad_trend_request_fails_before_sampling(self, pipeline, tmp_path, capsys,
                                                      no_sampling, setting, named):
@@ -470,6 +493,106 @@ class TestPanelCommands:
                     "--set", f"panel.model={out / 'model_full.json'}", "--set", setting]) == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "panel.csv").exists()
+
+
+class TestAttributeNames:
+    """Every key that names attributes goes through the subset rule or the condition
+    rule, which refuse naming the key before any model loads, trains or samples."""
+
+    @pytest.mark.parametrize("command, setting, named", [
+        # a repeat would add structurally empty bins, distances or trend rows
+        ("evaluate", 'eval_subsets=[["p_mode", "p_mode"]]',
+         "eval_subsets[0] must list attributes, each once, got ['p_mode', 'p_mode']"),
+        ("classify-movers", 'movers.subset=["p_mode", "p_trips", "p_mode"]',
+         "movers.subset must list attributes, each once, got ['p_mode', 'p_trips', 'p_mode']"),
+        ("build-panel", 'panel.trend_attributes=["p_trips", "p_trips"]',
+         "panel.trend_attributes must list attributes, each once, got ['p_trips', 'p_trips']"),
+        # an unknown name
+        ("evaluate", 'eval_subsets=[["p_mode"], ["p_trips", "nope"]]',
+         "eval_subsets[1][1] 'nope' is not a preference attribute of the schema"),
+        ("classify-movers", 'movers.subset=["nope"]',
+         "movers.subset[0] 'nope' is not a preference attribute of the schema"),
+        ("build-panel", 'panel.trend_attributes=["p_mode", "nope"]',
+         "panel.trend_attributes[1] 'nope' is not a preference attribute of the schema"),
+        ("build-panel", 'panel.trend_conditions=[{"group": 0}, {"nope": 0}]',
+         "panel.trend_conditions[1] 'nope' is not a conditional attribute of the schema"),
+        ("bootstrap", 'bootstrap.statistics=[{"attribute": "p_mode", "category": 0, '
+                      '"condition": {"nope": 0}}]',
+         "bootstrap.statistics[0].condition 'nope' is not an attribute of the schema"),
+        ("bootstrap", 'bootstrap.statistics=[{"attribute": "p_mode", "category": 0}, '
+                      '{"attribute": "nope", "category": 0}]',
+         "bootstrap.statistics[1].attribute 'nope' is not an attribute of the schema"),
+    ])
+    def test_bad_name_fails_naming_its_key(self, pipeline, tmp_path, capsys, monkeypatch,
+                                           no_training, no_sampling, command, setting, named):
+        tmp, out, cfg = pipeline
+        monkeypatch.setattr(cvae, "load_model", lambda *a, **k: pytest.fail("a model was loaded"))
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err and "Traceback" not in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.fixture(scope="class")
+    def numerical(self, tmp_path_factory):
+        """A model of a survey with a numerical socio attribute, income, and a numerical
+        preference, dist, whose raw values never equal a bin index; generated dist
+        values are bin midpoints (1.0 and 3.0), so a raw-value match of 1 would pick
+        generated rows of bin 0 and no survey row."""
+        tmp = tmp_path_factory.mktemp("numerical")
+        schema = schema_mod.Schema(attributes=(
+            schema_mod.AttributeSpec("year", "time", "categorical", cardinality=2),
+            schema_mod.AttributeSpec("income", "socio", "numerical",
+                                     bin_edges=(0.0, 10.0, 20.0, 30.0)),
+            schema_mod.AttributeSpec("p", "preference", "categorical", cardinality=2),
+            schema_mod.AttributeSpec("dist", "preference", "numerical",
+                                     bin_edges=(0.0, 2.0, 4.0)),
+        ))
+        i = np.arange(240)
+        table = {"year": i % 2, "income": 5.0 + 10.0 * (i // 2 % 3),
+                 "p": i // 6 % 2, "dist": 0.5 + (i // 12 % 4)}
+        schema_mod.save_schema(schema, tmp / "schema.json")
+        schema_mod.write_records_csv(tmp / "data.csv", table, schema)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 9, "schema": str(tmp / "schema.json"), "data": str(tmp / "data.csv"),
+            "model": {"hidden_layers": [4], "latent_dim": 1, "epochs": 1},
+            "panel": {"draws_per_cell": 10, "max_individuals": 30},
+            "bootstrap": {"replicates": 2, "samples_per_replicate": 60,
+                          "model": {"epochs": 1}}}))
+        assert run(["train", "--config", str(cfg), "--out", str(tmp)]) == 0
+        return tmp, cfg, table
+
+    def test_trend_condition_on_numerical_attribute_reads_its_bin(self, numerical, tmp_path):
+        """income 1 is the bin [10, 20): its trend is the mean over the individuals
+        whose raw income falls there."""
+        tmp, cfg, table = numerical
+        assert run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={tmp / 'model_full.json'}",
+                    "--set", 'panel.trend_conditions=[{"income": 1}]']) == 0
+        base_income = table["income"][table["year"] == 0][:30]
+        members = {str(i) for i in np.flatnonzero(base_income == 15.0)}
+        assert 0 < len(members) < 30
+        cells = {}
+        for ind, year, attribute, category, freq in read_csv(tmp_path / "panel.csv")[1:]:
+            if ind in members and attribute == "p":
+                cells.setdefault((year, category), []).append(float(freq))
+        trends = [r for r in read_csv(tmp_path / "trends.csv")[1:] if r[1] == "p"]
+        assert {r[0] for r in trends} == {"income=1"} and len(trends) == len(cells) == 4
+        for _, _, _, year, category, value in trends:
+            assert float(value) == pytest.approx(np.mean(cells[year, category]))
+
+    def test_statistic_condition_on_numerical_attribute_reads_its_bin(self, numerical,
+                                                                       tmp_path):
+        """dist 1 is the bin [2, 4), for the survey's raw values and the model's
+        midpoints alike, so both sources report the statistic."""
+        tmp, cfg, _ = numerical
+        stat = {"attribute": "p", "category": 0, "condition": {"dist": 1}, "per_year": False}
+        assert run(["bootstrap", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"bootstrap.statistics={json.dumps([stat])}"]) == 0
+        rows = read_csv(tmp_path / "bootstrap.csv")[1:]
+        assert [r[:3] for r in rows] == [["p:cat0:dist=1", "model", ""],
+                                         ["p:cat0:dist=1", "data", ""]]
 
 
 class TestReferenceYear:

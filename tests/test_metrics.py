@@ -116,8 +116,13 @@ class TestCrossTabulate:
     def test_bin_cap_enforced(self, monkeypatch):
         schema = two_attr_schema()
         monkeypatch.setattr(mx, "DEFAULT_BIN_CAP", 5)
-        with pytest.raises(mx.MetricError, match="above cap"):
+        with pytest.raises(mx.MetricError, match="above the bin cap"):
             mx.cross_tabulate([sm.Record((0, 0, 0))], ("x", "y"), schema)
+
+    def test_repeated_attribute_refused(self):
+        """A repeat would add structurally empty bins: ("x", "x") has 4 bins, 2 of them empty."""
+        with pytest.raises(mx.MetricError, match="subset must list attributes, each once"):
+            mx.cross_tabulate([sm.Record((0, 1, 2))], ("x", "x"), two_attr_schema())
 
     def test_empty_records_error(self):
         with pytest.raises(mx.MetricError):
@@ -131,6 +136,46 @@ class TestCrossTabulate:
         (table,) = tables(schema, records)
         for name in ("x", "y"):
             assert np.allclose(joint.marginal(name), mx.marginals(table, name, schema))
+
+
+class TestCheckSubset:
+    def test_returns_the_names(self):
+        schema = two_attr_schema()
+        assert mx.check_subset("k", ["y", "x"], schema, "preference", True) == ("y", "x")
+        assert mx.check_subset("k", iter(["c", "x"]), schema, None, True) == ("c", "x")
+
+    @pytest.mark.parametrize("names, role, message", [
+        ([], "preference", "k must list attributes, each once, got []"),
+        (["x", "nope"], "preference", "k[1] 'nope' is not a preference attribute of the schema"),
+        (["x", "nope"], None, "k[1] 'nope' is not an attribute of the schema"),
+        (["x", "c"], "preference", "k[1] 'c' is not a preference attribute of the schema"),
+        (["x", "y", "x"], "preference", "k must list attributes, each once, got ['x', 'y', 'x']"),
+        (["c", "c"], None, "k must list attributes, each once, got ['c', 'c']"),
+    ])
+    def test_refusals_name_the_key(self, names, role, message):
+        with pytest.raises((mx.MetricError, sm.SchemaError)) as err:
+            mx.check_subset("k", names, two_attr_schema(), role, True)
+        assert str(err.value) == message
+
+    def test_cap_read_at_call_time(self, monkeypatch):
+        """The joint of x and y has 2 x 3 bins; tabulated one at a time, the widest has 3."""
+        schema = two_attr_schema()
+        monkeypatch.setattr(mx, "DEFAULT_BIN_CAP", 5)
+        with pytest.raises(mx.MetricError, match=r"k \['x', 'y'\] has 6 bins, above the bin cap 5"):
+            mx.check_subset("k", ["x", "y"], schema, "preference", True)
+        assert mx.check_subset("k", ["x", "y"], schema, "preference", False) == ("x", "y")
+        monkeypatch.setattr(mx, "DEFAULT_BIN_CAP", 2)
+        with pytest.raises(mx.MetricError, match="has 3 bins, above the bin cap 2"):
+            mx.check_subset("k", ["x", "y"], schema, "preference", False)
+
+    def test_huge_joint_counted_exactly(self):
+        """40 attributes of 3 categories: 3**40 bins, past int64's range, are over the cap."""
+        schema = sm.Schema(attributes=(
+            sm.AttributeSpec("c", "socio", "categorical", cardinality=2),
+            *(sm.AttributeSpec(f"p{i}", "preference", "categorical", cardinality=3)
+              for i in range(40))))
+        with pytest.raises(mx.MetricError, match=f"has {3 ** 40} bins"):
+            mx.check_subset("k", [f"p{i}" for i in range(40)], schema, "preference", True)
 
 
 class TestSrmse:

@@ -234,6 +234,11 @@ class TestYearBuffer:
         assert peaks[600] - peaks[300] <= 1.2 * added_draws, (peaks, added_draws)
 
 
+def trend_mask(cube, condition):
+    """A trend condition's mask over the cube's individuals."""
+    return sm.condition_mask("condition", condition, cube.schema, "conditional", cube.conditionals)
+
+
 class TestAggregateTrend:
     def test_mixture_consistency_exact(self, small_cube):
         """Population trend equals the mean of per-individual estimates."""
@@ -242,20 +247,24 @@ class TestAggregateTrend:
         assert np.array_equal(series.category_probs, manual)
 
     def test_condition_filtering(self, small_cube):
-        drifting = panel.aggregate_trend(small_cube, "p_mode", {"group": 1})
-        static = panel.aggregate_trend(small_cube, "p_mode", {"group": 0})
+        drifting = panel.aggregate_trend(small_cube, "p_mode", trend_mask(small_cube, {"group": 1}))
+        static = panel.aggregate_trend(small_cube, "p_mode", trend_mask(small_cube, {"group": 0}))
         assert drifting.n_individuals + static.n_individuals == 60
+        assert drifting.n_individuals == int(np.sum(small_cube.conditionals["group"] == 1))
 
     def test_no_match_rejected(self, small_cube):
-        with pytest.raises(panel.PanelError, match="no individuals"):
-            panel.aggregate_trend(small_cube, "p_mode", {"group": 99})
+        """99 is no group, and a mask that selects no one has no trend."""
+        with pytest.raises(sm.SchemaError, match="group must be one of group's 2 category"):
+            trend_mask(small_cube, {"group": 99})
+        with pytest.raises(panel.PanelError, match="selects no individuals"):
+            panel.aggregate_trend(small_cube, "p_mode", np.zeros(60, dtype=bool))
 
     def test_unknown_condition_attribute_rejected(self, small_cube):
-        with pytest.raises(panel.PanelError, match="not a conditional attribute"):
-            panel.aggregate_trend(small_cube, "p_mode", {"p_trips": 0})
+        with pytest.raises(sm.SchemaError, match="not a conditional attribute"):
+            trend_mask(small_cube, {"p_trips": 0})
 
     def test_non_preference_rejected(self, small_cube):
-        with pytest.raises(panel.PanelError, match="not a preference"):
+        with pytest.raises(panel.PanelError, match="holds no joint"):
             panel.aggregate_trend(small_cube, "group")
 
     def test_numeric_attribute_mean_std(self):
@@ -431,11 +440,19 @@ class TestStatisticValues:
         stat = panel.StatisticSpec(attribute="dist", condition=(("seg", 1),), per_year=False)
         assert panel._statistic_values(table, schema, stat) == {None: 11.0}
 
+    def test_numerical_condition_reads_its_bin(self):
+        """dist 1 is the bin [5, 10), for survey values and generated midpoints alike."""
+        schema, table = statistic_table()
+        stat = panel.StatisticSpec(attribute="mode", category=0, condition=(("dist", 1),))
+        assert panel._statistic_values(table, schema, stat) == {0: 0.5}
+        midpoints = dict(table, dist=np.array([2.5, 7.5, 15.0, 2.5, 15.0, 7.5]))
+        assert panel._statistic_values(midpoints, schema, stat) == {0: 0.5}
+
     def test_mean_of_categorical_rejected(self):
         schema, table = statistic_table()
         stat = panel.StatisticSpec(attribute="mode", per_year=False)
         with pytest.raises(panel.PanelError, match="numerical"):
-            panel._check_statistic(schema, stat)
+            panel.check_statistic("statistic", schema, stat)
 
     def test_empty_selection(self):
         schema, table = statistic_table()

@@ -224,6 +224,64 @@ class TestDiscretize:
         assert bins == sorted(bins)
 
 
+def condition_schema():
+    return make_schema([
+        sm.AttributeSpec("t", "time", "categorical", cardinality=2),
+        sm.AttributeSpec("age", "socio", "numerical", bin_edges=(0.0, 30.0, 60.0, 90.0)),
+        sm.AttributeSpec("p", "preference", "categorical", cardinality=3),
+    ])
+
+
+class TestConditionMask:
+    TABLE = {"t": np.array([0, 1, 1, 0]), "age": np.array([12.0, 45.0, 70.0, 59.9]),
+             "p": np.array([2, 0, 2, 1])}
+
+    def mask(self, condition, role=None, table=None):
+        return sm.condition_mask("cond", condition, condition_schema(), role,
+                                 self.TABLE if table is None else table).tolist()
+
+    def test_every_pair_must_match(self):
+        assert self.mask({}) == [True] * 4
+        assert self.mask({"t": 1}) == [False, True, True, False]
+        assert self.mask({"t": 1, "p": 2}) == [False, False, True, False]
+
+    def test_numerical_value_is_its_bin(self):
+        """Raw values and bin midpoints of the same bin match the same index."""
+        assert self.mask({"age": 1}) == [False, True, False, True]
+        midpoints = dict(self.TABLE, age=np.array([15.0, 45.0, 75.0, 45.0]))
+        assert self.mask({"age": 1}, table=midpoints) == [False, True, False, True]
+
+    def test_zero_rows_check_only(self):
+        table = sm.record_columns((), condition_schema())
+        assert self.mask({"age": 2}, table=table) == []
+        with pytest.raises(sm.SchemaError, match="cond.age must be one of"):
+            self.mask({"age": 3}, table=table)
+
+    @pytest.mark.parametrize("condition, role, message", [
+        ([["t", 1]], None, "cond must be an object mapping attributes to category indices"),
+        ({"nope": 0}, None, "cond 'nope' is not an attribute of the schema"),
+        ({"p": 0}, "conditional", "cond 'p' is not a conditional attribute of the schema"),
+        ({"t": 0}, "preference", "cond 't' is not a preference attribute of the schema"),
+        ({"nope": 0}, "conditional", "cond 'nope' is not a conditional attribute of the schema"),
+        ({"t": 2}, None, "cond.t must be one of t's 2 category indices, got 2"),
+        ({"t": -1}, None, "got -1"),
+        ({"t": True}, None, "got True"),
+        ({"t": 1.0}, None, "got 1.0"),
+        ({"age": 45.0}, None, "cond.age must be one of age's 3 category indices, got 45.0"),
+        ({"p": "1"}, None, "got '1'"),
+    ])
+    def test_refusals_name_the_key(self, condition, role, message):
+        with pytest.raises(sm.SchemaError) as err:
+            self.mask(condition, role)
+        assert message in str(err.value)
+
+    def test_named_attribute_roles(self):
+        schema = condition_schema()
+        assert sm.named_attribute("k", "age", schema, "conditional").name == "age"
+        assert sm.named_attribute("k", "p", schema, "preference").name == "p"
+        assert sm.named_attribute("k", "t", schema, None).name == "t"
+
+
 class TestOneHot:
     def test_basic(self):
         ds = sm.encode([sm.Record((1, 0))], minimal_schema())
