@@ -143,12 +143,34 @@ def _deep_update(base: dict, override: dict) -> None:
             base[k] = v
 
 
+class _Pairs(list):
+    """A JSON object's (key, value) pairs in order, before repeated keys are checked."""
+
+
+def _parse_json(text: str, where: str, path: str = ""):
+    """json.loads of text, refusing a key repeated in any object, which json
+    would keep the last of; the error names it by its path under ``path``."""
+    def unique(node, path):
+        if isinstance(node, _Pairs):
+            out = {}
+            for key, value in node:
+                name = f"{path}.{key}" if path else key
+                if key in out:
+                    raise CliError(f"{where}: config key {name!r} is repeated")
+                out[key] = unique(value, name)
+            return out
+        if isinstance(node, list):
+            return [unique(v, f"{path}[{i}]") for i, v in enumerate(node)]
+        return node
+    return unique(json.loads(text, object_pairs_hook=_Pairs), path)
+
+
 def _apply_set(config: dict, assignment: str) -> None:
     if "=" not in assignment:
         raise CliError(f"--set needs key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = _parse_json(raw, f"--set {key!r}", key)
     except json.JSONDecodeError:
         value = raw
     node = config
@@ -189,7 +211,7 @@ def load_config(args) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            loaded = _parse_json(fh.read(), args.config)
         if not isinstance(loaded, dict):
             raise CliError(f"{args.config}: a config file must hold a JSON object, "
                            f"got {type(loaded).__name__}")
@@ -360,21 +382,23 @@ def cmd_train(args, config, out):
     else:
         split_cfg = _model_config(config, "train-split")
 
-    try:
-        model_split = cvae.train(encoded, split_cfg, encoded, rows=idx_train, val_rows=idx_val)
-    except cvae.TrainingDiverged as exc:
-        raise CliError(f"training diverged: {exc}") from exc
+    # the split fit and the refit on every row, its held-out rows among them,
+    # train as one stack; the held-out loss guides both checkpoint epochs
+    configs = [split_cfg, replace(split_cfg, seed=derive_seed(config["seed"], "train-full"))]
+    row_sets = [idx_train, np.arange(encoded.n_rows)]
+    per_stack = min(2, cvae.stack_size(sch, split_cfg))
+    fits = []
+    for i in range(0, 2, per_stack):
+        fits += cvae.train_stack(encoded, configs[i : i + per_stack], row_sets[i : i + per_stack],
+                                 [idx_val] * per_stack)
+    model_split, model_full = fits
+    if isinstance(model_split, cvae.TrainingDiverged):
+        raise CliError(f"training diverged: {model_split}") from model_split
     split_path = out / "model_split.json"
     cvae.save_model(model_split, split_path)
     outputs.append(split_path)
-
-    # winner refit on the whole data set; the held-out loss still guides
-    # the checkpoint epoch
-    full_cfg = replace(split_cfg, seed=derive_seed(config["seed"], "train-full"))
-    try:
-        model_full = cvae.train(encoded, full_cfg, encoded, val_rows=idx_val)
-    except cvae.TrainingDiverged as exc:
-        raise CliError(f"full-data training diverged: {exc}") from exc
+    if isinstance(model_full, cvae.TrainingDiverged):
+        raise CliError(f"full-data training diverged: {model_full}") from model_full
     full_path = out / "model_full.json"
     cvae.save_model(model_full, full_path)
     outputs.append(full_path)
@@ -389,7 +413,8 @@ def cmd_train(args, config, out):
     extra["final"] = {
         name: {"best_epoch": model.best_epoch,
                "train_loss": model.training_history[-1][0],
-               "val_loss": min(v for _, v in model.training_history)}
+               "val_loss": min(v for _, v in model.training_history),
+               "validation_rows_trained_on": name == "full"}
         for name, model in (("split", model_split), ("full", model_full))
     }
     print(f"train: wrote {split_path} and {full_path}")

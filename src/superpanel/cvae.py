@@ -27,9 +27,12 @@ once per fit, and one nn.rmsprop_step updates the parameters.
 Models of one shape and config that differ only in seed train as a stack
 (train_stack): row k of one (K, P) buffer is model k's nn.pack layout,
 nn.bind views it as stacked networks, and each loss_and_grads call runs all
-K batches at once, returning per-model (xent, kl). Each model keeps its own
-generators, optimizer step, checkpoint and divergence, so it is bit-identical
-to the same model trained alone; train is the stack of one.
+K batches at once, returning per-model (xent, kl). Their row sets may differ
+in size; a batch that not every model has at one size runs model by model.
+Each model keeps its own generators, optimizer step, checkpoint and
+divergence, so it is bit-identical to the same model trained alone; train
+is the stack of one, and the cli trains its split and full-data fits as a
+stack of two.
 """
 
 import itertools
@@ -219,13 +222,15 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
     Model k trains on the rows rows[k] of ``data`` and validates on the rows
     val_rows[k] of ``val_data`` (``data`` by default), so no subset is
     copied; each batch is gathered by index. The configs may differ only in
-    seed and the training row sets only in their rows, not their counts.
-    Each model is what ``train`` makes of it alone, bit for bit: it keeps its
-    own train-loop generator (a permutation each epoch, then each batch's eps
-    draws), its own validation eps, RMSprop step and best-validation
-    checkpoint. Returns, per model, the TrainedModel, whose networks are
-    views of its row of the stack's parameter buffer, or the TrainingDiverged
-    that stopped it when its loss went non-finite; the others train on.
+    seed; the row sets may differ in size. A batch that every model has, at
+    one size, runs as one stacked step; the batches past the shortest row
+    set's full ones run model by model. Each model is what ``train`` makes
+    of it alone, bit for bit: it keeps its own train-loop generator (a
+    permutation each epoch, then each batch's eps draws), its own validation
+    eps, RMSprop step and best-validation checkpoint. Returns, per model,
+    the TrainedModel, whose networks are views of its row of the stack's
+    parameter buffer, or the TrainingDiverged that stopped it when its loss
+    went non-finite; the others train on.
     """
     configs, rows = list(configs), [np.asarray(r, dtype=np.int64) for r in rows]
     config, k_models = configs[0], len(configs)
@@ -233,12 +238,13 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
         raise ValueError("stacked configs may differ only in seed")
     if not len(rows) == len(val_rows) == k_models:
         raise ValueError("need one training and one validation row set per config")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("stacked training row sets must have one row count")
-    if n == 0:
+    counts = [len(r) for r in rows]
+    if min(counts) == 0:
         raise ValueError("empty training set")
     val_data = data if val_data is None else val_data
+    batch = config.batch_size
+    # the stacked steps end where a model's batches end or change size
+    shared = counts[0] if len(set(counts)) == 1 else min(counts) // batch * batch
 
     models = [build_networks(data.schema, c) for c in configs]
     params = np.empty((k_models, nn.parameter_count(models[0])))
@@ -256,9 +262,12 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
     gens = [derive_rng(c.seed, "train-loop") for c in configs]
     val_eps = [derive_rng(c.seed, "val-eps").standard_normal((len(r), config.latent_dim))
                for c, r in zip(configs, val_rows)]
-    eps = np.empty((k_models, config.batch_size, config.latent_dim))
-    order = np.empty((k_models, n), dtype=np.int64)
+    eps = np.empty((k_models, batch, config.latent_dim))
+    order = np.empty((k_models, max(counts)), dtype=np.int64)
     work = [nn.step_buffers(net, eps[stack].shape[:-1]) for net in (encoder, decoder)]
+    if shared < max(counts):  # each model's own networks, gradient views and step buffers
+        solo_grads = [nn.views(model, row) for model, row in zip(models, grads)]
+        solo_work = [nn.step_buffers(net, (batch,)) for net in models[0]]
 
     live = list(range(k_models))
     failed: dict[int, TrainingDiverged] = {}
@@ -267,17 +276,16 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
     best_epoch = [-1] * k_models
     for epoch in range(config.epochs):
         for k in live:
-            order[k] = rows[k][gens[k].permutation(n)]
+            order[k, : counts[k]] = rows[k][gens[k].permutation(counts[k])]
         epoch_total = [0.0] * k_models
-        for start in range(0, n, config.batch_size):
-            idx = order[stack, start : start + config.batch_size]
+        for start in range(0, shared, batch):
+            idx = order[stack, start : start + batch]
             b = idx.shape[-1]
             for k in live:
                 gens[k].standard_normal(out=eps[k, :b])
             xent, kl = loss_and_grads(encoder, decoder, data.preference[idx],
                                       data.conditional[idx], eps[stack, :b], config.beta,
-                                      grad_views,
-                                      work if b == config.batch_size else _first_rows(work, b))
+                                      grad_views, work if b == batch else _first_rows(work, b))
             totals = (xent + config.beta * kl).reshape(k_models).tolist()
             for k in live:
                 if math.isfinite(totals[k]):
@@ -290,6 +298,22 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
                 nn.rmsprop_step(params[k], grads[k], states[k])
         for k in live:
             enc, dec = models[k]
+            for start in range(shared, counts[k], batch):
+                idx = order[k, start : min(start + batch, counts[k])]
+                b = len(idx)
+                gens[k].standard_normal(out=eps[k, :b])
+                xent, kl = loss_and_grads(enc, dec, data.preference[idx], data.conditional[idx],
+                                          eps[k, :b], config.beta, solo_grads[k],
+                                          solo_work if b == batch else _first_rows(solo_work, b))
+                total = float(xent + config.beta * kl)
+                if not math.isfinite(total):
+                    failed[k] = TrainingDiverged(epoch)
+                    break
+                epoch_total[k] += total
+                nn.rmsprop_step(params[k], grads[k], states[k])
+        live = [k for k in live if k not in failed]
+        for k in live:
+            enc, dec = models[k]
             xent, kl = loss_and_grads(enc, dec, val_data.preference[val_rows[k]],
                                       val_data.conditional[val_rows[k]], val_eps[k],
                                       config.beta)
@@ -298,7 +322,7 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
                 failed[k] = TrainingDiverged(epoch, "validation loss")
                 continue
             val_loss = float(val_total / len(val_rows[k]))
-            history[k].append((epoch_total[k] / n, val_loss))
+            history[k].append((epoch_total[k] / counts[k], val_loss))
             if val_loss < best_val[k]:
                 best_val[k], best_epoch[k] = val_loss, epoch
                 best_params[k] = params[k]
@@ -329,7 +353,8 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset, 
     loss. Validation eps draws are fixed once per run so the checkpoint
     comparison is apples to apples across epochs. rows and val_rows pick the
     rows of dataset and val_set to use, all of them by default. This is
-    ``train_stack`` with one model; a non-finite loss raises TrainingDiverged.
+    ``train_stack`` with one model, which a stack of models of other row
+    counts reproduces bit for bit; a non-finite loss raises TrainingDiverged.
     """
     rows = np.arange(dataset.n_rows) if rows is None else rows
     val_rows = np.arange(val_set.n_rows) if val_rows is None else val_rows

@@ -185,6 +185,94 @@ class TestGridPlan:
         assert "winner" in manifest
 
 
+def solo_fits(cfg_path, out, dest):
+    """model_split.json and model_full.json as two solo cvae.train calls write
+    them into dest, on the encoding and split cmd_train uses."""
+    cfg = json.loads(Path(cfg_path).read_text())
+    sch = schema_mod.load_schema(out / "schema.json")
+    table, _ = schema_mod.read_table(out / "data.csv", sch)
+    encoded = schema_mod.encode_table(table, sch)
+    idx_train, idx_val = schema_mod.split_indices(
+        encoded.n_rows, cli.DEFAULT_CONFIG["split_fraction"], cfg["seed"])
+    fits = {}
+    for name, seed_key, rows in (("split", "train-split", idx_train), ("full", "train-full", None)):
+        config = cvae.CvaeConfig(**cfg["model"], seed=derive_seed(cfg["seed"], seed_key))
+        cvae.save_model(cvae.train(encoded, config, encoded, rows=rows, val_rows=idx_val),
+                        dest / f"solo_{name}.json")
+        fits[name] = (dest / f"solo_{name}.json").read_bytes()
+    return fits
+
+
+class TestTrainStack:
+    """train fits model_split and model_full as one stack of two, each the
+    solo fit it was, bit for bit."""
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """The config count of each cvae.train_stack call."""
+        calls, train_stack = [], cvae.train_stack
+
+        def counted(data, configs, *args, **kwargs):
+            calls.append(len(configs))
+            return train_stack(data, configs, *args, **kwargs)
+
+        monkeypatch.setattr(cvae, "train_stack", counted)
+        return calls
+
+    def test_one_stack_writes_the_solo_fits(self, pipeline, tmp_path, stacks):
+        _, out, cfg = pipeline
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert stacks == [2]
+        solo = solo_fits(cfg, out, tmp_path)
+        for name in ("split", "full"):
+            assert (tmp_path / f"model_{name}.json").read_bytes() == solo[name]
+            assert (out / f"model_{name}.json").read_bytes() == solo[name]
+
+    def test_two_stacks_of_one_when_a_stack_of_two_is_too_big(self, pipeline, tmp_path,
+                                                              monkeypatch, stacks):
+        _, out, cfg = pipeline
+        monkeypatch.setattr(cvae, "STACK_FLOATS", 64)
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert stacks == [1, 1]
+        for name in ("model_split.json", "model_full.json", "training_history.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+    def test_grid_winner_and_refit_are_one_stack(self, tmp_path, stacks):
+        out = tmp_path / "o"
+        cfg = base_config(tmp_path, out, grid={"n_layers": [1], "n_neurons": [8],
+                                               "latent_dims": [2], "betas": [1.0, 2.0]})
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["train", "--config", str(cfg), "--out", str(out), "--grid"]) == 0
+        assert stacks == [1, 1, 2]  # one stack per grid cell, then the two fits
+
+    def test_manifest_says_which_fit_validates_on_its_training_rows(self, pipeline):
+        _, out, _ = pipeline
+        final = json.loads((out / "train_manifest.json").read_text())["final"]
+        assert final["split"]["validation_rows_trained_on"] is False
+        assert final["full"]["validation_rows_trained_on"] is True
+
+    @pytest.mark.parametrize("fit", ["split", "full"])
+    def test_divergence(self, pipeline, tmp_path, monkeypatch, capsys, fit):
+        """A split fit that diverges writes no model; a full fit that
+        diverges leaves model_split.json written."""
+        _, _, cfg = pipeline
+        seed = derive_seed(json.loads(Path(cfg).read_text())["seed"], f"train-{fit}")
+        build = cvae.build_networks
+
+        def nan_weights(schema, config):
+            encoder, decoder = build(schema, config)
+            if config.seed == seed:
+                encoder.layers[0].weights[...] = np.nan
+            return encoder, decoder
+
+        monkeypatch.setattr(cvae, "build_networks", nan_weights)
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        prefix = {"split": "training", "full": "full-data training"}[fit]
+        assert f"error: {prefix} diverged: non-finite loss at epoch 0" in capsys.readouterr().err
+        assert (tmp_path / "model_split.json").exists() == (fit == "full")
+        assert not (tmp_path / "model_full.json").exists()
+
+
 class TestEvaluate:
     def test_three_rows_and_overlap(self, pipeline, capsys):
         tmp, out, cfg = pipeline
@@ -239,7 +327,7 @@ class TestMemory:
         """train builds no Record, never calls ingest_csv, and holds none of
         read_table's columns when a model fit starts."""
         _, _, cfg = pipeline
-        read, train, init = schema_mod.read_table, cvae.train, schema_mod.Record.__init__
+        read, train, init = schema_mod.read_table, cvae.train_stack, schema_mod.Record.__init__
         columns, alive, built = [], [], []
 
         def tracked_read(*args, **kwargs):
@@ -259,9 +347,9 @@ class TestMemory:
         monkeypatch.setattr(schema_mod, "ingest_csv",
                             lambda *a, **k: pytest.fail("train called ingest_csv"))
         monkeypatch.setattr(schema_mod.Record, "__init__", counted_init)
-        monkeypatch.setattr(cvae, "train", tracked_train)
+        monkeypatch.setattr(cvae, "train_stack", tracked_train)
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert len(columns) == 5 and alive == [0, 0] and built == []
+        assert len(columns) == 5 and alive == [0] and built == []
         manifest = json.loads((tmp_path / "train_manifest.json").read_text())
         assert manifest["dropped_rows"] == 0
 
@@ -871,6 +959,28 @@ class TestSetOverrides:
         manifest = json.loads((out / "synth_manifest.json").read_text())
         assert manifest["config"]["dgp"] == {"name": "drift-split", "spec_path": None,
                                              "n_per_year": 10, "years": None}
+
+    def test_repeated_key_in_set_value_fails(self, pipeline, tmp_path, capsys, no_sampling):
+        """json would keep the last of the two and run the condition as group=1."""
+        _, out, cfg = pipeline
+        code = run(["build-panel", "--config", str(cfg), "--out", str(tmp_path),
+                    "--set", f"panel.model={out / 'model_full.json'}",
+                    "--set", 'panel.trend_conditions=[{"group": 0, "group": 1}]'])
+        assert code == 1
+        assert ("--set 'panel.trend_conditions': config key "
+                "'panel.trend_conditions[0].group' is repeated") in capsys.readouterr().err
+        assert not (tmp_path / "trends.csv").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "model": {"epochs": 2}, "model": {"epochs": 3}}', "model"),
+        ('{"seed": 1, "model": {"epochs": 2, "epochs": 3}}', "model.epochs"),
+    ])
+    def test_repeated_key_in_config_file_fails(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"{cfg}: config key {key!r} is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, file_override, sets, key", [
         ("build-panel", {"panel": None}, [], "panel"),

@@ -388,10 +388,48 @@ class TestTrainStack:
         with pytest.raises(ValueError, match="only in seed"):
             cvae.train_stack(data, configs, rows, val_rows)
 
-    def test_row_counts_must_match(self):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_unequal_row_counts_equal_solo_fits(self, k):
+        """37, 29 and 16 rows at batch 8: the batches every model has full
+        run stacked (3 at k = 2, 2 at k = 3), the rest model by model; the
+        last batches hold 5, 5 and 8 rows."""
+        data, configs, rows, val_rows = stack_setup(k)
+        rows = [r[:n] for r, n in zip(rows, (37, 29, 16))]
+        fits = cvae.train_stack(data, configs, rows, val_rows)
+        for fit, config, r, v in zip(fits, configs, rows, val_rows):
+            solo = cvae.train(data, config, data, rows=r, val_rows=v)
+            assert_same_fit(fit, solo.encoder, solo.decoder, solo.training_history,
+                            solo.best_epoch)
+
+    def test_unequal_row_counts_shorter_model_diverges_alone(self, monkeypatch):
+        data, configs, rows, val_rows = stack_setup(3)
+        rows = [r[:n] for r, n in zip(rows, (37, 29, 16))]
+        solo = [cvae.train(data, c, data, rows=r, val_rows=v)
+                for c, r, v in zip(configs, rows, val_rows)]
+        build = cvae.build_networks
+
+        def nan_shortest(schema, config):
+            encoder, decoder = build(schema, config)
+            if config.seed == configs[2].seed:
+                encoder.layers[0].weights[...] = np.nan
+            return encoder, decoder
+
+        steps = []
+        step = nn.rmsprop_step
+        monkeypatch.setattr(cvae, "build_networks", nan_shortest)
+        monkeypatch.setattr(nn, "rmsprop_step", lambda *a: steps.append(1) or step(*a))
+        fits = cvae.train_stack(data, configs, rows, val_rows)
+        # 4 epochs of 5 and of 4 batches for the two live models
+        assert isinstance(fits[2], cvae.TrainingDiverged) and fits[2].epoch == 0
+        assert len(steps) == 4 * (5 + 4)
+        for j in (0, 1):
+            assert_same_fit(fits[j], solo[j].encoder, solo[j].decoder,
+                            solo[j].training_history, solo[j].best_epoch)
+
+    def test_empty_row_set_refused(self):
         data, configs, rows, val_rows = stack_setup(2)
-        with pytest.raises(ValueError, match="one row count"):
-            cvae.train_stack(data, configs, [rows[0], rows[1][:30]], val_rows)
+        with pytest.raises(ValueError, match="empty training set"):
+            cvae.train_stack(data, configs, [rows[0], rows[1][:0]], val_rows)
 
     def test_stack_size_bounds_the_widest_input_or_output(self):
         """The encoder's input, 6 + 4 wide, is the widest array a step of
