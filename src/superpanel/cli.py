@@ -2,7 +2,7 @@
 
 Every command is a pure function of (config file, --set overrides, seed):
 outputs land under the --out directory as CSV files plus a JSON manifest
-holding the resolved config, the seed, and wall time. Randomness always
+holding the resolved config, the seed, wall time and peak memory. Randomness always
 flows from the single master seed, so reruns and different --jobs values
 produce byte-identical CSVs.
 """
@@ -12,6 +12,7 @@ import copy
 import csv
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -234,6 +235,13 @@ def write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set so far, in MB: ru_maxrss, which Linux
+    reports in KiB and macOS in bytes."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(kib / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 2)
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, outputs, started: float,
                    extra: dict) -> None:
     manifest = {
@@ -242,6 +250,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, outputs, started: 
         "seed": config["seed"],
         "outputs": sorted(str(o) for o in outputs),
         "wall_time_s": round(time.time() - started, 3),
+        "peak_rss_mb": peak_rss_mb(),
         "versions": {
             "superpanel": "0.1.0",
             "python": sys.version.split()[0],

@@ -22,7 +22,10 @@ Training works on one parameter vector and one gradient vector per model:
 both networks are packed into one buffer (nn.pack), loss_and_grads returns
 (xent, kl) and overwrites a buffer of that layout with the gradient of the
 total, writing each layer's outputs and gradients into nn.step_buffers made
-once per fit, and one nn.rmsprop_step updates the parameters.
+once per fit, and one nn.rmsprop_step updates the parameters. Validation
+(validation_loss) runs the same code in chunks of at most nn.CHUNK_ROWS
+rows and sums their per-entry terms once, so its working memory does not
+grow with the validation rows and its losses have the bits of one pass.
 
 Models of one shape and config that differ only in seed train as a stack
 (train_stack): row k of one (K, P) buffer is model k's nn.pack layout,
@@ -43,6 +46,7 @@ from dataclasses import dataclass, fields, asdict, replace
 import numpy as np
 
 from . import metrics, nn
+from .nn import CHUNK_ROWS
 from .schema import EncodedDataset, Schema, schema_from_dict
 from .seeding import derive_rng, derive_seed, map_units
 
@@ -144,25 +148,39 @@ def _batch_sum(x: np.ndarray, lead) -> np.ndarray:
     return x.reshape(*lead, -1).sum(-1)
 
 
+def _kl_terms(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
+    """Each latent entry's term 1 + log_var - mu^2 - exp(log_var) of the divergence."""
+    return 1.0 + log_var - mu ** 2 - np.exp(log_var)
+
+
+def _loss_sums(xent_terms: np.ndarray, kl_terms: np.ndarray, lead):
+    """(xent, kl) of per-entry terms, one sum per batch of a stack: xent is
+    minus the sum of the V * log(p) terms, kl -1/2 times that of ``_kl_terms``."""
+    return -_batch_sum(xent_terms, lead), -0.5 * _batch_sum(kl_terms, lead)
+
+
 def kl_divergence(mu: np.ndarray, log_var: np.ndarray):
     """Closed-form divergence of N(mu, exp(log_var)) from the unit Gaussian,
     summed over a batch's rows, one sum per batch of a stack."""
-    return -0.5 * _batch_sum(1.0 + log_var - mu ** 2 - np.exp(log_var), mu.shape[:-2])
+    return _loss_sums(mu[..., :0], _kl_terms(mu, log_var), mu.shape[:-2])[1]  # no xent terms
 
 
 def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: np.ndarray,
-                   eps: np.ndarray, beta: float, grads=None, work=None):
+                   eps: np.ndarray, beta: float, grads=None, work=None, terms=None):
     """Batch loss terms (xent, kl) and, given grads, their exact gradients.
 
-    V, C and eps are 2-D float arrays, one eps draw per record. grads is
-    nn.views([encoder, decoder], buffer) of a buffer laid out as nn.pack
-    lays out the parameters; every entry of the buffer is overwritten with
-    the gradient of xent + beta * kl. With grads None (validation) only the
-    loss terms are computed. Stacked networks (nn.bind) take (K, rows, ...)
-    arrays and a (K, P) buffer's views, and return (K,) arrays of terms.
-    work, nn.step_buffers of the encoder and of the decoder for these rows,
-    receives the layer outputs and gradients of a gradient pass; without it
-    a gradient pass allocates them for the call.
+    V, C and eps are 2-D arrays of any real dtype, one eps draw per record.
+    grads is nn.views([encoder, decoder], buffer) of a buffer laid out as
+    nn.pack lays out the parameters; every entry of the buffer is
+    overwritten with the gradient of xent + beta * kl. With grads None
+    (validation) only the loss terms are computed. Stacked networks
+    (nn.bind) take (K, rows, ...) arrays and a (K, P) buffer's views, and
+    return (K,) arrays of terms. work, nn.step_buffers of the encoder and of
+    the decoder for these rows, receives the layer outputs and gradients of
+    a gradient pass; without it a gradient pass allocates them for the call.
+    terms, a pair of float arrays shaped like V and like eps, receives each
+    entry's xent and KL term instead of their sums, and None is returned:
+    ``validation_loss`` sums the terms of all its chunks at once.
     """
     if V.shape[-2] == 0:
         raise ValueError("empty batch")
@@ -175,7 +193,7 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
     with np.errstate(over="ignore", invalid="ignore"):
         # the validation pass runs no backward, so it keeps no layer outputs
         (enc_outs, enc_grads), (dec_outs, dec_grads) = work or ((None, None), (None, None))
-        enc_in = np.concatenate([V, C], axis=-1)
+        enc_in = np.concatenate([V, C], axis=-1, dtype=float)
         enc_out = nn.forward(encoder, enc_in, out=enc_outs)
         if grads is None:
             del enc_in  # only backward reads it again
@@ -186,8 +204,11 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
         dec_out = nn.forward(decoder, dec_in, out=dec_outs)
 
         clamped = np.maximum(dec_out, LOG_FLOOR)
-        xent = -_batch_sum(V * np.log(clamped), lead)
-        kl = kl_divergence(mu, log_var)
+        xent_terms, kl_terms = V * np.log(clamped), _kl_terms(mu, log_var)
+        if terms is not None:
+            terms[0][...], terms[1][...] = xent_terms, kl_terms
+            return None
+        xent, kl = _loss_sums(xent_terms, kl_terms, lead)
         if grads is None:
             return xent, kl
 
@@ -202,6 +223,31 @@ def loss_and_grads(encoder: nn.Network, decoder: nn.Network, V: np.ndarray, C: n
         nn.backward(encoder, enc_in, enc_outs, np.concatenate([grad_mu, grad_log_var], axis=-1),
                     enc_views, input_grad=False, out=enc_grads)
     return xent, kl
+
+
+def validation_loss(encoder: nn.Network, decoder: nn.Network, data: EncodedDataset, rows,
+                    eps: np.ndarray, beta: float):
+    """(xent, kl) of ``data``'s rows ``rows`` under eps, one draw per row, as
+    one loss_and_grads pass over all of them gives it, bit for bit.
+
+    The rows run through loss_and_grads in ceil(n / CHUNK_ROWS) chunks of
+    near-equal size, so the passes' working memory does not grow with n.
+    Each chunk writes its per-entry terms into two arrays that span every
+    row, and both are summed once, as one pass sums them. Past CHUNK_ROWS
+    rows a chunk has at least half as many: with OpenBLAS 0.3.31's Haswell
+    kernels, passes of 500 rows or more gave each row the one pass's bits,
+    passes of 64 or 256 rows did not.
+    """
+    n = len(rows)
+    xent = np.empty((n, data.preference.shape[1]))
+    kl = np.empty((n, eps.shape[1]))
+    n_chunks = -(-n // CHUNK_ROWS)
+    for i in range(n_chunks):
+        lo, hi = i * n // n_chunks, (i + 1) * n // n_chunks
+        idx = rows[lo:hi]
+        loss_and_grads(encoder, decoder, data.preference[idx], data.conditional[idx],
+                       eps[lo:hi], beta, terms=(xent[lo:hi], kl[lo:hi]))
+    return _loss_sums(xent, kl, ())
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +273,9 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
     set's full ones run model by model. Each model is what ``train`` makes
     of it alone, bit for bit: it keeps its own train-loop generator (a
     permutation each epoch, then each batch's eps draws), its own validation
-    eps, RMSprop step and best-validation checkpoint. Returns, per model,
+    eps, RMSprop step and best-validation checkpoint. Each epoch's validation
+    runs in row chunks (``validation_loss``). An empty training or
+    validation set is refused before any step. Returns, per model,
     the TrainedModel, whose networks are views of its row of the stack's
     parameter buffer, or the TrainingDiverged that stopped it when its loss
     went non-finite; the others train on.
@@ -241,6 +289,8 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
     counts = [len(r) for r in rows]
     if min(counts) == 0:
         raise ValueError("empty training set")
+    if min(len(v) for v in val_rows) == 0:
+        raise ValueError("empty validation set")
     val_data = data if val_data is None else val_data
     batch = config.batch_size
     # the stacked steps end where a model's batches end or change size
@@ -314,9 +364,7 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
         live = [k for k in live if k not in failed]
         for k in live:
             enc, dec = models[k]
-            xent, kl = loss_and_grads(enc, dec, val_data.preference[val_rows[k]],
-                                      val_data.conditional[val_rows[k]], val_eps[k],
-                                      config.beta)
+            xent, kl = validation_loss(enc, dec, val_data, val_rows[k], val_eps[k], config.beta)
             val_total = xent + config.beta * kl
             if not np.isfinite(val_total):
                 failed[k] = TrainingDiverged(epoch, "validation loss")
@@ -406,8 +454,7 @@ def _pref_histogram(ds: EncodedDataset, subset) -> metrics.JointHistogram:
     """Exact cross tabulation of an encoded set over a preference subset."""
     attrs = ds.schema.preference_attributes
     segments = np.split(ds.preference, np.cumsum([a.n_categories for a in attrs])[:-1], axis=1)
-    cols = {a.name: np.argmax(seg, axis=1).astype(np.int64)
-            for a, seg in zip(attrs, segments) if a.name in subset}
+    cols = {a.name: np.argmax(seg, axis=1) for a, seg in zip(attrs, segments) if a.name in subset}
     return metrics.cross_tabulate_columns(cols, subset, ds.schema)
 
 

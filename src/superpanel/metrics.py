@@ -85,7 +85,8 @@ def cross_tabulate_columns(columns: dict[str, np.ndarray], subset,
     subset = check_subset("subset", subset, schema, None, True)
     dims = subset_dims(schema, subset)
     n_bins = int(np.prod(dims))
-    idx = [np.asarray(columns[name], dtype=np.int64) for name in subset]
+    # any integer dtype; ravel_multi_index checks each index against its bound
+    idx = [np.asarray(columns[name]) for name in subset]
     n = idx[0].shape[0]
     if n == 0:
         raise MetricError("no records to tabulate")

@@ -19,7 +19,12 @@ with the draws per row. All passes of a call write their layer outputs
 into one set of buffers. ``sample`` draws one profile as the kernel would,
 in its stream order and slices, straight into arrays of its own: a
 profile of a few draws pays for no chunk plan and no buffers. Generated
-populations are column tables, like the survey tables they are drawn from.
+populations are column tables, like the survey tables they are drawn from;
+their categorical preference columns are of the narrowest unsigned type
+that holds every preference's categories, ``np.min_scalar_type(widest - 1)``
+(uint8 up to 256 categories), as a panel year's draws are. Conditional rows
+are taken in their encoding's dtype (int8) and cast as they enter the
+decoder's input.
 """
 
 from dataclasses import dataclass
@@ -28,14 +33,9 @@ import numpy as np
 
 from . import nn
 from .cvae import TrainedModel
+from .nn import CHUNK_ROWS
 from .schema import encode_columns
 from .seeding import derive_rng
-
-#: decoder draws pushed through one forward pass: small enough that a chunk's
-#: input, layer outputs and category arrays stay near cache size. On the
-#: panel-drift workload (2 shared cores) 2,048 peaked 3.5 MB below 4,096 with
-#: no resolved time change; 1,024 saved 1.5 MB more but took 5-15% longer.
-CHUNK_ROWS = 2048
 
 
 @dataclass
@@ -123,7 +123,6 @@ def sample(model: TrainedModel, c_row: np.ndarray, profile_id: str, n_draws: int
     chunk plan and buffers."""
     if n_draws < 0:
         raise ValueError("n_draws must be >= 0")
-    c_row = np.asarray(c_row, dtype=float)
     d_z, n_blocks = model.config.latent_dim, len(model.schema.preference_attributes)
     rng = derive_rng(seed, "profile", profile_id)
     x = np.empty((n_draws, d_z + len(c_row)))
@@ -146,7 +145,7 @@ def sample_preference_columns(model: TrainedModel, cond_matrix: np.ndarray, draw
     draws_per_row consecutive entries per conditional row (row-major). All
     rows share one generator and take their draws from it in row order.
     """
-    cond_matrix = np.atleast_2d(np.asarray(cond_matrix, dtype=float))
+    cond_matrix = np.atleast_2d(cond_matrix)
     rngs = [derive_rng(seed, "bulk-sample")] * len(cond_matrix)
     draws = _decode_with_noise(model, cond_matrix, draws_per_row, rngs)
     return {a.name: col for a, col in zip(model.schema.preference_attributes, draws.T)}
@@ -167,9 +166,10 @@ def generate_population(model: TrainedModel, table, draws_per_profile: int,
 
     Row i is profile ``str(i)``: its draws come from its own stream, so
     they do not depend on the other rows. The generated table repeats each
-    row's conditional values once per draw; a numerical preference takes
-    its bin's midpoint. Raw time values outside the declared range are
-    reported as extrapolated.
+    row's conditional values once per draw; a categorical preference is of
+    the narrowest unsigned type that holds the widest preference's
+    categories, and a numerical preference takes its bin's midpoint. Raw
+    time values outside the declared range are reported as extrapolated.
     """
     schema = model.schema
     c_rows = encode_columns(table, schema.conditional_attributes)
@@ -181,7 +181,9 @@ def generate_population(model: TrainedModel, table, draws_per_profile: int,
     if t is not None and t.kind == "numerical":
         outside = (table[t.name] < t.bin_edges[0]) | (table[t.name] >= t.bin_edges[-1])
         flagged = [str(i) for i in np.flatnonzero(outside)]
-    draws = np.empty((n * r, len(schema.preference_attributes)), dtype=np.int64)
+    widest = max(a.n_categories for a in schema.preference_attributes)
+    draws = np.empty((n * r, len(schema.preference_attributes)),
+                     dtype=np.min_scalar_type(widest - 1))
     for i in range(n):
         draws[i * r : (i + 1) * r] = sample(model, c_rows[i], str(i), r, seed).draws
     pref = {a.name: col for a, col in zip(schema.preference_attributes, draws.T)}

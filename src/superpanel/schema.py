@@ -8,8 +8,10 @@ reads from a survey CSV, ``oracle.generate_dataset`` draws, and every later
 stage works on. ``encode_table`` encodes it into a conditional block ``C``
 (all non-preference attributes) and a preference block ``V``; categorical
 attributes become one-hot segments and numerical attributes one-hot
-segments over their bins. ``ingest_csv`` and ``encode`` are the same for
-rows held as :class:`Record` objects.
+segments over their bins. Encoded entries are int8, one byte each, which
+numpy casts to float exactly wherever they meet float math; int8, not
+uint8, so that -V stays -1 and 0. ``ingest_csv`` and ``encode`` are the
+same for rows held as :class:`Record` objects.
 """
 
 import array
@@ -377,7 +379,8 @@ def condition_mask(key: str, condition, schema: Schema, role: str | None,
 
 @dataclass
 class EncodedDataset:
-    """Row-aligned encoded matrices: the schema's conditional and preference blocks."""
+    """Row-aligned encoded matrices: the schema's conditional and preference
+    blocks, int8 one-hot rows from ``encode_columns``."""
 
     conditional: np.ndarray
     preference: np.ndarray
@@ -393,7 +396,7 @@ class EncodedDataset:
 
 
 def encode_columns(cols, attrs) -> np.ndarray:
-    """One-hot matrix of one block from an attribute -> array table: one
+    """One-hot int8 matrix of one block from an attribute -> array table: one
     segment per attribute of ``attrs`` (a schema's conditional or preference
     attributes), n_categories wide, in order.
 
@@ -401,7 +404,7 @@ def encode_columns(cols, attrs) -> np.ndarray:
     survey rows, generated populations and panel cells alike.
     """
     n = len(cols[attrs[0].name])
-    out = np.zeros((n, sum(a.n_categories for a in attrs)))
+    out = np.zeros((n, sum(a.n_categories for a in attrs)), dtype=np.int8)
     rows = np.arange(n)
     start = 0
     for attr in attrs:
@@ -412,7 +415,7 @@ def encode_columns(cols, attrs) -> np.ndarray:
         if bad.any():
             raise ValueError(f"{attr.name}: category {col[bad][0]} out of range "
                              f"for cardinality {width}")
-        out[rows, start + col] = 1.0
+        out[rows, start + col] = 1
         start += width
     return out
 

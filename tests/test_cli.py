@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -1129,6 +1130,22 @@ class TestManifestReRun:
         cfg2.write_text(json.dumps(replay))
         assert run(["synth", "--config", str(cfg2), "--out", str(out2)]) == 0
         assert (out2 / "data.csv").read_bytes() == (out / "data.csv").read_bytes()
+
+
+class TestManifestPeakMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_manifest_records_the_process_peak_so_far(self, tmp_path):
+        """peak_rss_mb is ru_maxrss, in KiB on Linux, read as the manifest is
+        written: no lower than before the command ran, no higher than after."""
+        import resource
+
+        out = tmp_path / "o"
+        cfg = base_config(tmp_path, out, dgp={"name": "drift-split", "n_per_year": 20})
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        peak = json.loads((out / "synth_manifest.json").read_text())["peak_rss_mb"]
+        assert round(before, 2) <= peak <= round(after, 2) and peak > 1
 
 
 class TestExternalTable:

@@ -431,6 +431,60 @@ class TestTrainStack:
         with pytest.raises(ValueError, match="empty training set"):
             cvae.train_stack(data, configs, [rows[0], rows[1][:0]], val_rows)
 
+    def test_empty_validation_set_refused_before_any_step(self, monkeypatch):
+        data, configs, rows, val_rows = stack_setup(2)
+        steps = []
+        monkeypatch.setattr(nn, "rmsprop_step", lambda *a: steps.append(1))
+        with pytest.raises(ValueError, match="empty validation set"):
+            cvae.train_stack(data, configs, rows, [val_rows[0], val_rows[1][:0]])
+        assert steps == []
+
+    @pytest.mark.parametrize("n_val", [cvae.CHUNK_ROWS, cvae.CHUNK_ROWS + 1,
+                                       2 * cvae.CHUNK_ROWS + 3])
+    def test_validation_chunks_equal_one_pass(self, n_val, monkeypatch):
+        """Validation runs in ceil(n / CHUNK_ROWS) chunks of near-equal size
+        (1,366, 1,366 and 1,367 rows at 2 * CHUNK_ROWS + 3), and the history,
+        checkpoint and parameters equal those of one unchunked pass, bit for bit."""
+        data, (config,), (rows,), _ = stack_setup(1)
+        val = tiny_encoded(n_val, seed=23)
+        val_rows = derive_rng(24, "val-rows").permutation(n_val)
+        passes = []
+        loss = cvae.loss_and_grads
+
+        def spy(*args, terms=None, **kwargs):
+            if terms is not None:
+                passes.append(len(args[2]))
+            return loss(*args, terms=terms, **kwargs)
+
+        monkeypatch.setattr(cvae, "loss_and_grads", spy)
+        (fit,) = cvae.train_stack(data, [config], [rows], [val_rows], val)
+        m = -(-n_val // cvae.CHUNK_ROWS)
+        assert passes == [n_val * (i + 1) // m - n_val * i // m for i in range(m)] * config.epochs
+        assert min(passes) >= min(n_val, cvae.CHUNK_ROWS // 2)
+        monkeypatch.undo()
+        assert_same_fit(fit, *reference_train(data.take(rows), config, val.take(val_rows)))
+
+    def test_validation_memory_does_not_grow_with_rows(self):
+        """From 4,000 to 16,000 validation rows a fit's traced peak grows by its
+        arrays of one entry per row at most: the validation eps and the
+        per-entry xent and KL terms. One pass over every row, as an unchunked
+        validation makes it, would add 12,000 rows of each layer's outputs."""
+        hidden, d_z = (64, 32), 2
+        val = tiny_encoded(16_000, seed=25)
+        data, rows = val, np.arange(64)
+        config = cvae.CvaeConfig(hidden_layers=hidden, latent_dim=d_z, epochs=1, seed=26)
+        all_rows = np.arange(val.n_rows)
+        peaks = {}
+        for n in (4_000, 16_000):
+            tracemalloc.start()
+            try:
+                cvae.train_stack(data, [config], [rows], [all_rows[:n]], val)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_row = 8 * (d_z + val.preference.shape[1] + d_z)
+        assert peaks[16_000] - peaks[4_000] <= 12_000 * per_row + 16_384, (peaks, per_row)
+
     def test_stack_size_bounds_the_widest_input_or_output(self):
         """The encoder's input, 6 + 4 wide, is the widest array a step of
         tiny_schema's model allocates afresh; hidden widths do not count, a
@@ -440,6 +494,35 @@ class TestTrainStack:
         assert k * 64 * 10 < cvae.STACK_FLOATS <= (k + 1) * 64 * 10
         assert cvae.stack_size(tiny_schema(), replace(config, hidden_layers=(20_000,))) == k
         assert cvae.stack_size(tiny_schema(), replace(config, latent_dim=4_096)) == 1
+
+
+class TestEncodingDtype:
+    """int8 encodings give the fits, scores and tabulations of float ones, bit for bit."""
+
+    def setup_method(self):
+        self.data = tiny_encoded(300, seed=27)
+        self.floats = replace(self.data, conditional=self.data.conditional.astype(float),
+                              preference=self.data.preference.astype(float))
+        self.config = cvae.CvaeConfig(hidden_layers=(8, 6), latent_dim=2, beta=0.7,
+                                      batch_size=16, epochs=3, seed=28)
+
+    def test_encodings_are_int8(self):
+        assert self.data.conditional.dtype == self.data.preference.dtype == np.int8
+
+    def test_fit_and_scores_equal_float_encodings(self):
+        rows, val_rows = np.arange(200), np.arange(200, 300)
+        fit = cvae.train(self.data, self.config, self.data, rows=rows, val_rows=val_rows)
+        want = cvae.train(self.floats, self.config, self.floats, rows=rows, val_rows=val_rows)
+        assert_same_fit(fit, want.encoder, want.decoder, want.training_history, want.best_epoch)
+        subsets = [("p1", "p3"), ("p2",)]
+        assert (cvae.evaluate_srmse(fit, self.data, subsets, seed=29)
+                == cvae.evaluate_srmse(fit, self.floats, subsets, seed=29))
+
+    def test_pref_histogram_equals_float_encoding(self):
+        for subset in (("p1", "p2", "p3"), ("p3",)):
+            got = cvae._pref_histogram(self.data, subset)
+            want = cvae._pref_histogram(self.floats, subset)
+            assert got.frequencies.tobytes() == want.frequencies.tobytes()
 
 
 class TestGridSearch:

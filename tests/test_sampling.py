@@ -209,7 +209,9 @@ class TestGeneratePopulation:
                                            seed=16)
         for attr in small_model.schema.attributes:
             col = pop.columns[attr.name]
-            assert col.dtype == np.int64 and col.shape == (25,)
+            # drawn categories take the narrowest unsigned type, uint8 up to 256
+            assert col.dtype == (np.uint8 if attr.role == "preference" else np.int64)
+            assert col.shape == (25,)
             assert np.all((col >= 0) & (col < attr.n_categories))
 
     def test_per_profile_streams_invariant_to_batch_shape(self, small_model):
@@ -277,7 +279,7 @@ class TestGeneratePopulation:
         model = cvae.train(encoded, config, encoded)
         r, table = 3, sm.record_columns(records[:7], schema)
         pop = sampling.generate_population(model, table, r, seed=25)
-        assert (pop.columns["p"].dtype, pop.columns["q"].dtype) == (np.int64, np.float64)
+        assert (pop.columns["p"].dtype, pop.columns["q"].dtype) == (np.uint8, np.float64)
         midpoints = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
         for i in range(7):
             draws = sampling.sample(model, encoded.conditional[i], str(i), r, seed=25).draws
