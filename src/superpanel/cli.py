@@ -121,7 +121,7 @@ CHECKS = {
     "out_dir": _string,
     "schema": _string,
     "data": _string,
-    "dgp": {"spec_path": _string, "years": _years},
+    "dgp": {"spec_path": _string, "n_per_year": _count, "years": _years},
     "model": {"hidden_layers": _list(_whole)},
     "grid": {"n_layers": _list(_whole), "n_neurons": _list(_whole),
              "latent_dims": _list(_whole), "betas": _list(_number)},
@@ -268,7 +268,10 @@ def _out_dir(args, config) -> Path:
     if not out:
         raise CliError("an output directory is required (--out or config 'out_dir')")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise CliError(f"output directory {out}: it or a directory above it is a file") from None
     return path
 
 

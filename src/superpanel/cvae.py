@@ -28,11 +28,12 @@ rows and sums their per-entry terms once, so its working memory does not
 grow with the validation rows and its losses have the bits of one pass.
 
 Models of one shape and config that differ only in seed train as a stack
-(train_stack): row k of one (K, P) buffer is model k's nn.pack layout,
-nn.bind views it as stacked networks, and each loss_and_grads call runs all
-K batches at once, returning per-model (xent, kl). Their row sets may differ
-in size; a batch that not every model has at one size runs model by model.
-Each model keeps its own generators, optimizer step, checkpoint and
+(train_stack): row k of one (K, P) buffer is model k's nn.pack layout. An
+epoch is one loop over batch starts: where every model of a stack of two or
+more has a batch of one size, one loss_and_grads call on the stacked
+networks of nn.bind returns per-model (xent, kl); elsewhere each live model
+with a batch takes its own step on 2-D arrays, so a stack of one is a model
+alone. Each model keeps its own generators, optimizer step, checkpoint and
 divergence, so it is bit-identical to the same model trained alone; train
 is the stack of one, and the cli trains its split and full-data fits as a
 stack of two.
@@ -268,17 +269,20 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
     Model k trains on the rows rows[k] of ``data`` and validates on the rows
     val_rows[k] of ``val_data`` (``data`` by default), so no subset is
     copied; each batch is gathered by index. The configs may differ only in
-    seed; the row sets may differ in size. A batch that every model has, at
-    one size, runs as one stacked step; the batches past the shortest row
-    set's full ones run model by model. Each model is what ``train`` makes
-    of it alone, bit for bit: it keeps its own train-loop generator (a
-    permutation each epoch, then each batch's eps draws), its own validation
-    eps, RMSprop step and best-validation checkpoint. Each epoch's validation
-    runs in row chunks (``validation_loss``). An empty training or
-    validation set is refused before any step. Returns, per model,
-    the TrainedModel, whose networks are views of its row of the stack's
-    parameter buffer, or the TrainingDiverged that stopped it when its loss
-    went non-finite; the others train on.
+    seed; the row sets may differ in size. Each epoch is one loop over batch
+    starts: below ``shared``, where every model of a stack of two or more
+    has a batch of one size, one stacked step; elsewhere one step per live
+    model with a batch there, on its own networks and 2-D arrays (cheaper
+    than a stack of one), so a stack of one is a model alone. Each model is
+    what ``train`` makes of it alone, bit for bit: it keeps its own
+    train-loop generator (a permutation each epoch, then each batch's eps
+    draws), its own validation eps, RMSprop step and best-validation
+    checkpoint. Each epoch's validation runs in row chunks
+    (``validation_loss``). An empty training or validation set is refused
+    before any step. Returns, per model, the TrainedModel, whose networks
+    are views of its row of the stack's parameter buffer, or the
+    TrainingDiverged that stopped it when its loss went non-finite in
+    either kind of step; the others train on.
     """
     configs, rows = list(configs), [np.asarray(r, dtype=np.int64) for r in rows]
     config, k_models = configs[0], len(configs)
@@ -293,18 +297,15 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
         raise ValueError("empty validation set")
     val_data = data if val_data is None else val_data
     batch = config.batch_size
-    # the stacked steps end where a model's batches end or change size
-    shared = counts[0] if len(set(counts)) == 1 else min(counts) // batch * batch
+    # the stacked steps end where a model's batches end or change size; a stack of one has none
+    shared = (0 if k_models == 1 else counts[0] if len(set(counts)) == 1
+              else min(counts) // batch * batch)
 
     models = [build_networks(data.schema, c) for c in configs]
     params = np.empty((k_models, nn.parameter_count(models[0])))
     for model, row in zip(models, params):
         nn.pack(model, out=row)
-    # a stack of one runs on 2-D arrays, whose numpy calls cost a little less
-    stack = slice(None) if k_models > 1 else 0
-    encoder, decoder = nn.bind(models[0], params[stack])
     grads = np.empty_like(params)
-    grad_views = nn.views(models[0], grads[stack])
     states = [nn.OptimizerState(np.zeros_like(row), c.learning_rate, c.rho, c.epsilon)
               for row, c in zip(params, configs)]
     best_params = params.copy()
@@ -314,10 +315,15 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
                for c, r in zip(configs, val_rows)]
     eps = np.empty((k_models, batch, config.latent_dim))
     order = np.empty((k_models, max(counts)), dtype=np.int64)
-    work = [nn.step_buffers(net, eps[stack].shape[:-1]) for net in (encoder, decoder)]
-    if shared < max(counts):  # each model's own networks, gradient views and step buffers
-        solo_grads = [nn.views(model, row) for model, row in zip(models, grads)]
+    # a step: (models, index into order and eps, end of rows, networks, grad views, buffers)
+    if shared:  # all K models at once, on stacked networks
+        stacked = (range(k_models), slice(None), max(counts), nn.bind(models[0], params),
+                   nn.views(models[0], grads),
+                   [nn.step_buffers(net, (k_models, batch)) for net in models[0]])
+    if shared < max(counts):  # model k alone, on its own networks and 2-D arrays
         solo_work = [nn.step_buffers(net, (batch,)) for net in models[0]]
+        solo = [((k,), k, counts[k], models[k], nn.views(models[k], grads[k]), solo_work)
+                for k in range(k_models)]
 
     live = list(range(k_models))
     failed: dict[int, TrainingDiverged] = {}
@@ -328,40 +334,24 @@ def train_stack(data: EncodedDataset, configs, rows, val_rows, val_data=None) ->
         for k in live:
             order[k, : counts[k]] = rows[k][gens[k].permutation(counts[k])]
         epoch_total = [0.0] * k_models
-        for start in range(0, shared, batch):
-            idx = order[stack, start : start + batch]
-            b = idx.shape[-1]
-            for k in live:
-                gens[k].standard_normal(out=eps[k, :b])
-            xent, kl = loss_and_grads(encoder, decoder, data.preference[idx],
-                                      data.conditional[idx], eps[stack, :b], config.beta,
-                                      grad_views, work if b == batch else _first_rows(work, b))
-            totals = (xent + config.beta * kl).reshape(k_models).tolist()
-            for k in live:
-                if math.isfinite(totals[k]):
-                    epoch_total[k] += totals[k]
-                else:  # a diverged model stops stepping
-                    failed[k] = TrainingDiverged(epoch)
-            if failed:
-                live = [k for k in live if k not in failed]
-            for k in live:
-                nn.rmsprop_step(params[k], grads[k], states[k])
-        for k in live:
-            enc, dec = models[k]
-            for start in range(shared, counts[k], batch):
-                idx = order[k, start : min(start + batch, counts[k])]
-                b = len(idx)
-                gens[k].standard_normal(out=eps[k, :b])
+        for start in range(0, max(counts), batch):
+            steps = [stacked] if start < shared else [solo[k] for k in live if start < counts[k]]
+            for members, at, stop, (enc, dec), views, work in steps:
+                idx = order[at, start : min(start + batch, stop)]
+                b = idx.shape[-1]
+                for k in members:
+                    if k in live:  # a diverged model's slices of a stacked step run unstepped
+                        gens[k].standard_normal(out=eps[k, :b])
                 xent, kl = loss_and_grads(enc, dec, data.preference[idx], data.conditional[idx],
-                                          eps[k, :b], config.beta, solo_grads[k],
-                                          solo_work if b == batch else _first_rows(solo_work, b))
-                total = float(xent + config.beta * kl)
-                if not math.isfinite(total):
-                    failed[k] = TrainingDiverged(epoch)
-                    break
-                epoch_total[k] += total
-                nn.rmsprop_step(params[k], grads[k], states[k])
-        live = [k for k in live if k not in failed]
+                                          eps[at, :b], config.beta, views,
+                                          work if b == batch else _first_rows(work, b))
+                for k, total in zip(members, (xent + config.beta * kl).reshape(-1).tolist()):
+                    if k in live and math.isfinite(total):
+                        epoch_total[k] += total
+                        nn.rmsprop_step(params[k], grads[k], states[k])
+                    elif k in live:  # a diverged model stops stepping
+                        failed[k] = TrainingDiverged(epoch)
+                        live.remove(k)
         for k in live:
             enc, dec = models[k]
             xent, kl = validation_loss(enc, dec, val_data, val_rows[k], val_eps[k], config.beta)
@@ -401,8 +391,9 @@ def train(dataset: EncodedDataset, config: CvaeConfig, val_set: EncodedDataset, 
     loss. Validation eps draws are fixed once per run so the checkpoint
     comparison is apples to apples across epochs. rows and val_rows pick the
     rows of dataset and val_set to use, all of them by default. This is
-    ``train_stack`` with one model, which a stack of models of other row
-    counts reproduces bit for bit; a non-finite loss raises TrainingDiverged.
+    ``train_stack`` with one model, which takes every batch in its own 2-D
+    step and which any stack holding it reproduces bit for bit; a
+    non-finite loss raises TrainingDiverged.
     """
     rows = np.arange(dataset.n_rows) if rows is None else rows
     val_rows = np.arange(val_set.n_rows) if val_rows is None else val_rows

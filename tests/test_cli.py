@@ -150,6 +150,27 @@ class TestSynthTrain:
         assert "year 7 is not a category of year" in capsys.readouterr().err
         assert not (tmp_path / "o" / "data.csv").exists()
 
+    def test_no_records_per_year_fails_at_load(self, tmp_path, capsys):
+        """A header-only data.csv would pass synth and fail every later command."""
+        cfg = base_config(tmp_path, tmp_path, dgp={"name": "drift-split", "n_per_year": 0})
+        assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "dgp.n_per_year must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("via", ["--out", "out_dir"])
+    def test_output_path_at_or_under_a_file_fails(self, tmp_path, capsys, out, via):
+        (tmp_path / "afile").write_text("kept\n")
+        path = tmp_path / out
+        cfg = base_config(tmp_path, tmp_path)
+        if via == "out_dir":
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "out_dir": str(path)}))
+        argv = ["synth", "--config", str(cfg)] + (["--out", str(path)] if via == "--out" else [])
+        assert run(argv) == 1
+        assert f"output directory {path}: it or a directory above it is a file" in \
+            capsys.readouterr().err
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
     def test_missing_inputs_fail_cleanly(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 1, "schema": "/nope.json", "data": "/nope.csv"}))

@@ -426,6 +426,67 @@ class TestTrainStack:
             assert_same_fit(fits[j], solo[j].encoder, solo[j].decoder,
                             solo[j].training_history, solo[j].best_epoch)
 
+    @staticmethod
+    def gradient_calls(monkeypatch, nan_call=None):
+        """Record the leading shape of V, (b,) or (K, b), of every gradient
+        call of loss_and_grads; the 2-D call numbered nan_call returns a NaN loss."""
+        calls = []
+        loss = cvae.loss_and_grads
+
+        def spy(*args, **kwargs):
+            out = loss(*args, **kwargs)
+            if len(args) > 6 and args[6] is not None:
+                calls.append(args[2].shape[:-1])
+                if nan_call is not None and sum(len(s) == 1 for s in calls) == nan_call + 1:
+                    return out[0] * np.nan, out[1]
+            return out
+
+        monkeypatch.setattr(cvae, "loss_and_grads", spy)
+        return calls
+
+    @pytest.mark.parametrize("k, counts, per_epoch", [
+        (1, (37,), ([], [5, 8, 8, 8, 8])),
+        (3, (37, 37, 37), ([(3, 8)] * 4 + [(3, 5)], [])),
+        (3, (37, 29, 16), ([(3, 8)] * 2, [5, 5, 8, 8, 8])),
+    ])
+    def test_which_step_each_batch_takes(self, k, counts, per_epoch, monkeypatch):
+        """A batch every model of a stack of two or more has, at one size, is
+        one stacked call; every other batch is a 2-D call of one model, and a
+        stack of one takes only those. Per epoch: the stacked calls in order,
+        then the 2-D calls' sizes, sorted."""
+        data, configs, rows, val_rows = stack_setup(k)
+        rows = [r[:n] for r, n in zip(rows, counts)]
+        calls = self.gradient_calls(monkeypatch)
+        cvae.train_stack(data, configs, rows, val_rows)
+        stacked, solo = per_epoch
+        n = len(stacked) + len(solo)
+        assert len(calls) == configs[0].epochs * n
+        for epoch in range(configs[0].epochs):
+            got = calls[epoch * n : (epoch + 1) * n]
+            assert got[: len(stacked)] == stacked
+            assert all(len(s) == 1 for s in got[len(stacked):])
+            assert sorted(s[0] for s in got[len(stacked):]) == solo
+
+    def test_divergence_in_model_by_model_batches(self, monkeypatch):
+        """37, 29 and 16 rows at batch 8: model 0's first 2-D batch of epoch 1
+        (its third) goes NaN, so it stops there and the others train on."""
+        data, configs, rows, val_rows = stack_setup(3)
+        rows = [r[:n] for r, n in zip(rows, (37, 29, 16))]
+        solo = [cvae.train(data, c, data, rows=r, val_rows=v)
+                for c, r, v in zip(configs, rows, val_rows)]
+        steps = []
+        step = nn.rmsprop_step
+        monkeypatch.setattr(nn, "rmsprop_step", lambda *a: steps.append(1) or step(*a))
+        self.gradient_calls(monkeypatch, nan_call=5)  # epoch 0 makes five 2-D calls
+        fits = cvae.train_stack(data, configs, rows, val_rows)
+        assert isinstance(fits[0], cvae.TrainingDiverged) and fits[0].epoch == 1
+        assert "validation" not in str(fits[0])
+        # 5, 4 and 2 batches an epoch; model 0 takes 5 in epoch 0 and 2 in epoch 1
+        assert len(steps) == (5 + 2) + 4 * (4 + 2)
+        for j in (1, 2):
+            assert_same_fit(fits[j], solo[j].encoder, solo[j].decoder,
+                            solo[j].training_history, solo[j].best_epoch)
+
     def test_empty_row_set_refused(self):
         data, configs, rows, val_rows = stack_setup(2)
         with pytest.raises(ValueError, match="empty training set"):
